@@ -13,8 +13,7 @@ from .chansim import (LOS, NLOS, Ray, RayCluster, SimConfig, beam_gain,
                       simulate_realization)
 from .classifiers import (AnnModel, MlrModel, TrainSchedule, Verdict,
                           ann_classify, ann_forward, ann_init, ann_train,
-                          error_rates, mlr_classify, mlr_train, softmax,
-                          tansig)
+                          error_rates, mlr_classify, mlr_train, softmax)
 from .errors import (ConfigError, DataFormatError, DegenerateInputError,
                      EvaluationError, FitError, NlosIdError, NumericalError,
                      RenderError, TrainingError)

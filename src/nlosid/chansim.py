@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, RenderError
-from .pas import AngularGrid, CirTensor
+from .errors import ConfigError, ConfigSection, DataFormatError, RenderError
+from .pas import AngularGrid, CirTensor, wrap_angle_deg
 
 LOS = "LOS"
 NLOS = "NLOS"
@@ -105,10 +105,12 @@ class RayCluster:
             )
         except KeyError as exc:
             raise DataFormatError(f"cluster record missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"bad cluster record: {exc}") from exc
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(ConfigSection):
     """Everything needed to reproduce a simulated sounding campaign."""
 
     az_range_deg: tuple[float, float] = (-180.0, 180.0)
@@ -127,8 +129,6 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.step_deg <= 0:
-            raise ConfigError("step_deg must be positive")
         if self.hpbw_az_deg <= 0 or self.hpbw_el_deg <= 0:
             raise ConfigError("beamwidths must be positive")
         if self.sample_rate_ghz <= 0:
@@ -143,67 +143,23 @@ class SimConfig:
             raise ConfigError("angular_jitter_deg must be non-negative")
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ConfigError("snr_db must be finite or None")
-        for name, (lo, hi) in (("az_range_deg", self.az_range_deg),
-                               ("el_range_deg", self.el_range_deg)):
-            if hi <= lo:
-                raise ConfigError(f"{name} must satisfy start < stop")
+        for name in ("az_range_deg", "el_range_deg"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or len(value) != 2:
+                raise ConfigError(f"{name} must be a [start, stop] pair")
+            # JSON gives lists; store a float tuple so configs compare and hash
+            object.__setattr__(self, name, (float(value[0]), float(value[1])))
         # both ranges must land on the step grid
         self.grid()
 
     def grid(self) -> AngularGrid:
         """The scan grid implied by the ranges and step."""
-        def count(lo, hi):
-            n = int(round((hi - lo) / self.step_deg)) + 1
-            if abs(lo + (n - 1) * self.step_deg - hi) > 1e-9 * self.step_deg:
-                raise ConfigError(
-                    f"range ({lo}, {hi}) is not a whole number of "
-                    f"{self.step_deg} degree steps")
-            return n
-        return AngularGrid(
-            az_start_deg=self.az_range_deg[0], az_step_deg=self.step_deg,
-            n_az=count(*self.az_range_deg),
-            el_start_deg=self.el_range_deg[0], el_step_deg=self.step_deg,
-            n_el=count(*self.el_range_deg),
-        )
+        return AngularGrid.from_ranges(self.az_range_deg, self.el_range_deg,
+                                       self.step_deg, self.step_deg)
 
     @property
     def record_ns(self) -> float:
         return self.n_taps / self.sample_rate_ghz
-
-    def to_dict(self) -> dict:
-        return {
-            "az_range_deg": list(self.az_range_deg),
-            "el_range_deg": list(self.el_range_deg),
-            "step_deg": self.step_deg,
-            "hpbw_az_deg": self.hpbw_az_deg,
-            "hpbw_el_deg": self.hpbw_el_deg,
-            "sample_rate_ghz": self.sample_rate_ghz,
-            "n_taps": self.n_taps,
-            "snr_db": self.snr_db,
-            "n_nlos_mean": self.n_nlos_mean,
-            "decay_ns": self.decay_ns,
-            "ray_gap_mean_ns": self.ray_gap_mean_ns,
-            "angular_jitter_deg": self.angular_jitter_deg,
-            "los_present": self.los_present,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimConfig":
-        kwargs = dict(d)
-        for key in ("az_range_deg", "el_range_deg"):
-            if key in kwargs:
-                value = kwargs[key]
-                if not isinstance(value, (list, tuple)) or len(value) != 2:
-                    raise ConfigError(f"{key} must be a [start, stop] pair")
-                kwargs[key] = (float(value[0]), float(value[1]))
-        unknown = set(kwargs) - {f.name for f in cls.__dataclass_fields__.values()}
-        if unknown:
-            raise ConfigError(f"unknown SimConfig fields: {sorted(unknown)}")
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad SimConfig: {exc}") from exc
 
 
 def generate_channel(config: SimConfig,
@@ -343,7 +299,7 @@ def render_cir(clusters: list[RayCluster], config: SimConfig,
                     f"the {config.record_ns:.3f} ns record")
             ray_az = cluster.center_az_deg + ray.az_offset_deg
             ray_el = cluster.center_el_deg + ray.el_offset_deg
-            d_az = (az - ray_az + 180.0) % 360.0 - 180.0
+            d_az = wrap_angle_deg(az - ray_az)
             d_el = el - ray_el
             # beam gain is separable, so amplitude weights factor per axis
             amp_az = np.exp(-2.0 * ln2 * (d_az / config.hpbw_az_deg) ** 2)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chansim import LOS, NLOS
-from .errors import ConfigError, EvaluationError, TrainingError
+from .errors import ConfigError, ConfigSection, EvaluationError, TrainingError
 from .gevstats import GevParams, gev_fit_mle, gev_pdf
 from .metrics import METRIC_NAMES, FeatureVector
 
@@ -39,7 +39,7 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class TrainSchedule:
+class TrainSchedule(ConfigSection):
     learning_rate: float = 0.05
     max_epochs: int = 5000
     loss_tolerance: float = 1e-8   # stop once loss improves by less than this
@@ -51,18 +51,6 @@ class TrainSchedule:
             raise ConfigError("max_epochs must be positive")
         if self.loss_tolerance < 0:
             raise ConfigError("loss_tolerance must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {"learning_rate": self.learning_rate,
-                "max_epochs": self.max_epochs,
-                "loss_tolerance": self.loss_tolerance}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainSchedule":
-        unknown = set(d) - {f.name for f in cls.__dataclass_fields__.values()}
-        if unknown:
-            raise ConfigError(f"unknown TrainSchedule fields: {sorted(unknown)}")
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +184,6 @@ class AnnModel:
         return (self.iw, self.b1, self.lw21, self.b2, self.lw32, self.b3)
 
 
-def tansig(x):
-    """Hyperbolic-tangent sigmoid, 2 / (1 + exp(-2x)) - 1."""
-    return np.tanh(x)
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized against overflow."""
     z = np.asarray(z, dtype=float)
@@ -228,8 +211,8 @@ def ann_init(seed: int) -> AnnModel:
 
 def _forward_batch(weights: tuple, x: np.ndarray):
     iw, b1, lw21, b2, lw32, b3 = weights
-    a1 = tansig(x @ iw.T + b1)
-    a2 = tansig(a1 @ lw21.T + b2)
+    a1 = np.tanh(x @ iw.T + b1)
+    a2 = np.tanh(a1 @ lw21.T + b2)
     a3 = softmax(a2 @ lw32.T + b3)
     return a1, a2, a3
 

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 data-format error,
-4 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 data-format error or an
+unreadable file, 4 numerical failure.
 """
 
 import argparse
@@ -49,21 +49,8 @@ def _axis(text: str, name: str) -> tuple[float, float, float]:
 def _grid_from_axes(az: str, el: str) -> AngularGrid:
     az_lo, az_hi, az_step = _axis(az, "az")
     el_lo, el_hi, el_step = _axis(el, "el")
-
-    def count(lo, hi, step, name):
-        if step <= 0 or hi <= lo:
-            raise ConfigError(f"--{name} must have start < stop and step > 0")
-        n = int(round((hi - lo) / step)) + 1
-        if abs(lo + (n - 1) * step - hi) > 1e-9 * step:
-            raise ConfigError(
-                f"--{name}: ({lo}, {hi}) is not a whole number of {step} steps")
-        return n
-
-    return AngularGrid(
-        az_start_deg=az_lo, az_step_deg=az_step,
-        n_az=count(az_lo, az_hi, az_step, "az"),
-        el_start_deg=el_lo, el_step_deg=el_step,
-        n_el=count(el_lo, el_hi, el_step, "el"))
+    return AngularGrid.from_ranges((az_lo, az_hi), (el_lo, el_hi),
+                                   az_step, el_step)
 
 
 def _run_simulate(args) -> int:
@@ -204,9 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="experiment config JSON")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="output file or directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="compute threads (reserved; stages are "
-                             "currently single-threaded)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="write simulated tensors and maps")
@@ -251,15 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataFormatError as exc:
+    except (DataFormatError, OSError) as exc:
+        # an OSError's message names the file it could not open
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

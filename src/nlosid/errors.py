@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, plus the dict round trip
+every configuration section uses.
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 2, malformed input data with 3, and numerical failures with 4.
 """
+
+import dataclasses
 
 
 class NlosIdError(Exception):
@@ -40,3 +43,36 @@ class EvaluationError(NumericalError):
 
 class RenderError(ConfigError):
     """A channel cannot be rendered onto the configured sampling grid."""
+
+
+class ConfigSection:
+    """Dict round trip for a frozen configuration dataclass.
+
+    from_dict accepts only a dict whose keys are field names, parses fields
+    typed as another section recursively, and reports every rejected value
+    as a ConfigError naming the class.
+    """
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, d):
+        name = cls.__name__
+        if not isinstance(d, dict):
+            raise ConfigError(
+                f"{name} section must be an object, got {type(d).__name__}")
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(d) - set(fields)
+        if unknown:
+            raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
+        kwargs = {}
+        for key, value in d.items():
+            kind = fields[key]
+            if isinstance(kind, type) and issubclass(kind, ConfigSection):
+                value = kind.from_dict(value)
+            kwargs[key] = value
+        try:
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {name}: {exc}") from exc

@@ -22,13 +22,15 @@ from .chansim import (LOS, NLOS, STREAM_TRAINING, SimConfig,
                       simulate_realization)
 from .classifiers import (TrainSchedule, ann_classify, ann_init, ann_train,
                           error_rates, mlr_classify, mlr_train)
-from .errors import ConfigError, DataFormatError, DegenerateInputError
+from .errors import (ConfigError, ConfigSection, DataFormatError,
+                     DegenerateInputError)
 from .fileio import (load_cir_tensor, load_features, load_json, load_truth,
                      save_ann_model, save_cir_tensor, save_features,
                      save_json, save_mlr_model, save_pas_json, save_truth)
 from .gevstats import bootstrap_split, cdf_rmse, gev_cdf, gev_pdf
 from .metrics import METRIC_NAMES, MetricConfig, cluster_features
-from .pas import AngularGrid, CfrSlice, CirTensor, compute_pas, cir_from_cfr
+from .pas import (AngularGrid, CfrSlice, CirTensor, compute_pas, cir_from_cfr,
+                  wrap_angle_deg)
 from .segmentation import SegParams, label_clusters_with_truth, segment
 
 ERROR_TABLE_ROWS = METRIC_NAMES + ("joint_mlr", "ann")
@@ -38,7 +40,7 @@ _CURVE_BINS = 30
 
 
 @dataclass(frozen=True)
-class BootstrapSpec:
+class BootstrapSpec(ConfigSection):
     n_train: int = 30
     n_test: int = 20
     repeats: int = 10
@@ -47,20 +49,9 @@ class BootstrapSpec:
         if self.n_train < 1 or self.n_test < 1 or self.repeats < 1:
             raise ConfigError("bootstrap sizes and repeats must be positive")
 
-    def to_dict(self) -> dict:
-        return {"n_train": self.n_train, "n_test": self.n_test,
-                "repeats": self.repeats}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BootstrapSpec":
-        unknown = set(d) - {f.name for f in cls.__dataclass_fields__.values()}
-        if unknown:
-            raise ConfigError(f"unknown BootstrapSpec fields: {sorted(unknown)}")
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(ConfigSection):
     mode: str = "simulate"                 # "simulate" or "measured"
     sim: SimConfig = SimConfig()
     seg: SegParams = SegParams(min_pixels=2, marker_min_separation=1.0)
@@ -84,39 +75,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"n_train + n_test = {self.n_train + self.n_test} exceeds "
                 f"n_realizations = {self.n_realizations}")
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "sim": self.sim.to_dict(),
-            "seg": self.seg.to_dict(),
-            "metric": self.metric.to_dict(),
-            "schedule": self.schedule.to_dict(),
-            "bootstrap": self.bootstrap.to_dict(),
-            "n_realizations": self.n_realizations,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "seed": self.seed,
-            "features_csv": self.features_csv,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = set(d) - {f.name for f in cls.__dataclass_fields__.values()}
-        if unknown:
-            raise ConfigError(f"unknown ExperimentConfig fields: {sorted(unknown)}")
-        kwargs = dict(d)
-        for key, loader in (("sim", SimConfig.from_dict),
-                            ("seg", SegParams.from_dict),
-                            ("metric", MetricConfig.from_dict),
-                            ("schedule", TrainSchedule.from_dict),
-                            ("bootstrap", BootstrapSpec.from_dict)):
-            if key in kwargs:
-                kwargs[key] = loader(kwargs[key])
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad experiment config: {exc}") from exc
 
 
 def _training_seed(master_seed: int, repeat: int) -> int:
@@ -195,10 +153,17 @@ def inputs_from_manifest(manifest_path) -> list:
             f"found {doc.get('format')!r}")
     base = manifest_path.parent
     out = []
-    for entry in doc.get("realizations", []):
-        truth = entry.get("truth")
-        out.append((int(entry["index"]), base / entry["cir"],
-                    base / truth if truth else None))
+    try:
+        for entry in doc.get("realizations", []):
+            truth = entry.get("truth")
+            out.append((int(entry["index"]), base / entry["cir"],
+                        base / truth if truth else None))
+    except KeyError as exc:
+        raise DataFormatError(
+            f"{manifest_path}: realization entry missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataFormatError(
+            f"{manifest_path}: bad realization entry: {exc}") from exc
     return out
 
 
@@ -236,7 +201,7 @@ def ingest_sweeps(sweeps: dict, grid: AngularGrid,
     for (az, el), payload in sweeps.items():
         pixel = grid.nearest_pixel(el, az)
         pel, paz = grid.angles_of(*pixel)
-        if abs(pel - el) > 1e-6 or abs((paz - az + 180.0) % 360.0 - 180.0) > 1e-6:
+        if abs(pel - el) > 1e-6 or abs(wrap_angle_deg(paz - az)) > 1e-6:
             raise DataFormatError(
                 f"sweep direction (az={az}, el={el}) is not a grid point")
         lookup[pixel] = payload

@@ -20,7 +20,6 @@ from .errors import DataFormatError
 from .gevstats import GevParams
 from .metrics import METRIC_NAMES, FeatureVector
 from .pas import AngularGrid, CirTensor, PasMap
-from .segmentation import Cluster
 
 _FEATURE_HEADER = list(METRIC_NAMES) + ["label"]
 _SWEEP_HEADER = ["az_deg", "el_deg", "freq_ghz", "re", "im"]
@@ -31,13 +30,27 @@ def save_json(path, obj) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def load_json(path) -> dict:
+def _read_text(path) -> str:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
+def load_json(path) -> dict:
+    """Parse a JSON document whose top level must be an object."""
+    try:
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataFormatError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno} "
             f"(byte {exc.pos})") from exc
+    if not isinstance(doc, dict):
+        raise DataFormatError(
+            f"{path}: top level must be a JSON object, found "
+            f"{type(doc).__name__}")
+    return doc
 
 
 def _expect_format(doc: dict, expected: str, path) -> None:
@@ -84,6 +97,8 @@ def load_cir_tensor(manifest_path) -> CirTensor:
     except KeyError as exc:
         raise DataFormatError(
             f"{manifest_path}: manifest missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{manifest_path}: bad manifest field: {exc}") from exc
     expected = grid.n_el * grid.n_az * n_taps * 2 * 4
     if not bin_path.exists():
         raise DataFormatError(f"{manifest_path}: data file {bin_path} is missing")
@@ -111,83 +126,6 @@ def save_pas_json(pas: PasMap, path) -> None:
     })
 
 
-def load_pas_json(path) -> PasMap:
-    doc = load_json(path)
-    _expect_format(doc, "pas_map", path)
-    if doc.get("unit") != "linear":
-        raise DataFormatError(f"{path}: unsupported unit {doc.get('unit')!r}")
-    try:
-        grid = AngularGrid.from_dict(doc["grid"])
-        power = np.array(doc["power"], dtype=float)
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: missing field {exc}") from exc
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: power rows are ragged: {exc}") from exc
-    return PasMap(grid, power)
-
-
-def save_pas_csv(pas: PasMap, path) -> None:
-    g = pas.grid
-    lines = [
-        "# pas_map v1",
-        f"# az_start_deg={g.az_start_deg!r},az_step_deg={g.az_step_deg!r},"
-        f"n_az={g.n_az}",
-        f"# el_start_deg={g.el_start_deg!r},el_step_deg={g.el_step_deg!r},"
-        f"n_el={g.n_el}",
-        "# unit=linear",
-    ]
-    lines += [",".join(repr(float(v)) for v in row) for row in pas.power]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_pas_csv(path) -> PasMap:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if len(lines) < 5 or lines[0].strip() != "# pas_map v1":
-        raise DataFormatError(
-            f"{path}: expected a '# pas_map v1' header on line 1")
-    fields = {}
-    for lineno in (1, 2, 3):
-        body = lines[lineno].lstrip("# ").strip()
-        for part in body.split(","):
-            if "=" not in part:
-                raise DataFormatError(
-                    f"{path}: malformed header on line {lineno + 1}: {part!r}")
-            key, value = part.split("=", 1)
-            fields[key.strip()] = value.strip()
-    if fields.get("unit") != "linear":
-        raise DataFormatError(f"{path}: unsupported unit {fields.get('unit')!r}")
-    try:
-        grid = AngularGrid(
-            az_start_deg=float(fields["az_start_deg"]),
-            az_step_deg=float(fields["az_step_deg"]), n_az=int(fields["n_az"]),
-            el_start_deg=float(fields["el_start_deg"]),
-            el_step_deg=float(fields["el_step_deg"]), n_el=int(fields["n_el"]))
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: header missing field {exc}") from exc
-    offset = sum(len(l) + 1 for l in lines[:4])
-    rows = []
-    for lineno, line in enumerate(lines[4:], start=5):
-        if not line.strip():
-            offset += len(line) + 1
-            continue
-        try:
-            rows.append([float(v) for v in line.split(",")])
-        except ValueError as exc:
-            raise DataFormatError(
-                f"{path}: line {lineno} (byte {offset}): {exc}") from exc
-        offset += len(line) + 1
-    return PasMap(grid, np.array(rows, dtype=float))
-
-
-def load_pas(path) -> PasMap:
-    path = Path(path)
-    if path.suffix == ".json":
-        return load_pas_json(path)
-    if path.suffix == ".csv":
-        return load_pas_csv(path)
-    raise DataFormatError(f"{path}: power maps must be .json or .csv")
-
-
 # ---------------------------------------------------------------------------
 # measured frequency sweeps
 
@@ -195,8 +133,7 @@ def load_pas(path) -> PasMap:
 def load_sweep_csv(path) -> dict:
     """Parse a sweep file into {(az_deg, el_deg): (freqs_ghz, complex values)}
     with each direction's rows sorted by frequency."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise DataFormatError(f"{path}: file is empty")
     header = [h.strip() for h in lines[0].split(",")]
@@ -253,7 +190,7 @@ def save_features(path, rows) -> None:
 
 def load_features(path) -> list:
     """Returns a list of (realization | None, FeatureVector)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise DataFormatError(f"{path}: file is empty")
     header = [h.strip() for h in lines[0].split(",")]
@@ -286,63 +223,6 @@ def load_features(path) -> list:
             out.append((realization, FeatureVector(*vals, label=label)))
         offset += len(line) + 1
     return out
-
-
-# ---------------------------------------------------------------------------
-# cluster lists
-
-
-def _rle_encode(pixels) -> list:
-    runs = []
-    for el, az in sorted(pixels):
-        if runs and runs[-1][0] == el and runs[-1][1] + runs[-1][2] == az:
-            runs[-1][2] += 1
-        else:
-            runs.append([el, az, 1])
-    return runs
-
-
-def _rle_decode(runs) -> frozenset:
-    pixels = set()
-    for el, az0, length in runs:
-        for az in range(az0, az0 + length):
-            pixels.add((int(el), int(az)))
-    return frozenset(pixels)
-
-
-def save_clusters(path, clusters, grid: AngularGrid) -> None:
-    save_json(path, {
-        "format": "clusters",
-        "grid": grid.to_dict(),
-        "clusters": [{
-            "id": c.id,
-            "pixels_rle": _rle_encode(c.pixels),
-            "peak_pixel": list(c.peak_pixel),
-            "centroid_el_deg": float(c.centroid_el_deg),
-            "centroid_az_deg": float(c.centroid_az_deg),
-            "total_power": float(c.total_power),
-            "truth": c.truth,
-        } for c in clusters],
-    })
-
-
-def load_clusters(path) -> tuple:
-    doc = load_json(path)
-    _expect_format(doc, "clusters", path)
-    try:
-        grid = AngularGrid.from_dict(doc["grid"])
-        clusters = [Cluster(
-            id=int(c["id"]),
-            pixels=_rle_decode(c["pixels_rle"]),
-            peak_pixel=tuple(int(v) for v in c["peak_pixel"]),
-            centroid_el_deg=float(c["centroid_el_deg"]),
-            centroid_az_deg=float(c["centroid_az_deg"]),
-            total_power=float(c["total_power"]),
-            truth=c.get("truth"),
-        ) for c in doc["clusters"]]
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: cluster record missing {exc}") from exc
-    return clusters, grid
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +265,8 @@ def mlr_model_from_dict(doc: dict) -> MlrModel:
         }
     except KeyError as exc:
         raise DataFormatError(f"model document missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"bad model document: {exc}") from exc
     return MlrModel(tables)
 
 
@@ -423,6 +305,8 @@ def ann_model_from_dict(doc: dict) -> AnnModel:
         )
     except KeyError as exc:
         raise DataFormatError(f"model document missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"bad model document: {exc}") from exc
 
 
 def save_ann_model(path, model: AnnModel) -> None:

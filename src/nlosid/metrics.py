@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError
+from .errors import ConfigError, ConfigSection, DegenerateInputError
 from .pas import CfrSlice, CirSlice, CirTensor, PasMap, cfr_from_cir
 from .segmentation import Cluster
 
@@ -66,7 +66,7 @@ class FeatureVector:
 
 
 @dataclass(frozen=True)
-class MetricConfig:
+class MetricConfig(ConfigSection):
     r_p_mode: str = "kurtosis"     # "kurtosis" or "covariance"
     aggregation: str = "peak"      # "peak" or "power_weighted"
     gate_taps: bool = False        # gate delay-domain metrics above the tap floor
@@ -76,17 +76,6 @@ class MetricConfig:
             raise ConfigError(f"unknown r_p_mode {self.r_p_mode!r}")
         if self.aggregation not in ("peak", "power_weighted"):
             raise ConfigError(f"unknown aggregation {self.aggregation!r}")
-
-    def to_dict(self) -> dict:
-        return {"r_p_mode": self.r_p_mode, "aggregation": self.aggregation,
-                "gate_taps": self.gate_taps}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricConfig":
-        unknown = set(d) - {f.name for f in cls.__dataclass_fields__.values()}
-        if unknown:
-            raise ConfigError(f"unknown MetricConfig fields: {sorted(unknown)}")
-        return cls(**d)
 
 
 def co_kurtosis(cluster: Cluster, pas: PasMap,
@@ -106,15 +95,11 @@ def co_kurtosis(cluster: Cluster, pas: PasMap,
             f"cluster needs at least 3 pixels for angular moments, "
             f"got {len(pix)}")
     grid = pas.grid
-    az_axis = grid.azimuths_deg
     el_axis = grid.elevations_deg
     el = np.array([el_axis[p[0]] for p in pix])
-    az = np.array([az_axis[p[1]] for p in pix])
-    if grid.wraps_azimuth:
-        # measure azimuth relative to the peak so a seam-straddling
-        # cluster stays contiguous on the angle axis
-        ref = az_axis[cluster.peak_pixel[1]]
-        az = (az - ref + 180.0) % 360.0 - 180.0
+    # azimuth relative to the peak, so a seam-straddling cluster stays
+    # contiguous on the angle axis
+    az, _ = grid.azimuth_offsets([p[1] for p in pix], cluster.peak_pixel[1])
     if len(set(az.tolist())) < 2 or len(set(el.tolist())) < 2:
         raise DegenerateInputError(
             "cluster spans fewer than 2 distinct angles on an axis")

@@ -40,6 +40,28 @@ class AngularGrid:
         if self.n_az < 1 or self.n_el < 1:
             raise ConfigError("grid needs at least one pixel per axis")
 
+    @classmethod
+    def from_ranges(cls, az_range_deg, el_range_deg, az_step_deg: float,
+                    el_step_deg: float) -> "AngularGrid":
+        """Grid whose axes run from start to stop inclusive; each
+        (start, stop) range must span a whole number of steps."""
+        counts = []
+        for axis, (lo, hi), step in (("azimuth", az_range_deg, az_step_deg),
+                                     ("elevation", el_range_deg, el_step_deg)):
+            if step <= 0 or hi <= lo:
+                raise ConfigError(
+                    f"{axis} range ({lo}, {hi}) needs start < stop and a "
+                    f"positive step")
+            n = int(round((hi - lo) / step)) + 1
+            if abs(lo + (n - 1) * step - hi) > 1e-9 * step:
+                raise ConfigError(
+                    f"{axis} range ({lo}, {hi}) is not a whole number of "
+                    f"{step} degree steps")
+            counts.append(n)
+        return cls(az_start_deg=az_range_deg[0], az_step_deg=az_step_deg,
+                   n_az=counts[0], el_start_deg=el_range_deg[0],
+                   el_step_deg=el_step_deg, n_el=counts[1])
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_el, self.n_az)
@@ -75,6 +97,19 @@ class AngularGrid:
             j = min(max(j, 0), self.n_az - 1)
         return (i, j)
 
+    def azimuth_offsets(self, az_idx,
+                        ref_az_idx: int) -> tuple[np.ndarray, float]:
+        """Azimuths of the given columns as offsets from a reference angle,
+        plus that reference.  On a full-circle grid the reference is column
+        ref_az_idx and offsets wrap into [-180, 180), so a cluster
+        straddling the seam stays contiguous; otherwise the reference is 0
+        and the offsets are the plain azimuths."""
+        az = self.azimuths_deg[np.asarray(az_idx, dtype=int)]
+        if not self.wraps_azimuth:
+            return az, 0.0
+        ref = self.azimuths_deg[ref_az_idx]
+        return wrap_angle_deg(az - ref), ref
+
     def to_dict(self) -> dict:
         return {
             "az_start_deg": float(self.az_start_deg),
@@ -98,6 +133,8 @@ class AngularGrid:
             )
         except KeyError as exc:
             raise DataFormatError(f"grid description missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"bad grid description: {exc}") from exc
 
 
 @dataclass(frozen=True)

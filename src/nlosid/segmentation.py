@@ -23,15 +23,15 @@ import numpy as np
 from scipy import ndimage
 
 from .chansim import LOS, NLOS, RayCluster
-from .errors import ConfigError
-from .pas import AngularGrid, PasMap
+from .errors import ConfigError, ConfigSection
+from .pas import AngularGrid, PasMap, wrap_angle_deg
 
 # empty pixels are pinned this far below the map peak before dB conversion
 _ZERO_PIN_DB = 400.0
 
 
 @dataclass(frozen=True)
-class SegParams:
+class SegParams(ConfigSection):
     foreground_threshold_db: float = 10.0  # margin above the noise floor
     min_pixels: int = 4                    # smallest surviving cluster
     marker_min_separation: float = 5.0     # pixels, between seed maxima
@@ -46,21 +46,6 @@ class SegParams:
             raise ConfigError("marker_min_separation must be non-negative")
         if self.smoothing_radius < 0:
             raise ConfigError("smoothing_radius must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "foreground_threshold_db": self.foreground_threshold_db,
-            "min_pixels": self.min_pixels,
-            "marker_min_separation": self.marker_min_separation,
-            "smoothing_radius": self.smoothing_radius,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SegParams":
-        unknown = set(d) - {f.name for f in cls.__dataclass_fields__.values()}
-        if unknown:
-            raise ConfigError(f"unknown SegParams fields: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -220,8 +205,6 @@ def _priority_flood(smoothed, mask, markers, wrap):
 
 
 def _build_clusters(labels, n_basins, power, grid: AngularGrid, params: SegParams):
-    wrap = grid.wraps_azimuth
-    az = grid.azimuths_deg
     el = grid.elevations_deg
     raw = []
     for lab in range(1, n_basins + 1):
@@ -233,16 +216,13 @@ def _build_clusters(labels, n_basins, power, grid: AngularGrid, params: SegParam
         total = float(weights.sum())
         peak_pixel = max(pix, key=lambda p: (power[p], -p[0], -p[1]))
         cent_el = float(np.dot(weights, [el[p[0]] for p in pix]) / total)
-        if wrap:
-            # average azimuth relative to the peak so seam-straddling
-            # clusters do not smear across the circle
-            ref = az[peak_pixel[1]]
-            rel = (np.array([az[p[1]] for p in pix]) - ref + 180.0) % 360.0 - 180.0
-            cent_az = float(((ref + np.dot(weights, rel) / total) + 180.0)
-                            % 360.0 - 180.0)
-        else:
-            cent_az = float(np.dot(weights, [az[p[1]] for p in pix]) / total)
-        raw.append((total, peak_pixel, frozenset(pix), cent_el, cent_az))
+        # average azimuth relative to the peak so seam-straddling clusters
+        # do not smear across the circle
+        rel, ref = grid.azimuth_offsets([p[1] for p in pix], peak_pixel[1])
+        cent_az = np.dot(weights, rel) / total
+        if grid.wraps_azimuth:
+            cent_az = wrap_angle_deg(ref + cent_az)
+        raw.append((total, peak_pixel, frozenset(pix), cent_el, float(cent_az)))
 
     raw.sort(key=lambda r: (-r[0], r[1]))
     return [

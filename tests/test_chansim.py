@@ -52,8 +52,8 @@ def test_sim_config_validation():
         small_sim(n_taps=32)
     with pytest.raises(ConfigError):
         small_sim(step_deg=-1.0)
-    with pytest.raises(ConfigError):
-        small_sim(az_range_deg=(0.0, 7.0))  # not a whole number of steps
+    with pytest.raises(ConfigError, match="whole number"):
+        small_sim(az_range_deg=(0.0, 7.0))
     with pytest.raises(ConfigError):
         small_sim(az_range_deg=(10.0, 10.0))
     with pytest.raises(ConfigError):

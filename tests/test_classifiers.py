@@ -8,8 +8,7 @@ import pytest
 from nlosid import (LOS, NLOS, AnnModel, ConfigError, EvaluationError,
                     GevParams, MlrModel, TrainSchedule, TrainingError,
                     ann_classify, ann_forward, ann_init, ann_train,
-                    error_rates, gev_pdf, mlr_classify, mlr_train, softmax,
-                    tansig)
+                    error_rates, gev_pdf, mlr_classify, mlr_train, softmax)
 from nlosid.classifiers import (LOG_DENSITY_FLOOR, _batch_grads, _batch_loss,
                                 _forward_batch)
 from nlosid.metrics import METRIC_NAMES
@@ -150,13 +149,6 @@ def test_zero_network_outputs_half():
     # a tie keeps the line-of-sight hypothesis
     v = ann_classify(zero_model(), make_fv())
     assert v.decision == LOS and v.score == 0.5
-
-
-def test_tansig_matches_logistic_form(rng):
-    x = rng.uniform(-5, 5, 200)
-    assert np.allclose(tansig(x), 2.0 / (1.0 + np.exp(-2.0 * x)) - 1.0,
-                       rtol=1e-12)
-    assert np.allclose(tansig(-x), -tansig(x))
 
 
 def test_softmax_rows_normalized(rng):

@@ -243,12 +243,62 @@ def test_ingest_validates_axes(tmp_path, rng, capsys):
 # exit codes
 
 
-def test_thread_count_must_be_positive(workspace, capsys):
-    _, _, _, sim_dir = workspace
-    code = main(["--threads", "0", "report",
-                 str(sim_dir / "simulation.json")])
-    assert code == 2
-    assert "--threads" in capsys.readouterr().err
+_GRID = {"az_start_deg": 0.0, "az_step_deg": 1.0, "n_az": "x",
+         "el_start_deg": 0.0, "el_step_deg": 1.0, "n_el": 2}
+_GEV = {"gamma": 0.0, "mu": 0.0, "sigma": 1.0}
+_FEATURES = ",".join(METRIC_NAMES) + ",label\n1,2,3,4,5,LOS\n"
+_EXPERIMENT = ["--config", "c.json", "experiment"]
+
+# files to write (JSON documents, or raw text or bytes), the arguments, the
+# exit code, and a fragment the error line must carry
+MALFORMED_INPUTS = {
+    "seg_field_type": ({"c.json": {"seg": {"min_pixels": "2"}}},
+                       _EXPERIMENT, 2, "SegParams"),
+    "sim_not_object": ({"c.json": {"sim": 5}}, _EXPERIMENT, 2, "SimConfig"),
+    "schedule_null": ({"c.json": {"schedule": {"max_epochs": None}}},
+                      _EXPERIMENT, 2, "TrainSchedule"),
+    "sim_range_type": ({"c.json": {"sim": {"az_range_deg": ["a", 1]}}},
+                       _EXPERIMENT, 2, "SimConfig"),
+    "manifest_entry_without_cir": (
+        {"s.json": {"format": "simulation", "realizations": [{"index": 0}]}},
+        ["extract", "--manifest", "s.json"], 3, "'cir'"),
+    "manifest_index_not_int": (
+        {"s.json": {"format": "simulation",
+                    "realizations": [{"index": "x", "cir": "t.json"}]}},
+        ["extract", "--manifest", "s.json"], 3, "realization entry"),
+    "tensor_grid_type": (
+        {"t.json": {"format": "cir_tensor", "dtype": "c64le", "grid": _GRID,
+                    "sample_rate_ghz": 2.0, "n_taps": 16,
+                    "data_file": "t.bin"}},
+        ["extract", "--cir", "t.json"], 3, "grid description"),
+    "top_level_list": ({"c.json": [1, 2]}, _EXPERIMENT, 3, "top level"),
+    "mlr_gamma_type": (
+        {"m.json": {"format": "mlr_model", "tables": {
+            "r_p": {"los": {**_GEV, "gamma": "a"}, "nlos": _GEV}}},
+         "f.csv": _FEATURES},
+        ["classify", "--features", "f.csv", "--model", "m.json"], 3,
+        "model document"),
+    "missing_config": ({}, ["--config", "nope.json", "experiment"], 3,
+                       "nope.json"),
+    "config_not_utf8": ({"c.json": b"\xff\xfe{}"}, _EXPERIMENT, 3, "c.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_cleanly(case, tmp_path, monkeypatch, capsys):
+    files, argv, expected_code, fragment = MALFORMED_INPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        elif isinstance(content, str):
+            (tmp_path / name).write_text(content)
+        else:
+            save_json(tmp_path / name, content)
+    assert main(argv) == expected_code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert fragment in err
 
 
 def test_bad_config_exits_with_config_error(tmp_path, capsys):

@@ -9,17 +9,14 @@ from nlosid import (AngularGrid, CirTensor, DataFormatError, GevParams,
                     MlrModel, PasMap, ann_init, ann_train, mlr_classify,
                     simulate_realization)
 from nlosid.fileio import (ann_model_from_dict, ann_model_to_dict,
-                           load_ann_model, load_cir_tensor, load_clusters,
-                           load_features, load_json, load_mlr_model, load_pas,
-                           load_pas_csv, load_pas_json, load_sweep_csv,
+                           load_ann_model, load_cir_tensor, load_features,
+                           load_json, load_mlr_model, load_sweep_csv,
                            load_truth, save_ann_model, save_cir_tensor,
-                           save_clusters, save_features, save_json,
-                           save_mlr_model, save_pas_csv, save_pas_json,
-                           save_truth, save_verdicts)
+                           save_features, save_json, save_mlr_model,
+                           save_pas_json, save_truth, save_verdicts)
 from nlosid.metrics import METRIC_NAMES
 
-from conftest import (blob_map, cluster_of, flat_grid, make_fv,
-                      separable_features, small_sim)
+from conftest import flat_grid, make_fv, separable_features, small_sim
 
 
 # ---------------------------------------------------------------------------
@@ -98,70 +95,10 @@ def test_pas_json_round_trip_is_exact(tmp_path):
     pas = PasMap(grid, np.linspace(0.0, 7.25, 24).reshape(4, 6))
     path = tmp_path / "pas.json"
     save_pas_json(pas, path)
-    back = load_pas_json(path)
-    assert back.grid == grid
-    assert np.array_equal(back.power, pas.power)
-
-
-def test_pas_csv_round_trip_is_exact(tmp_path):
-    grid = flat_grid(3, 5, step=1.5)
-    rng = np.random.default_rng(2)
-    pas = PasMap(grid, rng.uniform(0, 1e-4, (3, 5)))
-    path = tmp_path / "pas.csv"
-    save_pas_csv(pas, path)
-    back = load_pas_csv(path)
-    assert back.grid == grid
-    assert np.array_equal(back.power, pas.power)
-
-
-def test_load_pas_dispatches_on_suffix(tmp_path):
-    grid = flat_grid(2, 3)
-    pas = PasMap(grid, np.ones((2, 3)))
-    save_pas_json(pas, tmp_path / "m.json")
-    save_pas_csv(pas, tmp_path / "m.csv")
-    assert np.array_equal(load_pas(tmp_path / "m.json").power, pas.power)
-    assert np.array_equal(load_pas(tmp_path / "m.csv").power, pas.power)
-    with pytest.raises(DataFormatError, match=".json or .csv"):
-        load_pas(tmp_path / "m.txt")
-
-
-def test_pas_csv_diagnostics(tmp_path):
-    grid = flat_grid(2, 3)
-    path = tmp_path / "pas.csv"
-    save_pas_csv(PasMap(grid, np.ones((2, 3))), path)
-    lines = path.read_text().splitlines()
-
-    bad = list(lines)
-    bad[0] = "# pas v0"
-    path.write_text("\n".join(bad) + "\n")
-    with pytest.raises(DataFormatError, match="header on line 1"):
-        load_pas_csv(path)
-
-    bad = list(lines)
-    bad[4] = "1.0,oops,3.0"
-    path.write_text("\n".join(bad) + "\n")
-    with pytest.raises(DataFormatError, match="line 5"):
-        load_pas_csv(path)
-
-    bad = list(lines)
-    bad[3] = "# unit=dB"
-    path.write_text("\n".join(bad) + "\n")
-    with pytest.raises(DataFormatError, match="unsupported unit"):
-        load_pas_csv(path)
-
-
-def test_pas_json_diagnostics(tmp_path):
-    path = tmp_path / "pas.json"
-    save_json(path, {"format": "pas_map", "unit": "linear",
-                     "grid": flat_grid(2, 2).to_dict(),
-                     "power": [[1.0, 2.0], [3.0]]})
-    with pytest.raises(DataFormatError, match="ragged"):
-        load_pas_json(path)
-    save_json(path, {"format": "pas_map", "unit": "dB",
-                     "grid": flat_grid(2, 2).to_dict(),
-                     "power": [[1.0, 2.0], [3.0, 4.0]]})
-    with pytest.raises(DataFormatError, match="unsupported unit"):
-        load_pas_json(path)
+    doc = load_json(path)
+    assert doc["format"] == "pas_map" and doc["unit"] == "linear"
+    assert AngularGrid.from_dict(doc["grid"]) == grid
+    assert np.array_equal(np.array(doc["power"]), pas.power)
 
 
 # ---------------------------------------------------------------------------
@@ -243,30 +180,7 @@ def test_features_diagnostics(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# clusters and truth
-
-
-def test_clusters_round_trip_including_wrap_runs(tmp_path):
-    grid = flat_grid(6, 72, step=5.0, az_start=-180.0)
-    pas = blob_map(grid, [(3, 0, 50.0, 1.5)])
-    pixels = {(3, 0), (3, 1), (3, 71), (2, 0), (4, 0), (2, 71)}
-    c = cluster_of(pixels, pas, cluster_id=2, truth="LOS")
-    path = tmp_path / "clusters.json"
-    save_clusters(path, [c], grid)
-    back, back_grid = load_clusters(path)
-    assert back_grid == grid
-    assert len(back) == 1
-    assert back[0].id == 2
-    assert back[0].pixels == c.pixels
-    assert back[0].peak_pixel == c.peak_pixel
-    assert back[0].total_power == c.total_power
-    assert back[0].truth == "LOS"
-
-    doc = load_json(path)
-    del doc["clusters"][0]["peak_pixel"]
-    save_json(path, doc)
-    with pytest.raises(DataFormatError, match="missing"):
-        load_clusters(path)
+# ground truth
 
 
 def test_truth_round_trip(tmp_path):
