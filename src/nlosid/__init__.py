@@ -8,8 +8,8 @@ line-of-sight or reflected with a likelihood-ratio test or a small
 feed-forward network.
 """
 
-from .chansim import (LOS, NLOS, Ray, RayCluster, SimConfig, beam_gain,
-                      generate_channel, render_cir, rng_stream,
+from .chansim import (LOS, NLOS, LazyCirTensor, Ray, RayCluster, SimConfig,
+                      beam_gain, generate_channel, render_cir, rng_stream,
                       simulate_realization)
 from .classifiers import (AnnModel, MlrModel, TrainSchedule, Verdict,
                           ann_classify, ann_forward, ann_init, ann_train,

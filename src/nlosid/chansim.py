@@ -8,16 +8,18 @@ angular jitter around the cluster direction.
 
 Rendering sweeps a Gaussian beam pair over a rectangular angular grid and
 accumulates each ray into the delay bin nearest its total delay, optionally
-adding complex white noise referenced to the strongest ray.
+adding complex white noise referenced to the strongest ray.  Noise on the
+taps that carry no ray is drawn only when a pixel's taps are read.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, ConfigSection, DataFormatError, RenderError
-from .pas import AngularGrid, CirTensor, wrap_angle_deg
+from .pas import AngularGrid, CirSlice, wrap_angle_deg
 
 LOS = "LOS"
 NLOS = "NLOS"
@@ -32,19 +34,21 @@ _NLOS_ATTEN_HI_DB = 10.0
 _AMPLITUDE_CEILING = 0.95     # reflections stay below the unit LOS ray
 _MAX_REDRAWS = 100
 
-# sub-stream tags; each (tag, index) pair is an independent random stream
+# sub-stream tags; each (tag, *index) key is an independent random stream
 _STREAM_CHANNEL = 0
 _STREAM_NOISE = 1
 STREAM_TRAINING = 2
+_STREAM_PIXEL_NOISE = 3
 
 
-def rng_stream(master_seed: int, tag: int, index: int) -> np.random.Generator:
-    """Independent generator for one (purpose, realization) pair.
+def rng_stream(master_seed: int, tag: int, *index: int) -> np.random.Generator:
+    """Independent generator for one purpose and index, e.g. (noise,
+    realization) or (pixel noise, realization, column).
 
     Streams are derived from the master seed by key, not by draw order, so
     realizations can be produced in any order or in parallel.
     """
-    seq = np.random.SeedSequence(master_seed, spawn_key=(tag, index))
+    seq = np.random.SeedSequence(master_seed, spawn_key=(tag, *index))
     return np.random.default_rng(seq)
 
 
@@ -129,6 +133,10 @@ class SimConfig(ConfigSection):
     seed: int = 0
 
     def __post_init__(self):
+        self._check_integers()
+        if self.seed < 0:
+            raise ConfigError(
+                f"SimConfig.seed must be non-negative, got {self.seed}")
         if self.hpbw_az_deg <= 0 or self.hpbw_el_deg <= 0:
             raise ConfigError("beamwidths must be positive")
         if self.sample_rate_ghz <= 0:
@@ -270,21 +278,91 @@ def beam_gain(d_az_deg, d_el_deg, hpbw_az_deg: float, hpbw_el_deg: float):
     return g
 
 
+@dataclass(frozen=True, eq=False)
+class LazyCirTensor:
+    """Rendered impulse responses with CirTensor's interface, whose noise is
+    drawn only where it is read.
+
+    signal, shape (len(signal_taps), n_el, n_az), holds the taps that carry
+    rays, noise included.  A pixel's other m taps are pure noise, kept as
+    their total energy noise_energy (None when noiseless).  Given that
+    energy the noise direction is uniform on the sphere (Muller 1959), so
+    the taps are rebuilt as sqrt(E) z / |z| from normals z drawn per azimuth
+    column from a stream keyed by (seed, realization, column).  pixel() and
+    data share that column routine and no generator state, so they agree
+    bit for bit in any order of access.
+    """
+
+    grid: AngularGrid
+    sample_rate_ghz: float
+    n_taps: int
+    signal_taps: np.ndarray
+    signal: np.ndarray
+    noise_energy: np.ndarray | None
+    seed: int
+    realization: int
+
+    def __post_init__(self):
+        if not np.isfinite(self.tap_energy()).all():
+            raise DataFormatError(
+                "impulse-response tensor contains non-finite taps")
+
+    @property
+    def tap_spacing_ns(self) -> float:
+        return 1.0 / self.sample_rate_ghz
+
+    def tap_energy(self) -> np.ndarray:
+        """Sum of |h_k|^2 over every tap of each pixel, shape (n_el, n_az)."""
+        energy = np.sum(np.abs(self.signal) ** 2, axis=0)
+        if self.noise_energy is not None:
+            energy += self.noise_energy
+        return energy
+
+    def _column(self, az_idx: int) -> np.ndarray:
+        """Taps of one azimuth column, shape (n_el, n_taps)."""
+        col = np.zeros((self.grid.n_el, self.n_taps), dtype=complex)
+        m = self.n_taps - len(self.signal_taps)
+        if self.noise_energy is not None and m > 0:
+            quiet = np.ones(self.n_taps, dtype=bool)
+            quiet[self.signal_taps] = False
+            rng = rng_stream(self.seed, _STREAM_PIXEL_NOISE, self.realization,
+                             az_idx)
+            z = rng.standard_normal((self.grid.n_el, 2 * m)).view(complex)
+            norm = np.linalg.norm(z, axis=1)
+            col[:, quiet] = z * (np.sqrt(self.noise_energy[:, az_idx])
+                                 / norm)[:, None]
+        col[:, self.signal_taps] = self.signal[:, :, az_idx].T
+        return col
+
+    def pixel(self, el_idx: int, az_idx: int) -> CirSlice:
+        return CirSlice(self._column(az_idx)[el_idx], self.sample_rate_ghz)
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """Dense (n_el, n_az, n_taps) tensor, built on first access."""
+        out = np.empty(self.grid.shape + (self.n_taps,), dtype=complex)
+        for j in range(self.grid.n_az):
+            out[:, j, :] = self._column(j)
+        return out
+
+
 def render_cir(clusters: list[RayCluster], config: SimConfig,
-               realization: int = 0) -> CirTensor:
+               realization: int = 0) -> LazyCirTensor:
     """Sweep the beam pair over the grid and build the impulse-response tensor.
 
     Each ray lands in the delay bin nearest its total delay with amplitude
     scaled by the square root of the beam power gain toward its direction.
-    With snr_db set, circular complex Gaussian noise is added to every tap,
-    its per-tap power snr_db below the strongest ray's squared amplitude.
+    With snr_db set, every tap carries circular complex Gaussian noise, its
+    per-tap power snr_db below the strongest ray's squared amplitude, drawn
+    exactly on the taps that carry rays and as one Gamma(m, noise power)
+    energy per pixel for its m noise-only taps.
     """
     grid = config.grid()
     az = grid.azimuths_deg
     el = grid.elevations_deg
-    data = np.zeros((grid.n_el, grid.n_az, config.n_taps), dtype=complex)
     ln2 = math.log(2.0)
     peak_amp = 0.0
+    taps = {}                 # tap index -> (n_el, n_az) sum of its rays
 
     for ci, cluster in enumerate(clusters):
         for ri, ray in enumerate(cluster.rays):
@@ -305,20 +383,32 @@ def render_cir(clusters: list[RayCluster], config: SimConfig,
             amp_az = np.exp(-2.0 * ln2 * (d_az / config.hpbw_az_deg) ** 2)
             amp_el = np.exp(-2.0 * ln2 * (d_el / config.hpbw_el_deg) ** 2)
             coeff = ray.amplitude * np.exp(1j * ray.phase_rad)
-            data[:, :, tap] += coeff * np.outer(amp_el, amp_az)
+            acc = taps.setdefault(tap, np.zeros(grid.shape, dtype=complex))
+            acc += coeff * np.outer(amp_el, amp_az)
             peak_amp = max(peak_amp, ray.amplitude)
 
+    signal_taps = sorted(taps)
+    signal = np.array([taps[k] for k in signal_taps], dtype=complex
+                      ).reshape((len(signal_taps),) + grid.shape)
+
+    noise_energy = None
     if config.snr_db is not None and peak_amp > 0.0:
         rng = rng_stream(config.seed, _STREAM_NOISE, realization)
         noise_power = peak_amp ** 2 * 10.0 ** (-config.snr_db / 10.0)
         sigma = math.sqrt(noise_power / 2.0)
-        data += sigma * (rng.standard_normal(data.shape)
-                         + 1j * rng.standard_normal(data.shape))
-    return CirTensor(grid, config.sample_rate_ghz, data)
+        signal += sigma * (rng.standard_normal(signal.shape)
+                           + 1j * rng.standard_normal(signal.shape))
+        # |noise|^2 over m taps is sigma^2 chi^2(2m) = Gamma(m, 2 sigma^2)
+        m = config.n_taps - len(signal_taps)
+        noise_energy = (rng.gamma(m, noise_power, grid.shape) if m > 0
+                        else np.zeros(grid.shape))
+    return LazyCirTensor(grid, config.sample_rate_ghz, config.n_taps,
+                         np.array(signal_taps, dtype=int), signal,
+                         noise_energy, config.seed, realization)
 
 
 def simulate_realization(config: SimConfig, realization: int = 0
-                         ) -> tuple[list[RayCluster], list[str], CirTensor]:
+                         ) -> tuple[list[RayCluster], list[str], LazyCirTensor]:
     """Generate and render one realization in a single call."""
     clusters, labels = generate_channel(config, realization)
     return clusters, labels, render_cir(clusters, config, realization)

@@ -45,6 +45,7 @@ class TrainSchedule(ConfigSection):
     loss_tolerance: float = 1e-8   # stop once loss improves by less than this
 
     def __post_init__(self):
+        self._check_integers()
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be non-negative")
         if self.max_epochs < 1:
@@ -217,15 +218,13 @@ def _forward_batch(weights: tuple, x: np.ndarray):
     return a1, a2, a3
 
 
-def _batch_loss(weights: tuple, x: np.ndarray, y: np.ndarray) -> float:
-    a3 = _forward_batch(weights, x)[2]
-    return float(np.mean(np.sum((a3 - y) ** 2, axis=1)))
-
-
-def _batch_grads(weights: tuple, x: np.ndarray, y: np.ndarray) -> tuple:
+def _loss_and_grads(weights: tuple, x: np.ndarray, y: np.ndarray):
+    """Mean squared error of the softmax outputs and its gradient with
+    respect to every weight, from one forward pass."""
     iw, b1, lw21, b2, lw32, b3 = weights
     n = len(x)
     a1, a2, a3 = _forward_batch(weights, x)
+    loss = float(np.mean(np.sum((a3 - y) ** 2, axis=1)))
     d_a3 = 2.0 * (a3 - y) / n
     # softmax jacobian: dz = a * (da - sum_k a_k da_k)
     inner = np.sum(a3 * d_a3, axis=1, keepdims=True)
@@ -238,7 +237,7 @@ def _batch_grads(weights: tuple, x: np.ndarray, y: np.ndarray) -> tuple:
     d_z1 = (d_z2 @ lw21) * (1.0 - a1 ** 2)
     d_iw = d_z1.T @ x
     d_b1 = d_z1.sum(axis=0)
-    return (d_iw, d_b1, d_lw21, d_b2, d_lw32, d_b3)
+    return loss, (d_iw, d_b1, d_lw21, d_b2, d_lw32, d_b3)
 
 
 def _standardize(values: np.ndarray):
@@ -274,7 +273,7 @@ def ann_train(model: AnnModel, features: list,
     best = weights
     prev_loss = None
     for epoch in range(schedule.max_epochs):
-        loss = _batch_loss(weights, x, y)
+        loss, grads = _loss_and_grads(weights, x, y)
         if not math.isfinite(loss):
             raise TrainingError(f"loss became {loss} at epoch {epoch}")
         if loss < best_loss:
@@ -282,11 +281,10 @@ def ann_train(model: AnnModel, features: list,
         if prev_loss is not None and prev_loss - loss < schedule.loss_tolerance:
             break
         prev_loss = loss
-        grads = _batch_grads(weights, x, y)
         weights = tuple(w - schedule.learning_rate * g
                         for w, g in zip(weights, grads))
     else:
-        loss = _batch_loss(weights, x, y)
+        loss = _loss_and_grads(weights, x, y)[0]
         if math.isfinite(loss) and loss < best_loss:
             best_loss, best = loss, weights
 

@@ -6,6 +6,7 @@ with 2, malformed input data with 3, and numerical failures with 4.
 """
 
 import dataclasses
+import numbers
 
 
 class NlosIdError(Exception):
@@ -55,6 +56,16 @@ class ConfigSection:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+    def _check_integers(self) -> None:
+        """Reject a non-integer (or bool) value in any field typed int."""
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.type is int and (isinstance(value, bool) or
+                                      not isinstance(value, numbers.Integral)):
+                raise ConfigError(
+                    f"{type(self).__name__}.{field.name} must be an integer, "
+                    f"got {value!r}")
 
     @classmethod
     def from_dict(cls, d):

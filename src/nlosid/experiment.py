@@ -46,6 +46,7 @@ class BootstrapSpec(ConfigSection):
     repeats: int = 10
 
     def __post_init__(self):
+        self._check_integers()
         if self.n_train < 1 or self.n_test < 1 or self.repeats < 1:
             raise ConfigError("bootstrap sizes and repeats must be positive")
 
@@ -65,8 +66,15 @@ class ExperimentConfig(ConfigSection):
     features_csv: str | None = None        # measured-mode input table
 
     def __post_init__(self):
+        self._check_integers()
         if self.mode not in ("simulate", "measured"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.seed < 0:
+            raise ConfigError(
+                f"ExperimentConfig.seed must be non-negative, got {self.seed}")
+        if not isinstance(self.features_csv, (str, type(None))):
+            raise ConfigError(f"ExperimentConfig.features_csv must be a "
+                              f"path string, got {self.features_csv!r}")
         if self.n_realizations < 1:
             raise ConfigError("n_realizations must be positive")
         if self.n_train < 1 or self.n_test < 1:
@@ -115,7 +123,11 @@ def extract_realization(cir: CirTensor, truth, seg: SegParams,
 
 def cmd_simulate(config: ExperimentConfig, out_dir) -> Path:
     """Write every realization's tensor, power map, and ground truth, plus
-    a manifest tying them together.  Returns the manifest path."""
+    a manifest tying them together.  Returns the manifest path.
+
+    The tensor written is the dense view of the same lazy render that
+    run_experiment analyses, so staged and in-process runs see one draw.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sim = replace(config.sim, seed=config.seed)

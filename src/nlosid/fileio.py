@@ -239,7 +239,12 @@ def save_truth(path, clusters) -> None:
 def load_truth(path) -> list:
     doc = load_json(path)
     _expect_format(doc, "truth", path)
-    return [RayCluster.from_dict(c) for c in doc.get("clusters", [])]
+    clusters = doc.get("clusters", [])
+    if not isinstance(clusters, list):
+        raise DataFormatError(
+            f"{path}: 'clusters' must be a list, found "
+            f"{type(clusters).__name__}")
+    return [RayCluster.from_dict(c) for c in clusters]
 
 
 # ---------------------------------------------------------------------------

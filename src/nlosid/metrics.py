@@ -40,10 +40,6 @@ class CoKurtosisMatrix:
     rho12: float
     rho22: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.rho11, self.rho12],
-                         [self.rho12, self.rho22]])
-
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -223,9 +219,10 @@ def cluster_features(cluster: Cluster, cir: CirTensor, pas: PasMap,
     try:
         r_p = eigen_ratio(co_kurtosis(cluster, pas, config.r_p_mode))
         if config.aggregation == "peak":
-            k_t, tau_mean, tau_rms = _pixel_delay_metrics(
-                cir.pixel(*cluster.peak_pixel), config.gate_taps)
-            k_f = freq_kurtosis(cfr_from_cir(cir.pixel(*cluster.peak_pixel)))
+            peak = cir.pixel(*cluster.peak_pixel)
+            k_t, tau_mean, tau_rms = _pixel_delay_metrics(peak,
+                                                          config.gate_taps)
+            k_f = freq_kurtosis(cfr_from_cir(peak))
         else:
             pix = sorted(cluster.pixels)
             w = np.array([pas.power[p] for p in pix], dtype=float)

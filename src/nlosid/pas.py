@@ -167,6 +167,10 @@ class CirTensor:
     def tap_spacing_ns(self) -> float:
         return 1.0 / self.sample_rate_ghz
 
+    def tap_energy(self) -> np.ndarray:
+        """Sum of |h_k|^2 over every tap of each pixel, shape (n_el, n_az)."""
+        return np.sum(np.abs(self.data) ** 2, axis=2)
+
     def pixel(self, el_idx: int, az_idx: int) -> "CirSlice":
         return CirSlice(self.data[el_idx, az_idx, :], self.sample_rate_ghz)
 
@@ -246,10 +250,10 @@ def compute_pas(cir: CirTensor) -> PasMap:
 
     Each pixel becomes sum_k |h_k|^2 * dt with dt the tap spacing, i.e. the
     discrete form of integrating squared magnitude over the delay record.
+    cir is a CirTensor or a rendered chansim.LazyCirTensor; each supplies
+    its own per-pixel tap energy.
     """
-    dt = cir.tap_spacing_ns
-    power = np.sum(np.abs(cir.data) ** 2, axis=2) * dt
-    return PasMap(cir.grid, power)
+    return PasMap(cir.grid, cir.tap_energy() * cir.tap_spacing_ns)
 
 
 def cfr_from_cir(pixel: CirSlice) -> CfrSlice:

@@ -38,6 +38,7 @@ class SegParams(ConfigSection):
     smoothing_radius: int = 1              # disc radius for open/close
 
     def __post_init__(self):
+        self._check_integers()
         if self.foreground_threshold_db <= 0:
             raise ConfigError("foreground_threshold_db must be positive")
         if self.min_pixels < 1:

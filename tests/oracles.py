@@ -2,10 +2,17 @@
 
 Everything here is written with plain Python loops and math.fsum so the
 results come from a different code path (and higher working precision) than
-the library under test.
+the library under test.  The exception is the eager renderer: it draws
+noise on every tap of the dense tensor, and is the reference for the
+distribution of the lazy renderer's noise.
 """
 
 import math
+
+import numpy as np
+
+from nlosid.chansim import _STREAM_NOISE, rng_stream
+from nlosid.pas import wrap_angle_deg
 
 
 def kurtosis_oracle(values) -> float:
@@ -93,3 +100,36 @@ def connected_components(pixels, n_az, wrap):
                         frontier.append(p)
         comps.append(frozenset(comp))
     return comps
+
+
+def render_cir_oracle(clusters, config, realization=0) -> np.ndarray:
+    """Dense (n_el, n_az, n_taps) tensor with noise drawn on every tap.
+
+    Rays are added in cluster and ray order with the same expression as
+    chansim.render_cir, so without noise the two agree bit for bit.
+    """
+    grid = config.grid()
+    az = grid.azimuths_deg
+    el = grid.elevations_deg
+    data = np.zeros((grid.n_el, grid.n_az, config.n_taps), dtype=complex)
+    ln2 = math.log(2.0)
+    peak_amp = 0.0
+    for cluster in clusters:
+        for ray in cluster.rays:
+            delay = cluster.base_delay_ns + ray.delay_offset_ns
+            tap = int(round(delay * config.sample_rate_ghz))
+            d_az = wrap_angle_deg(az - (cluster.center_az_deg
+                                        + ray.az_offset_deg))
+            d_el = el - (cluster.center_el_deg + ray.el_offset_deg)
+            amp_az = np.exp(-2.0 * ln2 * (d_az / config.hpbw_az_deg) ** 2)
+            amp_el = np.exp(-2.0 * ln2 * (d_el / config.hpbw_el_deg) ** 2)
+            coeff = ray.amplitude * np.exp(1j * ray.phase_rad)
+            data[:, :, tap] += coeff * np.outer(amp_el, amp_az)
+            peak_amp = max(peak_amp, ray.amplitude)
+    if config.snr_db is not None and peak_amp > 0.0:
+        rng = rng_stream(config.seed, _STREAM_NOISE, realization)
+        noise_power = peak_amp ** 2 * 10.0 ** (-config.snr_db / 10.0)
+        sigma = math.sqrt(noise_power / 2.0)
+        data += sigma * (rng.standard_normal(data.shape)
+                         + 1j * rng.standard_normal(data.shape))
+    return data

@@ -20,7 +20,7 @@ from nlosid import (CirSlice, CirTensor, ExperimentConfig, GevParams,
                     mean_excess_delay, mlr_classify, mlr_train,
                     rms_delay_spread, run_experiment, segment,
                     simulate_realization, time_kurtosis)
-from nlosid.classifiers import _batch_grads, _batch_loss
+from nlosid.classifiers import _loss_and_grads
 from nlosid.experiment import extract_realization
 from nlosid.fileio import load_features, load_json
 from nlosid.gevstats import bootstrap_split
@@ -242,7 +242,7 @@ def test_criterion_06_network_gradients_and_training():
         weights = ann_init(600 + trial).weights()
         x = rng.normal(size=(5, 5))
         y = np.eye(2)[rng.integers(0, 2, size=5)]
-        grads = _batch_grads(weights, x, y)
+        grads = _loss_and_grads(weights, x, y)[1]
         eps = 1e-5
         worst = 0.0
         for wi, w in enumerate(weights):
@@ -251,9 +251,9 @@ def test_criterion_06_network_gradients_and_training():
                 idx = it.multi_index
                 bumped = [a.copy() for a in weights]
                 bumped[wi][idx] += eps
-                up = _batch_loss(tuple(bumped), x, y)
+                up = _loss_and_grads(tuple(bumped), x, y)[0]
                 bumped[wi][idx] -= 2 * eps
-                down = _batch_loss(tuple(bumped), x, y)
+                down = _loss_and_grads(tuple(bumped), x, y)[0]
                 numeric = (up - down) / (2 * eps)
                 analytic = grads[wi][idx]
                 worst = max(worst, abs(analytic - numeric)
@@ -269,13 +269,12 @@ def test_criterion_06_network_gradients_and_training():
     weights = tuple(w.copy() for w in ann_init(0).weights())
     prev = None
     for epoch in range(schedule.max_epochs):
-        loss = _batch_loss(weights, x, y)
+        loss, grads = _loss_and_grads(weights, x, y)
         if prev is not None:
             assert loss <= prev, f"loss rose at epoch {epoch}"
             if prev - loss < schedule.loss_tolerance:
                 break
         prev = loss
-        grads = _batch_grads(weights, x, y)
         weights = tuple(w - schedule.learning_rate * g
                         for w, g in zip(weights, grads))
 

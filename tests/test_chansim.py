@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats
 
-from nlosid import (LOS, NLOS, ConfigError, Ray, RayCluster, RenderError,
-                    SimConfig, beam_gain, generate_channel, render_cir,
-                    rng_stream, simulate_realization)
+from nlosid import (LOS, NLOS, CirTensor, ConfigError, MetricConfig, Ray,
+                    RayCluster, RenderError, SegParams, SimConfig, beam_gain,
+                    compute_pas, extract_realization, generate_channel,
+                    render_cir, rng_stream, simulate_realization)
 
+import oracles
 from conftest import small_sim
 
 
@@ -45,6 +49,7 @@ def test_rng_stream_keyed_independence():
     assert not np.array_equal(a, rng_stream(42, 0, 1).uniform(size=4))
     assert not np.array_equal(a, rng_stream(42, 1, 0).uniform(size=4))
     assert not np.array_equal(a, rng_stream(43, 0, 0).uniform(size=4))
+    assert not np.array_equal(a, rng_stream(42, 0, 0, 0).uniform(size=4))
 
 
 def test_sim_config_validation():
@@ -257,3 +262,149 @@ def test_simulate_realization_deterministic():
     _, labels_b, cir_b = simulate_realization(cfg, 4)
     assert labels_a == labels_b
     assert np.array_equal(cir_a.data, cir_b.data)
+
+
+# ---------------------------------------------------------------------------
+# lazy noise against the dense tensor and the eager oracle
+
+
+def _dense(cir) -> CirTensor:
+    return CirTensor(cir.grid, cir.sample_rate_ghz, cir.data)
+
+
+def test_pixels_match_dense_view_in_any_order():
+    cfg = small_sim(snr_db=30.0, seed=5)
+    clusters, _ = generate_channel(cfg, 3)
+    grid = cfg.grid()
+    order = np.random.default_rng(0).permutation(grid.n_el * grid.n_az)
+    pixels = [divmod(int(k), grid.n_az) for k in order]
+
+    before = render_cir(clusters, cfg, 3)
+    early = {p: before.pixel(*p).taps.tobytes() for p in pixels[:40]}
+    dense = before.data
+    after = render_cir(clusters, cfg, 3)
+    late = {p: after.pixel(*p).taps.tobytes() for p in reversed(pixels)}
+    assert dense.tobytes() == after.data.tobytes()
+    for p in pixels:
+        assert before.pixel(*p).taps.tobytes() == dense[p].tobytes()
+        assert late[p] == dense[p].tobytes()
+        if p in early:
+            assert early[p] == dense[p].tobytes()
+
+
+def test_lazy_pas_matches_dense_pas():
+    cfg = small_sim(snr_db=30.0, seed=5)
+    for realization in range(3):
+        clusters, _ = generate_channel(cfg, realization)
+        cir = render_cir(clusters, cfg, realization)
+        np.testing.assert_allclose(compute_pas(cir).power,
+                                   compute_pas(_dense(cir)).power,
+                                   rtol=1e-12, atol=0.0)
+
+
+def test_noiseless_render_equals_oracle_exactly():
+    cfg = small_sim(snr_db=None, seed=5)
+    for realization in range(5):
+        clusters, _ = generate_channel(cfg, realization)
+        want = oracles.render_cir_oracle(clusters, cfg, realization)
+        assert np.array_equal(render_cir(clusters, cfg, realization).data,
+                              want)
+    # zero peak amplitude: no noise is drawn, whatever snr_db says
+    silent = [RayCluster(kind=NLOS, center_az_deg=0.0, center_el_deg=0.0,
+                         base_delay_ns=10.0,
+                         rays=(Ray(0.0, 0.0, 0.3, 0.0, 0.0),))]
+    noisy_cfg = small_sim(snr_db=20.0)
+    cir = render_cir(silent, noisy_cfg, 1)
+    assert cir.noise_energy is None
+    assert not np.any(cir.data)
+    assert np.array_equal(cir.data,
+                          oracles.render_cir_oracle(silent, noisy_cfg, 1))
+
+
+def test_render_with_every_tap_carrying_a_ray():
+    # 64 taps at 2 GHz, one ray per tap: no noise-only taps are left
+    cfg = small_sim(n_taps=64, snr_db=20.0)
+    rays = tuple(Ray(k / 2.0, 0.5, 0.1 * k, 0.0, 0.0) for k in range(64))
+    cluster = RayCluster(kind=NLOS, center_az_deg=0.0, center_el_deg=0.0,
+                         base_delay_ns=0.0, rays=rays)
+    cir = render_cir([cluster], cfg, 0)
+    assert len(cir.signal_taps) == 64
+    assert not np.any(cir.noise_energy)
+    assert np.all(np.isfinite(cir.data))
+    np.testing.assert_allclose(compute_pas(cir).power,
+                               compute_pas(_dense(cir)).power,
+                               rtol=1e-12, atol=0.0)
+
+
+def test_noise_only_energy_follows_its_gamma_law():
+    """Energy of each pixel's noise-only taps, over 20 realizations, against
+    Gamma(m, noise power) by a KS test at p >= 1e-3."""
+    cfg = small_sim(snr_db=30.0, seed=101)
+    u = []
+    for realization in range(20):
+        clusters, _ = generate_channel(cfg, realization)
+        cir = render_cir(clusters, cfg, realization)
+        quiet = np.ones(cfg.n_taps, dtype=bool)
+        quiet[cir.signal_taps] = False
+        energy = np.sum(np.abs(cir.data[:, :, quiet]) ** 2, axis=2)
+        peak = max(r.amplitude for c in clusters for r in c.rays)
+        noise_power = peak ** 2 * 10.0 ** (-cfg.snr_db / 10.0)
+        u.extend(stats.gamma.cdf(energy.ravel() / noise_power,
+                                 int(quiet.sum())))
+    assert stats.kstest(u, "uniform").pvalue >= 1e-3
+
+
+def test_lazy_and_eager_noise_give_one_distribution():
+    """Two-sample KS tests, lazy render against the eager oracle over 40
+    realizations: pooled PAS energies and each of the five features at
+    p >= 1e-3.  The reference SNR, so that clusters clear the foreground
+    threshold."""
+    cfg = small_sim(snr_db=60.0, seed=202)
+    seg = SegParams(min_pixels=2, marker_min_separation=1.0)
+    metric = MetricConfig(r_p_mode="covariance")
+    pas = {"lazy": [], "eager": []}
+    features = {"lazy": [], "eager": []}
+    for realization in range(40):
+        clusters, _ = generate_channel(cfg, realization)
+        lazy = render_cir(clusters, cfg, realization)
+        eager = CirTensor(cfg.grid(), cfg.sample_rate_ghz,
+                          oracles.render_cir_oracle(clusters, cfg,
+                                                    realization))
+        for name, cir in (("lazy", lazy), ("eager", eager)):
+            pas[name].extend(compute_pas(cir).power.ravel())
+            rows, _ = extract_realization(cir, clusters, seg, metric)
+            features[name].extend(fv.values() for fv in rows)
+    assert stats.ks_2samp(pas["lazy"], pas["eager"]).pvalue >= 1e-3
+    lazy_rows, eager_rows = (np.array(features[k]) for k in ("lazy", "eager"))
+    assert len(lazy_rows) >= 50 and len(eager_rows) >= 50
+    for k in range(5):
+        assert stats.ks_2samp(lazy_rows[:, k], eager_rows[:, k]).pvalue >= 1e-3
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_az=st.integers(1, 6), n_el=st.integers(1, 4),
+       n_taps=st.integers(82, 160),
+       snr_db=st.one_of(st.none(), st.floats(0.0, 60.0)),
+       seed=st.integers(0, 2 ** 32 - 1), realization=st.integers(0, 999),
+       picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)),
+                      max_size=6))
+def test_lazy_render_properties(n_az, n_el, n_taps, snr_db, seed, realization,
+                                picks):
+    cfg = SimConfig(az_range_deg=(0.0, 5.0 * n_az),
+                    el_range_deg=(0.0, 5.0 * n_el), sample_rate_ghz=2.0,
+                    n_taps=n_taps, snr_db=snr_db, seed=seed)
+    clusters, _ = generate_channel(cfg, realization)
+    cir = render_cir(clusters, cfg, realization)
+    grid = cfg.grid()
+    picks = [(i % grid.n_el, j % grid.n_az) for i, j in picks]
+    early = [cir.pixel(*p).taps for p in picks]
+    dense = cir.data
+    for p, taps in zip(picks, early):
+        assert taps.tobytes() == dense[p].tobytes()
+        assert cir.pixel(*p).taps.tobytes() == dense[p].tobytes()
+    np.testing.assert_allclose(cir.tap_energy(),
+                               np.sum(np.abs(dense) ** 2, axis=2),
+                               rtol=1e-12, atol=0.0)
+    if snr_db is None:
+        assert np.array_equal(
+            dense, oracles.render_cir_oracle(clusters, cfg, realization))

@@ -9,7 +9,7 @@ from nlosid import (LOS, NLOS, AnnModel, ConfigError, EvaluationError,
                     GevParams, MlrModel, TrainSchedule, TrainingError,
                     ann_classify, ann_forward, ann_init, ann_train,
                     error_rates, gev_pdf, mlr_classify, mlr_train, softmax)
-from nlosid.classifiers import (LOG_DENSITY_FLOOR, _batch_grads, _batch_loss,
+from nlosid.classifiers import (LOG_DENSITY_FLOOR, _loss_and_grads,
                                 _forward_batch)
 from nlosid.metrics import METRIC_NAMES
 
@@ -200,7 +200,7 @@ def test_gradients_match_finite_differences(rng):
     weights = model.weights()
     x = rng.normal(0, 1, (5, 5))
     y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    grads = _batch_grads(weights, x, y)
+    grads = _loss_and_grads(weights, x, y)[1]
     eps = 1e-5
     worst = 0.0
     for wi, w in enumerate(weights):
@@ -209,9 +209,9 @@ def test_gradients_match_finite_differences(rng):
             idx = it.multi_index
             bumped = [a.copy() for a in weights]
             bumped[wi][idx] += eps
-            up = _batch_loss(tuple(bumped), x, y)
+            up = _loss_and_grads(tuple(bumped), x, y)[0]
             bumped[wi][idx] -= 2 * eps
-            down = _batch_loss(tuple(bumped), x, y)
+            down = _loss_and_grads(tuple(bumped), x, y)[0]
             numeric = (up - down) / (2 * eps)
             analytic = grads[wi][idx]
             rel = abs(analytic - numeric) / max(abs(analytic),
@@ -237,8 +237,8 @@ def test_training_loss_never_increases_on_best_weights():
                   for f in feats])
     trained = ann_train(init, feats, TrainSchedule(max_epochs=300))
     xs = (raw - trained.feature_means) / trained.feature_scales
-    assert _batch_loss(trained.weights(), xs, y) <= _batch_loss(
-        init.weights(), x, y) + 1e-12
+    assert _loss_and_grads(trained.weights(), xs, y)[0] <= _loss_and_grads(
+        init.weights(), x, y)[0] + 1e-12
 
 
 def test_zero_learning_rate_keeps_weights():

@@ -280,6 +280,29 @@ MALFORMED_INPUTS = {
         "model document"),
     "missing_config": ({}, ["--config", "nope.json", "experiment"], 3,
                        "nope.json"),
+    "seed_not_int": ({"c.json": {"seed": "x"}}, _EXPERIMENT, 2,
+                     "ExperimentConfig.seed"),
+    "seed_bool": ({"c.json": {"sim": {"seed": True}}}, _EXPERIMENT, 2,
+                  "SimConfig.seed"),
+    "realizations_not_int": (
+        {"c.json": {"n_realizations": 3.5, "n_train": 1, "n_test": 1}},
+        _EXPERIMENT, 2, "n_realizations"),
+    "negative_seed": ({}, ["--seed", "-1", "simulate"], 2, "non-negative"),
+    "max_epochs_not_int": ({"c.json": {"schedule": {"max_epochs": 10.5}}},
+                           _EXPERIMENT, 2, "TrainSchedule.max_epochs"),
+    "features_csv_not_str": (
+        {"c.json": {"mode": "measured", "features_csv": 5}}, _EXPERIMENT, 2,
+        "features_csv"),
+    "truth_clusters_not_list": (
+        {"s.json": {"format": "simulation", "realizations": [
+            {"index": 0, "cir": "t.json", "truth": "u.json"}]},
+         "t.json": {"format": "cir_tensor", "dtype": "c64le",
+                    "grid": {**_GRID, "n_az": 1, "n_el": 1},
+                    "sample_rate_ghz": 2.0, "n_taps": 16,
+                    "data_file": "t.bin"},
+         "t.bin": bytes(16 * 8),
+         "u.json": {"format": "truth", "clusters": 5}},
+        ["extract", "--manifest", "s.json"], 3, "'clusters' must be a list"),
     "config_not_utf8": ({"c.json": b"\xff\xfe{}"}, _EXPERIMENT, 3, "c.json"),
 }
 
