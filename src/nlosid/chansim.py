@@ -109,7 +109,7 @@ class RayCluster:
             )
         except KeyError as exc:
             raise DataFormatError(f"cluster record missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (ConfigError, OverflowError, TypeError, ValueError) as exc:
             raise DataFormatError(f"bad cluster record: {exc}") from exc
 
 
@@ -130,13 +130,9 @@ class SimConfig(ConfigSection):
     ray_gap_mean_ns: float = 2.0      # mean spacing between successive rays
     angular_jitter_deg: float = 2.0   # per-ray scatter around the cluster centre
     los_present: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         self._check_integers()
-        if self.seed < 0:
-            raise ConfigError(
-                f"SimConfig.seed must be non-negative, got {self.seed}")
         if self.hpbw_az_deg <= 0 or self.hpbw_el_deg <= 0:
             raise ConfigError("beamwidths must be positive")
         if self.sample_rate_ghz <= 0:
@@ -170,13 +166,13 @@ class SimConfig(ConfigSection):
         return self.n_taps / self.sample_rate_ghz
 
 
-def generate_channel(config: SimConfig,
+def generate_channel(config: SimConfig, seed: int,
                      realization: int = 0) -> tuple[list[RayCluster], list[str]]:
     """Draw one channel realization: clusters plus their ground-truth kinds.
 
-    The draw depends only on (config.seed, realization), never on call
-    order.  Cluster base delays are drawn jointly uniform on the base-delay
-    window and assigned so the line-of-sight cluster, when present, arrives
+    The draw depends only on (seed, realization), never on call order.
+    Cluster base delays are drawn jointly uniform on the base-delay window
+    and assigned so the line-of-sight cluster, when present, arrives
     strictly first.
     """
     last_bin_ns = (config.n_taps - 1) / config.sample_rate_ghz
@@ -185,7 +181,7 @@ def generate_channel(config: SimConfig,
             f"delay record of {last_bin_ns:.1f} ns cannot hold cluster base "
             f"delays up to {_BASE_DELAY_HI_NS:.0f} ns; increase n_taps or "
             f"lower sample_rate_ghz")
-    rng = rng_stream(config.seed, _STREAM_CHANNEL, realization)
+    rng = rng_stream(seed, _STREAM_CHANNEL, realization)
     (az_lo, az_hi), (el_lo, el_hi) = config.az_range_deg, config.el_range_deg
 
     n_nlos = 1 + rng.poisson(config.n_nlos_mean - 1.0)
@@ -346,7 +342,7 @@ class LazyCirTensor:
         return out
 
 
-def render_cir(clusters: list[RayCluster], config: SimConfig,
+def render_cir(clusters: list[RayCluster], config: SimConfig, seed: int,
                realization: int = 0) -> LazyCirTensor:
     """Sweep the beam pair over the grid and build the impulse-response tensor.
 
@@ -355,7 +351,8 @@ def render_cir(clusters: list[RayCluster], config: SimConfig,
     With snr_db set, every tap carries circular complex Gaussian noise, its
     per-tap power snr_db below the strongest ray's squared amplitude, drawn
     exactly on the taps that carry rays and as one Gamma(m, noise power)
-    energy per pixel for its m noise-only taps.
+    energy per pixel for its m noise-only taps, all keyed by (seed,
+    realization).
     """
     grid = config.grid()
     az = grid.azimuths_deg
@@ -393,7 +390,7 @@ def render_cir(clusters: list[RayCluster], config: SimConfig,
 
     noise_energy = None
     if config.snr_db is not None and peak_amp > 0.0:
-        rng = rng_stream(config.seed, _STREAM_NOISE, realization)
+        rng = rng_stream(seed, _STREAM_NOISE, realization)
         noise_power = peak_amp ** 2 * 10.0 ** (-config.snr_db / 10.0)
         sigma = math.sqrt(noise_power / 2.0)
         signal += sigma * (rng.standard_normal(signal.shape)
@@ -404,11 +401,11 @@ def render_cir(clusters: list[RayCluster], config: SimConfig,
                         else np.zeros(grid.shape))
     return LazyCirTensor(grid, config.sample_rate_ghz, config.n_taps,
                          np.array(signal_taps, dtype=int), signal,
-                         noise_energy, config.seed, realization)
+                         noise_energy, seed, realization)
 
 
-def simulate_realization(config: SimConfig, realization: int = 0
+def simulate_realization(config: SimConfig, seed: int, realization: int = 0
                          ) -> tuple[list[RayCluster], list[str], LazyCirTensor]:
     """Generate and render one realization in a single call."""
-    clusters, labels = generate_channel(config, realization)
-    return clusters, labels, render_cir(clusters, config, realization)
+    clusters, labels = generate_channel(config, seed, realization)
+    return clusters, labels, render_cir(clusters, config, seed, realization)

@@ -85,5 +85,5 @@ class ConfigSection:
             kwargs[key] = value
         try:
             return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad {name}: {exc}") from exc

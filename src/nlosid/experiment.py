@@ -13,7 +13,7 @@ Every stage is deterministic in the experiment seed; reports are
 byte-reproducible.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +62,7 @@ class ExperimentConfig(ConfigSection):
     n_realizations: int = 250
     n_train: int = 150                     # leading realizations used to train
     n_test: int = 100                      # realizations scored after those
-    seed: int = 1                          # master seed, overrides sim.seed
+    seed: int = 1                          # keys every random stream of a run
     features_csv: str | None = None        # measured-mode input table
 
     def __post_init__(self):
@@ -130,10 +130,9 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> Path:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sim = replace(config.sim, seed=config.seed)
     entries = []
     for i in range(config.n_realizations):
-        clusters, _, cir = simulate_realization(sim, i)
+        clusters, _, cir = simulate_realization(config.sim, config.seed, i)
         names = {
             "index": i,
             "cir": f"real_{i:04d}.json",
@@ -147,7 +146,8 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> Path:
     manifest_path = out / "simulation.json"
     save_json(manifest_path, {
         "format": "simulation",
-        "config": sim.to_dict(),
+        "config": config.sim.to_dict(),
+        "seed": config.seed,
         "n_realizations": config.n_realizations,
         "realizations": entries,
     })
@@ -337,11 +337,10 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
 
 
 def _run_simulated(config: ExperimentConfig, out: Path) -> dict:
-    sim = replace(config.sim, seed=config.seed)
     rows = []
     diags = []
     for i in range(config.n_realizations):
-        clusters, _, cir = simulate_realization(sim, i)
+        clusters, _, cir = simulate_realization(config.sim, config.seed, i)
         features, diag = extract_realization(cir, clusters, config.seg,
                                              config.metric)
         rows.extend((i, fv) for fv in features)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chansim import RayCluster
 from .classifiers import AnnModel, MlrModel
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 from .gevstats import GevParams
 from .metrics import METRIC_NAMES, FeatureVector
 from .pas import AngularGrid, CirTensor, PasMap
@@ -46,6 +46,8 @@ def load_json(path) -> dict:
         raise DataFormatError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno} "
             f"(byte {exc.pos})") from exc
+    except ValueError as exc:   # an integer too long to convert
+        raise DataFormatError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataFormatError(
             f"{path}: top level must be a JSON object, found "
@@ -97,10 +99,10 @@ def load_cir_tensor(manifest_path) -> CirTensor:
     except KeyError as exc:
         raise DataFormatError(
             f"{manifest_path}: manifest missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{manifest_path}: bad manifest field: {exc}") from exc
     expected = grid.n_el * grid.n_az * n_taps * 2 * 4
-    if not bin_path.exists():
+    if not bin_path.is_file():
         raise DataFormatError(f"{manifest_path}: data file {bin_path} is missing")
     actual = bin_path.stat().st_size
     if actual != expected:
@@ -110,7 +112,10 @@ def load_cir_tensor(manifest_path) -> CirTensor:
     pairs = np.fromfile(bin_path, dtype="<f4").reshape(
         grid.n_el, grid.n_az, n_taps, 2)
     data = pairs[..., 0].astype(np.complex128) + 1j * pairs[..., 1]
-    return CirTensor(grid, sample_rate, data)
+    try:
+        return CirTensor(grid, sample_rate, data)
+    except ConfigError as exc:
+        raise DataFormatError(f"{manifest_path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ Five numbers summarize each cluster:
   tau_rms_ns   power-weighted rms delay spread
 
 Kurtosis is the population ratio m4 / m2^2 of central moments; angular
-moments are power-weighted over the cluster's pixels in degrees.
+moments are power-weighted over the cluster's pixels in degrees.  The other
+four metrics read the impulse response of the cluster's peak pixel.
 """
 
 from dataclasses import dataclass
@@ -27,8 +28,6 @@ METRIC_NAMES = ("r_p", "k_t", "k_f", "tau_mean_ns", "tau_rms_ns")
 _SPREAD_REL_TOL = 1e-12
 # magnitude variance below this fraction of the squared mean is constant
 _VARIANCE_REL_TOL = 1e-12
-# tap gate: keep taps this far above the per-slice median power
-_GATE_MARGIN_DB = 6.0
 
 
 @dataclass(frozen=True)
@@ -64,14 +63,10 @@ class FeatureVector:
 @dataclass(frozen=True)
 class MetricConfig(ConfigSection):
     r_p_mode: str = "kurtosis"     # "kurtosis" or "covariance"
-    aggregation: str = "peak"      # "peak" or "power_weighted"
-    gate_taps: bool = False        # gate delay-domain metrics above the tap floor
 
     def __post_init__(self):
         if self.r_p_mode not in ("kurtosis", "covariance"):
             raise ConfigError(f"unknown r_p_mode {self.r_p_mode!r}")
-        if self.aggregation not in ("peak", "power_weighted"):
-            raise ConfigError(f"unknown aggregation {self.aggregation!r}")
 
 
 def co_kurtosis(cluster: Cluster, pas: PasMap,
@@ -184,56 +179,20 @@ def rms_delay_spread(pixel: CirSlice) -> float:
     return _delay_stats(mag, pixel.delays_ns)[1]
 
 
-def _gate(mag: np.ndarray) -> np.ndarray:
-    """Keep taps above the per-slice median power plus a margin.  The median
-    tracks the noise-only level because signal occupies few taps."""
-    p = mag ** 2
-    floor = np.median(p)
-    keep = p >= floor * 10.0 ** (_GATE_MARGIN_DB / 10.0)
-    return keep if floor > 0.0 else p > 0.0
-
-
-def _pixel_delay_metrics(pixel: CirSlice, gate_taps: bool):
-    mag = np.abs(np.asarray(pixel.taps))
-    delays = pixel.delays_ns
-    if gate_taps:
-        keep = _gate(mag)
-        mag, delays = mag[keep], delays[keep]
-        if len(mag) < 8:
-            raise DegenerateInputError(
-                f"tap gate left {len(mag)} taps, need at least 8")
-    k_t = _magnitude_kurtosis(mag, "tap")
-    tau_mean, tau_rms = _delay_stats(mag, delays)
-    return k_t, tau_mean, tau_rms
-
-
 def cluster_features(cluster: Cluster, cir: CirTensor, pas: PasMap,
                      config: MetricConfig = MetricConfig()) -> FeatureVector:
     """All five metrics for one segmented cluster.
 
-    The angular metric always uses the whole pixel set.  The delay and
-    frequency metrics come from the peak pixel's impulse response, or, with
-    aggregation "power_weighted", from the power-weighted average of the
-    per-pixel values across the cluster.
+    The angular metric uses the whole pixel set; the delay and frequency
+    metrics come from the impulse response of the cluster's peak pixel.
     """
     try:
         r_p = eigen_ratio(co_kurtosis(cluster, pas, config.r_p_mode))
-        if config.aggregation == "peak":
-            peak = cir.pixel(*cluster.peak_pixel)
-            k_t, tau_mean, tau_rms = _pixel_delay_metrics(peak,
-                                                          config.gate_taps)
-            k_f = freq_kurtosis(cfr_from_cir(peak))
-        else:
-            pix = sorted(cluster.pixels)
-            w = np.array([pas.power[p] for p in pix], dtype=float)
-            w = w / w.sum()
-            rows = []
-            for p in pix:
-                s = cir.pixel(*p)
-                k_t_p, tm_p, tr_p = _pixel_delay_metrics(s, config.gate_taps)
-                rows.append((k_t_p, tm_p, tr_p, freq_kurtosis(cfr_from_cir(s))))
-            agg = w @ np.array(rows)
-            k_t, tau_mean, tau_rms, k_f = (float(v) for v in agg)
+        peak = cir.pixel(*cluster.peak_pixel)
+        k_t = time_kurtosis(peak)
+        tau_mean, tau_rms = _delay_stats(np.abs(np.asarray(peak.taps)),
+                                         peak.delays_ns)
+        k_f = freq_kurtosis(cfr_from_cir(peak))
     except DegenerateInputError as exc:
         raise DegenerateInputError(f"cluster {cluster.id}: {exc}") from exc
     return FeatureVector(r_p=float(r_p), k_t=float(k_t), k_f=float(k_f),

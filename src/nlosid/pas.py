@@ -133,7 +133,7 @@ class AngularGrid:
             )
         except KeyError as exc:
             raise DataFormatError(f"grid description missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (ConfigError, OverflowError, TypeError, ValueError) as exc:
             raise DataFormatError(f"bad grid description: {exc}") from exc
 
 

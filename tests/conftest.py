@@ -1,5 +1,7 @@
 """Shared fixtures and builders for the test suite."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,22 @@ def small_sim(**overrides) -> SimConfig:
         sample_rate_ghz=2.0,
         n_taps=128,
         snr_db=None,
-        seed=7,
     )
     base.update(overrides)
     return SimConfig(**base)
+
+
+# placeholder strings for JSON numbers that json.dumps cannot write
+RAW_NUMBERS = {"@inf": "1e400", "@long": "9" * 4400}
+
+
+def json_with_raw_numbers(doc) -> str:
+    """doc as JSON text with each RAW_NUMBERS placeholder string replaced by
+    its raw number, e.g. 1e400, which parses as infinity."""
+    text = json.dumps(doc)
+    for placeholder, literal in RAW_NUMBERS.items():
+        text = text.replace(f'"{placeholder}"', literal)
+    return text
 
 
 def flat_grid(n_el: int = 20, n_az: int = 20, step: float = 1.0,

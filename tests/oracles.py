@@ -102,7 +102,7 @@ def connected_components(pixels, n_az, wrap):
     return comps
 
 
-def render_cir_oracle(clusters, config, realization=0) -> np.ndarray:
+def render_cir_oracle(clusters, config, seed, realization=0) -> np.ndarray:
     """Dense (n_el, n_az, n_taps) tensor with noise drawn on every tap.
 
     Rays are added in cluster and ray order with the same expression as
@@ -127,7 +127,7 @@ def render_cir_oracle(clusters, config, realization=0) -> np.ndarray:
             data[:, :, tap] += coeff * np.outer(amp_el, amp_az)
             peak_amp = max(peak_amp, ray.amplitude)
     if config.snr_db is not None and peak_amp > 0.0:
-        rng = rng_stream(config.seed, _STREAM_NOISE, realization)
+        rng = rng_stream(seed, _STREAM_NOISE, realization)
         noise_power = peak_amp ** 2 * 10.0 ** (-config.snr_db / 10.0)
         sigma = math.sqrt(noise_power / 2.0)
         data += sigma * (rng.standard_normal(data.shape)

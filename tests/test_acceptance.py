@@ -178,14 +178,14 @@ def test_criterion_04_scale_invariance_of_features_and_decisions():
 
     train_rows = []
     for i in range(40):
-        clusters, _, cir = simulate_realization(sim, i)
+        clusters, _, cir = simulate_realization(sim, 7, i)
         rows, _ = extract_realization(cir, clusters, seg, metric)
         train_rows.extend(rows)
     mlr_model = mlr_train(train_rows)
     ann_model = ann_train(ann_init(40), train_rows,
                           TrainSchedule(max_epochs=800))
 
-    clusters, _, cir = simulate_realization(sim, 40)
+    clusters, _, cir = simulate_realization(sim, 7, 40)
     base_rows, _ = extract_realization(cir, clusters, seg, metric)
     assert len(base_rows) >= 2
     base_mlr = [mlr_classify(mlr_model, fv).decision for fv in base_rows]

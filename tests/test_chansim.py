@@ -26,7 +26,6 @@ def boresight_sim(**overrides) -> SimConfig:
         sample_rate_ghz=2.0,
         n_taps=128,
         snr_db=None,
-        seed=3,
     )
     base.update(overrides)
     return SimConfig(**base)
@@ -66,7 +65,7 @@ def test_sim_config_validation():
 
 
 def test_sim_config_dict_round_trip():
-    cfg = small_sim(snr_db=25.0, seed=99)
+    cfg = small_sim(snr_db=25.0)
     assert SimConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ConfigError):
         SimConfig.from_dict({"n_taps": 128, "bogus": 1})
@@ -76,7 +75,7 @@ def test_short_record_rejected():
     # 64 taps at 2 GHz span 31.5 ns, less than the latest base delay
     cfg = small_sim(n_taps=64)
     with pytest.raises(ConfigError):
-        generate_channel(cfg)
+        generate_channel(cfg, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -84,27 +83,27 @@ def test_short_record_rejected():
 
 
 def test_generate_deterministic():
-    cfg = small_sim(seed=7)
-    a, la = generate_channel(cfg, 5)
-    b, lb = generate_channel(cfg, 5)
+    cfg = small_sim()
+    a, la = generate_channel(cfg, 7, 5)
+    b, lb = generate_channel(cfg, 7, 5)
     assert la == lb
     assert [c.to_dict() for c in a] == [c.to_dict() for c in b]
 
 
 def test_los_flag_semantics():
-    with_los, labels = generate_channel(small_sim(seed=1), 0)
+    with_los, labels = generate_channel(small_sim(), 1, 0)
     assert labels.count(LOS) == 1
     assert with_los[0].kind == LOS
-    without, labels2 = generate_channel(small_sim(seed=1, los_present=False), 0)
+    without, labels2 = generate_channel(small_sim(los_present=False), 1, 0)
     assert LOS not in labels2
     assert len(without) >= 1
 
 
 def test_cluster_structure_invariants():
-    cfg = small_sim(seed=13)
+    cfg = small_sim()
     ratios = []  # (delay offset, amplitude relative to the cluster's first ray)
     for realization in range(200):
-        clusters, labels = generate_channel(cfg, realization)
+        clusters, labels = generate_channel(cfg, 13, realization)
         assert labels == [c.kind for c in clusters]
         los = [c for c in clusters if c.kind == LOS]
         nlos = [c for c in clusters if c.kind == NLOS]
@@ -136,8 +135,8 @@ def test_cluster_structure_invariants():
 
 
 def test_nlos_count_statistics():
-    cfg = small_sim(seed=21, n_nlos_mean=4.0)
-    counts = [sum(1 for c in generate_channel(cfg, i)[0] if c.kind == NLOS)
+    cfg = small_sim(n_nlos_mean=4.0)
+    counts = [sum(1 for c in generate_channel(cfg, 21, i)[0] if c.kind == NLOS)
               for i in range(1000)]
     mean = np.mean(counts)
     assert abs(mean - 4.0) <= 0.4
@@ -171,7 +170,7 @@ def test_beam_gain_array_and_symmetry(rng):
 
 def test_render_single_ray_boresight():
     cfg = boresight_sim()
-    cir = render_cir([single_ray_cluster()], cfg)
+    cir = render_cir([single_ray_cluster()], cfg, 3)
     grid = cfg.grid()
     i, j = grid.nearest_pixel(0.0, 0.0)
     taps = cir.data[i, j]
@@ -183,7 +182,7 @@ def test_render_single_ray_boresight():
 
 def test_render_half_beamwidth_amplitude():
     cfg = boresight_sim()  # hpbw defaults to 5, columns every 2.5
-    cir = render_cir([single_ray_cluster()], cfg)
+    cir = render_cir([single_ray_cluster()], cfg, 3)
     grid = cfg.grid()
     i, j = grid.nearest_pixel(0.0, 2.5)
     tap_idx = int(round(10.0 * cfg.sample_rate_ghz))
@@ -196,7 +195,7 @@ def test_render_destructive_interference():
     cluster = RayCluster(kind=NLOS, center_az_deg=0.0, center_el_deg=0.0,
                          base_delay_ns=10.0, rays=rays)
     cfg = boresight_sim()
-    cir = render_cir([cluster], cfg)
+    cir = render_cir([cluster], cfg, 3)
     assert np.max(np.abs(cir.data)) < 1e-12
 
 
@@ -207,12 +206,12 @@ def test_render_errors_name_the_ray():
                       rays=(Ray(0.0, 0.5, 0.0, 0.0, 0.0),
                             Ray(30.0, 0.2, 0.0, 0.0, 0.0)))
     with pytest.raises(RenderError, match="cluster 0 ray 1"):
-        render_cir([late], cfg)
+        render_cir([late], cfg, 3)
     early = RayCluster(kind=NLOS, center_az_deg=0.0, center_el_deg=0.0,
                        base_delay_ns=5.0,
                        rays=(Ray(-9.0, 0.5, 0.0, 0.0, 0.0),))
     with pytest.raises(RenderError, match="negative delay"):
-        render_cir([early], cfg)
+        render_cir([early], cfg, 3)
 
 
 def test_energy_monotone_in_ray_amplitude():
@@ -227,7 +226,7 @@ def test_energy_monotone_in_ray_amplitude():
                         base_delay_ns=20.0,
                         rays=(Ray(0.0, 0.6, 2.0, 0.0, 0.0),
                               Ray(2.0, 0.2, 0.9, -1.0, 0.5)))
-        return render_cir([c1, c2], cfg)
+        return render_cir([c1, c2], cfg, 3)
 
     lo = np.sum(np.abs(channel(0.5).data) ** 2)
     hi = np.sum(np.abs(channel(0.8).data) ** 2)
@@ -237,10 +236,10 @@ def test_energy_monotone_in_ray_amplitude():
 def test_noise_injection_and_seeding():
     cfg = boresight_sim(snr_db=40.0)
     cluster = single_ray_cluster()
-    a = render_cir([cluster], cfg, realization=2)
-    b = render_cir([cluster], cfg, realization=2)
+    a = render_cir([cluster], cfg, 3, realization=2)
+    b = render_cir([cluster], cfg, 3, realization=2)
     assert np.array_equal(a.data, b.data)
-    c = render_cir([cluster], cfg, realization=3)
+    c = render_cir([cluster], cfg, 3, realization=3)
     assert not np.array_equal(a.data, c.data)
     # every tap picks up noise
     assert np.all(np.abs(a.data) > 0)
@@ -252,14 +251,14 @@ def test_noise_injection_and_seeding():
 
 def test_noiseless_mode_is_clean():
     cfg = boresight_sim(snr_db=None)
-    cir = render_cir([single_ray_cluster()], cfg, realization=9)
+    cir = render_cir([single_ray_cluster()], cfg, 3, realization=9)
     assert np.sum(np.abs(cir.data[..., 0])) == 0.0
 
 
 def test_simulate_realization_deterministic():
-    cfg = small_sim(seed=17, snr_db=35.0)
-    _, labels_a, cir_a = simulate_realization(cfg, 4)
-    _, labels_b, cir_b = simulate_realization(cfg, 4)
+    cfg = small_sim(snr_db=35.0)
+    _, labels_a, cir_a = simulate_realization(cfg, 17, 4)
+    _, labels_b, cir_b = simulate_realization(cfg, 17, 4)
     assert labels_a == labels_b
     assert np.array_equal(cir_a.data, cir_b.data)
 
@@ -273,16 +272,16 @@ def _dense(cir) -> CirTensor:
 
 
 def test_pixels_match_dense_view_in_any_order():
-    cfg = small_sim(snr_db=30.0, seed=5)
-    clusters, _ = generate_channel(cfg, 3)
+    cfg = small_sim(snr_db=30.0)
+    clusters, _ = generate_channel(cfg, 5, 3)
     grid = cfg.grid()
     order = np.random.default_rng(0).permutation(grid.n_el * grid.n_az)
     pixels = [divmod(int(k), grid.n_az) for k in order]
 
-    before = render_cir(clusters, cfg, 3)
+    before = render_cir(clusters, cfg, 5, 3)
     early = {p: before.pixel(*p).taps.tobytes() for p in pixels[:40]}
     dense = before.data
-    after = render_cir(clusters, cfg, 3)
+    after = render_cir(clusters, cfg, 5, 3)
     late = {p: after.pixel(*p).taps.tobytes() for p in reversed(pixels)}
     assert dense.tobytes() == after.data.tobytes()
     for p in pixels:
@@ -293,32 +292,32 @@ def test_pixels_match_dense_view_in_any_order():
 
 
 def test_lazy_pas_matches_dense_pas():
-    cfg = small_sim(snr_db=30.0, seed=5)
+    cfg = small_sim(snr_db=30.0)
     for realization in range(3):
-        clusters, _ = generate_channel(cfg, realization)
-        cir = render_cir(clusters, cfg, realization)
+        clusters, _ = generate_channel(cfg, 5, realization)
+        cir = render_cir(clusters, cfg, 5, realization)
         np.testing.assert_allclose(compute_pas(cir).power,
                                    compute_pas(_dense(cir)).power,
                                    rtol=1e-12, atol=0.0)
 
 
 def test_noiseless_render_equals_oracle_exactly():
-    cfg = small_sim(snr_db=None, seed=5)
+    cfg = small_sim(snr_db=None)
     for realization in range(5):
-        clusters, _ = generate_channel(cfg, realization)
-        want = oracles.render_cir_oracle(clusters, cfg, realization)
-        assert np.array_equal(render_cir(clusters, cfg, realization).data,
+        clusters, _ = generate_channel(cfg, 5, realization)
+        want = oracles.render_cir_oracle(clusters, cfg, 5, realization)
+        assert np.array_equal(render_cir(clusters, cfg, 5, realization).data,
                               want)
     # zero peak amplitude: no noise is drawn, whatever snr_db says
     silent = [RayCluster(kind=NLOS, center_az_deg=0.0, center_el_deg=0.0,
                          base_delay_ns=10.0,
                          rays=(Ray(0.0, 0.0, 0.3, 0.0, 0.0),))]
     noisy_cfg = small_sim(snr_db=20.0)
-    cir = render_cir(silent, noisy_cfg, 1)
+    cir = render_cir(silent, noisy_cfg, 7, 1)
     assert cir.noise_energy is None
     assert not np.any(cir.data)
     assert np.array_equal(cir.data,
-                          oracles.render_cir_oracle(silent, noisy_cfg, 1))
+                          oracles.render_cir_oracle(silent, noisy_cfg, 7, 1))
 
 
 def test_render_with_every_tap_carrying_a_ray():
@@ -327,7 +326,7 @@ def test_render_with_every_tap_carrying_a_ray():
     rays = tuple(Ray(k / 2.0, 0.5, 0.1 * k, 0.0, 0.0) for k in range(64))
     cluster = RayCluster(kind=NLOS, center_az_deg=0.0, center_el_deg=0.0,
                          base_delay_ns=0.0, rays=rays)
-    cir = render_cir([cluster], cfg, 0)
+    cir = render_cir([cluster], cfg, 7, 0)
     assert len(cir.signal_taps) == 64
     assert not np.any(cir.noise_energy)
     assert np.all(np.isfinite(cir.data))
@@ -339,11 +338,11 @@ def test_render_with_every_tap_carrying_a_ray():
 def test_noise_only_energy_follows_its_gamma_law():
     """Energy of each pixel's noise-only taps, over 20 realizations, against
     Gamma(m, noise power) by a KS test at p >= 1e-3."""
-    cfg = small_sim(snr_db=30.0, seed=101)
+    cfg = small_sim(snr_db=30.0)
     u = []
     for realization in range(20):
-        clusters, _ = generate_channel(cfg, realization)
-        cir = render_cir(clusters, cfg, realization)
+        clusters, _ = generate_channel(cfg, 101, realization)
+        cir = render_cir(clusters, cfg, 101, realization)
         quiet = np.ones(cfg.n_taps, dtype=bool)
         quiet[cir.signal_taps] = False
         energy = np.sum(np.abs(cir.data[:, :, quiet]) ** 2, axis=2)
@@ -359,16 +358,16 @@ def test_lazy_and_eager_noise_give_one_distribution():
     realizations: pooled PAS energies and each of the five features at
     p >= 1e-3.  The reference SNR, so that clusters clear the foreground
     threshold."""
-    cfg = small_sim(snr_db=60.0, seed=202)
+    cfg = small_sim(snr_db=60.0)
     seg = SegParams(min_pixels=2, marker_min_separation=1.0)
     metric = MetricConfig(r_p_mode="covariance")
     pas = {"lazy": [], "eager": []}
     features = {"lazy": [], "eager": []}
     for realization in range(40):
-        clusters, _ = generate_channel(cfg, realization)
-        lazy = render_cir(clusters, cfg, realization)
+        clusters, _ = generate_channel(cfg, 202, realization)
+        lazy = render_cir(clusters, cfg, 202, realization)
         eager = CirTensor(cfg.grid(), cfg.sample_rate_ghz,
-                          oracles.render_cir_oracle(clusters, cfg,
+                          oracles.render_cir_oracle(clusters, cfg, 202,
                                                     realization))
         for name, cir in (("lazy", lazy), ("eager", eager)):
             pas[name].extend(compute_pas(cir).power.ravel())
@@ -392,9 +391,9 @@ def test_lazy_render_properties(n_az, n_el, n_taps, snr_db, seed, realization,
                                 picks):
     cfg = SimConfig(az_range_deg=(0.0, 5.0 * n_az),
                     el_range_deg=(0.0, 5.0 * n_el), sample_rate_ghz=2.0,
-                    n_taps=n_taps, snr_db=snr_db, seed=seed)
-    clusters, _ = generate_channel(cfg, realization)
-    cir = render_cir(clusters, cfg, realization)
+                    n_taps=n_taps, snr_db=snr_db)
+    clusters, _ = generate_channel(cfg, seed, realization)
+    cir = render_cir(clusters, cfg, seed, realization)
     grid = cfg.grid()
     picks = [(i % grid.n_el, j % grid.n_az) for i, j in picks]
     early = [cir.pixel(*p).taps for p in picks]
@@ -407,4 +406,5 @@ def test_lazy_render_properties(n_az, n_el, n_taps, snr_db, seed, realization,
                                rtol=1e-12, atol=0.0)
     if snr_db is None:
         assert np.array_equal(
-            dense, oracles.render_cir_oracle(clusters, cfg, realization))
+            dense, oracles.render_cir_oracle(clusters, cfg, seed,
+                                             realization))

@@ -11,7 +11,8 @@ from nlosid.fileio import (load_cir_tensor, load_features, load_json,
                            save_features, save_json)
 from nlosid.metrics import METRIC_NAMES
 
-from conftest import flat_grid, labelled_feature_rows, small_sim
+from conftest import (flat_grid, json_with_raw_numbers, labelled_feature_rows,
+                      small_sim)
 
 
 @pytest.fixture(scope="module")
@@ -183,9 +184,19 @@ def test_seed_flag_overrides_config(workspace, tmp_path):
                  "simulate"]) == 0
     assert main(["--config", str(cfg_path), "--out", str(b), "--seed", "77",
                  "simulate"]) == 0
-    assert load_json(a / "simulation.json")["config"]["seed"] == 77
+    assert load_json(a / "simulation.json")["seed"] == 77
     assert (a / "real_0000.bin").read_bytes() \
         == (b / "real_0000.bin").read_bytes()
+
+
+def test_simulation_manifest_records_the_seed(workspace, tmp_path):
+    _, cfg_path, _, sim_dir = workspace
+    assert load_json(sim_dir / "simulation.json")["seed"] == 11
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path), "--seed",
+                 "5", "simulate"]) == 0
+    doc = load_json(tmp_path / "simulation.json")
+    assert doc["seed"] == 5
+    assert "seed" not in doc["config"]
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +259,13 @@ _GRID = {"az_start_deg": 0.0, "az_step_deg": 1.0, "n_az": "x",
 _GEV = {"gamma": 0.0, "mu": 0.0, "sigma": 1.0}
 _FEATURES = ",".join(METRIC_NAMES) + ",label\n1,2,3,4,5,LOS\n"
 _EXPERIMENT = ["--config", "c.json", "experiment"]
+_EXTRACT = ["extract", "--cir", "t.json"]
+# a 1x1-pixel, 16-tap tensor manifest and its data file
+_TENSOR = {"format": "cir_tensor", "dtype": "c64le",
+           "grid": {**_GRID, "n_az": 1, "n_el": 1}, "sample_rate_ghz": 2.0,
+           "n_taps": 16, "data_file": "t.bin"}
+_TENSOR_FILES = {"t.json": _TENSOR, "t.bin": bytes(16 * 8)}
+
 
 # files to write (JSON documents, or raw text or bytes), the arguments, the
 # exit code, and a fragment the error line must carry
@@ -270,7 +288,7 @@ MALFORMED_INPUTS = {
         {"t.json": {"format": "cir_tensor", "dtype": "c64le", "grid": _GRID,
                     "sample_rate_ghz": 2.0, "n_taps": 16,
                     "data_file": "t.bin"}},
-        ["extract", "--cir", "t.json"], 3, "grid description"),
+        _EXTRACT, 3, "grid description"),
     "top_level_list": ({"c.json": [1, 2]}, _EXPERIMENT, 3, "top level"),
     "mlr_gamma_type": (
         {"m.json": {"format": "mlr_model", "tables": {
@@ -283,7 +301,7 @@ MALFORMED_INPUTS = {
     "seed_not_int": ({"c.json": {"seed": "x"}}, _EXPERIMENT, 2,
                      "ExperimentConfig.seed"),
     "seed_bool": ({"c.json": {"sim": {"seed": True}}}, _EXPERIMENT, 2,
-                  "SimConfig.seed"),
+                  "unknown SimConfig fields"),
     "realizations_not_int": (
         {"c.json": {"n_realizations": 3.5, "n_train": 1, "n_test": 1}},
         _EXPERIMENT, 2, "n_realizations"),
@@ -294,15 +312,43 @@ MALFORMED_INPUTS = {
         {"c.json": {"mode": "measured", "features_csv": 5}}, _EXPERIMENT, 2,
         "features_csv"),
     "truth_clusters_not_list": (
-        {"s.json": {"format": "simulation", "realizations": [
-            {"index": 0, "cir": "t.json", "truth": "u.json"}]},
-         "t.json": {"format": "cir_tensor", "dtype": "c64le",
-                    "grid": {**_GRID, "n_az": 1, "n_el": 1},
-                    "sample_rate_ghz": 2.0, "n_taps": 16,
-                    "data_file": "t.bin"},
-         "t.bin": bytes(16 * 8),
+        {**_TENSOR_FILES,
+         "s.json": {"format": "simulation", "realizations": [
+             {"index": 0, "cir": "t.json", "truth": "u.json"}]},
          "u.json": {"format": "truth", "clusters": 5}},
         ["extract", "--manifest", "s.json"], 3, "'clusters' must be a list"),
+    "truth_kind_unknown": (
+        {**_TENSOR_FILES,
+         "s.json": {"format": "simulation", "realizations": [
+             {"index": 0, "cir": "t.json", "truth": "u.json"}]},
+         "u.json": {"format": "truth", "clusters": [
+             {"kind": "X", "center_az_deg": 0.0, "center_el_deg": 0.0,
+              "base_delay_ns": 1.0, "rays": []}]}},
+        ["extract", "--manifest", "s.json"], 3, "unknown cluster kind"),
+    "tensor_no_azimuths": (
+        {"t.json": {**_TENSOR, "grid": {**_TENSOR["grid"], "n_az": 0}}},
+        _EXTRACT, 3, "grid description"),
+    "tensor_negative_rate": (
+        {**_TENSOR_FILES, "t.json": {**_TENSOR, "sample_rate_ghz": -1.0}},
+        _EXTRACT, 3, "sample rate must be positive"),
+    "tensor_azimuths_overflow": (
+        {"t.json": json_with_raw_numbers(
+            {**_TENSOR, "grid": {**_TENSOR["grid"], "n_az": "@inf"}})},
+        _EXTRACT, 3, "grid description"),
+    "tensor_rate_overflow": (
+        {**_TENSOR_FILES, "t.json": {**_TENSOR, "sample_rate_ghz": 10 ** 399}},
+        _EXTRACT, 3, "bad manifest field"),
+    "sim_range_overflow": (
+        {"c.json": json_with_raw_numbers(
+            {"sim": {"az_range_deg": [0, "@inf"]}})},
+        ["--config", "c.json", "simulate"], 2, "SimConfig"),
+    "sim_seed_removed": ({"c.json": {"sim": {"seed": 0}}}, _EXPERIMENT, 2,
+                         "unknown SimConfig fields"),
+    "gate_taps_removed": ({"c.json": {"metric": {"gate_taps": False}}},
+                          _EXPERIMENT, 2, "unknown MetricConfig fields"),
+    "aggregation_removed": (
+        {"c.json": {"metric": {"aggregation": "peak"}}}, _EXPERIMENT, 2,
+        "unknown MetricConfig fields"),
     "config_not_utf8": ({"c.json": b"\xff\xfe{}"}, _EXPERIMENT, 3, "c.json"),
 }
 

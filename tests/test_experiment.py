@@ -1,6 +1,7 @@
 """End-to-end protocol orchestration: simulated and measured campaigns."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +64,15 @@ def test_config_nested_round_trip():
         ExperimentConfig.from_dict(bad)
 
 
+def test_reference_config_names_every_field_once():
+    """The shipped yardstick round-trips exactly: it sets every field and
+    no field the code does not read."""
+    root = Path(__file__).resolve().parent.parent
+    doc = load_json(root / "configs" / "reference.json")
+    echoed = ExperimentConfig.from_dict(doc).to_dict()
+    assert json.loads(json.dumps(echoed)) == doc
+
+
 def test_training_seed_is_keyed():
     assert _training_seed(11, 0) == _training_seed(11, 0)
     assert _training_seed(11, 0) != _training_seed(11, 1)
@@ -75,7 +85,7 @@ def test_training_seed_is_keyed():
 
 def test_extract_realization_labels_and_diags():
     cfg = small_sim(snr_db=60.0)
-    clusters, _, cir = simulate_realization(cfg, 4)
+    clusters, _, cir = simulate_realization(cfg, 7, 4)
     rows, diag = extract_realization(
         cir, clusters, SegParams(min_pixels=2, marker_min_separation=1.0),
         MetricConfig())
@@ -90,7 +100,7 @@ def test_extract_realization_labels_and_diags():
 
 def test_extract_realization_unlabelled_when_no_truth():
     cfg = small_sim(snr_db=60.0)
-    _, _, cir = simulate_realization(cfg, 4)
+    _, _, cir = simulate_realization(cfg, 7, 4)
     rows, diag = extract_realization(
         cir, None, SegParams(min_pixels=2, marker_min_separation=1.0),
         MetricConfig())
@@ -167,7 +177,8 @@ def test_cmd_simulate_writes_manifest_and_files(tmp_path):
     doc = load_json(manifest)
     assert doc["format"] == "simulation"
     assert doc["n_realizations"] == 3
-    assert doc["config"]["seed"] == 11      # master seed replaces sim seed
+    assert doc["seed"] == 11
+    assert "seed" not in doc["config"]
     assert len(doc["realizations"]) == 3
     for entry in doc["realizations"]:
         for key in ("cir", "pas", "truth"):
@@ -195,11 +206,9 @@ def test_staged_chain_matches_in_memory_features(tmp_path):
     assert (tmp_path / "features.csv").exists()
     assert len(log["realizations"]) == 3
 
-    from dataclasses import replace
-    sim = replace(cfg.sim, seed=cfg.seed)
     expected = []
     for i in range(3):
-        clusters, _, cir = simulate_realization(sim, i)
+        clusters, _, cir = simulate_realization(cfg.sim, cfg.seed, i)
         feats, _ = extract_realization(cir, clusters, cfg.seg, cfg.metric)
         expected.extend((i, fv) for fv in feats)
 

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlosid import (AngularGrid, CirTensor, DataFormatError, GevParams,
                     MlrModel, PasMap, ann_init, ann_train, mlr_classify,
@@ -16,7 +17,8 @@ from nlosid.fileio import (ann_model_from_dict, ann_model_to_dict,
                            save_pas_json, save_truth, save_verdicts)
 from nlosid.metrics import METRIC_NAMES
 
-from conftest import flat_grid, make_fv, separable_features, small_sim
+from conftest import (RAW_NUMBERS, flat_grid, json_with_raw_numbers, make_fv,
+                      separable_features, small_sim)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +46,7 @@ def test_load_json_reports_position(tmp_path):
 
 
 def test_cir_tensor_round_trip_quantizes_once(tmp_path):
-    cir = simulate_realization(small_sim(snr_db=50.0), 0)[2]
+    cir = simulate_realization(small_sim(snr_db=50.0), 7, 0)[2]
     path = tmp_path / "real_0000.json"
     save_cir_tensor(cir, path)
     assert (tmp_path / "real_0000.bin").exists()
@@ -59,7 +61,7 @@ def test_cir_tensor_round_trip_quantizes_once(tmp_path):
 
 
 def test_cir_tensor_manifest_diagnostics(tmp_path):
-    cir = simulate_realization(small_sim(), 1)[2]
+    cir = simulate_realization(small_sim(), 7, 1)[2]
     path = tmp_path / "t.json"
     save_cir_tensor(cir, path)
 
@@ -185,7 +187,7 @@ def test_features_diagnostics(tmp_path):
 
 def test_truth_round_trip(tmp_path):
     from nlosid import generate_channel
-    clusters = generate_channel(small_sim(), 0)[0]
+    clusters = generate_channel(small_sim(), 7, 0)[0]
     path = tmp_path / "truth.json"
     save_truth(path, clusters)
     back = load_truth(path)
@@ -255,3 +257,92 @@ def test_save_verdicts_layout(tmp_path):
     assert lines[0] == "realization,decision,score,support_violation,truth"
     assert lines[1] == "0,LOS,1.25,0,LOS"
     assert lines[2] == ",NLOS,-inf,1,"
+
+
+# ---------------------------------------------------------------------------
+# parsers never fail with anything but DataFormatError
+
+_FEATURE_HEADERS = (",".join(METRIC_NAMES) + ",label",
+                    "realization," + ",".join(METRIC_NAMES) + ",label")
+_SWEEP_HEADER = "az_deg,el_deg,freq_ghz,re,im"
+_CELLS = st.one_of(
+    st.sampled_from(["", "0", "-1", "2.5", "1e400", "nan", "inf", "LOS",
+                     "NLOS", " 3 ", "x"]),
+    st.integers(1, 400).map(lambda k: "9" * k),
+    st.text(max_size=4))
+_CSV_TEXT = st.one_of(
+    st.binary(max_size=200),
+    st.builds(lambda header, rows, tail: (
+                  "\n".join([header] + rows) + "\n").encode() + tail,
+              st.sampled_from(_FEATURE_HEADERS + (_SWEEP_HEADER,)),
+              st.lists(st.lists(_CELLS, max_size=8).map(",".join),
+                       max_size=4),
+              st.binary(max_size=4)))
+
+_SCALARS = st.one_of(
+    st.sampled_from([0, 1, -1, 0.5, *RAW_NUMBERS, None, True, ""]),
+    st.integers(-400, 400).map(lambda k: (10 ** abs(k) - 1) * (k > 0 or -1)),
+    st.floats(), st.text(max_size=3))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=6)
+_DROP = object()
+
+
+def _mutated(**fields):
+    """Objects with the given fields drawn from their strategies, then up
+    to two fields replaced by arbitrary JSON values or removed."""
+    def apply(args):
+        doc, changes = args
+        return {k: v for k, v in {**doc, **changes}.items() if v is not _DROP}
+    return st.tuples(
+        st.fixed_dictionaries(fields),
+        st.dictionaries(st.sampled_from(sorted(fields)),
+                        st.one_of(st.just(_DROP), _VALUES), max_size=2)
+    ).map(apply)
+
+
+_GRIDS = _mutated(az_start_deg=st.just(0.0), az_step_deg=st.just(1.0),
+                  n_az=st.sampled_from([1, 2, 4]), el_start_deg=st.just(0.0),
+                  el_step_deg=st.just(1.0), n_el=st.sampled_from([1, 2]))
+_TENSOR_DOCS = _mutated(
+    format=st.just("cir_tensor"), dtype=st.just("c64le"), grid=_GRIDS,
+    sample_rate_ghz=st.just(2.0), n_taps=st.sampled_from([0, 4, 8, 16]),
+    data_file=st.sampled_from(["t.bin", "empty.bin", "missing.bin", "..",
+                               "", "a/b"]))
+_RAYS = _mutated(**{k: st.just(1.0) for k in (
+    "delay_offset_ns", "amplitude", "phase_rad", "az_offset_deg",
+    "el_offset_deg")})
+_CLUSTERS = _mutated(kind=st.sampled_from(["LOS", "NLOS", "X"]),
+                     center_az_deg=st.just(0.0), center_el_deg=st.just(0.0),
+                     base_delay_ns=st.just(1.0),
+                     rays=st.lists(_RAYS, max_size=2))
+_TRUTH_DOCS = _mutated(format=st.just("truth"),
+                       clusters=st.lists(_CLUSTERS, max_size=3))
+
+
+_PARSERS = {"table.csv": (load_features, load_sweep_csv),
+            "t.json": (load_cir_tensor, load_truth)}
+_INPUTS = st.one_of(
+    _CSV_TEXT.map(lambda data: ("table.csv", data)),
+    st.one_of(_TENSOR_DOCS, _TRUTH_DOCS).map(
+        lambda doc: ("t.json", json_with_raw_numbers(doc).encode())))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_INPUTS)
+def test_parsers_raise_only_data_format_errors(case, tmp_path_factory):
+    """Feature and sweep tables from arbitrary bytes, tensor manifests and
+    truth files from arbitrary JSON objects: every rejection is a
+    DataFormatError, which the command line maps to exit 3."""
+    name, data = case
+    d = tmp_path_factory.getbasetemp() / "parser_fuzz"
+    d.mkdir(exist_ok=True)
+    (d / "t.bin").write_bytes(bytes(16 * 8))
+    (d / "empty.bin").write_bytes(b"")
+    (d / name).write_bytes(data)
+    for parse in _PARSERS[name]:
+        try:
+            parse(d / name)
+        except DataFormatError:
+            pass

@@ -10,7 +10,6 @@ from nlosid import (LOS, CfrSlice, CirSlice, CirTensor, Cluster, ConfigError,
                     compute_pas, eigen_ratio, freq_kurtosis,
                     mean_excess_delay, render_cir, rms_delay_spread, segment,
                     time_kurtosis)
-from nlosid.metrics import _pixel_delay_metrics
 
 from conftest import blob_map, cluster_of, flat_grid
 from oracles import (angular_moments_oracle, delay_moments_oracle,
@@ -255,28 +254,6 @@ def test_delay_moments_need_energy():
         rms_delay_spread(CirSlice(np.zeros(16, dtype=complex), 1.0))
 
 
-def test_tap_gate_keeps_strong_taps_only():
-    taps = np.full(64, 0.01, dtype=complex)
-    strong = np.arange(5.0, 17.0)
-    taps[10:22] = strong
-    slc = CirSlice(taps, 1.0)
-    k_t, tau_mean, tau_rms = _pixel_delay_metrics(slc, gate_taps=True)
-    want_mean, want_rms = delay_moments_oracle(strong, np.arange(10.0, 22.0))
-    assert tau_mean == pytest.approx(want_mean, rel=1e-12)
-    assert tau_rms == pytest.approx(want_rms, rel=1e-12)
-    assert k_t == pytest.approx(kurtosis_oracle(strong), rel=1e-12)
-    ungated_mean = mean_excess_delay(slc)
-    assert abs(ungated_mean - tau_mean) > 1e-6
-
-
-def test_tap_gate_needs_enough_survivors():
-    taps = np.full(64, 0.01, dtype=complex)
-    taps[10] = 5.0
-    taps[12] = 4.0
-    with pytest.raises(DegenerateInputError):
-        _pixel_delay_metrics(CirSlice(taps, 1.0), gate_taps=True)
-
-
 # ---------------------------------------------------------------------------
 # feature vector plumbing
 
@@ -294,10 +271,8 @@ def test_metric_config_validation():
     with pytest.raises(ConfigError):
         MetricConfig(r_p_mode="pca")
     with pytest.raises(ConfigError):
-        MetricConfig(aggregation="median")
-    with pytest.raises(ConfigError):
-        MetricConfig.from_dict({"gate_taps": True, "bogus": 1})
-    cfg = MetricConfig(r_p_mode="covariance", gate_taps=True)
+        MetricConfig.from_dict({"r_p_mode": "covariance", "bogus": 1})
+    cfg = MetricConfig(r_p_mode="covariance")
     assert MetricConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -332,43 +307,6 @@ def test_cluster_features_two_tap_composition():
         assert fv.k_t > 0 and fv.k_f > 0
 
 
-def test_cluster_features_power_weighted_aggregation():
-    g = flat_grid(n_el=9, n_az=9, step=1.0, az_start=-4.0, el_start=-4.0)
-    data = np.zeros((9, 9, 16), dtype=complex)
-    data[4, 4, 1] = 0.8
-    data[4, 4, 3] = 0.8
-    for i in range(3, 6):
-        for j in range(3, 6):
-            if (i, j) != (4, 4):
-                data[i, j, 1] = 0.4
-                data[i, j, 5] = 0.4
-    cir = CirTensor(g, 1.0, data)
-    pas = compute_pas(cir)
-    pixels = [(i, j) for i in range(3, 6) for j in range(3, 6)]
-    cluster = cluster_of(pixels, pas)
-
-    peak = cluster_features(cluster, cir, pas, MetricConfig())
-    assert peak.tau_mean_ns == pytest.approx(2.0, rel=1e-14)
-
-    avg = cluster_features(cluster, cir, pas,
-                           MetricConfig(aggregation="power_weighted"))
-    w = np.array([pas.power[p] for p in sorted(cluster.pixels)])
-    w = w / w.sum()
-    per_pixel = []
-    for p in sorted(cluster.pixels):
-        s = cir.pixel(*p)
-        per_pixel.append((time_kurtosis(s), mean_excess_delay(s),
-                          rms_delay_spread(s),
-                          freq_kurtosis(cfr_from_cir(s))))
-    want = w @ np.array(per_pixel)
-    assert avg.k_t == pytest.approx(want[0], rel=1e-12)
-    assert avg.tau_mean_ns == pytest.approx(want[1], rel=1e-12)
-    assert avg.tau_rms_ns == pytest.approx(want[2], rel=1e-12)
-    assert avg.k_f == pytest.approx(want[3], rel=1e-12)
-    # the angular metric is unaffected by the aggregation switch
-    assert avg.r_p == pytest.approx(peak.r_p, rel=1e-12)
-
-
 def test_cluster_features_scale_invariant():
     cluster, cir, pas = two_tap_fixture()
     base = cluster_features(cluster, cir, pas, MetricConfig()).values()
@@ -391,11 +329,11 @@ def test_cluster_features_annotates_errors():
 def test_single_ray_beam_is_symmetric():
     cfg = SimConfig(az_range_deg=(-10.0, 10.0), el_range_deg=(-10.0, 10.0),
                     step_deg=1.0, sample_rate_ghz=2.0, n_taps=128,
-                    snr_db=None, seed=0)
+                    snr_db=None)
     ray = RayCluster(kind=LOS, center_az_deg=0.0, center_el_deg=0.0,
                      base_delay_ns=12.0,
                      rays=(Ray(0.0, 1.0, 0.4, 0.0, 0.0),))
-    cir = render_cir([ray], cfg)
+    cir = render_cir([ray], cfg, 0)
     pas = compute_pas(cir)
     clusters = segment(pas, SegParams())
     assert len(clusters) == 1

@@ -244,11 +244,11 @@ def test_truth_without_los_cluster():
 
 
 def test_los_recovery_rate_on_default_generator():
-    cfg = SimConfig(seed=101)
+    cfg = SimConfig()
     seg = SegParams(min_pixels=2, marker_min_separation=1.0)
     recovered = 0
     for i in range(100):
-        clusters, _, cir = simulate_realization(cfg, i)
+        clusters, _, cir = simulate_realization(cfg, 101, i)
         pas = compute_pas(cir)
         labelled, found = label_clusters_with_truth(
             segment(pas, seg), clusters, pas.grid)
