@@ -8,8 +8,8 @@ angular jitter around the cluster direction.
 
 Rendering sweeps a Gaussian beam pair over a rectangular angular grid and
 accumulates each ray into the delay bin nearest its total delay, optionally
-adding complex white noise referenced to the strongest ray.  Noise on the
-taps that carry no ray is drawn only when a pixel's taps are read.
+adding complex white noise referenced to the strongest ray, of which each
+pixel keeps two numbers until its taps are read.
 """
 
 import math
@@ -43,7 +43,7 @@ _STREAM_PIXEL_NOISE = 3
 
 def rng_stream(master_seed: int, tag: int, *index: int) -> np.random.Generator:
     """Independent generator for one purpose and index, e.g. (noise,
-    realization) or (pixel noise, realization, column).
+    realization).
 
     Streams are derived from the master seed by key, not by draw order, so
     realizations can be produced in any order or in parallel.
@@ -274,19 +274,29 @@ def beam_gain(d_az_deg, d_el_deg, hpbw_az_deg: float, hpbw_el_deg: float):
     return g
 
 
+def _scaled_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (last axis) of x scaled exactly, by powers of two, to a largest
+    entry in [0.5, 1), so their sums of squares cannot underflow even for
+    subnormal rows; and the exponents that undo the scaling."""
+    exponent = np.frexp(np.max(np.abs(x), axis=-1, keepdims=True))[1]
+    return np.ldexp(x, -exponent), exponent
+
+
 @dataclass(frozen=True, eq=False)
 class LazyCirTensor:
     """Rendered impulse responses with CirTensor's interface, whose noise is
-    drawn only where it is read.
+    kept as two numbers per pixel and drawn in full only where it is read.
 
-    signal, shape (len(signal_taps), n_el, n_az), holds the taps that carry
-    rays, noise included.  A pixel's other m taps are pure noise, kept as
-    their total energy noise_energy (None when noiseless).  Given that
-    energy the noise direction is uniform on the sphere (Muller 1959), so
-    the taps are rebuilt as sqrt(E) z / |z| from normals z drawn per azimuth
-    column from a stream keyed by (seed, realization, column).  pixel() and
-    data share that column routine and no generator state, so they agree
-    bit for bit in any order of access.
+    signal, shape (n_el, n_az, len(signal_taps)), is the noiseless ray sum s
+    on the taps that carry rays.  A pixel's white noise (real view, p =
+    2 n_taps coordinates, variance sigma^2) is a ~ N(0, sigma^2) along
+    mu = s / |s| (the first signal tap's axis when s = 0) plus an
+    independent rest, orthogonal to mu, of squared norm sigma^2 chi^2(p - 1)
+    and uniform direction v (Muller 1959).  along = |s| + a and across, that
+    squared norm, are stored (None when noiseless); a read draws v from the
+    pixel's own sub-stream and returns along mu + sqrt(across) v.  pixel()
+    and data share that routine and no generator state, so they agree bit
+    for bit in any order of access.
     """
 
     grid: AngularGrid
@@ -294,7 +304,8 @@ class LazyCirTensor:
     n_taps: int
     signal_taps: np.ndarray
     signal: np.ndarray
-    noise_energy: np.ndarray | None
+    along: np.ndarray | None
+    across: np.ndarray | None
     seed: int
     realization: int
 
@@ -309,36 +320,56 @@ class LazyCirTensor:
 
     def tap_energy(self) -> np.ndarray:
         """Sum of |h_k|^2 over every tap of each pixel, shape (n_el, n_az)."""
-        energy = np.sum(np.abs(self.signal) ** 2, axis=0)
-        if self.noise_energy is not None:
-            energy += self.noise_energy
-        return energy
+        if self.along is None:
+            return np.sum(np.abs(self.signal) ** 2, axis=-1)
+        return self.along ** 2 + self.across
 
-    def _column(self, az_idx: int) -> np.ndarray:
-        """Taps of one azimuth column, shape (n_el, n_taps)."""
-        col = np.zeros((self.grid.n_el, self.n_taps), dtype=complex)
-        m = self.n_taps - len(self.signal_taps)
-        if self.noise_energy is not None and m > 0:
-            quiet = np.ones(self.n_taps, dtype=bool)
-            quiet[self.signal_taps] = False
-            rng = rng_stream(self.seed, _STREAM_PIXEL_NOISE, self.realization,
-                             az_idx)
-            z = rng.standard_normal((self.grid.n_el, 2 * m)).view(complex)
-            norm = np.linalg.norm(z, axis=1)
-            col[:, quiet] = z * (np.sqrt(self.noise_energy[:, az_idx])
-                                 / norm)[:, None]
-        col[:, self.signal_taps] = self.signal[:, :, az_idx].T
-        return col
+    @cached_property
+    def _pixel_noise(self) -> tuple[np.random.Generator, dict]:
+        """Generator and start state of the pixel draws: pixel k = el_idx *
+        n_az + az_idx draws from that state advanced by k * 2^64 steps."""
+        rng = rng_stream(self.seed, _STREAM_PIXEL_NOISE, self.realization)
+        return rng, rng.bit_generator.state
+
+    def _fill(self, rows: np.ndarray, az_idx: int, out: np.ndarray) -> None:
+        """Write the taps of pixels (rows, az_idx) into out, complex with
+        shape (len(rows), n_taps) and contiguous rows."""
+        s = self.signal[rows, az_idx]
+        if self.along is None:
+            out[:] = 0.0
+            out[:, self.signal_taps] = s
+            return
+        rng, start = self._pixel_noise
+        g = out.view(float)
+        for r, i in enumerate(rows):
+            rng.bit_generator.state = start
+            rng.bit_generator.advance(int(i * self.grid.n_az + az_idx) << 64)
+            rng.standard_normal(out=g[r])
+        mu, _ = _scaled_rows(s.view(float))
+        mu[:, 0] += ~mu.any(axis=-1)    # s = 0: first signal tap's axis
+        mu /= np.sqrt(np.vecdot(mu, mu))[:, None]
+        # mu is zero off the signal taps, so only they lose a component
+        ortho = np.ascontiguousarray(out[:, self.signal_taps]).view(float)
+        ortho -= np.vecdot(ortho, mu)[:, None] * mu
+        out[:, self.signal_taps] = ortho.view(complex)
+        out *= (np.sqrt(self.across[rows, az_idx])
+                / np.sqrt(np.vecdot(g, g)))[:, None]
+        out[:, self.signal_taps] += (self.along[rows, az_idx][:, None]
+                                     * mu).view(complex)
 
     def pixel(self, el_idx: int, az_idx: int) -> CirSlice:
-        return CirSlice(self._column(az_idx)[el_idx], self.sample_rate_ghz)
+        taps = np.empty((1, self.n_taps), dtype=complex)
+        self._fill(np.array([range(self.grid.n_el)[el_idx]]),
+                   range(self.grid.n_az)[az_idx], taps)
+        return CirSlice(taps[0], self.sample_rate_ghz)
 
     @cached_property
     def data(self) -> np.ndarray:
         """Dense (n_el, n_az, n_taps) tensor, built on first access."""
         out = np.empty(self.grid.shape + (self.n_taps,), dtype=complex)
+        rows = np.arange(self.grid.n_el)
         for j in range(self.grid.n_az):
-            out[:, j, :] = self._column(j)
+            self._fill(rows, j, out[:, j])
         return out
 
 
@@ -349,10 +380,9 @@ def render_cir(clusters: list[RayCluster], config: SimConfig, seed: int,
     Each ray lands in the delay bin nearest its total delay with amplitude
     scaled by the square root of the beam power gain toward its direction.
     With snr_db set, every tap carries circular complex Gaussian noise, its
-    per-tap power snr_db below the strongest ray's squared amplitude, drawn
-    exactly on the taps that carry rays and as one Gamma(m, noise power)
-    energy per pixel for its m noise-only taps, all keyed by (seed,
-    realization).
+    per-tap power snr_db below the strongest ray's squared amplitude.  The
+    render draws two numbers of it per pixel from the (seed, realization)
+    noise stream; a read draws the rest (see LazyCirTensor).
     """
     grid = config.grid()
     az = grid.azimuths_deg
@@ -385,23 +415,21 @@ def render_cir(clusters: list[RayCluster], config: SimConfig, seed: int,
             peak_amp = max(peak_amp, ray.amplitude)
 
     signal_taps = sorted(taps)
-    signal = np.array([taps[k] for k in signal_taps], dtype=complex
-                      ).reshape((len(signal_taps),) + grid.shape)
+    signal = np.empty(grid.shape + (len(signal_taps),), dtype=complex)
+    for n, k in enumerate(signal_taps):
+        signal[..., n] = taps[k]
 
-    noise_energy = None
+    along = across = None
     if config.snr_db is not None and peak_amp > 0.0:
         rng = rng_stream(seed, _STREAM_NOISE, realization)
-        noise_power = peak_amp ** 2 * 10.0 ** (-config.snr_db / 10.0)
-        sigma = math.sqrt(noise_power / 2.0)
-        signal += sigma * (rng.standard_normal(signal.shape)
-                           + 1j * rng.standard_normal(signal.shape))
-        # |noise|^2 over m taps is sigma^2 chi^2(2m) = Gamma(m, 2 sigma^2)
-        m = config.n_taps - len(signal_taps)
-        noise_energy = (rng.gamma(m, noise_power, grid.shape) if m > 0
-                        else np.zeros(grid.shape))
+        sigma2 = peak_amp ** 2 * 10.0 ** (-config.snr_db / 10.0) / 2.0
+        scaled, exponent = _scaled_rows(signal.view(float))
+        along = (np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), exponent[..., 0])
+                 + math.sqrt(sigma2) * rng.standard_normal(grid.shape))
+        across = sigma2 * rng.chisquare(2 * config.n_taps - 1, grid.shape)
     return LazyCirTensor(grid, config.sample_rate_ghz, config.n_taps,
-                         np.array(signal_taps, dtype=int), signal,
-                         noise_energy, seed, realization)
+                         np.array(signal_taps, dtype=int), signal, along,
+                         across, seed, realization)
 
 
 def simulate_realization(config: SimConfig, seed: int, realization: int = 0

@@ -187,10 +187,10 @@ class AnnModel:
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized against overflow."""
-    z = np.asarray(z, dtype=float)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # column-major, so the row reductions run as whole-column operations
+    z = np.asfortranarray(z, dtype=float)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return np.ascontiguousarray(e / e.sum(axis=-1, keepdims=True))
 
 
 def ann_init(seed: int) -> AnnModel:
@@ -218,26 +218,38 @@ def _forward_batch(weights: tuple, x: np.ndarray):
     return a1, a2, a3
 
 
-def _loss_and_grads(weights: tuple, x: np.ndarray, y: np.ndarray):
+def _loss_and_grads(weights: tuple, x: np.ndarray, y: np.ndarray,
+                    out: tuple | None = None):
     """Mean squared error of the softmax outputs and its gradient with
-    respect to every weight, from one forward pass."""
+    respect to every weight, from one forward pass.  The gradients are
+    written into out, arrays shaped like weights, when it is given."""
     iw, b1, lw21, b2, lw32, b3 = weights
+    out = out or tuple(np.empty_like(w) for w in weights)
+    d_iw, d_b1, d_lw21, d_b2, d_lw32, d_b3 = out
     n = len(x)
     a1, a2, a3 = _forward_batch(weights, x)
-    loss = float(np.mean(np.sum((a3 - y) ** 2, axis=1)))
-    d_a3 = 2.0 * (a3 - y) / n
+    miss = a3 - y
+    loss = float(np.mean(np.sum(miss ** 2, axis=1)))
+    d_a3 = 2.0 * miss / n
     # softmax jacobian: dz = a * (da - sum_k a_k da_k)
     inner = np.sum(a3 * d_a3, axis=1, keepdims=True)
     d_z3 = a3 * (d_a3 - inner)
-    d_lw32 = d_z3.T @ a2
-    d_b3 = d_z3.sum(axis=0)
+    np.matmul(d_z3.T, a2, out=d_lw32)
+    d_z3.sum(axis=0, out=d_b3)
     d_z2 = (d_z3 @ lw32) * (1.0 - a2 ** 2)
-    d_lw21 = d_z2.T @ a1
-    d_b2 = d_z2.sum(axis=0)
+    np.matmul(d_z2.T, a1, out=d_lw21)
+    d_z2.sum(axis=0, out=d_b2)
     d_z1 = (d_z2 @ lw21) * (1.0 - a1 ** 2)
-    d_iw = d_z1.T @ x
-    d_b1 = d_z1.sum(axis=0)
-    return loss, (d_iw, d_b1, d_lw21, d_b2, d_lw32, d_b3)
+    np.matmul(d_z1.T, x, out=d_iw)
+    d_z1.sum(axis=0, out=d_b1)
+    return loss, out
+
+
+def _unflatten(flat: np.ndarray, shapes) -> tuple:
+    """Consecutive views of a flat buffer with the given shapes."""
+    cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    return tuple(v.reshape(shape)
+                 for v, shape in zip(np.split(flat, cuts), shapes))
 
 
 def _standardize(values: np.ndarray):
@@ -268,29 +280,30 @@ def ann_train(model: AnnModel, features: list,
     y = np.array([[1.0, 0.0] if f.label == LOS else [0.0, 1.0]
                   for f in features])
 
-    weights = tuple(w.copy() for w in model.weights())
+    # weights, gradients and the best weights each live in one flat buffer
+    shapes = [w.shape for w in model.weights()]
+    theta = np.concatenate([w.ravel() for w in model.weights()])
+    grad, best = np.empty_like(theta), theta.copy()
+    weights, grads = _unflatten(theta, shapes), _unflatten(grad, shapes)
     best_loss = math.inf
-    best = weights
     prev_loss = None
     for epoch in range(schedule.max_epochs):
-        loss, grads = _loss_and_grads(weights, x, y)
+        loss = _loss_and_grads(weights, x, y, out=grads)[0]
         if not math.isfinite(loss):
             raise TrainingError(f"loss became {loss} at epoch {epoch}")
         if loss < best_loss:
-            best_loss, best = loss, weights
+            best_loss, best[:] = loss, theta
         if prev_loss is not None and prev_loss - loss < schedule.loss_tolerance:
             break
         prev_loss = loss
-        weights = tuple(w - schedule.learning_rate * g
-                        for w, g in zip(weights, grads))
+        theta -= schedule.learning_rate * grad
     else:
-        loss = _loss_and_grads(weights, x, y)[0]
+        loss = _loss_and_grads(weights, x, y, out=grads)[0]
         if math.isfinite(loss) and loss < best_loss:
-            best_loss, best = loss, weights
+            best[:] = theta
 
-    iw, b1, lw21, b2, lw32, b3 = best
-    return AnnModel(iw=iw, b1=b1, lw21=lw21, b2=b2, lw32=lw32, b3=b3,
-                    feature_means=means, feature_scales=scales)
+    return AnnModel(*_unflatten(best, shapes), feature_means=means,
+                    feature_scales=scales)
 
 
 def ann_forward(model: AnnModel, fv: FeatureVector):

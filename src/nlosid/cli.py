@@ -5,6 +5,7 @@ unreadable file, 4 numerical failure.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -41,9 +42,12 @@ def _axis(text: str, name: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ConfigError(f"--{name} must look like start:stop:step")
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"--{name}: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"--{name} values must be finite")
+    return values
 
 
 def _grid_from_axes(az: str, el: str) -> AngularGrid:

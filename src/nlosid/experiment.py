@@ -217,14 +217,10 @@ def ingest_sweeps(sweeps: dict, grid: AngularGrid,
             raise DataFormatError(
                 f"sweep direction (az={az}, el={el}) is not a grid point")
         lookup[pixel] = payload
-    missing = []
-    for i in range(grid.n_el):
-        for j in range(grid.n_az):
-            if (i, j) not in lookup:
-                el, az = grid.angles_of(i, j)
-                missing.append((az, el))
+    missing = [grid.angles_of(*pixel) for pixel in np.ndindex(grid.shape)
+               if pixel not in lookup]
     if missing:
-        shown = ", ".join(f"(az={az:g}, el={el:g})" for az, el in missing[:8])
+        shown = ", ".join(f"(az={az:g}, el={el:g})" for el, az in missing[:8])
         more = f" and {len(missing) - 8} more" if len(missing) > 8 else ""
         raise DataFormatError(f"sweeps missing grid directions: {shown}{more}")
 
@@ -430,23 +426,14 @@ def _bootstrap_over(sample_ids: list, boot: BootstrapSpec, seed: int):
 
 
 def _average_tables(tables: list) -> dict:
-    out = {}
-    for name in METRIC_NAMES:
-        out[name] = {}
-        for key in ("los", "nlos"):
-            fields = {}
-            for field in ("gamma", "mu", "sigma", "cdf_rmse"):
-                fields[field] = float(np.mean(
-                    [t[name][key][field] for t in tables]))
-            out[name][key] = fields
-    return out
+    return {name: {key: {field: float(np.mean([t[name][key][field]
+                                               for t in tables]))
+                         for field in ("gamma", "mu", "sigma", "cdf_rmse")}
+                   for key in ("los", "nlos")}
+            for name in METRIC_NAMES}
 
 
 def _average_errors(errors: list) -> dict:
-    out = {}
-    for row in ERROR_TABLE_ROWS:
-        out[row] = {
-            "type_i": float(np.mean([e[row]["type_i"] for e in errors])),
-            "type_ii": float(np.mean([e[row]["type_ii"] for e in errors])),
-        }
-    return out
+    return {row: {kind: float(np.mean([e[row][kind] for e in errors]))
+                  for kind in ("type_i", "type_ii")}
+            for row in ERROR_TABLE_ROWS}

@@ -10,6 +10,7 @@ in (elevation, azimuth, tap) index order.
 import csv
 import io
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -77,10 +78,7 @@ def save_cir_tensor(cir: CirTensor, manifest_path) -> None:
         "dtype": "c64le",
         "data_file": bin_name,
     }
-    pairs = np.empty(cir.data.shape + (2,), dtype="<f4")
-    pairs[..., 0] = cir.data.real
-    pairs[..., 1] = cir.data.imag
-    pairs.tofile(manifest_path.with_name(bin_name))
+    cir.data.astype("<c8").tofile(manifest_path.with_name(bin_name))
     save_json(manifest_path, manifest)
 
 
@@ -109,9 +107,8 @@ def load_cir_tensor(manifest_path) -> CirTensor:
         raise DataFormatError(
             f"{bin_path}: holds {actual} bytes, expected {expected} for a "
             f"{grid.n_el}x{grid.n_az}x{n_taps} tensor")
-    pairs = np.fromfile(bin_path, dtype="<f4").reshape(
-        grid.n_el, grid.n_az, n_taps, 2)
-    data = pairs[..., 0].astype(np.complex128) + 1j * pairs[..., 1]
+    data = np.fromfile(bin_path, dtype="<c8").reshape(
+        grid.n_el, grid.n_az, n_taps).astype(complex)
     try:
         return CirTensor(grid, sample_rate, data)
     except ConfigError as exc:
@@ -291,28 +288,14 @@ def load_mlr_model(path) -> MlrModel:
 
 
 def ann_model_to_dict(model: AnnModel) -> dict:
-    return {
-        "format": "ann_model",
-        "iw": model.iw.tolist(), "b1": model.b1.tolist(),
-        "lw21": model.lw21.tolist(), "b2": model.b2.tolist(),
-        "lw32": model.lw32.tolist(), "b3": model.b3.tolist(),
-        "feature_means": model.feature_means.tolist(),
-        "feature_scales": model.feature_scales.tolist(),
-    }
+    return {"format": "ann_model",
+            **{f.name: getattr(model, f.name).tolist() for f in fields(model)}}
 
 
 def ann_model_from_dict(doc: dict) -> AnnModel:
     try:
-        return AnnModel(
-            iw=np.array(doc["iw"], dtype=float),
-            b1=np.array(doc["b1"], dtype=float),
-            lw21=np.array(doc["lw21"], dtype=float),
-            b2=np.array(doc["b2"], dtype=float),
-            lw32=np.array(doc["lw32"], dtype=float),
-            b3=np.array(doc["b3"], dtype=float),
-            feature_means=np.array(doc["feature_means"], dtype=float),
-            feature_scales=np.array(doc["feature_scales"], dtype=float),
-        )
+        return AnnModel(**{f.name: np.array(doc[f.name], dtype=float)
+                           for f in fields(AnnModel)})
     except KeyError as exc:
         raise DataFormatError(f"model document missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

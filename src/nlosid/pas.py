@@ -35,8 +35,11 @@ class AngularGrid:
     n_el: int
 
     def __post_init__(self):
-        if self.az_step_deg <= 0 or self.el_step_deg <= 0:
-            raise ConfigError("angular step sizes must be positive")
+        if not (np.isfinite([self.az_start_deg, self.el_start_deg]).all()
+                and 0.0 < self.az_step_deg <= 360.0
+                and 0.0 < self.el_step_deg <= 360.0):
+            raise ConfigError("angular grid needs finite starts and steps in "
+                              "(0, 360] degrees")
         if self.n_az < 1 or self.n_el < 1:
             raise ConfigError("grid needs at least one pixel per axis")
 
@@ -48,10 +51,10 @@ class AngularGrid:
         counts = []
         for axis, (lo, hi), step in (("azimuth", az_range_deg, az_step_deg),
                                      ("elevation", el_range_deg, el_step_deg)):
-            if step <= 0 or hi <= lo:
+            if not 0.0 < step <= 360.0 or hi <= lo:
                 raise ConfigError(
                     f"{axis} range ({lo}, {hi}) needs start < stop and a "
-                    f"positive step")
+                    f"step in (0, 360] degrees")
             n = int(round((hi - lo) / step)) + 1
             if abs(lo + (n - 1) * step - hi) > 1e-9 * step:
                 raise ConfigError(

@@ -1,6 +1,7 @@
 """Clustered channel generator and beam-swept renderer."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -314,21 +315,23 @@ def test_noiseless_render_equals_oracle_exactly():
                          rays=(Ray(0.0, 0.0, 0.3, 0.0, 0.0),))]
     noisy_cfg = small_sim(snr_db=20.0)
     cir = render_cir(silent, noisy_cfg, 7, 1)
-    assert cir.noise_energy is None
+    assert cir.along is None and cir.across is None
     assert not np.any(cir.data)
     assert np.array_equal(cir.data,
                           oracles.render_cir_oracle(silent, noisy_cfg, 7, 1))
 
 
 def test_render_with_every_tap_carrying_a_ray():
-    # 64 taps at 2 GHz, one ray per tap: no noise-only taps are left
+    # 64 taps at 2 GHz, one ray per tap: the signal direction spans the
+    # whole record
     cfg = small_sim(n_taps=64, snr_db=20.0)
     rays = tuple(Ray(k / 2.0, 0.5, 0.1 * k, 0.0, 0.0) for k in range(64))
     cluster = RayCluster(kind=NLOS, center_az_deg=0.0, center_el_deg=0.0,
                          base_delay_ns=0.0, rays=rays)
     cir = render_cir([cluster], cfg, 7, 0)
     assert len(cir.signal_taps) == 64
-    assert not np.any(cir.noise_energy)
+    assert cir.along.shape == cir.across.shape == cfg.grid().shape
+    assert np.all(cir.across > 0)
     assert np.all(np.isfinite(cir.data))
     np.testing.assert_allclose(compute_pas(cir).power,
                                compute_pas(_dense(cir)).power,
@@ -351,6 +354,52 @@ def test_noise_only_energy_follows_its_gamma_law():
         u.extend(stats.gamma.cdf(energy.ravel() / noise_power,
                                  int(quiet.sum())))
     assert stats.kstest(u, "uniform").pvalue >= 1e-3
+
+
+def test_pixel_energy_follows_its_noncentral_chi2_law():
+    """Energy of every pixel of the dense view, over 20 realizations,
+    against sigma^2 ncx2(2 n_taps, |s|^2 / sigma^2) with s the noiseless
+    oracle render, by KS tests at p >= 1e-3: over all pixels, and over the
+    pixels whose signal outweighs the noise, where the part of the noise
+    along s matters most."""
+    cfg = small_sim(snr_db=30.0)
+    u, strong = [], []
+    for realization in range(20):
+        clusters, _ = generate_channel(cfg, 303, realization)
+        cir = render_cir(clusters, cfg, 303, realization)
+        clean = oracles.render_cir_oracle(clusters, replace(cfg, snr_db=None),
+                                          303, realization)
+        peak = max(r.amplitude for c in clusters for r in c.rays)
+        sigma2 = peak ** 2 * 10.0 ** (-cfg.snr_db / 10.0) / 2.0
+        energy = np.sum(np.abs(cir.data) ** 2, axis=2)
+        nc = np.sum(np.abs(clean) ** 2, axis=2) / sigma2
+        cdf = stats.ncx2.cdf(energy / sigma2, 2 * cfg.n_taps, nc)
+        u.extend(cdf.ravel())
+        strong.extend(cdf[nc > 2 * cfg.n_taps])
+    assert len(strong) >= 100
+    for sample in (u, strong):
+        assert stats.kstest(sample, "uniform").pvalue >= 1e-3
+
+
+def test_subnormal_signal_pixels_keep_their_energy():
+    """A ray seen 80-116 degrees off its beam leaves pixels whose signal
+    energy, or signal itself, is subnormal.  Their taps still carry the
+    rendered energy and match the dense view."""
+    cfg = SimConfig(az_range_deg=(0.0, 120.0), el_range_deg=(0.0, 2.0),
+                    step_deg=1.0, sample_rate_ghz=2.0, n_taps=128,
+                    snr_db=20.0)
+    ray = RayCluster(kind=LOS, center_az_deg=0.3, center_el_deg=0.2,
+                     base_delay_ns=10.0, rays=(Ray(0.0, 1.0, 0.4, 0.0, 0.0),))
+    cir = render_cir([ray], cfg, 11, 0)
+    tiny = np.finfo(float).tiny
+    for value in (np.sum(np.abs(cir.signal) ** 2, axis=2),
+                  np.abs(cir.signal[..., 0])):
+        assert np.any((value > 0) & (value < tiny))
+    dense = cir.data
+    np.testing.assert_allclose(np.sum(np.abs(dense) ** 2, axis=2),
+                               cir.tap_energy(), rtol=1e-12, atol=0.0)
+    for i, j in np.ndindex(cfg.grid().shape):
+        assert cir.pixel(i, j).taps.tobytes() == dense[i, j].tobytes()
 
 
 def test_lazy_and_eager_noise_give_one_distribution():

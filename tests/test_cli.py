@@ -1,6 +1,7 @@
 """Command-line entry points and exit-code contract."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -350,6 +351,19 @@ MALFORMED_INPUTS = {
         {"c.json": {"metric": {"aggregation": "peak"}}}, _EXPERIMENT, 2,
         "unknown MetricConfig fields"),
     "config_not_utf8": ({"c.json": b"\xff\xfe{}"}, _EXPERIMENT, 3, "c.json"),
+    "tensor_step_nan": (
+        {**_TENSOR_FILES, "t.json": {
+            **_TENSOR, "grid": {**_TENSOR["grid"], "az_step_deg": math.nan}}},
+        _EXTRACT, 3, "steps in (0, 360]"),
+    "tensor_step_huge": (
+        {**_TENSOR_FILES, "t.json": {
+            **_TENSOR, "grid": {**_TENSOR["grid"], "az_step_deg": 1e308}}},
+        _EXTRACT, 3, "steps in (0, 360]"),
+    "sim_step_nan": ({"c.json": {"sim": {"step_deg": math.nan}}},
+                     ["--config", "c.json", "simulate"], 2, "(0, 360]"),
+    "ingest_axis_infinite": (
+        {}, ["ingest", "x.csv", "--az", "0:inf:2", "--el", "0:4:2"], 2,
+        "--az values must be finite"),
 }
 
 
