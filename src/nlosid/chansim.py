@@ -13,7 +13,7 @@ pixel keeps two numbers until its taps are read.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -61,19 +61,11 @@ class Ray:
     el_offset_deg: float
 
     def to_dict(self) -> dict:
-        return {
-            "delay_offset_ns": float(self.delay_offset_ns),
-            "amplitude": float(self.amplitude),
-            "phase_rad": float(self.phase_rad),
-            "az_offset_deg": float(self.az_offset_deg),
-            "el_offset_deg": float(self.el_offset_deg),
-        }
+        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Ray":
-        return cls(**{k: float(d[k]) for k in (
-            "delay_offset_ns", "amplitude", "phase_rad",
-            "az_offset_deg", "el_offset_deg")})
+        return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -145,8 +137,15 @@ class SimConfig(ConfigSection):
             raise ConfigError("decay_ns and ray_gap_mean_ns must be positive")
         if self.angular_jitter_deg < 0:
             raise ConfigError("angular_jitter_deg must be non-negative")
-        if self.snr_db is not None and not math.isfinite(self.snr_db):
-            raise ConfigError("snr_db must be finite or None")
+        if self.snr_db is not None:
+            try:
+                factor = self.noise_factor
+            except OverflowError:
+                factor = math.inf
+            if not (math.isfinite(self.snr_db) and math.isfinite(factor)):
+                raise ConfigError(
+                    f"snr_db must be None, or finite with a finite noise "
+                    f"factor 10 ** (-snr_db / 10); got {self.snr_db}")
         for name in ("az_range_deg", "el_range_deg"):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)) or len(value) != 2:
@@ -160,6 +159,11 @@ class SimConfig(ConfigSection):
         """The scan grid implied by the ranges and step."""
         return AngularGrid.from_ranges(self.az_range_deg, self.el_range_deg,
                                        self.step_deg, self.step_deg)
+
+    @property
+    def noise_factor(self) -> float:
+        """Per-tap noise power over the strongest ray's squared amplitude."""
+        return 10.0 ** (-self.snr_db / 10.0)
 
     @property
     def record_ns(self) -> float:
@@ -182,7 +186,6 @@ def generate_channel(config: SimConfig, seed: int,
             f"delays up to {_BASE_DELAY_HI_NS:.0f} ns; increase n_taps or "
             f"lower sample_rate_ghz")
     rng = rng_stream(seed, _STREAM_CHANNEL, realization)
-    (az_lo, az_hi), (el_lo, el_hi) = config.az_range_deg, config.el_range_deg
 
     n_nlos = 1 + rng.poisson(config.n_nlos_mean - 1.0)
     n_clusters = n_nlos + (1 if config.los_present else 0)
@@ -194,18 +197,17 @@ def generate_channel(config: SimConfig, seed: int,
 
     clusters: list[RayCluster] = []
     if config.los_present:
-        clusters.append(_draw_los_cluster(rng, config, bases[0], last_bin_ns,
-                                          az_lo, az_hi, el_lo, el_hi))
+        clusters.append(_draw_los_cluster(rng, config, bases[0], last_bin_ns))
         bases = bases[1:]
     for base in bases:
-        clusters.append(_draw_nlos_cluster(rng, config, float(base), last_bin_ns,
-                                           az_lo, az_hi, el_lo, el_hi))
+        clusters.append(_draw_nlos_cluster(rng, config, float(base),
+                                           last_bin_ns))
     return clusters, [c.kind for c in clusters]
 
 
-def _draw_los_cluster(rng, config, base, last_bin_ns, az_lo, az_hi, el_lo, el_hi):
-    center_az = rng.uniform(az_lo, az_hi)
-    center_el = rng.uniform(el_lo, el_hi)
+def _draw_los_cluster(rng, config, base, last_bin_ns):
+    center_az = rng.uniform(*config.az_range_deg)
+    center_el = rng.uniform(*config.el_range_deg)
     rays = [Ray(0.0, 1.0, rng.uniform(0.0, 2.0 * math.pi), 0.0, 0.0)]
     for _ in range(rng.integers(0, 3)):
         offset = rng.exponential(config.ray_gap_mean_ns)
@@ -223,9 +225,9 @@ def _draw_los_cluster(rng, config, base, last_bin_ns, az_lo, az_hi, el_lo, el_hi
     return RayCluster(LOS, center_az, center_el, float(base), tuple(rays))
 
 
-def _draw_nlos_cluster(rng, config, base, last_bin_ns, az_lo, az_hi, el_lo, el_hi):
-    center_az = rng.uniform(az_lo, az_hi)
-    center_el = rng.uniform(el_lo, el_hi)
+def _draw_nlos_cluster(rng, config, base, last_bin_ns):
+    center_az = rng.uniform(*config.az_range_deg)
+    center_el = rng.uniform(*config.el_range_deg)
     peak_amp = 10.0 ** (-rng.uniform(_NLOS_ATTEN_LO_DB, _NLOS_ATTEN_HI_DB) / 20.0)
     headroom = last_bin_ns - base
     for _ in range(_MAX_REDRAWS):
@@ -248,13 +250,9 @@ def _draw_nlos_cluster(rng, config, base, last_bin_ns, az_lo, az_hi, el_lo, el_h
     phases = rng.uniform(0.0, 2.0 * math.pi, n)
     az_jit = rng.normal(0.0, config.angular_jitter_deg, n)
     el_jit = rng.normal(0.0, config.angular_jitter_deg, n)
-    rays = tuple(Ray(
-        delay_offset_ns=float(offsets[i]),
-        amplitude=float(amps[i]),
-        phase_rad=float(phases[i]),
-        az_offset_deg=float(az_jit[i]),
-        el_offset_deg=float(el_jit[i]),
-    ) for i in range(n))
+    # Ray fields in order: delay offset, amplitude, phase, az and el offsets
+    rays = tuple(Ray(*map(float, ray))
+                 for ray in zip(offsets, amps, phases, az_jit, el_jit))
     return RayCluster(NLOS, center_az, center_el, base, rays)
 
 
@@ -422,7 +420,7 @@ def render_cir(clusters: list[RayCluster], config: SimConfig, seed: int,
     along = across = None
     if config.snr_db is not None and peak_amp > 0.0:
         rng = rng_stream(seed, _STREAM_NOISE, realization)
-        sigma2 = peak_amp ** 2 * 10.0 ** (-config.snr_db / 10.0) / 2.0
+        sigma2 = peak_amp ** 2 * config.noise_factor / 2.0
         scaled, exponent = _scaled_rows(signal.view(float))
         along = (np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), exponent[..., 0])
                  + math.sqrt(sigma2) * rng.standard_normal(grid.shape))

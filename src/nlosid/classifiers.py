@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .chansim import LOS, NLOS
 from .errors import ConfigError, ConfigSection, EvaluationError, TrainingError
@@ -30,6 +31,14 @@ N_INPUT = 5
 N_HIDDEN = 10
 N_OUTPUT = 2
 
+# the arrays an AnnModel holds, with their shapes
+ANN_ARRAYS = {
+    "iw": (N_HIDDEN, N_INPUT), "b1": (N_HIDDEN,),
+    "lw21": (N_HIDDEN, N_HIDDEN), "b2": (N_HIDDEN,),
+    "lw32": (N_OUTPUT, N_HIDDEN), "b3": (N_OUTPUT,),
+    "feature_means": (N_INPUT,), "feature_scales": (N_INPUT,),
+}
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -40,14 +49,11 @@ class Verdict:
 
 @dataclass(frozen=True)
 class TrainSchedule(ConfigSection):
-    learning_rate: float = 0.05
-    max_epochs: int = 5000
+    max_epochs: int = 5000         # L-BFGS-B iteration cap
     loss_tolerance: float = 1e-8   # stop once loss improves by less than this
 
     def __post_init__(self):
         self._check_integers()
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be non-negative")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be positive")
         if self.loss_tolerance < 0:
@@ -121,34 +127,49 @@ def _validated_subset(metrics) -> tuple:
     return tuple(n for n in METRIC_NAMES if n in subset)
 
 
-def mlr_classify(model: MlrModel, fv: FeatureVector,
-                 metrics=None) -> Verdict:
+def _table(features) -> tuple[np.ndarray, bool]:
+    """(n, 5) metric array of one feature vector or a sequence of them,
+    and whether a single vector was given."""
+    if isinstance(features, FeatureVector):
+        return features.values()[None, :], True
+    return np.array([f.values() for f in features]).reshape(-1, N_INPUT), False
+
+
+def mlr_classify(model: MlrModel, features, metrics=None):
     """Sum of per-metric log density ratios; LOS wins at a non-negative sum.
+
+    features is one FeatureVector, giving one Verdict, or a sequence of
+    them, giving a list of Verdicts scored as whole columns: one density
+    evaluation per metric and class.
 
     A metric value outside one class's support contributes the floored log
     density for that side and raises the support_violation flag.  A value
     outside both supports is unlike either hypothesis, which resolves to an
-    immediate NLOS verdict with score -inf.
+    NLOS verdict with score -inf.
     """
     names = _validated_subset(metrics)
     missing = set(names) - set(model.tables)
     if missing:
         raise ConfigError(f"model has no tables for: {sorted(missing)}")
-    score = 0.0
-    violation = False
+    x, single = _table(features)
+    score = np.zeros(len(x))
+    violation = np.zeros(len(x), dtype=bool)
+    unlike_both = np.zeros(len(x), dtype=bool)
     for name in names:
-        x = fv.metric(name)
-        f_los = gev_pdf(x, model.params(name, LOS))
-        f_nlos = gev_pdf(x, model.params(name, NLOS))
-        if f_los == 0.0 and f_nlos == 0.0:
-            return Verdict(decision=NLOS, score=-math.inf,
-                           support_violation=True)
-        violation = violation or f_los == 0.0 or f_nlos == 0.0
-        log_los = math.log(f_los) if f_los > 0.0 else LOG_DENSITY_FLOOR
-        log_nlos = math.log(f_nlos) if f_nlos > 0.0 else LOG_DENSITY_FLOOR
-        score += log_los - log_nlos
-    decision = LOS if score >= 0.0 else NLOS
-    return Verdict(decision=decision, score=score, support_violation=violation)
+        column = x[:, METRIC_NAMES.index(name)]
+        f_los = gev_pdf(column, model.params(name, LOS))
+        f_nlos = gev_pdf(column, model.params(name, NLOS))
+        los_zero, nlos_zero = f_los == 0.0, f_nlos == 0.0
+        unlike_both |= los_zero & nlos_zero
+        violation |= los_zero | nlos_zero
+        with np.errstate(divide="ignore"):
+            score += (np.where(los_zero, LOG_DENSITY_FLOOR, np.log(f_los))
+                      - np.where(nlos_zero, LOG_DENSITY_FLOOR, np.log(f_nlos)))
+    score[unlike_both] = -math.inf
+    verdicts = [Verdict(decision=LOS if s >= 0.0 else NLOS, score=float(s),
+                        support_violation=bool(v))
+                for s, v in zip(score, violation)]
+    return verdicts[0] if single else verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +188,10 @@ class AnnModel:
     b3: np.ndarray             # (2,)
     feature_means: np.ndarray  # (5,)
     feature_scales: np.ndarray  # (5,)
+    training: dict | None = None   # how ann_train stopped; not saved
 
     def __post_init__(self):
-        expected = {
-            "iw": (N_HIDDEN, N_INPUT), "b1": (N_HIDDEN,),
-            "lw21": (N_HIDDEN, N_HIDDEN), "b2": (N_HIDDEN,),
-            "lw32": (N_OUTPUT, N_HIDDEN), "b3": (N_OUTPUT,),
-            "feature_means": (N_INPUT,), "feature_scales": (N_INPUT,),
-        }
-        for name, shape in expected.items():
+        for name, shape in ANN_ARRAYS.items():
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ConfigError(
@@ -187,10 +203,8 @@ class AnnModel:
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized against overflow."""
-    # column-major, so the row reductions run as whole-column operations
-    z = np.asfortranarray(z, dtype=float)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return np.ascontiguousarray(e / e.sum(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def ann_init(seed: int) -> AnnModel:
@@ -218,31 +232,24 @@ def _forward_batch(weights: tuple, x: np.ndarray):
     return a1, a2, a3
 
 
-def _loss_and_grads(weights: tuple, x: np.ndarray, y: np.ndarray,
-                    out: tuple | None = None):
+def _loss_and_grads(weights: tuple, x: np.ndarray, y: np.ndarray):
     """Mean squared error of the softmax outputs and its gradient with
-    respect to every weight, from one forward pass.  The gradients are
-    written into out, arrays shaped like weights, when it is given."""
+    respect to every weight, from one forward pass."""
     iw, b1, lw21, b2, lw32, b3 = weights
-    out = out or tuple(np.empty_like(w) for w in weights)
-    d_iw, d_b1, d_lw21, d_b2, d_lw32, d_b3 = out
-    n = len(x)
     a1, a2, a3 = _forward_batch(weights, x)
     miss = a3 - y
     loss = float(np.mean(np.sum(miss ** 2, axis=1)))
-    d_a3 = 2.0 * miss / n
+    d_a3 = 2.0 * miss / len(x)
     # softmax jacobian: dz = a * (da - sum_k a_k da_k)
-    inner = np.sum(a3 * d_a3, axis=1, keepdims=True)
-    d_z3 = a3 * (d_a3 - inner)
-    np.matmul(d_z3.T, a2, out=d_lw32)
-    d_z3.sum(axis=0, out=d_b3)
+    d_z3 = a3 * (d_a3 - np.sum(a3 * d_a3, axis=1, keepdims=True))
     d_z2 = (d_z3 @ lw32) * (1.0 - a2 ** 2)
-    np.matmul(d_z2.T, a1, out=d_lw21)
-    d_z2.sum(axis=0, out=d_b2)
     d_z1 = (d_z2 @ lw21) * (1.0 - a1 ** 2)
-    np.matmul(d_z1.T, x, out=d_iw)
-    d_z1.sum(axis=0, out=d_b1)
-    return loss, out
+    return loss, (d_z1.T @ x, d_z1.sum(axis=0), d_z2.T @ a1,
+                  d_z2.sum(axis=0), d_z3.T @ a2, d_z3.sum(axis=0))
+
+
+def _flatten(arrays) -> np.ndarray:
+    return np.concatenate([a.ravel() for a in arrays])
 
 
 def _unflatten(flat: np.ndarray, shapes) -> tuple:
@@ -261,49 +268,47 @@ def _standardize(values: np.ndarray):
 
 def ann_train(model: AnnModel, features: list,
               schedule: TrainSchedule = TrainSchedule()) -> AnnModel:
-    """Full-batch gradient descent on the mean squared error of the softmax
-    outputs against one-hot targets (LOS -> [1, 0]).
+    """L-BFGS-B on the mean squared error of the softmax outputs against
+    one-hot targets (LOS -> [1, 0]).
 
     Features are standardized to zero mean and unit deviation computed from
     this training set; the statistics are stored on the returned model.
-    Training stops at the epoch cap or once the loss stops improving, and
-    the lowest-loss weights seen are returned, so the final training loss
-    never exceeds the initial one.
+    max_epochs caps the optimizer's iterations and loss_tolerance is its
+    ftol.  The lowest-loss weights seen are returned, so the final training
+    loss never exceeds the initial one.  The returned model's training
+    field holds the iteration count, whether a tolerance was met, the
+    optimizer's stop message and that loss.
     """
     los, nlos = _split_by_label(features)
     if len(los) < 2 or len(nlos) < 2:
         raise TrainingError(
             f"need at least 2 samples per class, got {len(los)} LOS "
             f"and {len(nlos)} NLOS")
-    raw = np.array([f.values() for f in features])
-    x, means, scales = _standardize(raw)
+    x, means, scales = _standardize(_table(features)[0])
     y = np.array([[1.0, 0.0] if f.label == LOS else [0.0, 1.0]
                   for f in features])
 
-    # weights, gradients and the best weights each live in one flat buffer
+    # the optimizer works on one flat vector of every weight
     shapes = [w.shape for w in model.weights()]
-    theta = np.concatenate([w.ravel() for w in model.weights()])
-    grad, best = np.empty_like(theta), theta.copy()
-    weights, grads = _unflatten(theta, shapes), _unflatten(grad, shapes)
-    best_loss = math.inf
-    prev_loss = None
-    for epoch in range(schedule.max_epochs):
-        loss = _loss_and_grads(weights, x, y, out=grads)[0]
-        if not math.isfinite(loss):
-            raise TrainingError(f"loss became {loss} at epoch {epoch}")
-        if loss < best_loss:
-            best_loss, best[:] = loss, theta
-        if prev_loss is not None and prev_loss - loss < schedule.loss_tolerance:
-            break
-        prev_loss = loss
-        theta -= schedule.learning_rate * grad
-    else:
-        loss = _loss_and_grads(weights, x, y, out=grads)[0]
-        if math.isfinite(loss) and loss < best_loss:
-            best[:] = theta
+    best = {"loss": math.inf}
 
-    return AnnModel(*_unflatten(best, shapes), feature_means=means,
-                    feature_scales=scales)
+    def loss_and_grad(theta):
+        loss, grads = _loss_and_grads(_unflatten(theta, shapes), x, y)
+        if not math.isfinite(loss):
+            raise TrainingError(f"training loss became {loss}")
+        if loss < best["loss"]:
+            best.update(loss=loss, theta=theta.copy())
+        return loss, _flatten(grads)
+
+    result = minimize(loss_and_grad, _flatten(model.weights()), jac=True,
+                      method="L-BFGS-B",
+                      options={"maxiter": schedule.max_epochs,
+                               "ftol": schedule.loss_tolerance})
+    training = {"iterations": int(result.nit),
+                "converged": bool(result.success),
+                "stop": str(result.message), "loss": best["loss"]}
+    return AnnModel(*_unflatten(best["theta"], shapes), feature_means=means,
+                    feature_scales=scales, training=training)
 
 
 def ann_forward(model: AnnModel, fv: FeatureVector):
@@ -314,12 +319,18 @@ def ann_forward(model: AnnModel, fv: FeatureVector):
     return a3[0], (a1[0], a2[0])
 
 
-def ann_classify(model: AnnModel, fv: FeatureVector) -> Verdict:
+def ann_classify(model: AnnModel, features):
     """LOS exactly when the LOS output probability is at least 0.5, so a
-    tied output keeps the line-of-sight hypothesis."""
-    a3, _ = ann_forward(model, fv)
-    score = float(a3[0])
-    return Verdict(decision=LOS if score >= 0.5 else NLOS, score=score)
+    tied output keeps the line-of-sight hypothesis.
+
+    features is one FeatureVector, giving one Verdict, or a sequence of
+    them, giving a list of Verdicts from one batched forward pass."""
+    x, single = _table(features)
+    a3 = _forward_batch(model.weights(),
+                        (x - model.feature_means) / model.feature_scales)[2]
+    verdicts = [Verdict(decision=LOS if p >= 0.5 else NLOS, score=float(p))
+                for p in a3[:, 0]]
+    return verdicts[0] if single else verdicts
 
 
 def error_rates(decisions: list, truths: list) -> tuple[float, float]:

@@ -126,13 +126,13 @@ def _run_classify(args) -> int:
     if kind == "mlr_model":
         model = load_mlr_model(args.model)
         subset = args.metrics.split(",") if args.metrics else None
-        verdicts = [mlr_classify(model, fv, metrics=subset)
-                    for _, fv in rows]
+        verdicts = mlr_classify(model, [fv for _, fv in rows],
+                                metrics=subset)
     elif kind == "ann_model":
         if args.metrics:
             raise ConfigError("--metrics only applies to the ratio test")
         model = load_ann_model(args.model)
-        verdicts = [ann_classify(model, fv) for _, fv in rows]
+        verdicts = ann_classify(model, [fv for _, fv in rows])
     else:
         raise DataFormatError(
             f"{args.model}: expected an mlr_model or ann_model document, "

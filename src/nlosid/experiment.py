@@ -207,16 +207,22 @@ def ingest_sweeps(sweeps: dict, grid: AngularGrid,
 
     sweeps maps (az_deg, el_deg) to (freqs_ghz, complex values).  Every
     grid direction must be present and all directions must share one
-    frequency axis.
+    frequency axis, and no two sweeps may name one direction (such as
+    azimuths -180 and 180 on a full-circle grid).
     """
-    lookup = {}
-    for (az, el), payload in sweeps.items():
+    owners = {}               # pixel -> the sweep key that names it
+    for az, el in sweeps:
         pixel = grid.nearest_pixel(el, az)
         pel, paz = grid.angles_of(*pixel)
         if abs(pel - el) > 1e-6 or abs(wrap_angle_deg(paz - az)) > 1e-6:
             raise DataFormatError(
                 f"sweep direction (az={az}, el={el}) is not a grid point")
-        lookup[pixel] = payload
+        if pixel in owners:
+            raise DataFormatError(
+                "sweep directions (az={:g}, el={:g}) and (az={:g}, el={:g}) "
+                "are one grid direction".format(*owners[pixel], az, el))
+        owners[pixel] = (az, el)
+    lookup = {pixel: sweeps[key] for pixel, key in owners.items()}
     missing = [grid.angles_of(*pixel) for pixel in np.ndindex(grid.shape)
                if pixel not in lookup]
     if missing:
@@ -266,18 +272,14 @@ def _fit_gev_table(train_rows: list):
 
 def _evaluate(mlr_model, ann_model, test_rows: list) -> dict:
     truths = [f.label for f in test_rows]
+    verdicts = {name: mlr_classify(mlr_model, test_rows, metrics=(name,))
+                for name in METRIC_NAMES}
+    verdicts["joint_mlr"] = mlr_classify(mlr_model, test_rows)
+    verdicts["ann"] = ann_classify(ann_model, test_rows)
     table = {}
-    for name in METRIC_NAMES:
-        verdicts = [mlr_classify(mlr_model, f, metrics=(name,))
-                    for f in test_rows]
-        t1, t2 = error_rates(verdicts, truths)
-        table[name] = {"type_i": t1, "type_ii": t2}
-    joint = [mlr_classify(mlr_model, f) for f in test_rows]
-    t1, t2 = error_rates(joint, truths)
-    table["joint_mlr"] = {"type_i": t1, "type_ii": t2}
-    ann = [ann_classify(ann_model, f) for f in test_rows]
-    t1, t2 = error_rates(ann, truths)
-    table["ann"] = {"type_i": t1, "type_ii": t2}
+    for row, decided in verdicts.items():
+        t1, t2 = error_rates(decided, truths)
+        table[row] = {"type_i": t1, "type_ii": t2}
     return table
 
 
@@ -369,7 +371,8 @@ def _run_simulated(config: ExperimentConfig, out: Path) -> dict:
         },
         "gev_table": gev_table,
         "error_table": error_table,
-        "diagnostics": {"per_realization": diags},
+        "diagnostics": {"network_training": ann_model.training,
+                        "per_realization": diags},
         "curves": {"files": curves},
     }
 
@@ -400,7 +403,8 @@ def _run_measured(config: ExperimentConfig, out: Path) -> dict:
         repeat_tables.append(gev_table)
         repeat_errors.append(_evaluate(mlr_model, ann_model, test_rows))
         diags.append({"repeat": r, "train_rows": len(train_rows),
-                      "test_rows": len(test_rows)})
+                      "test_rows": len(test_rows),
+                      "network_training": ann_model.training})
 
     return {
         "format": "report",

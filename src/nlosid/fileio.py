@@ -10,13 +10,12 @@ in (elevation, azimuth, tap) index order.
 import csv
 import io
 import json
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .chansim import RayCluster
-from .classifiers import AnnModel, MlrModel
+from .classifiers import ANN_ARRAYS, AnnModel, MlrModel
 from .errors import ConfigError, DataFormatError
 from .gevstats import GevParams
 from .metrics import METRIC_NAMES, FeatureVector
@@ -54,6 +53,23 @@ def load_json(path) -> dict:
             f"{path}: top level must be a JSON object, found "
             f"{type(doc).__name__}")
     return doc
+
+
+def _read_csv(path) -> tuple[list, list]:
+    """A CSV file's stripped header fields, and (location, stripped fields)
+    for each non-blank line after it; the location names the file, line
+    and byte offset for error messages."""
+    lines = _read_text(path).splitlines()
+    if not lines:
+        raise DataFormatError(f"{path}: file is empty")
+    records = []
+    offset = len(lines[0]) + 1
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line.strip():
+            records.append((f"{path}: line {lineno} (byte {offset})",
+                            [p.strip() for p in line.split(",")]))
+        offset += len(line) + 1
+    return [h.strip() for h in lines[0].split(",")], records
 
 
 def _expect_format(doc: dict, expected: str, path) -> None:
@@ -135,30 +151,21 @@ def save_pas_json(pas: PasMap, path) -> None:
 def load_sweep_csv(path) -> dict:
     """Parse a sweep file into {(az_deg, el_deg): (freqs_ghz, complex values)}
     with each direction's rows sorted by frequency."""
-    lines = _read_text(path).splitlines()
-    if not lines:
-        raise DataFormatError(f"{path}: file is empty")
-    header = [h.strip() for h in lines[0].split(",")]
+    header, records = _read_csv(path)
     if header != _SWEEP_HEADER:
         raise DataFormatError(
             f"{path}: header must be {','.join(_SWEEP_HEADER)}, "
-            f"got {lines[0]!r}")
+            f"got {','.join(header)!r}")
     per_direction: dict = {}
-    offset = len(lines[0]) + 1
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.strip():
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise DataFormatError(
-                    f"{path}: line {lineno} (byte {offset}): expected 5 "
-                    f"fields, got {len(parts)}")
-            try:
-                az, el, freq, re, im = (float(p) for p in parts)
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"{path}: line {lineno} (byte {offset}): {exc}") from exc
-            per_direction.setdefault((az, el), []).append((freq, re, im))
-        offset += len(line) + 1
+    for where, parts in records:
+        if len(parts) != 5:
+            raise DataFormatError(
+                f"{where}: expected 5 fields, got {len(parts)}")
+        try:
+            az, el, freq, re, im = (float(p) for p in parts)
+        except ValueError as exc:
+            raise DataFormatError(f"{where}: {exc}") from exc
+        per_direction.setdefault((az, el), []).append((freq, re, im))
     out = {}
     for key in sorted(per_direction):
         rows = sorted(per_direction[key])
@@ -192,10 +199,7 @@ def save_features(path, rows) -> None:
 
 def load_features(path) -> list:
     """Returns a list of (realization | None, FeatureVector)."""
-    lines = _read_text(path).splitlines()
-    if not lines:
-        raise DataFormatError(f"{path}: file is empty")
-    header = [h.strip() for h in lines[0].split(",")]
+    header, records = _read_csv(path)
     if header == ["realization"] + _FEATURE_HEADER:
         with_realization = True
     elif header == _FEATURE_HEADER:
@@ -203,27 +207,20 @@ def load_features(path) -> list:
     else:
         raise DataFormatError(
             f"{path}: header must be {','.join(_FEATURE_HEADER)} with an "
-            f"optional leading realization column, got {lines[0]!r}")
+            f"optional leading realization column, got {','.join(header)!r}")
     out = []
-    offset = len(lines[0]) + 1
-    expected = len(header)
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.strip():
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != expected:
-                raise DataFormatError(
-                    f"{path}: line {lineno} (byte {offset}): expected "
-                    f"{expected} fields, got {len(parts)}")
-            try:
-                realization = int(parts[0]) if with_realization else None
-                vals = [float(p) for p in
-                        (parts[1:6] if with_realization else parts[0:5])]
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"{path}: line {lineno} (byte {offset}): {exc}") from exc
-            label = parts[-1] or None
-            out.append((realization, FeatureVector(*vals, label=label)))
-        offset += len(line) + 1
+    for where, parts in records:
+        if len(parts) != len(header):
+            raise DataFormatError(
+                f"{where}: expected {len(header)} fields, got {len(parts)}")
+        try:
+            realization = int(parts[0]) if with_realization else None
+            vals = [float(p) for p in
+                    (parts[1:6] if with_realization else parts[0:5])]
+        except ValueError as exc:
+            raise DataFormatError(f"{where}: {exc}") from exc
+        out.append((realization,
+                    FeatureVector(*vals, label=parts[-1] or None)))
     return out
 
 
@@ -289,13 +286,13 @@ def load_mlr_model(path) -> MlrModel:
 
 def ann_model_to_dict(model: AnnModel) -> dict:
     return {"format": "ann_model",
-            **{f.name: getattr(model, f.name).tolist() for f in fields(model)}}
+            **{name: getattr(model, name).tolist() for name in ANN_ARRAYS}}
 
 
 def ann_model_from_dict(doc: dict) -> AnnModel:
     try:
-        return AnnModel(**{f.name: np.array(doc[f.name], dtype=float)
-                           for f in fields(AnnModel)})
+        return AnnModel(**{name: np.array(doc[name], dtype=float)
+                           for name in ANN_ARRAYS})
     except KeyError as exc:
         raise DataFormatError(f"model document missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

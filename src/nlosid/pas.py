@@ -47,7 +47,9 @@ class AngularGrid:
     def from_ranges(cls, az_range_deg, el_range_deg, az_step_deg: float,
                     el_step_deg: float) -> "AngularGrid":
         """Grid whose axes run from start to stop inclusive; each
-        (start, stop) range must span a whole number of steps."""
+        (start, stop) range must span a whole number of steps.  An azimuth
+        range of exactly 360 degrees is half-open, since its stop is its
+        start again."""
         counts = []
         for axis, (lo, hi), step in (("azimuth", az_range_deg, az_step_deg),
                                      ("elevation", el_range_deg, el_step_deg)):
@@ -60,6 +62,8 @@ class AngularGrid:
                 raise ConfigError(
                     f"{axis} range ({lo}, {hi}) is not a whole number of "
                     f"{step} degree steps")
+            if axis == "azimuth" and abs(hi - lo - 360.0) <= 1e-9 * step:
+                n -= 1
             counts.append(n)
         return cls(az_start_deg=az_range_deg[0], az_step_deg=az_step_deg,
                    n_az=counts[0], el_start_deg=el_range_deg[0],

@@ -17,7 +17,7 @@ degrees, so clusters may straddle the +-180 degree seam.
 """
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
@@ -248,23 +248,8 @@ def label_clusters_with_truth(clusters: list[Cluster],
     """
     los = next((c for c in truth if c.kind == LOS), None)
     if los is None:
-        labelled = [_with_truth(c, NLOS) for c in clusters]
-        return labelled, None
+        return [replace(c, truth=NLOS) for c in clusters], None
     los_pixel = grid.nearest_pixel(los.center_el_deg, los.center_az_deg)
-    found = False
-    labelled = []
-    for c in clusters:
-        if los_pixel in c.pixels:
-            labelled.append(_with_truth(c, LOS))
-            found = True
-        else:
-            labelled.append(_with_truth(c, NLOS))
-    return labelled, found
-
-
-def _with_truth(cluster: Cluster, truth: str) -> Cluster:
-    return Cluster(id=cluster.id, pixels=cluster.pixels,
-                   peak_pixel=cluster.peak_pixel,
-                   centroid_el_deg=cluster.centroid_el_deg,
-                   centroid_az_deg=cluster.centroid_az_deg,
-                   total_power=cluster.total_power, truth=truth)
+    labelled = [replace(c, truth=LOS if los_pixel in c.pixels else NLOS)
+                for c in clusters]
+    return labelled, any(c.truth == LOS for c in labelled)

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from nlosid.chansim import _STREAM_NOISE, rng_stream
+from nlosid.gevstats import gev_pdf
 from nlosid.pas import wrap_angle_deg
 
 
@@ -133,3 +134,33 @@ def render_cir_oracle(clusters, config, seed, realization=0) -> np.ndarray:
         data += sigma * (rng.standard_normal(data.shape)
                          + 1j * rng.standard_normal(data.shape))
     return data
+
+
+def ratio_score_oracle(model, fv, names, floor):
+    """(score, support violation) of one row, one scalar density at a time:
+    -inf at the first metric outside both supports, else the sum of log
+    density ratios with floor standing in for a zero density."""
+    score, violation = 0.0, False
+    for name in names:
+        x = fv.metric(name)
+        f_los, f_nlos = (gev_pdf(x, params) for params in model.tables[name])
+        if f_los == 0.0 and f_nlos == 0.0:
+            return -math.inf, True
+        violation = violation or f_los == 0.0 or f_nlos == 0.0
+        score += ((math.log(f_los) if f_los > 0.0 else floor)
+                  - (math.log(f_nlos) if f_nlos > 0.0 else floor))
+    return score, violation
+
+
+def network_score_oracle(model, fv) -> float:
+    """LOS softmax output of one row through plain-Python tanh layers."""
+    a = [(v - m) / s for v, m, s in zip(fv.values(), model.feature_means,
+                                        model.feature_scales)]
+    for w, b in ((model.iw, model.b1), (model.lw21, model.b2)):
+        a = [math.tanh(math.fsum(wi * ai for wi, ai in zip(row, a)) + bj)
+             for row, bj in zip(w, b)]
+    z = [math.fsum(wi * ai for wi, ai in zip(row, a)) + bj
+         for row, bj in zip(model.lw32, model.b3)]
+    top = max(z)
+    e = [math.exp(v - top) for v in z]
+    return e[0] / (e[0] + e[1])

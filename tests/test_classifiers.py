@@ -1,9 +1,11 @@
 """Likelihood-ratio test and feed-forward network classifiers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from nlosid import (LOS, NLOS, AnnModel, ConfigError, EvaluationError,
                     GevParams, MlrModel, TrainSchedule, TrainingError,
@@ -13,6 +15,7 @@ from nlosid.classifiers import (LOG_DENSITY_FLOOR, _loss_and_grads,
                                 _forward_batch)
 from nlosid.metrics import METRIC_NAMES
 
+import oracles
 from conftest import make_fv, separable_features
 
 
@@ -131,6 +134,63 @@ def test_mlr_train_separates_engineered_classes():
     assert wrong == 0
 
 
+_gev = st.builds(GevParams,
+                 gamma=st.one_of(st.just(0.0), st.floats(-0.9, 0.9)),
+                 mu=st.floats(-2.0, 2.0), sigma=st.floats(0.05, 3.0))
+
+
+# without the explain phase, which traces every line and takes minutes to
+# report a failure here
+_PHASES = (Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink)
+
+
+@settings(max_examples=60, deadline=None, phases=_PHASES)
+@given(pairs=st.lists(st.tuples(_gev, _gev, st.booleans()),
+                      min_size=5, max_size=5),
+       subset=st.one_of(st.none(), st.sets(st.sampled_from(METRIC_NAMES),
+                                           min_size=1)),
+       all_tied=st.booleans(),
+       values=st.lists(st.lists(st.floats(-12.0, 12.0), min_size=5,
+                                max_size=5), max_size=12))
+def test_ratio_test_table_matches_rows(pairs, subset, all_tied, values):
+    # a tied pair makes that metric's ratio exactly zero
+    model = MlrModel({name: (los, los if tied or all_tied else nlos)
+                      for name, (los, nlos, tied) in zip(METRIC_NAMES, pairs)})
+    rows = [make_fv(*v) for v in values]
+    names = [n for n in METRIC_NAMES if subset is None or n in subset]
+    table = mlr_classify(model, rows, metrics=subset)
+    assert len(table) == len(rows)
+    for fv, verdict in zip(rows, table):
+        score, violation = oracles.ratio_score_oracle(model, fv, names,
+                                                      LOG_DENSITY_FLOOR)
+        row = mlr_classify(model, fv, metrics=subset)
+        assert verdict.decision == row.decision \
+            == (LOS if score >= 0.0 else NLOS)
+        assert verdict.support_violation == row.support_violation == violation
+        if math.isinf(score):
+            assert verdict.score == score
+        else:
+            assert verdict.score == pytest.approx(score, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None, phases=_PHASES)
+@given(seed=st.integers(0, 2 ** 32 - 1), zero=st.booleans(),
+       values=st.lists(st.lists(st.floats(-50.0, 50.0), min_size=5,
+                                max_size=5), max_size=12))
+def test_network_table_matches_rows(seed, zero, values):
+    # the zero network ties every row at 0.5, which keeps LOS
+    model = zero_model() if zero else ann_init(seed)
+    rows = [make_fv(*v) for v in values]
+    table = ann_classify(model, rows)
+    assert len(table) == len(rows)
+    for fv, verdict in zip(rows, table):
+        score = oracles.network_score_oracle(model, fv)
+        assert verdict.decision == ann_classify(model, fv).decision
+        assert verdict.decision == (LOS if score >= 0.5 else NLOS)
+        assert not verdict.support_violation
+        assert verdict.score == pytest.approx(score, rel=1e-12, abs=0.0)
+
+
 def test_model_validation():
     with pytest.raises(ConfigError):
         MlrModel({})
@@ -241,16 +301,12 @@ def test_training_loss_never_increases_on_best_weights():
         init.weights(), x, y)[0] + 1e-12
 
 
-def test_zero_learning_rate_keeps_weights():
+def test_standardization_reflects_the_data():
     feats = separable_features(n_per_class=10)
-    init = ann_init(6)
-    out = ann_train(init, feats, TrainSchedule(learning_rate=0.0,
-                                               max_epochs=50))
-    for a, b in zip(init.weights(), out.weights()):
-        assert np.array_equal(a, b)
-    # standardization reflects the data even when no step is taken
+    out = ann_train(ann_init(6), feats, TrainSchedule(max_epochs=50))
     raw = np.array([f.values() for f in feats])
     assert np.allclose(out.feature_means, raw.mean(axis=0))
+    assert np.allclose(out.feature_scales, raw.std(axis=0))
 
 
 def test_training_is_deterministic():
@@ -276,6 +332,12 @@ def test_consistent_feature_rescaling_keeps_decisions():
             ann_classify(moved, g).score, abs=1e-9)
 
 
+def test_non_finite_training_loss_raises():
+    broken = replace(ann_init(0), iw=np.full((10, 5), np.nan))
+    with pytest.raises(TrainingError, match="training loss became nan"):
+        ann_train(broken, separable_features(n_per_class=5))
+
+
 def test_ann_train_class_floor():
     feats = separable_features(n_per_class=5)
     los_only = [f for f in feats if f.label == LOS]
@@ -286,15 +348,13 @@ def test_ann_train_class_floor():
 
 def test_schedule_validation_and_round_trip():
     with pytest.raises(ConfigError):
-        TrainSchedule(learning_rate=-0.1)
-    with pytest.raises(ConfigError):
         TrainSchedule(max_epochs=0)
     with pytest.raises(ConfigError):
         TrainSchedule(loss_tolerance=-1e-9)
-    s = TrainSchedule(learning_rate=0.01, max_epochs=10, loss_tolerance=1e-6)
+    s = TrainSchedule(max_epochs=10, loss_tolerance=1e-6)
     assert TrainSchedule.from_dict(s.to_dict()) == s
-    with pytest.raises(ConfigError):
-        TrainSchedule.from_dict({"learning_rate": 0.1, "momentum": 0.9})
+    with pytest.raises(ConfigError, match="unknown TrainSchedule fields"):
+        TrainSchedule.from_dict({"learning_rate": 0.1})
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@ def workspace(tmp_path_factory):
         "sim": small_sim(snr_db=60.0).to_dict(),
         "seg": {"foreground_threshold_db": 10.0, "min_pixels": 2,
                 "marker_min_separation": 1.0, "smoothing_radius": 1},
-        "schedule": {"learning_rate": 0.05, "max_epochs": 200,
-                     "loss_tolerance": 1e-8},
+        "schedule": {"max_epochs": 200, "loss_tolerance": 1e-8},
         "n_realizations": 3, "n_train": 1, "n_test": 1, "seed": 11,
     }
     cfg_path = ws / "config.json"
@@ -157,8 +156,7 @@ def test_experiment_and_report_commands(workspace, tmp_path, capsys):
         "mode": "measured",
         "features_csv": str(features_csv),
         "bootstrap": {"n_train": 24, "n_test": 12, "repeats": 3},
-        "schedule": {"learning_rate": 0.05, "max_epochs": 150,
-                     "loss_tolerance": 1e-8},
+        "schedule": {"max_epochs": 150, "loss_tolerance": 1e-8},
         "seed": 5,
     }
     cfg_path = tmp_path / "measured.json"
@@ -347,6 +345,11 @@ MALFORMED_INPUTS = {
                          "unknown SimConfig fields"),
     "gate_taps_removed": ({"c.json": {"metric": {"gate_taps": False}}},
                           _EXPERIMENT, 2, "unknown MetricConfig fields"),
+    "learning_rate_removed": (
+        {"c.json": {"schedule": {"learning_rate": 0.05}}}, _EXPERIMENT, 2,
+        "unknown TrainSchedule fields"),
+    "snr_overflow": ({"c.json": {"sim": {"snr_db": -3100}}},
+                     ["--config", "c.json", "simulate"], 2, "snr_db"),
     "aggregation_removed": (
         {"c.json": {"metric": {"aggregation": "peak"}}}, _EXPERIMENT, 2,
         "unknown MetricConfig fields"),

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlosid import (CfrSlice, CirSlice, CirTensor, ConfigError,
+from nlosid import (AngularGrid, CfrSlice, CirSlice, CirTensor, ConfigError,
                     DataFormatError, ExperimentConfig, MetricConfig,
                     SegParams, TrainSchedule, cfr_from_cir, cmd_extract,
                     cmd_simulate, extract_realization, ingest_sweeps,
@@ -262,6 +262,22 @@ def test_ingest_rejects_bad_geometry(rng):
     skewed[(2.0, 0.0)] = (freqs + 0.01, vals)
     with pytest.raises(DataFormatError, match="different\n?.*frequency axis|frequency axis"):
         ingest_sweeps(skewed, grid)
+
+
+def test_ingest_on_a_full_circle_grid():
+    grid = AngularGrid.from_ranges((-180.0, 180.0), (0.0, 5.0), 5.0, 5.0)
+    freqs = np.arange(16) / 8.0
+    sweeps = {}
+    for i, j in np.ndindex(grid.shape):
+        el, az = grid.angles_of(i, j)
+        sweeps[(az, el)] = (freqs, np.full(16, 1.0 + i + j, dtype=complex))
+    cir = ingest_sweeps(sweeps, grid)
+    assert cir.data.shape[:2] == (2, 72)
+    # the 180 degree sweep is the -180 column again, and is refused
+    sweeps[(180.0, 5.0)] = (freqs, np.ones(16, dtype=complex))
+    with pytest.raises(DataFormatError,
+                       match=r"\(az=-180, el=5\) and \(az=180, el=5\)"):
+        ingest_sweeps(sweeps, grid)
 
 
 def test_ingest_lists_a_sample_of_missing_directions():

@@ -51,6 +51,17 @@ def test_grid_wraps_only_on_full_circle():
     assert not partial.wraps_azimuth
 
 
+def test_full_circle_range_drops_the_repeated_seam_column():
+    full = AngularGrid.from_ranges((-180.0, 180.0), (0.0, 10.0), 5.0, 5.0)
+    assert full.n_az == 72 and full.n_el == 3
+    assert full.azimuths_deg[-1] == 175.0 and full.wraps_azimuth
+    assert AngularGrid.from_ranges((0.0, 360.0), (0.0, 10.0), 7.2,
+                                   5.0).n_az == 50
+    # a range short of the full circle keeps its stop column
+    assert AngularGrid.from_ranges((-180.0, 175.0), (0.0, 10.0), 5.0,
+                                   5.0).n_az == 72
+
+
 def test_nearest_pixel_clamps_on_partial_grids():
     g = flat_grid(n_el=5, n_az=7, step=2.0, az_start=0.0, el_start=0.0)
     assert g.nearest_pixel(4.0, 6.0) == (2, 3)
