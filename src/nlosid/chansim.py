@@ -13,12 +13,12 @@ pixel keeps two numbers until its taps are read.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ConfigSection, DataFormatError, RenderError
+from .errors import ConfigError, DataFormatError, Record, RenderError
 from .pas import AngularGrid, CirSlice, wrap_angle_deg
 
 LOS = "LOS"
@@ -53,23 +53,20 @@ def rng_stream(master_seed: int, tag: int, *index: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class Ray:
+class Ray(Record):
+    error = DataFormatError
+
     delay_offset_ns: float    # relative to the cluster base delay, >= 0
     amplitude: float          # linear magnitude
     phase_rad: float
     az_offset_deg: float      # relative to the cluster centre
     el_offset_deg: float
 
-    def to_dict(self) -> dict:
-        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Ray":
-        return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
-
 
 @dataclass(frozen=True)
-class RayCluster:
+class RayCluster(Record):
+    error = DataFormatError
+
     kind: str                 # LOS or NLOS
     center_az_deg: float
     center_el_deg: float
@@ -77,36 +74,13 @@ class RayCluster:
     rays: tuple[Ray, ...]
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in (LOS, NLOS):
             raise ConfigError(f"unknown cluster kind {self.kind!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "center_az_deg": float(self.center_az_deg),
-            "center_el_deg": float(self.center_el_deg),
-            "base_delay_ns": float(self.base_delay_ns),
-            "rays": [r.to_dict() for r in self.rays],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RayCluster":
-        try:
-            return cls(
-                kind=str(d["kind"]),
-                center_az_deg=float(d["center_az_deg"]),
-                center_el_deg=float(d["center_el_deg"]),
-                base_delay_ns=float(d["base_delay_ns"]),
-                rays=tuple(Ray.from_dict(r) for r in d["rays"]),
-            )
-        except KeyError as exc:
-            raise DataFormatError(f"cluster record missing field {exc}") from exc
-        except (ConfigError, OverflowError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"bad cluster record: {exc}") from exc
-
 
 @dataclass(frozen=True)
-class SimConfig(ConfigSection):
+class SimConfig(Record):
     """Everything needed to reproduce a simulated sounding campaign."""
 
     az_range_deg: tuple[float, float] = (-180.0, 180.0)
@@ -124,7 +98,7 @@ class SimConfig(ConfigSection):
     los_present: bool = True
 
     def __post_init__(self):
-        self._check_integers()
+        super().__post_init__()
         if self.hpbw_az_deg <= 0 or self.hpbw_el_deg <= 0:
             raise ConfigError("beamwidths must be positive")
         if self.sample_rate_ghz <= 0:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .chansim import LOS, NLOS
-from .errors import ConfigError, ConfigSection, EvaluationError, TrainingError
+from .errors import ConfigError, EvaluationError, Record, TrainingError
 from .gevstats import GevParams, gev_fit_mle, gev_pdf
 from .metrics import METRIC_NAMES, FeatureVector
 
@@ -48,12 +48,12 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class TrainSchedule(ConfigSection):
+class TrainSchedule(Record):
     max_epochs: int = 5000         # L-BFGS-B iteration cap
     loss_tolerance: float = 1e-8   # stop once loss improves by less than this
 
     def __post_init__(self):
-        self._check_integers()
+        super().__post_init__()
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be positive")
         if self.loss_tolerance < 0:

@@ -10,24 +10,19 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .classifiers import (ann_classify, ann_init, ann_train, error_rates,
-                          mlr_classify)
+from .classifiers import MlrModel, ann_classify, error_rates, mlr_classify
 from .errors import ConfigError, DataFormatError, NumericalError
-from .experiment import (ExperimentConfig, _fit_gev_table, _training_seed,
-                         cmd_extract, cmd_simulate, ingest_sweeps,
-                         inputs_from_manifest, run_experiment)
-from .fileio import (load_ann_model, load_features, load_json, load_mlr_model,
-                     load_sweep_csv, save_ann_model, save_cir_tensor,
-                     save_json, save_mlr_model, save_verdicts)
+from .experiment import (ExperimentConfig, cmd_extract, cmd_simulate,
+                         fit_gev_table, ingest_sweeps, inputs_from_manifest,
+                         run_experiment, train_models)
+from .fileio import (load_features, load_json, load_model, load_sweep_csv,
+                     save_cir_tensor, save_json, save_model, save_verdicts)
 from .pas import AngularGrid
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config is not None:
-        doc = load_json(args.config)
-        config = ExperimentConfig.from_dict(doc)
-    else:
-        config = ExperimentConfig()
+    config = (ExperimentConfig() if args.config is None
+              else ExperimentConfig.from_dict(load_json(args.config)))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     return config
@@ -98,7 +93,7 @@ def _run_extract(args) -> int:
 
 def _run_fit(args) -> int:
     rows = [fv for _, fv in load_features(args.features)]
-    _, table = _fit_gev_table(rows)
+    _, table = fit_gev_table(rows)
     out = _out_path(args, "gev_table.json")
     save_json(out, {"format": "gev_table", "metrics": table})
     print(f"wrote per-class distribution table to {out}")
@@ -108,35 +103,26 @@ def _run_fit(args) -> int:
 def _run_train(args) -> int:
     config = _load_config(args)
     rows = [fv for _, fv in load_features(args.features)]
-    mlr_model, _ = _fit_gev_table(rows)
-    ann_model = ann_train(ann_init(_training_seed(config.seed, 0)), rows,
-                          config.schedule)
+    mlr_model, _, ann_model = train_models(rows, config)
     out_dir = _out_path(args, "out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_mlr_model(out_dir / "mlr_model.json", mlr_model)
-    save_ann_model(out_dir / "ann_model.json", ann_model)
+    save_model(out_dir / "mlr_model.json", mlr_model)
+    save_model(out_dir / "ann_model.json", ann_model)
     print(f"wrote mlr_model.json and ann_model.json under {out_dir}")
     return 0
 
 
 def _run_classify(args) -> int:
-    doc = load_json(args.model)
-    kind = doc.get("format")
+    model = load_model(args.model)
     rows = load_features(args.features)
-    if kind == "mlr_model":
-        model = load_mlr_model(args.model)
+    if isinstance(model, MlrModel):
         subset = args.metrics.split(",") if args.metrics else None
         verdicts = mlr_classify(model, [fv for _, fv in rows],
                                 metrics=subset)
-    elif kind == "ann_model":
-        if args.metrics:
-            raise ConfigError("--metrics only applies to the ratio test")
-        model = load_ann_model(args.model)
-        verdicts = ann_classify(model, [fv for _, fv in rows])
+    elif args.metrics:
+        raise ConfigError("--metrics only applies to the ratio test")
     else:
-        raise DataFormatError(
-            f"{args.model}: expected an mlr_model or ann_model document, "
-            f"found {kind!r}")
+        verdicts = ann_classify(model, [fv for _, fv in rows])
     out = _out_path(args, "verdicts.csv")
     save_verdicts(out, [(r, v, fv.label) for (r, fv), v in zip(rows, verdicts)])
     labelled = [(v, fv.label) for (_, fv), v in zip(rows, verdicts)

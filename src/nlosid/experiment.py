@@ -22,11 +22,11 @@ from .chansim import (LOS, NLOS, STREAM_TRAINING, SimConfig,
                       simulate_realization)
 from .classifiers import (TrainSchedule, ann_classify, ann_init, ann_train,
                           error_rates, mlr_classify, mlr_train)
-from .errors import (ConfigError, ConfigSection, DataFormatError,
-                     DegenerateInputError)
+from .errors import (ConfigError, DataFormatError, DegenerateInputError,
+                     Record)
 from .fileio import (load_cir_tensor, load_features, load_json, load_truth,
-                     save_ann_model, save_cir_tensor, save_features,
-                     save_json, save_mlr_model, save_pas_json, save_truth)
+                     save_cir_tensor, save_features, save_json, save_model,
+                     save_pas_json, save_truth)
 from .gevstats import bootstrap_split, cdf_rmse, gev_cdf, gev_pdf
 from .metrics import METRIC_NAMES, MetricConfig, cluster_features
 from .pas import (AngularGrid, CfrSlice, CirTensor, compute_pas, cir_from_cfr,
@@ -40,19 +40,19 @@ _CURVE_BINS = 30
 
 
 @dataclass(frozen=True)
-class BootstrapSpec(ConfigSection):
+class BootstrapSpec(Record):
     n_train: int = 30
     n_test: int = 20
     repeats: int = 10
 
     def __post_init__(self):
-        self._check_integers()
+        super().__post_init__()
         if self.n_train < 1 or self.n_test < 1 or self.repeats < 1:
             raise ConfigError("bootstrap sizes and repeats must be positive")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig(ConfigSection):
+class ExperimentConfig(Record):
     mode: str = "simulate"                 # "simulate" or "measured"
     sim: SimConfig = SimConfig()
     seg: SegParams = SegParams(min_pixels=2, marker_min_separation=1.0)
@@ -66,7 +66,7 @@ class ExperimentConfig(ConfigSection):
     features_csv: str | None = None        # measured-mode input table
 
     def __post_init__(self):
-        self._check_integers()
+        super().__post_init__()
         if self.mode not in ("simulate", "measured"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.seed < 0:
@@ -117,6 +117,32 @@ def extract_realization(cir: CirTensor, truth, seg: SegParams,
     return rows, diag
 
 
+def extract_all(realizations, seg: SegParams, metric: MetricConfig):
+    """extract_realization over (index, tensor, truth | None) triples.
+
+    Returns (rows, log): rows pair realization indices with feature
+    vectors; the log holds each realization's diagnostics, the total of
+    skipped clusters, and the realizations whose direct path was missed.
+    """
+    rows, diags = [], []
+    for index, cir, truth in realizations:
+        features, diag = extract_realization(cir, truth, seg, metric)
+        rows.extend((index, fv) for fv in features)
+        diags.append({"index": index, **diag})
+    skipped = sum(d["skipped_clusters"] for d in diags)
+    missed = [d["index"] for d in diags if d["los_recovered"] is False]
+    return rows, {"realizations": diags, "skipped_clusters": skipped,
+                  "los_missed": missed}
+
+
+def simulated_realizations(config: ExperimentConfig):
+    """(index, lazy tensor, generating clusters) for every realization of
+    the configured campaign, drawn one at a time."""
+    for i in range(config.n_realizations):
+        clusters, _, cir = simulate_realization(config.sim, config.seed, i)
+        yield i, cir, clusters
+
+
 # ---------------------------------------------------------------------------
 # staged commands
 
@@ -131,14 +157,9 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    for i in range(config.n_realizations):
-        clusters, _, cir = simulate_realization(config.sim, config.seed, i)
-        names = {
-            "index": i,
-            "cir": f"real_{i:04d}.json",
-            "pas": f"pas_{i:04d}.json",
-            "truth": f"truth_{i:04d}.json",
-        }
+    for i, cir, clusters in simulated_realizations(config):
+        names = {"index": i, "cir": f"real_{i:04d}.json",
+                 "pas": f"pas_{i:04d}.json", "truth": f"truth_{i:04d}.json"}
         save_cir_tensor(cir, out / names["cir"])
         save_pas_json(compute_pas(cir), out / names["pas"])
         save_truth(out / names["truth"], clusters)
@@ -181,21 +202,12 @@ def inputs_from_manifest(manifest_path) -> list:
 
 def cmd_extract(inputs: list, seg: SegParams, metric: MetricConfig,
                 out_csv=None):
-    """Run segmentation and metric extraction over (index, cir_path,
-    truth_path) triples.  Returns (rows, log) where rows pair realization
-    indices with feature vectors."""
-    rows = []
-    log = {"realizations": [], "skipped_clusters": 0, "los_missed": []}
-    for index, cir_path, truth_path in inputs:
-        cir = load_cir_tensor(cir_path)
-        truth = load_truth(truth_path) if truth_path is not None else None
-        features, diag = extract_realization(cir, truth, seg, metric)
-        rows.extend((index, fv) for fv in features)
-        diag = {"index": index, **diag}
-        log["realizations"].append(diag)
-        log["skipped_clusters"] += diag["skipped_clusters"]
-        if diag["los_recovered"] is False:
-            log["los_missed"].append(index)
+    """extract_all over the files of (index, cir_path, truth_path | None)
+    triples, writing the feature rows to out_csv when given."""
+    rows, log = extract_all(
+        ((index, load_cir_tensor(cir_path),
+          None if truth_path is None else load_truth(truth_path))
+         for index, cir_path, truth_path in inputs), seg, metric)
     if out_csv is not None:
         save_features(out_csv, rows)
     return rows, log
@@ -253,7 +265,7 @@ def ingest_sweeps(sweeps: dict, grid: AngularGrid,
 # model fitting and evaluation shared by both protocols
 
 
-def _fit_gev_table(train_rows: list):
+def fit_gev_table(train_rows: list):
     """Fit the ratio-test model and tabulate its per-metric, per-class
     parameters with cdf fit quality.  Returns (model, table)."""
     model = mlr_train(train_rows)
@@ -270,17 +282,23 @@ def _fit_gev_table(train_rows: list):
     return model, table
 
 
+def train_models(rows: list, config: ExperimentConfig, repeat: int = 0):
+    """Both decision rules trained on labelled rows, the network seeded by
+    the repeat.  Returns (ratio-test model, its GEV table, network)."""
+    mlr_model, gev_table = fit_gev_table(rows)
+    ann_model = ann_train(ann_init(_training_seed(config.seed, repeat)), rows,
+                          config.schedule)
+    return mlr_model, gev_table, ann_model
+
+
 def _evaluate(mlr_model, ann_model, test_rows: list) -> dict:
     truths = [f.label for f in test_rows]
     verdicts = {name: mlr_classify(mlr_model, test_rows, metrics=(name,))
                 for name in METRIC_NAMES}
     verdicts["joint_mlr"] = mlr_classify(mlr_model, test_rows)
     verdicts["ann"] = ann_classify(ann_model, test_rows)
-    table = {}
-    for row, decided in verdicts.items():
-        t1, t2 = error_rates(decided, truths)
-        table[row] = {"type_i": t1, "type_ii": t2}
-    return table
+    return {row: dict(zip(("type_i", "type_ii"), error_rates(decided, truths)))
+            for row, decided in verdicts.items()}
 
 
 def _write_curves(out_dir: Path, train_rows: list, mlr_model) -> list:
@@ -335,24 +353,15 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
 
 
 def _run_simulated(config: ExperimentConfig, out: Path) -> dict:
-    rows = []
-    diags = []
-    for i in range(config.n_realizations):
-        clusters, _, cir = simulate_realization(config.sim, config.seed, i)
-        features, diag = extract_realization(cir, clusters, config.seg,
-                                             config.metric)
-        rows.extend((i, fv) for fv in features)
-        diags.append({"index": i, **diag})
-
+    rows, log = extract_all(simulated_realizations(config), config.seg,
+                            config.metric)
     save_features(out / "features.csv", rows)
     train_rows = [fv for i, fv in rows if i < config.n_train]
     test_rows = [fv for i, fv in rows
                  if config.n_train <= i < config.n_train + config.n_test]
-    mlr_model, gev_table = _fit_gev_table(train_rows)
-    ann_model = ann_train(ann_init(_training_seed(config.seed, 0)),
-                          train_rows, config.schedule)
-    save_mlr_model(out / "mlr_model.json", mlr_model)
-    save_ann_model(out / "ann_model.json", ann_model)
+    mlr_model, gev_table, ann_model = train_models(train_rows, config)
+    save_model(out / "mlr_model.json", mlr_model)
+    save_model(out / "ann_model.json", ann_model)
     error_table = _evaluate(mlr_model, ann_model, test_rows)
     curves = _write_curves(out, train_rows, mlr_model)
 
@@ -365,14 +374,13 @@ def _run_simulated(config: ExperimentConfig, out: Path) -> dict:
             "feature_rows": len(rows),
             "train_rows": len(train_rows),
             "test_rows": len(test_rows),
-            "skipped_clusters": sum(d["skipped_clusters"] for d in diags),
-            "los_missed": [d["index"] for d in diags
-                           if d["los_recovered"] is False],
+            "skipped_clusters": log["skipped_clusters"],
+            "los_missed": log["los_missed"],
         },
         "gev_table": gev_table,
         "error_table": error_table,
         "diagnostics": {"network_training": ann_model.training,
-                        "per_realization": diags},
+                        "per_realization": log["realizations"]},
         "curves": {"files": curves},
     }
 
@@ -389,17 +397,14 @@ def _run_measured(config: ExperimentConfig, out: Path) -> dict:
         samples.setdefault(key, []).append(fv)
     sample_ids = sorted(samples)
     boot = config.bootstrap
-    splits = list(_bootstrap_over(sample_ids, boot, config.seed))
+    splits = bootstrap_split(len(sample_ids), boot.n_train, boot.n_test,
+                             boot.repeats, config.seed)
 
-    repeat_tables = []
-    repeat_errors = []
-    diags = []
-    for r, (train_ids, test_ids) in enumerate(splits):
-        train_rows = [fv for sid in train_ids for fv in samples[sid]]
-        test_rows = [fv for sid in test_ids for fv in samples[sid]]
-        mlr_model, gev_table = _fit_gev_table(train_rows)
-        ann_model = ann_train(ann_init(_training_seed(config.seed, r)),
-                              train_rows, config.schedule)
+    repeat_tables, repeat_errors, diags = [], [], []
+    for r, (train_idx, test_idx) in enumerate(splits):
+        train_rows = [fv for k in train_idx for fv in samples[sample_ids[k]]]
+        test_rows = [fv for k in test_idx for fv in samples[sample_ids[k]]]
+        mlr_model, gev_table, ann_model = train_models(train_rows, config, r)
         repeat_tables.append(gev_table)
         repeat_errors.append(_evaluate(mlr_model, ann_model, test_rows))
         diags.append({"repeat": r, "train_rows": len(train_rows),
@@ -415,29 +420,15 @@ def _run_measured(config: ExperimentConfig, out: Path) -> dict:
             "feature_rows": len(loaded),
             "repeats": boot.repeats,
         },
-        "gev_table": _average_tables(repeat_tables),
-        "error_table": _average_errors(repeat_errors),
+        "gev_table": _average(repeat_tables),
+        "error_table": _average(repeat_errors),
         "diagnostics": {"per_repeat": diags},
         "curves": {"files": []},
     }
 
 
-def _bootstrap_over(sample_ids: list, boot: BootstrapSpec, seed: int):
-    ids = np.array(sample_ids)
-    for train_idx, test_idx in bootstrap_split(
-            len(ids), boot.n_train, boot.n_test, boot.repeats, seed):
-        yield ids[train_idx].tolist(), ids[test_idx].tolist()
-
-
-def _average_tables(tables: list) -> dict:
-    return {name: {key: {field: float(np.mean([t[name][key][field]
-                                               for t in tables]))
-                         for field in ("gamma", "mu", "sigma", "cdf_rmse")}
-                   for key in ("los", "nlos")}
-            for name in METRIC_NAMES}
-
-
-def _average_errors(errors: list) -> dict:
-    return {row: {kind: float(np.mean([e[row][kind] for e in errors]))
-                  for kind in ("type_i", "type_ii")}
-            for row in ERROR_TABLE_ROWS}
+def _average(docs: list):
+    """Entry-by-entry mean of nested dicts that share one layout."""
+    if isinstance(docs[0], dict):
+        return {key: _average([d[key] for d in docs]) for key in docs[0]}
+    return float(np.mean(docs))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chansim import RayCluster
 from .classifiers import ANN_ARRAYS, AnnModel, MlrModel
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, NlosIdError
 from .gevstats import GevParams
 from .metrics import METRIC_NAMES, FeatureVector
 from .pas import AngularGrid, CirTensor, PasMap
@@ -251,37 +251,22 @@ def load_truth(path) -> list:
 
 
 def mlr_model_to_dict(model: MlrModel) -> dict:
-    return {
-        "format": "mlr_model",
-        "tables": {
-            name: {"los": pair[0].to_dict(), "nlos": pair[1].to_dict()}
-            for name, pair in model.tables.items()
-        },
-    }
+    return {"format": "mlr_model",
+            "tables": {name: {"los": los.to_dict(), "nlos": nlos.to_dict()}
+                       for name, (los, nlos) in model.tables.items()}}
 
 
 def mlr_model_from_dict(doc: dict) -> MlrModel:
     try:
-        tables = {
+        return MlrModel({
             name: (GevParams.from_dict(entry["los"]),
                    GevParams.from_dict(entry["nlos"]))
             for name, entry in doc["tables"].items()
-        }
+        })
     except KeyError as exc:
         raise DataFormatError(f"model document missing field {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (NlosIdError, AttributeError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad model document: {exc}") from exc
-    return MlrModel(tables)
-
-
-def save_mlr_model(path, model: MlrModel) -> None:
-    save_json(path, mlr_model_to_dict(model))
-
-
-def load_mlr_model(path) -> MlrModel:
-    doc = load_json(path)
-    _expect_format(doc, "mlr_model", path)
-    return mlr_model_from_dict(doc)
 
 
 def ann_model_to_dict(model: AnnModel) -> dict:
@@ -295,18 +280,27 @@ def ann_model_from_dict(doc: dict) -> AnnModel:
                            for name in ANN_ARRAYS})
     except KeyError as exc:
         raise DataFormatError(f"model document missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (NlosIdError, OverflowError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad model document: {exc}") from exc
 
 
-def save_ann_model(path, model: AnnModel) -> None:
-    save_json(path, ann_model_to_dict(model))
+def save_model(path, model) -> None:
+    """Write an MlrModel or an AnnModel as its JSON document."""
+    to_dict = (mlr_model_to_dict if isinstance(model, MlrModel)
+               else ann_model_to_dict)
+    save_json(path, to_dict(model))
 
 
-def load_ann_model(path) -> AnnModel:
+def load_model(path):
+    """Read a model document with the reader its format names."""
     doc = load_json(path)
-    _expect_format(doc, "ann_model", path)
-    return ann_model_from_dict(doc)
+    kind = doc.get("format")
+    if kind == "mlr_model":
+        return mlr_model_from_dict(doc)
+    if kind == "ann_model":
+        return ann_model_from_dict(doc)
+    raise DataFormatError(f"{path}: expected an mlr_model or ann_model "
+                          f"document, found {kind!r}")
 
 
 # ---------------------------------------------------------------------------

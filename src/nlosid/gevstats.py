@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gamma as gamma_fn
 
-from .errors import ConfigError, FitError
+from .errors import ConfigError, DataFormatError, FitError, Record
 
 GUMBEL_SHAPE_EPS = 1e-9
 
@@ -35,12 +35,15 @@ _FIT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class GevParams:
+class GevParams(Record):
+    error = DataFormatError
+
     gamma: float     # shape
     mu: float        # location
     sigma: float     # scale, > 0
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ConfigError(
                 f"scale must be positive and finite, got {self.sigma}")
@@ -55,14 +58,6 @@ class GevParams:
         if self.gamma > 0:
             return (edge, math.inf)
         return (-math.inf, edge)
-
-    def to_dict(self) -> dict:
-        return {"gamma": self.gamma, "mu": self.mu, "sigma": self.sigma}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GevParams":
-        return cls(gamma=float(d["gamma"]), mu=float(d["mu"]),
-                   sigma=float(d["sigma"]))
 
 
 def _as_array(x):

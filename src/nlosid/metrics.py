@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConfigSection, DegenerateInputError
+from .errors import ConfigError, DegenerateInputError, Record
 from .pas import CfrSlice, CirSlice, CirTensor, PasMap, cfr_from_cir
 from .segmentation import Cluster
 
@@ -61,10 +61,11 @@ class FeatureVector:
 
 
 @dataclass(frozen=True)
-class MetricConfig(ConfigSection):
+class MetricConfig(Record):
     r_p_mode: str = "kurtosis"     # "kurtosis" or "covariance"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.r_p_mode not in ("kurtosis", "covariance"):
             raise ConfigError(f"unknown r_p_mode {self.r_p_mode!r}")
 

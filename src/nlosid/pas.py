@@ -12,10 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, DegenerateInputError
+from .errors import ConfigError, DataFormatError, DegenerateInputError, Record
 
 # relative tolerance for "is this frequency axis uniform"
 _UNIFORM_RTOL = 1e-6
+# an azimuth span this wide closes the circle
+_FULL_TURN_DEG = 360.0 - 1e-9
 
 
 def wrap_angle_deg(a):
@@ -24,8 +26,11 @@ def wrap_angle_deg(a):
 
 
 @dataclass(frozen=True)
-class AngularGrid:
-    """Rectangular scan grid over (elevation, azimuth)."""
+class AngularGrid(Record):
+    """Rectangular scan grid over (elevation, azimuth).  Its azimuth axis
+    spans less than one turn, so no two columns name one direction."""
+
+    error = DataFormatError
 
     az_start_deg: float
     az_step_deg: float
@@ -35,6 +40,7 @@ class AngularGrid:
     n_el: int
 
     def __post_init__(self):
+        super().__post_init__()
         if not (np.isfinite([self.az_start_deg, self.el_start_deg]).all()
                 and 0.0 < self.az_step_deg <= 360.0
                 and 0.0 < self.el_step_deg <= 360.0):
@@ -42,6 +48,12 @@ class AngularGrid:
                               "(0, 360] degrees")
         if self.n_az < 1 or self.n_el < 1:
             raise ConfigError("grid needs at least one pixel per axis")
+        span = (self.n_az - 1) * self.az_step_deg
+        if span >= _FULL_TURN_DEG:
+            raise ConfigError(
+                f"azimuth axis of {self.n_az} columns {self.az_step_deg:g} "
+                f"degrees apart spans {span:g} degrees; it must stay under "
+                f"one turn")
 
     @classmethod
     def from_ranges(cls, az_range_deg, el_range_deg, az_step_deg: float,
@@ -85,7 +97,7 @@ class AngularGrid:
     def wraps_azimuth(self) -> bool:
         """True when the azimuth axis covers the full circle, so the first
         and last columns are angular neighbours."""
-        return self.n_az * self.az_step_deg >= 360.0 - 1e-9
+        return self.n_az * self.az_step_deg >= _FULL_TURN_DEG
 
     def angles_of(self, el_idx: int, az_idx: int) -> tuple[float, float]:
         return (self.el_start_deg + self.el_step_deg * el_idx,
@@ -116,32 +128,6 @@ class AngularGrid:
             return az, 0.0
         ref = self.azimuths_deg[ref_az_idx]
         return wrap_angle_deg(az - ref), ref
-
-    def to_dict(self) -> dict:
-        return {
-            "az_start_deg": float(self.az_start_deg),
-            "az_step_deg": float(self.az_step_deg),
-            "n_az": int(self.n_az),
-            "el_start_deg": float(self.el_start_deg),
-            "el_step_deg": float(self.el_step_deg),
-            "n_el": int(self.n_el),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AngularGrid":
-        try:
-            return cls(
-                az_start_deg=float(d["az_start_deg"]),
-                az_step_deg=float(d["az_step_deg"]),
-                n_az=int(d["n_az"]),
-                el_start_deg=float(d["el_start_deg"]),
-                el_step_deg=float(d["el_step_deg"]),
-                n_el=int(d["n_el"]),
-            )
-        except KeyError as exc:
-            raise DataFormatError(f"grid description missing field {exc}") from exc
-        except (ConfigError, OverflowError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"bad grid description: {exc}") from exc
 
 
 @dataclass(frozen=True)

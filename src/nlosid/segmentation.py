@@ -23,7 +23,7 @@ import numpy as np
 from scipy import ndimage
 
 from .chansim import LOS, NLOS, RayCluster
-from .errors import ConfigError, ConfigSection
+from .errors import ConfigError, Record
 from .pas import AngularGrid, PasMap, wrap_angle_deg
 
 # empty pixels are pinned this far below the map peak before dB conversion
@@ -31,14 +31,14 @@ _ZERO_PIN_DB = 400.0
 
 
 @dataclass(frozen=True)
-class SegParams(ConfigSection):
+class SegParams(Record):
     foreground_threshold_db: float = 10.0  # margin above the noise floor
     min_pixels: int = 4                    # smallest surviving cluster
     marker_min_separation: float = 5.0     # pixels, between seed maxima
     smoothing_radius: int = 1              # disc radius for open/close
 
     def __post_init__(self):
-        self._check_integers()
+        super().__post_init__()
         if self.foreground_threshold_db <= 0:
             raise ConfigError("foreground_threshold_db must be positive")
         if self.min_pixels < 1:

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from nlosid import CirSlice, cfr_from_cir
+from nlosid import CirSlice, ann_init, cfr_from_cir
 from nlosid.cli import main
-from nlosid.fileio import (load_cir_tensor, load_features, load_json,
-                           save_features, save_json)
+from nlosid.fileio import (ann_model_to_dict, load_cir_tensor, load_features,
+                           load_json, save_features, save_json)
 from nlosid.metrics import METRIC_NAMES
 
 from conftest import (flat_grid, json_with_raw_numbers, labelled_feature_rows,
@@ -264,6 +264,17 @@ _TENSOR = {"format": "cir_tensor", "dtype": "c64le",
            "grid": {**_GRID, "n_az": 1, "n_el": 1}, "sample_rate_ghz": 2.0,
            "n_taps": 16, "data_file": "t.bin"}
 _TENSOR_FILES = {"t.json": _TENSOR, "t.bin": bytes(16 * 8)}
+_CLASSIFY = ["classify", "--features", "f.csv", "--model", "m.json"]
+
+
+def _mlr_files(tables):
+    return {"m.json": {"format": "mlr_model", "tables": tables},
+            "f.csv": _FEATURES}
+
+
+def _ann_files(**changes):
+    return {"m.json": {**ann_model_to_dict(ann_init(0)), **changes},
+            "f.csv": _FEATURES}
 
 
 # files to write (JSON documents, or raw text or bytes), the arguments, the
@@ -287,7 +298,7 @@ MALFORMED_INPUTS = {
         {"t.json": {"format": "cir_tensor", "dtype": "c64le", "grid": _GRID,
                     "sample_rate_ghz": 2.0, "n_taps": 16,
                     "data_file": "t.bin"}},
-        _EXTRACT, 3, "grid description"),
+        _EXTRACT, 3, "AngularGrid.n_az must be an integer"),
     "top_level_list": ({"c.json": [1, 2]}, _EXPERIMENT, 3, "top level"),
     "mlr_gamma_type": (
         {"m.json": {"format": "mlr_model", "tables": {
@@ -326,14 +337,14 @@ MALFORMED_INPUTS = {
         ["extract", "--manifest", "s.json"], 3, "unknown cluster kind"),
     "tensor_no_azimuths": (
         {"t.json": {**_TENSOR, "grid": {**_TENSOR["grid"], "n_az": 0}}},
-        _EXTRACT, 3, "grid description"),
+        _EXTRACT, 3, "bad AngularGrid: grid needs at least one pixel"),
     "tensor_negative_rate": (
         {**_TENSOR_FILES, "t.json": {**_TENSOR, "sample_rate_ghz": -1.0}},
         _EXTRACT, 3, "sample rate must be positive"),
     "tensor_azimuths_overflow": (
         {"t.json": json_with_raw_numbers(
             {**_TENSOR, "grid": {**_TENSOR["grid"], "n_az": "@inf"}})},
-        _EXTRACT, 3, "grid description"),
+        _EXTRACT, 3, "AngularGrid.n_az must be an integer"),
     "tensor_rate_overflow": (
         {**_TENSOR_FILES, "t.json": {**_TENSOR, "sample_rate_ghz": 10 ** 399}},
         _EXTRACT, 3, "bad manifest field"),
@@ -367,6 +378,31 @@ MALFORMED_INPUTS = {
     "ingest_axis_infinite": (
         {}, ["ingest", "x.csv", "--az", "0:inf:2", "--el", "0:4:2"], 2,
         "--az values must be finite"),
+    "sim_azimuth_past_one_turn": (
+        {"c.json": {"sim": {"az_range_deg": [-180, 185]}}},
+        ["--config", "c.json", "simulate"], 2, "under one turn"),
+    "ingest_azimuth_past_one_turn": (
+        {}, ["ingest", "x.csv", "--az=-180:185:5", "--el", "0:4:2"], 2,
+        "under one turn"),
+    "tensor_azimuth_past_one_turn": (
+        {**_TENSOR_FILES, "t.json": {**_TENSOR, "grid": {
+            **_TENSOR["grid"], "n_az": 74, "az_step_deg": 5.0}}},
+        _EXTRACT, 3, "under one turn"),
+    "mlr_sigma_negative": (
+        _mlr_files({"r_p": {"los": {**_GEV, "sigma": -1.0}, "nlos": _GEV}}),
+        _CLASSIFY, 3, "scale must be positive"),
+    "mlr_metric_unknown": (
+        _mlr_files({"x": {"los": _GEV, "nlos": _GEV}}), _CLASSIFY, 3,
+        "unknown metrics in model"),
+    "mlr_tables_empty": (_mlr_files({}), _CLASSIFY, 3,
+                         "model carries no metrics"),
+    "mlr_gamma_nan_string": (
+        _mlr_files({"r_p": {"los": {**_GEV, "gamma": "nan"}, "nlos": _GEV}}),
+        _CLASSIFY, 3, "GevParams.gamma must be a real number"),
+    "ann_iw_shape": (_ann_files(iw=[[0.0] * 4] * 10), _CLASSIFY, 3,
+                     "iw has shape (10, 4)"),
+    "ann_b1_scalar": (_ann_files(b1=0.5), _CLASSIFY, 3,
+                      "b1 has shape ()"),
 }
 
 

@@ -10,11 +10,12 @@ from nlosid import (AngularGrid, CirTensor, DataFormatError, GevParams,
                     MlrModel, PasMap, ann_init, ann_train, mlr_classify,
                     simulate_realization)
 from nlosid.fileio import (ann_model_from_dict, ann_model_to_dict,
-                           load_ann_model, load_cir_tensor, load_features,
-                           load_json, load_mlr_model, load_sweep_csv,
-                           load_truth, save_ann_model, save_cir_tensor,
-                           save_features, save_json, save_mlr_model,
-                           save_pas_json, save_truth, save_verdicts)
+                           load_cir_tensor, load_features, load_json,
+                           load_model, load_sweep_csv, load_truth,
+                           save_cir_tensor, save_features, save_json,
+                           save_model, save_pas_json, save_truth,
+                           save_verdicts)
+from nlosid.classifiers import ANN_ARRAYS
 from nlosid.metrics import METRIC_NAMES
 
 from conftest import (RAW_NUMBERS, flat_grid, json_with_raw_numbers, make_fv,
@@ -211,8 +212,8 @@ def test_mlr_model_round_trip_preserves_decisions(tmp_path):
                 GevParams(-0.0658, 177.6, 46.93)),
     })
     path = tmp_path / "mlr.json"
-    save_mlr_model(path, model)
-    back = load_mlr_model(path)
+    save_model(path, model)
+    back = load_model(path)
     assert back.tables == model.tables
     fv = make_fv(r_p=0.95, k_t=290.0)
     a = mlr_classify(model, fv, metrics=["r_p", "k_t"])
@@ -220,17 +221,18 @@ def test_mlr_model_round_trip_preserves_decisions(tmp_path):
     assert a == b
 
     doc = load_json(path)
-    doc["format"] = "ann_model"
+    doc["format"] = "gev_table"
     save_json(path, doc)
-    with pytest.raises(DataFormatError, match="expected a 'mlr_model'"):
-        load_mlr_model(path)
+    with pytest.raises(DataFormatError,
+                       match="expected an mlr_model or ann_model document"):
+        load_model(path)
 
 
 def test_ann_model_round_trip_is_bit_faithful(tmp_path):
     model = ann_train(ann_init(4), separable_features(n_per_class=10))
     path = tmp_path / "ann.json"
-    save_ann_model(path, model)
-    back = load_ann_model(path)
+    save_model(path, model)
+    back = load_model(path)
     for a, b in zip(model.weights(), back.weights()):
         assert np.array_equal(a, b)
     assert np.array_equal(model.feature_means, back.feature_means)
@@ -239,6 +241,15 @@ def test_ann_model_round_trip_is_bit_faithful(tmp_path):
     doc = ann_model_to_dict(model)
     del doc["lw21"]
     with pytest.raises(DataFormatError, match="missing field"):
+        ann_model_from_dict(doc)
+
+
+@pytest.mark.parametrize("changes", [
+    {"b1": [10 ** 400] * 10}, {"iw": "x"}, {"lw32": [[0.0] * 10] * 3},
+    {"feature_scales": [[1.0]] * 5}])
+def test_bad_network_arrays_are_data_format_errors(changes):
+    doc = {**ann_model_to_dict(ann_init(0)), **changes}
+    with pytest.raises(DataFormatError, match="bad model document"):
         ann_model_from_dict(doc)
 
 
@@ -319,22 +330,31 @@ _CLUSTERS = _mutated(kind=st.sampled_from(["LOS", "NLOS", "X"]),
                      rays=st.lists(_RAYS, max_size=2))
 _TRUTH_DOCS = _mutated(format=st.just("truth"),
                        clusters=st.lists(_CLUSTERS, max_size=3))
+_GEVS = _mutated(gamma=st.just(0.0), mu=st.just(0.0), sigma=st.just(1.0))
+_MLR_DOCS = _mutated(
+    format=st.just("mlr_model"),
+    tables=st.dictionaries(st.sampled_from(["r_p", "k_t", "x"]),
+                           _mutated(los=_GEVS, nlos=_GEVS), max_size=2))
+_ANN_DOCS = _mutated(format=st.just("ann_model"), **{
+    name: st.just(np.zeros(shape).tolist())
+    for name, shape in ANN_ARRAYS.items()})
 
 
 _PARSERS = {"table.csv": (load_features, load_sweep_csv),
-            "t.json": (load_cir_tensor, load_truth)}
+            "t.json": (load_cir_tensor, load_truth, load_model)}
 _INPUTS = st.one_of(
     _CSV_TEXT.map(lambda data: ("table.csv", data)),
-    st.one_of(_TENSOR_DOCS, _TRUTH_DOCS).map(
+    st.one_of(_TENSOR_DOCS, _TRUTH_DOCS, _MLR_DOCS, _ANN_DOCS).map(
         lambda doc: ("t.json", json_with_raw_numbers(doc).encode())))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=_INPUTS)
 def test_parsers_raise_only_data_format_errors(case, tmp_path_factory):
-    """Feature and sweep tables from arbitrary bytes, tensor manifests and
-    truth files from arbitrary JSON objects: every rejection is a
-    DataFormatError, which the command line maps to exit 3."""
+    """Feature and sweep tables from arbitrary bytes, tensor manifests,
+    truth files and model documents from arbitrary JSON objects: every
+    rejection is a DataFormatError, which the command line maps to exit
+    3."""
     name, data = case
     d = tmp_path_factory.getbasetemp() / "parser_fuzz"
     d.mkdir(exist_ok=True)

@@ -62,6 +62,20 @@ def test_full_circle_range_drops_the_repeated_seam_column():
                                    5.0).n_az == 72
 
 
+def test_azimuth_axis_spans_less_than_one_turn():
+    with pytest.raises(ConfigError, match="under one turn"):
+        AngularGrid.from_ranges((-180.0, 185.0), (0.0, 5.0), 5.0, 5.0)
+    # the last column would be the first again, or lie past it
+    for n_az, step in ((73, 5.0), (2, 360.0), (51, 7.2), (74, 5.0)):
+        with pytest.raises(ConfigError, match="under one turn"):
+            flat_grid(n_az=n_az, step=step)
+    assert flat_grid(n_az=72, step=5.0).wraps_azimuth
+    assert flat_grid(n_az=50, step=7.2).wraps_azimuth
+    with pytest.raises(DataFormatError, match="bad AngularGrid.*under one"):
+        AngularGrid.from_dict({**flat_grid(n_az=72, step=5.0).to_dict(),
+                               "n_az": 73})
+
+
 def test_nearest_pixel_clamps_on_partial_grids():
     g = flat_grid(n_el=5, n_az=7, step=2.0, az_start=0.0, el_start=0.0)
     assert g.nearest_pixel(4.0, 6.0) == (2, 3)
