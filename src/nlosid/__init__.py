@@ -8,12 +8,12 @@ line-of-sight or reflected with a likelihood-ratio test or a small
 feed-forward network.
 """
 
-from .chansim import (LOS, NLOS, LazyCirTensor, Ray, RayCluster, SimConfig,
-                      beam_gain, generate_channel, render_cir, rng_stream,
-                      simulate_realization)
+from .chansim import (LOS, NLOS, CirTensor, Ray, RayCluster, SimConfig,
+                      beam_amplitude, generate_channel, render_cir,
+                      rng_stream, simulate_realization)
 from .classifiers import (AnnModel, MlrModel, TrainSchedule, Verdict,
-                          ann_classify, ann_forward, ann_init, ann_train,
-                          error_rates, mlr_classify, mlr_train, softmax)
+                          ann_classify, ann_init, ann_train, error_rates,
+                          mlr_classify, mlr_train, softmax)
 from .errors import (ConfigError, DataFormatError, DegenerateInputError,
                      EvaluationError, FitError, NlosIdError, NumericalError,
                      RenderError, TrainingError)
@@ -26,8 +26,8 @@ from .metrics import (METRIC_NAMES, CoKurtosisMatrix, FeatureVector,
                       MetricConfig, cluster_features, co_kurtosis,
                       eigen_ratio, freq_kurtosis, mean_excess_delay,
                       rms_delay_spread, time_kurtosis)
-from .pas import (AngularGrid, CfrSlice, CirSlice, CirTensor, PasMap,
-                  cfr_from_cir, cir_from_cfr, compute_pas, wrap_angle_deg)
+from .pas import (AngularGrid, CfrSlice, CirSlice, PasMap, cfr_from_cir,
+                  cir_from_cfr, compute_pas, wrap_angle_deg)
 from .segmentation import (Cluster, SegParams, estimate_noise_floor,
                            label_clusters_with_truth, segment)
 

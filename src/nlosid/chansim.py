@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, Record, RenderError
-from .pas import AngularGrid, CirSlice, wrap_angle_deg
+from .pas import AngularGrid, CirSlice, TapAxis, wrap_angle_deg
 
 LOS = "LOS"
 NLOS = "NLOS"
@@ -230,20 +230,11 @@ def _draw_nlos_cluster(rng, config, base, last_bin_ns):
     return RayCluster(NLOS, center_az, center_el, base, rays)
 
 
-def beam_gain(d_az_deg, d_el_deg, hpbw_az_deg: float, hpbw_el_deg: float):
-    """Combined transmit/receive power gain of the Gaussian beam pair at an
-    angular offset from boresight.  Equals 1 at boresight and 1/2 when one
-    axis is offset by half its half-power beamwidth."""
-    if hpbw_az_deg <= 0 or hpbw_el_deg <= 0:
-        raise ConfigError("beamwidths must be positive")
-    d_az = np.asarray(d_az_deg, dtype=float)
-    d_el = np.asarray(d_el_deg, dtype=float)
-    ln2 = math.log(2.0)
-    g = np.exp(-4.0 * ln2 * ((d_az / hpbw_az_deg) ** 2
-                             + (d_el / hpbw_el_deg) ** 2))
-    if g.ndim == 0:
-        return float(g)
-    return g
+def beam_amplitude(d_deg, hpbw_deg: float):
+    """Amplitude weight of the Gaussian beam pair at an offset along one
+    axis.  The pair's power gain, the product of both axes' squared weights,
+    is 1 at boresight and 1/2 at half the half-power beamwidth on one axis."""
+    return np.exp(-2.0 * math.log(2.0) * (d_deg / hpbw_deg) ** 2)
 
 
 def _scaled_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,20 +246,21 @@ def _scaled_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class LazyCirTensor:
-    """Rendered impulse responses with CirTensor's interface, whose noise is
-    kept as two numbers per pixel and drawn in full only where it is read.
+class CirTensor(TapAxis):
+    """Impulse responses on an angular grid, tap k at k / sample_rate_ghz ns.
 
-    signal, shape (n_el, n_az, len(signal_taps)), is the noiseless ray sum s
-    on the taps that carry rays.  A pixel's white noise (real view, p =
-    2 n_taps coordinates, variance sigma^2) is a ~ N(0, sigma^2) along
-    mu = s / |s| (the first signal tap's axis when s = 0) plus an
+    signal, shape (n_el, n_az, len(signal_taps)), holds s, the taps at the
+    increasing indices signal_taps; the others are zero before noise.  A
+    dense tensor has every tap a signal tap and no noise.  A rendered one
+    keeps its noise as two numbers per pixel.  A pixel's white noise (real
+    view, p = 2 n_taps coordinates, variance sigma^2) is a ~ N(0, sigma^2)
+    along mu = s / |s| (the first signal tap's axis when s = 0) plus an
     independent rest, orthogonal to mu, of squared norm sigma^2 chi^2(p - 1)
     and uniform direction v (Muller 1959).  along = |s| + a and across, that
     squared norm, are stored (None when noiseless); a read draws v from the
-    pixel's own sub-stream and returns along mu + sqrt(across) v.  pixel()
-    and data share that routine and no generator state, so they agree bit
-    for bit in any order of access.
+    pixel's own (seed, realization) sub-stream and returns along mu +
+    sqrt(across) v.  pixel() and data share that routine and no generator
+    state, so they agree bit for bit in any order of access.
     """
 
     grid: AngularGrid
@@ -276,19 +268,31 @@ class LazyCirTensor:
     n_taps: int
     signal_taps: np.ndarray
     signal: np.ndarray
-    along: np.ndarray | None
-    across: np.ndarray | None
-    seed: int
-    realization: int
+    along: np.ndarray | None = None
+    across: np.ndarray | None = None
+    seed: int = 0
+    realization: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.tap_energy()).all():
+        super().__post_init__()
+        if self.signal.shape != self.grid.shape + (len(self.signal_taps),):
+            raise DataFormatError(
+                f"tensor shape {self.signal.shape} does not match grid "
+                f"{self.grid.shape} + tap axis")
+        # a non-finite signal tap makes its pixel's along non-finite
+        stored = ((self.signal,) if self.along is None
+                  else (self.along, self.across))
+        if not all(np.isfinite(a).all() for a in stored):
             raise DataFormatError(
                 "impulse-response tensor contains non-finite taps")
 
-    @property
-    def tap_spacing_ns(self) -> float:
-        return 1.0 / self.sample_rate_ghz
+    @classmethod
+    def dense(cls, grid: AngularGrid, sample_rate_ghz: float,
+              data: np.ndarray) -> "CirTensor":
+        """Noiseless tensor whose every tap is a signal tap; data, shape
+        (n_el, n_az, n_taps), is kept as it is, not copied."""
+        n_taps = data.shape[-1] if data.ndim == 3 else 0
+        return cls(grid, sample_rate_ghz, n_taps, np.arange(n_taps), data)
 
     def tap_energy(self) -> np.ndarray:
         """Sum of |h_k|^2 over every tap of each pixel, shape (n_el, n_az)."""
@@ -337,7 +341,10 @@ class LazyCirTensor:
 
     @cached_property
     def data(self) -> np.ndarray:
-        """Dense (n_el, n_az, n_taps) tensor, built on first access."""
+        """Dense (n_el, n_az, n_taps) taps: the signal itself when every tap
+        is a signal tap and there is no noise, else built on first access."""
+        if self.along is None and len(self.signal_taps) == self.n_taps:
+            return self.signal
         out = np.empty(self.grid.shape + (self.n_taps,), dtype=complex)
         rows = np.arange(self.grid.n_el)
         for j in range(self.grid.n_az):
@@ -346,7 +353,7 @@ class LazyCirTensor:
 
 
 def render_cir(clusters: list[RayCluster], config: SimConfig, seed: int,
-               realization: int = 0) -> LazyCirTensor:
+               realization: int = 0) -> CirTensor:
     """Sweep the beam pair over the grid and build the impulse-response tensor.
 
     Each ray lands in the delay bin nearest its total delay with amplitude
@@ -354,12 +361,11 @@ def render_cir(clusters: list[RayCluster], config: SimConfig, seed: int,
     With snr_db set, every tap carries circular complex Gaussian noise, its
     per-tap power snr_db below the strongest ray's squared amplitude.  The
     render draws two numbers of it per pixel from the (seed, realization)
-    noise stream; a read draws the rest (see LazyCirTensor).
+    noise stream; a read draws the rest (see CirTensor).
     """
     grid = config.grid()
     az = grid.azimuths_deg
     el = grid.elevations_deg
-    ln2 = math.log(2.0)
     peak_amp = 0.0
     taps = {}                 # tap index -> (n_el, n_az) sum of its rays
 
@@ -376,11 +382,10 @@ def render_cir(clusters: list[RayCluster], config: SimConfig, seed: int,
                     f"the {config.record_ns:.3f} ns record")
             ray_az = cluster.center_az_deg + ray.az_offset_deg
             ray_el = cluster.center_el_deg + ray.el_offset_deg
-            d_az = wrap_angle_deg(az - ray_az)
-            d_el = el - ray_el
             # beam gain is separable, so amplitude weights factor per axis
-            amp_az = np.exp(-2.0 * ln2 * (d_az / config.hpbw_az_deg) ** 2)
-            amp_el = np.exp(-2.0 * ln2 * (d_el / config.hpbw_el_deg) ** 2)
+            amp_az = beam_amplitude(wrap_angle_deg(az - ray_az),
+                                    config.hpbw_az_deg)
+            amp_el = beam_amplitude(el - ray_el, config.hpbw_el_deg)
             coeff = ray.amplitude * np.exp(1j * ray.phase_rad)
             acc = taps.setdefault(tap, np.zeros(grid.shape, dtype=complex))
             acc += coeff * np.outer(amp_el, amp_az)
@@ -399,13 +404,13 @@ def render_cir(clusters: list[RayCluster], config: SimConfig, seed: int,
         along = (np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), exponent[..., 0])
                  + math.sqrt(sigma2) * rng.standard_normal(grid.shape))
         across = sigma2 * rng.chisquare(2 * config.n_taps - 1, grid.shape)
-    return LazyCirTensor(grid, config.sample_rate_ghz, config.n_taps,
-                         np.array(signal_taps, dtype=int), signal, along,
-                         across, seed, realization)
+    return CirTensor(grid, config.sample_rate_ghz, config.n_taps,
+                     np.array(signal_taps, dtype=int), signal, along, across,
+                     seed, realization)
 
 
 def simulate_realization(config: SimConfig, seed: int, realization: int = 0
-                         ) -> tuple[list[RayCluster], list[str], LazyCirTensor]:
+                         ) -> tuple[list[RayCluster], list[str], CirTensor]:
     """Generate and render one realization in a single call."""
     clusters, labels = generate_channel(config, seed, realization)
     return clusters, labels, render_cir(clusters, config, seed, realization)

@@ -19,7 +19,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .chansim import LOS, NLOS
-from .errors import ConfigError, EvaluationError, Record, TrainingError
+from .errors import (ConfigError, DataFormatError, EvaluationError, Record,
+                     TrainingError)
 from .gevstats import GevParams, gev_fit_mle, gev_pdf
 from .metrics import METRIC_NAMES, FeatureVector
 
@@ -150,7 +151,7 @@ def mlr_classify(model: MlrModel, features, metrics=None):
     names = _validated_subset(metrics)
     missing = set(names) - set(model.tables)
     if missing:
-        raise ConfigError(f"model has no tables for: {sorted(missing)}")
+        raise DataFormatError(f"model has no tables for: {sorted(missing)}")
     x, single = _table(features)
     score = np.zeros(len(x))
     violation = np.zeros(len(x), dtype=bool)
@@ -309,14 +310,6 @@ def ann_train(model: AnnModel, features: list,
                 "stop": str(result.message), "loss": best["loss"]}
     return AnnModel(*_unflatten(best["theta"], shapes), feature_means=means,
                     feature_scales=scales, training=training)
-
-
-def ann_forward(model: AnnModel, fv: FeatureVector):
-    """Network outputs for one feature vector: (softmax pair, hidden
-    activations).  Output index 0 is the LOS class."""
-    x = (fv.values() - model.feature_means) / model.feature_scales
-    a1, a2, a3 = _forward_batch(model.weights(), x[None, :])
-    return a3[0], (a1[0], a2[0])
 
 
 def ann_classify(model: AnnModel, features):

@@ -117,8 +117,11 @@ def _run_classify(args) -> int:
     rows = load_features(args.features)
     if isinstance(model, MlrModel):
         subset = args.metrics.split(",") if args.metrics else None
-        verdicts = mlr_classify(model, [fv for _, fv in rows],
-                                metrics=subset)
+        try:
+            verdicts = mlr_classify(model, [fv for _, fv in rows],
+                                    metrics=subset)
+        except DataFormatError as exc:
+            raise DataFormatError(f"{args.model}: {exc}") from exc
     elif args.metrics:
         raise ConfigError("--metrics only applies to the ratio test")
     else:

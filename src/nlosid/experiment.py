@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chansim import (LOS, NLOS, STREAM_TRAINING, SimConfig,
+from .chansim import (LOS, NLOS, STREAM_TRAINING, CirTensor, SimConfig,
                       simulate_realization)
 from .classifiers import (TrainSchedule, ann_classify, ann_init, ann_train,
                           error_rates, mlr_classify, mlr_train)
@@ -29,7 +29,7 @@ from .fileio import (load_cir_tensor, load_features, load_json, load_truth,
                      save_pas_json, save_truth)
 from .gevstats import bootstrap_split, cdf_rmse, gev_cdf, gev_pdf
 from .metrics import METRIC_NAMES, MetricConfig, cluster_features
-from .pas import (AngularGrid, CfrSlice, CirTensor, compute_pas, cir_from_cfr,
+from .pas import (AngularGrid, CfrSlice, compute_pas, cir_from_cfr,
                   wrap_angle_deg)
 from .segmentation import SegParams, label_clusters_with_truth, segment
 
@@ -136,7 +136,7 @@ def extract_all(realizations, seg: SegParams, metric: MetricConfig):
 
 
 def simulated_realizations(config: ExperimentConfig):
-    """(index, lazy tensor, generating clusters) for every realization of
+    """(index, rendered tensor, generating clusters) for every realization of
     the configured campaign, drawn one at a time."""
     for i in range(config.n_realizations):
         clusters, _, cir = simulate_realization(config.sim, config.seed, i)
@@ -151,7 +151,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> Path:
     """Write every realization's tensor, power map, and ground truth, plus
     a manifest tying them together.  Returns the manifest path.
 
-    The tensor written is the dense view of the same lazy render that
+    The tensor written is the dense view of the same render that
     run_experiment analyses, so staged and in-process runs see one draw.
     """
     out = Path(out_dir)
@@ -258,7 +258,7 @@ def ingest_sweeps(sweeps: dict, grid: AngularGrid,
     data = np.zeros((grid.n_el, grid.n_az, n_taps), dtype=complex)
     for (i, j), sl in slices.items():
         data[i, j, :] = sl.taps
-    return CirTensor(grid, sample_rate, data)
+    return CirTensor.dense(grid, sample_rate, data)
 
 
 # ---------------------------------------------------------------------------

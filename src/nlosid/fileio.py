@@ -14,12 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .chansim import RayCluster
+from .chansim import CirTensor, RayCluster
 from .classifiers import ANN_ARRAYS, AnnModel, MlrModel
-from .errors import ConfigError, DataFormatError, NlosIdError
+from .errors import DataFormatError, NlosIdError
 from .gevstats import GevParams
 from .metrics import METRIC_NAMES, FeatureVector
-from .pas import AngularGrid, CirTensor, PasMap
+from .pas import AngularGrid, PasMap
 
 _FEATURE_HEADER = list(METRIC_NAMES) + ["label"]
 _SWEEP_HEADER = ["az_deg", "el_deg", "freq_ghz", "re", "im"]
@@ -113,7 +113,7 @@ def load_cir_tensor(manifest_path) -> CirTensor:
     except KeyError as exc:
         raise DataFormatError(
             f"{manifest_path}: manifest missing field {exc}") from exc
-    except (OverflowError, TypeError, ValueError) as exc:
+    except (DataFormatError, OverflowError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{manifest_path}: bad manifest field: {exc}") from exc
     expected = grid.n_el * grid.n_az * n_taps * 2 * 4
     if not bin_path.is_file():
@@ -126,8 +126,8 @@ def load_cir_tensor(manifest_path) -> CirTensor:
     data = np.fromfile(bin_path, dtype="<c8").reshape(
         grid.n_el, grid.n_az, n_taps).astype(complex)
     try:
-        return CirTensor(grid, sample_rate, data)
-    except ConfigError as exc:
+        return CirTensor.dense(grid, sample_rate, data)
+    except NlosIdError as exc:
         raise DataFormatError(f"{manifest_path}: {exc}") from exc
 
 
@@ -243,7 +243,10 @@ def load_truth(path) -> list:
         raise DataFormatError(
             f"{path}: 'clusters' must be a list, found "
             f"{type(clusters).__name__}")
-    return [RayCluster.from_dict(c) for c in clusters]
+    try:
+        return [RayCluster.from_dict(c) for c in clusters]
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +279,12 @@ def ann_model_to_dict(model: AnnModel) -> dict:
 
 def ann_model_from_dict(doc: dict) -> AnnModel:
     try:
-        return AnnModel(**{name: np.array(doc[name], dtype=float)
-                           for name in ANN_ARRAYS})
+        arrays = {name: np.array(doc[name], dtype=float)
+                  for name in ANN_ARRAYS}
+        bad = [name for name, a in arrays.items() if not np.isfinite(a).all()]
+        if bad:
+            raise DataFormatError(f"non-finite entries in {bad}")
+        return AnnModel(**arrays)
     except KeyError as exc:
         raise DataFormatError(f"model document missing field {exc}") from exc
     except (NlosIdError, OverflowError, TypeError, ValueError) as exc:
@@ -295,10 +302,13 @@ def load_model(path):
     """Read a model document with the reader its format names."""
     doc = load_json(path)
     kind = doc.get("format")
-    if kind == "mlr_model":
-        return mlr_model_from_dict(doc)
-    if kind == "ann_model":
-        return ann_model_from_dict(doc)
+    try:
+        if kind == "mlr_model":
+            return mlr_model_from_dict(doc)
+        if kind == "ann_model":
+            return ann_model_from_dict(doc)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
     raise DataFormatError(f"{path}: expected an mlr_model or ann_model "
                           f"document, found {kind!r}")
 

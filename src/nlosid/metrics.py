@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chansim import CirTensor
 from .errors import ConfigError, DegenerateInputError, Record
-from .pas import CfrSlice, CirSlice, CirTensor, PasMap, cfr_from_cir
+from .pas import CfrSlice, CirSlice, PasMap, cfr_from_cir
 from .segmentation import Cluster
 
 METRIC_NAMES = ("r_p", "k_t", "k_f", "tau_mean_ns", "tau_rms_ns")

@@ -1,4 +1,4 @@
-"""Angular grids, beam-trained impulse-response tensors, and power maps.
+"""Angular grids, pixel impulse and frequency responses, and power maps.
 
 Conventions used throughout the package:
   * angles are degrees, azimuth wraps modulo 360 when a grid spans the
@@ -130,64 +130,33 @@ class AngularGrid(Record):
         return wrap_angle_deg(az - ref), ref
 
 
-@dataclass(frozen=True)
-class CirTensor:
-    """Beam-trained channel impulse responses on an angular grid.
-
-    data has shape (n_el, n_az, n_taps), complex, tap k sits at delay
-    k / sample_rate_ghz nanoseconds.
-    """
-
-    grid: AngularGrid
-    sample_rate_ghz: float
-    data: np.ndarray
+class TapAxis:
+    """Base of responses sampled on a delay axis at sample_rate_ghz."""
 
     def __post_init__(self):
         if self.sample_rate_ghz <= 0:
             raise ConfigError("sample rate must be positive")
-        if self.data.ndim != 3 or self.data.shape[:2] != self.grid.shape:
-            raise DataFormatError(
-                f"tensor shape {self.data.shape} does not match grid "
-                f"{self.grid.shape} + tap axis")
-        if not np.isfinite(self.data).all():
-            raise DataFormatError("impulse-response tensor contains non-finite taps")
-
-    @property
-    def n_taps(self) -> int:
-        return self.data.shape[2]
 
     @property
     def tap_spacing_ns(self) -> float:
         return 1.0 / self.sample_rate_ghz
 
-    def tap_energy(self) -> np.ndarray:
-        """Sum of |h_k|^2 over every tap of each pixel, shape (n_el, n_az)."""
-        return np.sum(np.abs(self.data) ** 2, axis=2)
-
-    def pixel(self, el_idx: int, az_idx: int) -> "CirSlice":
-        return CirSlice(self.data[el_idx, az_idx, :], self.sample_rate_ghz)
-
 
 @dataclass(frozen=True)
-class CirSlice:
+class CirSlice(TapAxis):
     """Impulse response of a single beam direction."""
 
     taps: np.ndarray          # complex, shape (n_taps,)
     sample_rate_ghz: float
 
     def __post_init__(self):
-        if self.sample_rate_ghz <= 0:
-            raise ConfigError("sample rate must be positive")
+        super().__post_init__()
         if np.asarray(self.taps).ndim != 1:
             raise DataFormatError("a pixel slice must be one-dimensional")
 
     @property
     def n_taps(self) -> int:
         return len(self.taps)
-
-    @property
-    def tap_spacing_ns(self) -> float:
-        return 1.0 / self.sample_rate_ghz
 
     @property
     def delays_ns(self) -> np.ndarray:
@@ -238,13 +207,11 @@ class PasMap:
             raise DataFormatError("power map contains negative entries")
 
 
-def compute_pas(cir: CirTensor) -> PasMap:
-    """Integrate per-direction tap energy into a power angular spectrum.
+def compute_pas(cir) -> PasMap:
+    """Integrate a CirTensor's tap energy into a power angular spectrum.
 
     Each pixel becomes sum_k |h_k|^2 * dt with dt the tap spacing, i.e. the
     discrete form of integrating squared magnitude over the delay record.
-    cir is a CirTensor or a rendered chansim.LazyCirTensor; each supplies
-    its own per-pixel tap energy.
     """
     return PasMap(cir.grid, cir.tap_energy() * cir.tap_spacing_ns)
 

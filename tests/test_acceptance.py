@@ -193,7 +193,7 @@ def test_criterion_04_scale_invariance_of_features_and_decisions():
     base_ann = [ann_classify(ann_model, fv).decision for fv in base_rows]
 
     for c in (1e-3, 1.0, 1e3):
-        scaled = CirTensor(cir.grid, cir.sample_rate_ghz, cir.data * c)
+        scaled = CirTensor.dense(cir.grid, cir.sample_rate_ghz, cir.data * c)
         rows, _ = extract_realization(scaled, clusters, seg, metric)
         assert len(rows) == len(base_rows)
         for fv, ref in zip(rows, base_rows):

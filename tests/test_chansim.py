@@ -6,12 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from nlosid import (LOS, NLOS, CirTensor, ConfigError, MetricConfig, Ray,
-                    RayCluster, RenderError, SegParams, SimConfig, beam_gain,
-                    compute_pas, extract_realization, generate_channel,
-                    render_cir, rng_stream, simulate_realization)
+from nlosid import (LOS, NLOS, AngularGrid, CirTensor, ConfigError,
+                    MetricConfig, Ray, RayCluster, RenderError, SegParams,
+                    SimConfig, beam_amplitude, compute_pas,
+                    extract_realization, generate_channel, render_cir,
+                    rng_stream, simulate_realization)
 
 import oracles
 from conftest import small_sim
@@ -63,6 +65,8 @@ def test_sim_config_validation():
         small_sim(az_range_deg=(10.0, 10.0))
     with pytest.raises(ConfigError):
         small_sim(n_nlos_mean=0.5)
+    with pytest.raises(ConfigError, match="beamwidths"):
+        small_sim(hpbw_az_deg=0.0)
 
 
 def test_sim_config_dict_round_trip():
@@ -148,21 +152,27 @@ def test_nlos_count_statistics():
 # beam pattern
 
 
+def beam_gain(d_az_deg, d_el_deg, hpbw_deg=5.0):
+    """Power gain of the beam pair: the squared product of its per-axis
+    amplitude weights."""
+    return (beam_amplitude(d_az_deg, hpbw_deg)
+            * beam_amplitude(d_el_deg, hpbw_deg)) ** 2
+
+
 def test_beam_gain_reference_points():
-    assert beam_gain(0.0, 0.0, 5.0, 5.0) == pytest.approx(1.0, abs=0)
-    assert beam_gain(2.5, 0.0, 5.0, 5.0) == pytest.approx(0.5, rel=1e-12)
-    assert beam_gain(0.0, 2.5, 5.0, 5.0) == pytest.approx(0.5, rel=1e-12)
-    assert beam_gain(2.5, 2.5, 5.0, 5.0) == pytest.approx(0.25, rel=1e-12)
+    assert beam_gain(0.0, 0.0) == 1.0
+    assert beam_gain(2.5, 0.0) == pytest.approx(0.5, rel=1e-12)
+    assert beam_gain(0.0, 2.5) == pytest.approx(0.5, rel=1e-12)
+    assert beam_gain(2.5, 2.5) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_beam_gain_array_and_symmetry(rng):
     d = rng.uniform(-10, 10, 50)
-    g = beam_gain(d, np.zeros(50), 5.0, 5.0)
-    assert isinstance(g, np.ndarray)
-    assert np.allclose(g, beam_gain(-d, np.zeros(50), 5.0, 5.0))
-    assert np.all(g <= 1.0)
-    with pytest.raises(ConfigError):
-        beam_gain(1.0, 1.0, 0.0, 5.0)
+    a = beam_amplitude(d, 5.0)
+    assert isinstance(a, np.ndarray) and a.shape == (50,)
+    assert np.array_equal(a, beam_amplitude(-d, 5.0))
+    assert np.all((0.0 < a) & (a <= 1.0))
+    assert np.allclose(beam_gain(d, 0.0), beam_gain(-d, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +275,41 @@ def test_simulate_realization_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# dense tensors
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=arrays(complex, st.tuples(st.integers(1, 3), st.integers(1, 4),
+                                        st.integers(0, 12)),
+                     elements=st.complex_numbers(allow_nan=False,
+                                                 allow_infinity=False)))
+def test_dense_tensor_reads_back_its_array(values):
+    n_el, n_az, n_taps = values.shape
+    grid = AngularGrid(0.0, 1.0, n_az, 0.0, 1.0, n_el)
+    cir = CirTensor.dense(grid, 2.0, values)
+    assert cir.data is values and cir.n_taps == n_taps
+    for i, j in np.ndindex(grid.shape):
+        assert cir.pixel(i, j).taps.tobytes() == values[i, j].tobytes()
+    with np.errstate(over="ignore"):      # huge taps square to inf
+        assert cir.tap_energy().tobytes() == \
+            np.sum(np.abs(values) ** 2, axis=-1).tobytes()
+
+
+def test_noiseless_render_equals_dense_tensor_of_its_data():
+    cfg = small_sim(snr_db=None)
+    clusters, _ = generate_channel(cfg, 5, 2)
+    cir = render_cir(clusters, cfg, 5, 2)
+    dense = CirTensor.dense(cir.grid, cir.sample_rate_ghz, cir.data)
+    assert dense.n_taps == cir.n_taps and dense.data is cir.data
+    for p in np.ndindex(cir.grid.shape):
+        assert dense.pixel(*p).taps.tobytes() == cir.pixel(*p).taps.tobytes()
+    # the sums run over different tap sets, so they agree to rounding
+    np.testing.assert_allclose(dense.tap_energy(), cir.tap_energy(),
+                               rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
 # lazy noise against the dense tensor and the eager oracle
-
-
-def _dense(cir) -> CirTensor:
-    return CirTensor(cir.grid, cir.sample_rate_ghz, cir.data)
 
 
 def test_pixels_match_dense_view_in_any_order():
@@ -297,8 +337,9 @@ def test_lazy_pas_matches_dense_pas():
     for realization in range(3):
         clusters, _ = generate_channel(cfg, 5, realization)
         cir = render_cir(clusters, cfg, 5, realization)
+        dense = CirTensor.dense(cir.grid, cir.sample_rate_ghz, cir.data)
         np.testing.assert_allclose(compute_pas(cir).power,
-                                   compute_pas(_dense(cir)).power,
+                                   compute_pas(dense).power,
                                    rtol=1e-12, atol=0.0)
 
 
@@ -333,8 +374,9 @@ def test_render_with_every_tap_carrying_a_ray():
     assert cir.along.shape == cir.across.shape == cfg.grid().shape
     assert np.all(cir.across > 0)
     assert np.all(np.isfinite(cir.data))
+    dense = CirTensor.dense(cir.grid, cir.sample_rate_ghz, cir.data)
     np.testing.assert_allclose(compute_pas(cir).power,
-                               compute_pas(_dense(cir)).power,
+                               compute_pas(dense).power,
                                rtol=1e-12, atol=0.0)
 
 
@@ -415,9 +457,9 @@ def test_lazy_and_eager_noise_give_one_distribution():
     for realization in range(40):
         clusters, _ = generate_channel(cfg, 202, realization)
         lazy = render_cir(clusters, cfg, 202, realization)
-        eager = CirTensor(cfg.grid(), cfg.sample_rate_ghz,
-                          oracles.render_cir_oracle(clusters, cfg, 202,
-                                                    realization))
+        eager = CirTensor.dense(cfg.grid(), cfg.sample_rate_ghz,
+                                oracles.render_cir_oracle(clusters, cfg, 202,
+                                                          realization))
         for name, cir in (("lazy", lazy), ("eager", eager)):
             pas[name].extend(compute_pas(cir).power.ravel())
             rows, _ = extract_realization(cir, clusters, seg, metric)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from nlosid import (LOS, NLOS, AnnModel, ConfigError, EvaluationError,
-                    GevParams, MlrModel, TrainSchedule, TrainingError,
-                    ann_classify, ann_forward, ann_init, ann_train,
+from nlosid import (LOS, NLOS, AnnModel, ConfigError, DataFormatError,
+                    EvaluationError, GevParams, MlrModel, TrainSchedule,
+                    TrainingError, ann_classify, ann_init, ann_train,
                     error_rates, gev_pdf, mlr_classify, mlr_train, softmax)
 from nlosid.classifiers import (LOG_DENSITY_FLOOR, _loss_and_grads,
                                 _forward_batch)
@@ -103,8 +103,9 @@ def test_metric_subset_validation():
         mlr_classify(model, make_fv(), metrics=["r_p", "bogus"])
     with pytest.raises(ConfigError):
         mlr_classify(model, make_fv(), metrics=[])
+    # the model, not the request, lacks the metric
     small = MlrModel({"r_p": (GevParams(0.0, 1.0, 1.0),) * 2})
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataFormatError, match="no tables for"):
         mlr_classify(small, make_fv(), metrics=["k_t"])
 
 
@@ -203,8 +204,10 @@ def test_model_validation():
 
 
 def test_zero_network_outputs_half():
-    a3, (a1, a2) = ann_forward(zero_model(), make_fv())
-    assert np.array_equal(a3, [0.5, 0.5])
+    model = zero_model()
+    x = (make_fv().values() - model.feature_means) / model.feature_scales
+    a1, a2, a3 = _forward_batch(model.weights(), x[None, :])
+    assert np.array_equal(a3, [[0.5, 0.5]])
     assert np.all(a1 == 0.0) and np.all(a2 == 0.0)
     # a tie keeps the line-of-sight hypothesis
     v = ann_classify(zero_model(), make_fv())

@@ -403,6 +403,28 @@ MALFORMED_INPUTS = {
                      "iw has shape (10, 4)"),
     "ann_b1_scalar": (_ann_files(b1=0.5), _CLASSIFY, 3,
                       "b1 has shape ()"),
+    "ann_weights_non_finite": (_ann_files(b3=["nan", "inf"]), _CLASSIFY, 3,
+                               "m.json: bad model document: non-finite"),
+    "mlr_metric_missing": (
+        _mlr_files({"r_p": {"los": _GEV, "nlos": _GEV}}), _CLASSIFY, 3,
+        "m.json: model has no tables for"),
+    "truth_field_names_file": (
+        {**_TENSOR_FILES,
+         "s.json": {"format": "simulation", "realizations": [
+             {"index": 0, "cir": "t.json", "truth": "u.json"}]},
+         "u.json": {"format": "truth", "clusters": [
+             {"kind": "LOS", "center_az_deg": "x", "center_el_deg": 0.0,
+              "base_delay_ns": 1.0, "rays": []}]}},
+        ["extract", "--manifest", "s.json"], 3,
+        "u.json: RayCluster.center_az_deg must be a real number"),
+    "tensor_grid_names_file": (
+        {**_TENSOR_FILES, "t.json": {
+            **_TENSOR, "grid": {**_TENSOR["grid"], "n_az": 1.5}}},
+        _EXTRACT, 3, "t.json: bad manifest field: AngularGrid.n_az must be "
+                     "an integer"),
+    "mlr_error_names_file": (
+        _mlr_files({"r_p": {"los": {**_GEV, "sigma": -1.0}, "nlos": _GEV}}),
+        _CLASSIFY, 3, "m.json: bad model document"),
 }
 
 

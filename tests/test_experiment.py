@@ -226,7 +226,7 @@ def test_staged_chain_matches_in_memory_features(tmp_path):
 def test_ingest_round_trips_synthetic_tensor(rng):
     grid = flat_grid(3, 4, step=2.0, az_start=0.0, el_start=0.0)
     taps = rng.normal(size=(3, 4, 16)) + 1j * rng.normal(size=(3, 4, 16))
-    cir = CirTensor(grid, 2.0, taps)
+    cir = CirTensor.dense(grid, 2.0, taps)
     sweeps = {}
     for i in range(3):
         for j in range(4):

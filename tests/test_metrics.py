@@ -289,7 +289,7 @@ def two_tap_fixture():
             amp = 0.8 if (i, j) == (4, 4) else 0.4
             data[i, j, 1] = amp
             data[i, j, 3] = amp
-    cir = CirTensor(g, 1.0, data)
+    cir = CirTensor.dense(g, 1.0, data)
     pas = compute_pas(cir)
     pixels = [(i, j) for i in range(3, 6) for j in range(3, 6)]
     return cluster_of(pixels, pas, truth=LOS), cir, pas
@@ -311,7 +311,8 @@ def test_cluster_features_scale_invariant():
     cluster, cir, pas = two_tap_fixture()
     base = cluster_features(cluster, cir, pas, MetricConfig()).values()
     for c in (1e-3, 1e3):
-        scaled_cir = CirTensor(cir.grid, cir.sample_rate_ghz, cir.data * c)
+        scaled_cir = CirTensor.dense(cir.grid, cir.sample_rate_ghz,
+                                     cir.data * c)
         scaled_pas = compute_pas(scaled_cir)
         got = cluster_features(cluster, scaled_cir, scaled_pas,
                                MetricConfig()).values()
@@ -320,8 +321,8 @@ def test_cluster_features_scale_invariant():
 
 def test_cluster_features_annotates_errors():
     cluster, cir, pas = two_tap_fixture()
-    silent = CirTensor(cir.grid, cir.sample_rate_ghz,
-                       np.zeros_like(cir.data))
+    silent = CirTensor.dense(cir.grid, cir.sample_rate_ghz,
+                             np.zeros_like(cir.data))
     with pytest.raises(DegenerateInputError, match="cluster 1:"):
         cluster_features(cluster, silent, pas, MetricConfig())
 

@@ -116,18 +116,19 @@ def test_grid_validation():
 def test_cir_tensor_validation(rng):
     g = flat_grid(n_el=2, n_az=3)
     good = rng.normal(size=(2, 3, 16)) + 1j * rng.normal(size=(2, 3, 16))
-    t = CirTensor(g, 2.0, good)
+    t = CirTensor.dense(g, 2.0, good)
     assert t.n_taps == 16
     assert t.tap_spacing_ns == 0.5
     assert np.array_equal(t.pixel(1, 2).taps, good[1, 2])
-    with pytest.raises(DataFormatError):
-        CirTensor(g, 2.0, good[:1])
+    for wrong in (good[:1], good[..., 0], good[..., None]):
+        with pytest.raises(DataFormatError, match="does not match grid"):
+            CirTensor.dense(g, 2.0, wrong)
     bad = good.copy()
     bad[0, 0, 0] = np.nan
     with pytest.raises(DataFormatError):
-        CirTensor(g, 2.0, bad)
+        CirTensor.dense(g, 2.0, bad)
     with pytest.raises(ConfigError):
-        CirTensor(g, 0.0, good)
+        CirTensor.dense(g, 0.0, good)
 
 
 def test_cir_slice_delay_axis():
@@ -171,20 +172,21 @@ def test_pas_single_tap():
     g = flat_grid(n_el=1, n_az=1)
     data = np.zeros((1, 1, 64), dtype=complex)
     data[0, 0, 5] = 1.0
-    pas = compute_pas(CirTensor(g, 7.0, data))
+    pas = compute_pas(CirTensor.dense(g, 7.0, data))
     assert pas.power[0, 0] == pytest.approx(1.0 / 7.0, rel=1e-15)
 
 
 def test_pas_all_zero():
     g = flat_grid(n_el=2, n_az=3)
-    pas = compute_pas(CirTensor(g, 2.0, np.zeros((2, 3, 16), dtype=complex)))
+    pas = compute_pas(CirTensor.dense(g, 2.0,
+                                      np.zeros((2, 3, 16), dtype=complex)))
     assert np.all(pas.power == 0.0)
 
 
 def test_pas_matches_double_loop_oracle(rng):
     g = flat_grid(n_el=4, n_az=5)
     data = rng.normal(size=(4, 5, 32)) + 1j * rng.normal(size=(4, 5, 32))
-    t = CirTensor(g, 3.0, data)
+    t = CirTensor.dense(g, 3.0, data)
     pas = compute_pas(t)
     for i in range(4):
         for j in range(5):
@@ -195,11 +197,11 @@ def test_pas_matches_double_loop_oracle(rng):
 def test_pas_quadratic_scaling_and_phase_invariance(rng):
     g = flat_grid(n_el=3, n_az=3)
     data = rng.normal(size=(3, 3, 24)) + 1j * rng.normal(size=(3, 3, 24))
-    base = compute_pas(CirTensor(g, 2.0, data)).power
-    scaled = compute_pas(CirTensor(g, 2.0, 3.0 * data)).power
+    base = compute_pas(CirTensor.dense(g, 2.0, data)).power
+    scaled = compute_pas(CirTensor.dense(g, 2.0, 3.0 * data)).power
     assert np.allclose(scaled, 9.0 * base, rtol=1e-12)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=data.shape))
-    rotated = compute_pas(CirTensor(g, 2.0, data * phases)).power
+    rotated = compute_pas(CirTensor.dense(g, 2.0, data * phases)).power
     assert np.allclose(rotated, base, rtol=1e-12)
 
 
