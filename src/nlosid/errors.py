@@ -51,24 +51,26 @@ class RenderError(ConfigError):
 class Record:
     """Field types and dict round trip of a frozen dataclass kept as JSON.
 
-    An int field takes integers, a float field real numbers, never bools,
-    stored as that type.  from_dict also parses Record fields, and tuples
-    of them, and raises the class's error for every value it or the class
-    rejects: ConfigError for config sections, DataFormatError for data."""
+    A bool field takes bools, an int field integers, a float field real
+    numbers (never bools, stored as that type) and a str field strings; an
+    X | None field also takes None.  from_dict also parses Record fields,
+    and tuples of them, and raises the class's error for every value it or
+    the class rejects: ConfigError for config sections, DataFormatError
+    for data."""
 
     error = ConfigError
 
     def __post_init__(self):
-        for name, kind in _field_table(type(self))[0]:
+        for name, kind, optional in _field_table(type(self))[0]:
             value = getattr(self, name)
-            if type(value) is not kind:
-                if isinstance(value, bool) or \
-                        not isinstance(value, _NUMBERS[kind]):
-                    raise self.error(
-                        f"{type(self).__name__}.{name} must be "
-                        f"{'an integer' if kind is int else 'a real number'}"
-                        f", got {value!r}")
-                object.__setattr__(self, name, kind(value))
+            if type(value) is kind or (optional and value is None):
+                continue
+            accepts, noun = _SCALARS[kind]
+            if isinstance(value, bool) or not isinstance(value, accepts):
+                raise self.error(
+                    f"{type(self).__name__}.{name} must be {noun}"
+                    f"{' or null' if optional else ''}, got {value!r}")
+            object.__setattr__(self, name, kind(value))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -84,16 +86,16 @@ class Record:
             raise cls.error(f"unknown {name} fields: {sorted(unknown)}")
         nested = _field_table(cls)[1]
         kwargs = {}
-        for key, value in d.items():
-            kind, many = nested.get(key, (None, False))
-            if many and not isinstance(value, list):
-                raise cls.error(f"{name}.{key} must be a list, got "
-                                f"{type(value).__name__}")
-            if kind is not None:
-                value = (tuple(map(kind.from_dict, value)) if many
-                         else kind.from_dict(value))
-            kwargs[key] = value
         try:
+            for key, value in d.items():
+                kind, many, optional = nested.get(key, (None, False, False))
+                if kind is not None and not (optional and value is None):
+                    if many and not isinstance(value, list):
+                        raise cls.error(f"{name}.{key} must be a list, got "
+                                        f"{type(value).__name__}")
+                    value = (tuple(map(kind.from_dict, value)) if many
+                             else kind.from_dict(value))
+                kwargs[key] = value
             return cls(**kwargs)
         except cls.error:
             raise
@@ -101,19 +103,23 @@ class Record:
             raise cls.error(f"bad {name}: {exc}") from exc
 
 
-_NUMBERS = {int: numbers.Integral, float: numbers.Real}
+_SCALARS = {bool: (bool, "a boolean"), int: (numbers.Integral, "an integer"),
+            float: (numbers.Real, "a real number"), str: (str, "a string")}
 
 
 @functools.cache
 def _field_table(cls) -> tuple:
-    """A Record's int and float fields as (name, type), and name -> (Record
-    class, whether a tuple of them) for its Record-typed fields."""
-    numeric, nested = [], {}
+    """Scalar fields as (name, type, optional), and Record-typed ones as
+    name -> (Record class, whether a tuple of them, optional)."""
+    scalars, nested = [], {}
     for f in dataclasses.fields(cls):
-        many = typing.get_origin(f.type) is tuple
-        kind = typing.get_args(f.type)[0] if many else f.type
-        if f.type in _NUMBERS:
-            numeric.append((f.name, f.type))
+        args = typing.get_args(f.type)
+        optional = type(None) in args                 # X | None
+        kind = args[0] if optional else f.type
+        many = typing.get_origin(kind) is tuple
+        kind = typing.get_args(kind)[0] if many else kind
+        if kind in _SCALARS and not many:
+            scalars.append((f.name, kind, optional))
         elif isinstance(kind, type) and issubclass(kind, Record):
-            nested[f.name] = (kind, many)
-    return tuple(numeric), nested
+            nested[f.name] = (kind, many, optional)
+    return tuple(scalars), nested

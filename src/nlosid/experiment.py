@@ -24,9 +24,10 @@ from .classifiers import (TrainSchedule, ann_classify, ann_init, ann_train,
                           error_rates, mlr_classify, mlr_train)
 from .errors import (ConfigError, DataFormatError, DegenerateInputError,
                      Record)
-from .fileio import (load_cir_tensor, load_features, load_json, load_truth,
-                     save_cir_tensor, save_features, save_json, save_model,
-                     save_pas_json, save_truth)
+from .fileio import (Realization, SimulationManifest, load_cir_tensor,
+                     load_document, load_features, load_truth,
+                     save_cir_tensor, save_document, save_features, save_json,
+                     save_model, save_pas_json, save_truth)
 from .gevstats import bootstrap_split, cdf_rmse, gev_cdf, gev_pdf
 from .metrics import METRIC_NAMES, MetricConfig, cluster_features
 from .pas import (AngularGrid, CfrSlice, compute_pas, cir_from_cfr,
@@ -72,9 +73,6 @@ class ExperimentConfig(Record):
         if self.seed < 0:
             raise ConfigError(
                 f"ExperimentConfig.seed must be non-negative, got {self.seed}")
-        if not isinstance(self.features_csv, (str, type(None))):
-            raise ConfigError(f"ExperimentConfig.features_csv must be a "
-                              f"path string, got {self.features_csv!r}")
         if self.n_realizations < 1:
             raise ConfigError("n_realizations must be positive")
         if self.n_train < 1 or self.n_test < 1:
@@ -158,46 +156,25 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, cir, clusters in simulated_realizations(config):
-        names = {"index": i, "cir": f"real_{i:04d}.json",
-                 "pas": f"pas_{i:04d}.json", "truth": f"truth_{i:04d}.json"}
-        save_cir_tensor(cir, out / names["cir"])
-        save_pas_json(compute_pas(cir), out / names["pas"])
-        save_truth(out / names["truth"], clusters)
-        entries.append(names)
+        entry = Realization(i, f"real_{i:04d}.json", f"pas_{i:04d}.json",
+                            f"truth_{i:04d}.json")
+        save_cir_tensor(cir, out / entry.cir)
+        save_pas_json(compute_pas(cir), out / entry.pas)
+        save_truth(out / entry.truth, clusters)
+        entries.append(entry)
     manifest_path = out / "simulation.json"
-    save_json(manifest_path, {
-        "format": "simulation",
-        "config": config.sim.to_dict(),
-        "seed": config.seed,
-        "n_realizations": config.n_realizations,
-        "realizations": entries,
-    })
+    save_document(manifest_path, SimulationManifest(
+        tuple(entries), config.sim, config.seed, config.n_realizations))
     return manifest_path
 
 
 def inputs_from_manifest(manifest_path) -> list:
     """Resolve a simulation manifest into (index, cir_path, truth_path)
     triples."""
-    manifest_path = Path(manifest_path)
-    doc = load_json(manifest_path)
-    if doc.get("format") != "simulation":
-        raise DataFormatError(
-            f"{manifest_path}: expected a 'simulation' manifest, "
-            f"found {doc.get('format')!r}")
-    base = manifest_path.parent
-    out = []
-    try:
-        for entry in doc.get("realizations", []):
-            truth = entry.get("truth")
-            out.append((int(entry["index"]), base / entry["cir"],
-                        base / truth if truth else None))
-    except KeyError as exc:
-        raise DataFormatError(
-            f"{manifest_path}: realization entry missing field {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise DataFormatError(
-            f"{manifest_path}: bad realization entry: {exc}") from exc
-    return out
+    base = Path(manifest_path).parent
+    return [(r.index, base / r.cir, base / r.truth if r.truth else None)
+            for r in load_document(manifest_path,
+                                   SimulationManifest).realizations]
 
 
 def cmd_extract(inputs: list, seg: SegParams, metric: MetricConfig,

@@ -4,19 +4,22 @@ Everything textual is JSON with sorted keys or CSV with a fixed header, and
 every writer is deterministic: identical objects produce identical bytes,
 with no timestamps or absolute paths.  Impulse-response tensors pair a JSON
 manifest with a sibling raw binary of little-endian float32 (re, im) pairs
-in (elevation, azimuth, tap) index order.
+in (elevation, azimuth, tap) index order.  The JSON documents read back
+are Records tagged with their FORMAT; see save_document and load_document.
 """
 
 import csv
 import io
 import json
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .chansim import CirTensor, RayCluster
+from .chansim import CirTensor, RayCluster, SimConfig
 from .classifiers import ANN_ARRAYS, AnnModel, MlrModel
-from .errors import DataFormatError, NlosIdError
+from .errors import DataFormatError, NlosIdError, Record
 from .gevstats import GevParams
 from .metrics import METRIC_NAMES, FeatureVector
 from .pas import AngularGrid, PasMap
@@ -72,61 +75,78 @@ def _read_csv(path) -> tuple[list, list]:
     return [h.strip() for h in lines[0].split(",")], records
 
 
-def _expect_format(doc: dict, expected: str, path) -> None:
-    got = doc.get("format")
-    if got != expected:
+def save_document(path, record) -> None:
+    """Write a Record as JSON, tagged with its class's FORMAT."""
+    save_json(path, {"format": record.FORMAT, **record.to_dict()})
+
+
+def load_document(path, cls):
+    """Read a cls Record that save_document wrote; errors name the file."""
+    doc = load_json(path)
+    found = doc.pop("format", None)
+    if found != cls.FORMAT:
         raise DataFormatError(
-            f"{path}: expected a {expected!r} document, found {got!r}")
+            f"{path}: expected a {cls.FORMAT!r} document, found {found!r}")
+    try:
+        return cls.from_dict(doc)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # impulse-response tensors
 
 
+@dataclass(frozen=True)
+class TensorManifest(Record):
+    FORMAT = "cir_tensor"
+    error = DataFormatError
+
+    grid: AngularGrid
+    sample_rate_ghz: float
+    n_taps: int
+    dtype: str
+    data_file: str
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.dtype != "c64le":
+            raise DataFormatError(f"unsupported dtype {self.dtype!r}")
+        if Path(self.data_file).name != self.data_file \
+                or self.data_file in ("", ".."):
+            raise DataFormatError(f"data_file must be a bare file name, "
+                                  f"got {self.data_file!r}")
+
+
 def save_cir_tensor(cir: CirTensor, manifest_path) -> None:
     manifest_path = Path(manifest_path)
-    bin_name = manifest_path.stem + ".bin"
-    manifest = {
-        "format": "cir_tensor",
-        "grid": cir.grid.to_dict(),
-        "sample_rate_ghz": float(cir.sample_rate_ghz),
-        "n_taps": int(cir.n_taps),
-        "dtype": "c64le",
-        "data_file": bin_name,
-    }
-    cir.data.astype("<c8").tofile(manifest_path.with_name(bin_name))
-    save_json(manifest_path, manifest)
+    manifest = TensorManifest(cir.grid, cir.sample_rate_ghz, cir.n_taps,
+                              "c64le", manifest_path.stem + ".bin")
+    try:
+        with np.errstate(over="raise"):
+            data = cir.data.astype("<c8")
+    except FloatingPointError as exc:
+        raise DataFormatError(f"{manifest_path}: taps exceed the complex64 "
+                              f"range of the tensor file") from exc
+    data.tofile(manifest_path.with_name(manifest.data_file))
+    save_document(manifest_path, manifest)
 
 
 def load_cir_tensor(manifest_path) -> CirTensor:
     manifest_path = Path(manifest_path)
-    doc = load_json(manifest_path)
-    _expect_format(doc, "cir_tensor", manifest_path)
-    if doc.get("dtype") != "c64le":
-        raise DataFormatError(
-            f"{manifest_path}: unsupported dtype {doc.get('dtype')!r}")
-    try:
-        grid = AngularGrid.from_dict(doc["grid"])
-        sample_rate = float(doc["sample_rate_ghz"])
-        n_taps = int(doc["n_taps"])
-        bin_path = manifest_path.with_name(str(doc["data_file"]))
-    except KeyError as exc:
-        raise DataFormatError(
-            f"{manifest_path}: manifest missing field {exc}") from exc
-    except (DataFormatError, OverflowError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{manifest_path}: bad manifest field: {exc}") from exc
-    expected = grid.n_el * grid.n_az * n_taps * 2 * 4
+    manifest = load_document(manifest_path, TensorManifest)
+    shape = manifest.grid.shape + (manifest.n_taps,)
+    bin_path = manifest_path.with_name(manifest.data_file)
     if not bin_path.is_file():
         raise DataFormatError(f"{manifest_path}: data file {bin_path} is missing")
-    actual = bin_path.stat().st_size
+    actual, expected = bin_path.stat().st_size, 8 * math.prod(shape)
     if actual != expected:
         raise DataFormatError(
             f"{bin_path}: holds {actual} bytes, expected {expected} for a "
-            f"{grid.n_el}x{grid.n_az}x{n_taps} tensor")
-    data = np.fromfile(bin_path, dtype="<c8").reshape(
-        grid.n_el, grid.n_az, n_taps).astype(complex)
+            f"{'x'.join(map(str, shape))} tensor")
+    data = np.fromfile(bin_path, dtype="<c8").reshape(shape).astype(complex)
     try:
-        return CirTensor.dense(grid, sample_rate, data)
+        return CirTensor.dense(manifest.grid, manifest.sample_rate_ghz, data)
     except NlosIdError as exc:
         raise DataFormatError(f"{manifest_path}: {exc}") from exc
 
@@ -228,25 +248,41 @@ def load_features(path) -> list:
 # ground truth
 
 
+@dataclass(frozen=True)
+class Truth(Record):
+    FORMAT = "truth"
+    error = DataFormatError
+
+    clusters: tuple[RayCluster, ...] = ()
+
+
 def save_truth(path, clusters) -> None:
-    save_json(path, {
-        "format": "truth",
-        "clusters": [c.to_dict() for c in clusters],
-    })
+    save_document(path, Truth(tuple(clusters)))
 
 
 def load_truth(path) -> list:
-    doc = load_json(path)
-    _expect_format(doc, "truth", path)
-    clusters = doc.get("clusters", [])
-    if not isinstance(clusters, list):
-        raise DataFormatError(
-            f"{path}: 'clusters' must be a list, found "
-            f"{type(clusters).__name__}")
-    try:
-        return [RayCluster.from_dict(c) for c in clusters]
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    return list(load_document(path, Truth).clusters)
+
+
+@dataclass(frozen=True)
+class Realization(Record):
+    error = DataFormatError
+
+    index: int
+    cir: str                  # file names relative to the manifest
+    pas: str | None = None
+    truth: str | None = None
+
+
+@dataclass(frozen=True)
+class SimulationManifest(Record):
+    FORMAT = "simulation"
+    error = DataFormatError
+
+    realizations: tuple[Realization, ...] = ()
+    config: SimConfig | None = None   # what generated the files, which
+    seed: int | None = None           # extract does not need
+    n_realizations: int | None = None
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def co_kurtosis(cluster: Cluster, pas: PasMap,
     el = np.array([el_axis[p[0]] for p in pix])
     # azimuth relative to the peak, so a seam-straddling cluster stays
     # contiguous on the angle axis
-    az, _ = grid.azimuth_offsets([p[1] for p in pix], cluster.peak_pixel[1])
+    az = grid.azimuth_offsets([p[1] for p in pix], cluster.peak_pixel[1])
     if len(set(az.tolist())) < 2 or len(set(el.tolist())) < 2:
         raise DegenerateInputError(
             "cluster spans fewer than 2 distinct angles on an axis")

@@ -116,18 +116,14 @@ class AngularGrid(Record):
             j = min(max(j, 0), self.n_az - 1)
         return (i, j)
 
-    def azimuth_offsets(self, az_idx,
-                        ref_az_idx: int) -> tuple[np.ndarray, float]:
-        """Azimuths of the given columns as offsets from a reference angle,
-        plus that reference.  On a full-circle grid the reference is column
-        ref_az_idx and offsets wrap into [-180, 180), so a cluster
-        straddling the seam stays contiguous; otherwise the reference is 0
-        and the offsets are the plain azimuths."""
+    def azimuth_offsets(self, az_idx, ref_az_idx: int) -> np.ndarray:
+        """Azimuths of the given columns.  On a full-circle grid they are
+        offsets from column ref_az_idx wrapped into [-180, 180), so a
+        cluster straddling the seam stays contiguous."""
         az = self.azimuths_deg[np.asarray(az_idx, dtype=int)]
         if not self.wraps_azimuth:
-            return az, 0.0
-        ref = self.azimuths_deg[ref_az_idx]
-        return wrap_angle_deg(az - ref), ref
+            return az
+        return wrap_angle_deg(az - self.azimuths_deg[ref_az_idx])
 
 
 class TapAxis:

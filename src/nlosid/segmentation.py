@@ -24,7 +24,7 @@ from scipy import ndimage
 
 from .chansim import LOS, NLOS, RayCluster
 from .errors import ConfigError, Record
-from .pas import AngularGrid, PasMap, wrap_angle_deg
+from .pas import AngularGrid, PasMap
 
 # empty pixels are pinned this far below the map peak before dB conversion
 _ZERO_PIN_DB = 400.0
@@ -56,8 +56,6 @@ class Cluster:
     id: int
     pixels: frozenset        # of (el_idx, az_idx)
     peak_pixel: tuple[int, int]
-    centroid_el_deg: float
-    centroid_az_deg: float
     total_power: float
     truth: str | None = None
 
@@ -127,7 +125,7 @@ def segment(pas: PasMap, params: SegParams) -> list[Cluster]:
     if not markers:
         return []
     labels = _priority_flood(smoothed, mask, markers, wrap)
-    return _build_clusters(labels, len(markers), power, grid, params)
+    return _build_clusters(labels, len(markers), power, params)
 
 
 def _smooth_db(db, radius: int, wrap: bool):
@@ -205,34 +203,21 @@ def _priority_flood(smoothed, mask, markers, wrap):
     return labels
 
 
-def _build_clusters(labels, n_basins, power, grid: AngularGrid, params: SegParams):
-    el = grid.elevations_deg
+def _build_clusters(labels, n_basins, power, params: SegParams):
     raw = []
     for lab in range(1, n_basins + 1):
         idx = np.argwhere(labels == lab)
         if len(idx) < params.min_pixels:
             continue
         pix = [(int(i), int(j)) for i, j in idx]
-        weights = np.array([power[p] for p in pix])
-        total = float(weights.sum())
+        total = float(power[idx[:, 0], idx[:, 1]].sum())
         peak_pixel = max(pix, key=lambda p: (power[p], -p[0], -p[1]))
-        cent_el = float(np.dot(weights, [el[p[0]] for p in pix]) / total)
-        # average azimuth relative to the peak so seam-straddling clusters
-        # do not smear across the circle
-        rel, ref = grid.azimuth_offsets([p[1] for p in pix], peak_pixel[1])
-        cent_az = np.dot(weights, rel) / total
-        if grid.wraps_azimuth:
-            cent_az = wrap_angle_deg(ref + cent_az)
-        raw.append((total, peak_pixel, frozenset(pix), cent_el, float(cent_az)))
+        raw.append((total, peak_pixel, frozenset(pix)))
 
     raw.sort(key=lambda r: (-r[0], r[1]))
-    return [
-        Cluster(id=k, pixels=pixels, peak_pixel=peak_pixel,
-                centroid_el_deg=cent_el, centroid_az_deg=cent_az,
-                total_power=total)
-        for k, (total, peak_pixel, pixels, cent_el, cent_az)
-        in enumerate(raw, start=1)
-    ]
+    return [Cluster(id=k, pixels=pixels, peak_pixel=peak_pixel,
+                    total_power=total)
+            for k, (total, peak_pixel, pixels) in enumerate(raw, start=1)]
 
 
 def label_clusters_with_truth(clusters: list[Cluster],

@@ -66,12 +66,11 @@ def blob_map(grid: AngularGrid, blobs, floor: float = 1.0) -> PasMap:
 def cluster_of(pixels, pas: PasMap, cluster_id: int = 1,
                truth=None) -> Cluster:
     """Wrap a pixel set into a Cluster, deriving peak and total power from
-    the map.  Centroid fields are not used by the metric code."""
+    the map."""
     pix = sorted(pixels)
     peak = max(pix, key=lambda p: (pas.power[p], -p[0], -p[1]))
     total = float(sum(pas.power[p] for p in pix))
     return Cluster(id=cluster_id, pixels=frozenset(pix), peak_pixel=peak,
-                   centroid_el_deg=0.0, centroid_az_deg=0.0,
                    total_power=total, truth=truth)
 
 

@@ -241,6 +241,24 @@ def test_ingest_rejects_duplicate_directions(tmp_path, rng, capsys):
     assert "more than one sweep file" in capsys.readouterr().err
 
 
+def test_ingest_refuses_taps_beyond_complex64(tmp_path, capsys):
+    """A sweep value whose taps do not fit the float32 pairs of the tensor
+    file exits 3 before either half of the tensor is written."""
+    rows = ["az_deg,el_deg,freq_ghz,re,im"]
+    for az in (0.0, 2.0):
+        for el in (0.0, 2.0):
+            for k in range(8):
+                re = 1e300 if (az, el, k) == (0.0, 0.0, 3) else 1.0
+                rows.append(f"{az},{el},{60.0 + 0.25 * k},{re},0.0")
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "tensor.json"
+    assert main(["--out", str(out), "ingest", str(sweep),
+                 "--az", "0:2:2", "--el", "0:2:2"]) == 3
+    assert "complex64" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "tensor.bin").exists()
+
+
 def test_ingest_validates_axes(tmp_path, rng, capsys):
     a, b, _ = write_sweep_files(tmp_path, rng)
     assert main(["ingest", str(a), "--az", "0:6", "--el", "0:4:2"]) == 2
@@ -293,7 +311,8 @@ MALFORMED_INPUTS = {
     "manifest_index_not_int": (
         {"s.json": {"format": "simulation",
                     "realizations": [{"index": "x", "cir": "t.json"}]}},
-        ["extract", "--manifest", "s.json"], 3, "realization entry"),
+        ["extract", "--manifest", "s.json"], 3,
+        "s.json: Realization.index must be an integer"),
     "tensor_grid_type": (
         {"t.json": {"format": "cir_tensor", "dtype": "c64le", "grid": _GRID,
                     "sample_rate_ghz": 2.0, "n_taps": 16,
@@ -326,7 +345,8 @@ MALFORMED_INPUTS = {
          "s.json": {"format": "simulation", "realizations": [
              {"index": 0, "cir": "t.json", "truth": "u.json"}]},
          "u.json": {"format": "truth", "clusters": 5}},
-        ["extract", "--manifest", "s.json"], 3, "'clusters' must be a list"),
+        ["extract", "--manifest", "s.json"], 3,
+        "u.json: Truth.clusters must be a list"),
     "truth_kind_unknown": (
         {**_TENSOR_FILES,
          "s.json": {"format": "simulation", "realizations": [
@@ -347,7 +367,7 @@ MALFORMED_INPUTS = {
         _EXTRACT, 3, "AngularGrid.n_az must be an integer"),
     "tensor_rate_overflow": (
         {**_TENSOR_FILES, "t.json": {**_TENSOR, "sample_rate_ghz": 10 ** 399}},
-        _EXTRACT, 3, "bad manifest field"),
+        _EXTRACT, 3, "t.json: bad TensorManifest"),
     "sim_range_overflow": (
         {"c.json": json_with_raw_numbers(
             {"sim": {"az_range_deg": [0, "@inf"]}})},
@@ -420,11 +440,33 @@ MALFORMED_INPUTS = {
     "tensor_grid_names_file": (
         {**_TENSOR_FILES, "t.json": {
             **_TENSOR, "grid": {**_TENSOR["grid"], "n_az": 1.5}}},
-        _EXTRACT, 3, "t.json: bad manifest field: AngularGrid.n_az must be "
-                     "an integer"),
+        _EXTRACT, 3, "t.json: AngularGrid.n_az must be an integer"),
     "mlr_error_names_file": (
         _mlr_files({"r_p": {"los": {**_GEV, "sigma": -1.0}, "nlos": _GEV}}),
         _CLASSIFY, 3, "m.json: bad model document"),
+    "sim_los_present_not_bool": (
+        {"c.json": {"sim": {"los_present": "no"}}}, _EXPERIMENT, 2,
+        "SimConfig.los_present must be a boolean"),
+    "sim_snr_not_number": ({"c.json": {"sim": {"snr_db": "x"}}},
+                           _EXPERIMENT, 2,
+                           "SimConfig.snr_db must be a real number"),
+    "tensor_taps_fraction": (
+        {**_TENSOR_FILES, "t.json": {**_TENSOR, "n_taps": 16.9}}, _EXTRACT,
+        3, "t.json: TensorManifest.n_taps must be an integer"),
+    "tensor_taps_string": (
+        {**_TENSOR_FILES, "t.json": {**_TENSOR, "n_taps": "16"}}, _EXTRACT,
+        3, "t.json: TensorManifest.n_taps must be an integer"),
+    "manifest_index_fraction": (
+        {**_TENSOR_FILES, "s.json": {"format": "simulation", "realizations": [
+            {"index": 2.7, "cir": "t.json"}]}},
+        ["extract", "--manifest", "s.json"], 3,
+        "s.json: Realization.index must be an integer"),
+    "tensor_data_file_empty": (
+        {**_TENSOR_FILES, "t.json": {**_TENSOR, "data_file": ""}}, _EXTRACT,
+        3, "t.json: data_file must be a bare file name"),
+    "tensor_data_file_in_subdirectory": (
+        {**_TENSOR_FILES, "t.json": {**_TENSOR, "data_file": "d/t.bin"}},
+        _EXTRACT, 3, "t.json: data_file must be a bare file name"),
 }
 
 

@@ -14,7 +14,9 @@ from nlosid import (AngularGrid, CfrSlice, CirSlice, CirTensor, ConfigError,
                     simulate_realization)
 from nlosid.experiment import (ERROR_TABLE_ROWS, BootstrapSpec,
                                _training_seed)
-from nlosid.fileio import load_features, load_json, save_features
+from nlosid.fileio import (SimulationManifest, TensorManifest, Truth,
+                           load_document, load_features, load_json,
+                           save_document, save_features)
 from nlosid.metrics import METRIC_NAMES
 
 from conftest import flat_grid, labelled_feature_rows, small_sim
@@ -188,6 +190,20 @@ def test_cmd_simulate_writes_manifest_and_files(tmp_path):
     inputs = inputs_from_manifest(manifest)
     assert [i for i, _, _ in inputs] == [0, 1, 2]
     assert all(t is not None for _, _, t in inputs)
+
+
+def test_stored_documents_round_trip_byte_for_byte(tmp_path):
+    """Each document simulate writes reads back through its Record and
+    writes again as the same bytes."""
+    manifest = cmd_simulate(tiny_config(n_realizations=2, n_train=1,
+                                        n_test=1), tmp_path / "sim")
+    again = tmp_path / "again.json"
+    for name, cls in (("simulation.json", SimulationManifest),
+                      ("real_0000.json", TensorManifest),
+                      ("truth_0000.json", Truth)):
+        path = manifest.parent / name
+        save_document(again, load_document(path, cls))
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_inputs_from_manifest_rejects_other_documents(tmp_path):

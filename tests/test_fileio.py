@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlosid import (AngularGrid, CirTensor, DataFormatError, GevParams,
-                    MlrModel, PasMap, ann_init, ann_train, mlr_classify,
-                    simulate_realization)
+                    MlrModel, PasMap, ann_init, ann_train,
+                    inputs_from_manifest, mlr_classify, simulate_realization)
 from nlosid.fileio import (ann_model_from_dict, ann_model_to_dict,
                            load_cir_tensor, load_features, load_json,
                            load_model, load_sweep_csv, load_truth,
@@ -330,6 +330,14 @@ _CLUSTERS = _mutated(kind=st.sampled_from(["LOS", "NLOS", "X"]),
                      rays=st.lists(_RAYS, max_size=2))
 _TRUTH_DOCS = _mutated(format=st.just("truth"),
                        clusters=st.lists(_CLUSTERS, max_size=3))
+_REALIZATION_DOCS = _mutated(index=st.sampled_from([0, 3]),
+                             cir=st.just("t.json"), pas=st.none(),
+                             truth=st.just("u.json"))
+_SIMULATION_DOCS = _mutated(
+    format=st.just("simulation"),
+    realizations=st.lists(_REALIZATION_DOCS, max_size=2),
+    config=st.just(small_sim().to_dict()), seed=st.just(1),
+    n_realizations=st.just(2))
 _GEVS = _mutated(gamma=st.just(0.0), mu=st.just(0.0), sigma=st.just(1.0))
 _MLR_DOCS = _mutated(
     format=st.just("mlr_model"),
@@ -341,20 +349,22 @@ _ANN_DOCS = _mutated(format=st.just("ann_model"), **{
 
 
 _PARSERS = {"table.csv": (load_features, load_sweep_csv),
-            "t.json": (load_cir_tensor, load_truth, load_model)}
+            "t.json": (load_cir_tensor, load_truth, load_model,
+                       inputs_from_manifest)}
 _INPUTS = st.one_of(
     _CSV_TEXT.map(lambda data: ("table.csv", data)),
-    st.one_of(_TENSOR_DOCS, _TRUTH_DOCS, _MLR_DOCS, _ANN_DOCS).map(
+    st.one_of(_TENSOR_DOCS, _TRUTH_DOCS, _SIMULATION_DOCS, _MLR_DOCS,
+              _ANN_DOCS).map(
         lambda doc: ("t.json", json_with_raw_numbers(doc).encode())))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=_INPUTS)
 def test_parsers_raise_only_data_format_errors(case, tmp_path_factory):
-    """Feature and sweep tables from arbitrary bytes, tensor manifests,
-    truth files and model documents from arbitrary JSON objects: every
-    rejection is a DataFormatError, which the command line maps to exit
-    3."""
+    """Feature and sweep tables from arbitrary bytes, tensor and simulation
+    manifests, truth files and model documents from arbitrary JSON objects:
+    every rejection is a DataFormatError, which the command line maps to
+    exit 3."""
     name, data = case
     d = tmp_path_factory.getbasetemp() / "parser_fuzz"
     d.mkdir(exist_ok=True)

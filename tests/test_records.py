@@ -12,6 +12,8 @@ from nlosid import (LOS, NLOS, AngularGrid, ConfigError, DataFormatError,
                     RayCluster, SegParams, SimConfig, TrainSchedule)
 from nlosid.errors import Record
 from nlosid.experiment import BootstrapSpec
+from nlosid.fileio import (Realization, SimulationManifest, TensorManifest,
+                           Truth)
 
 
 def _real(lo: int, hi: int):
@@ -21,6 +23,16 @@ def _real(lo: int, hi: int):
 
 
 _RAYS = st.builds(Ray, *[_real(-10, 10)] * 5)
+_GRIDS = st.builds(
+    AngularGrid, az_start_deg=_real(-180, 180), az_step_deg=_real(1, 10),
+    n_az=st.integers(1, 36), el_start_deg=_real(-90, 90),
+    el_step_deg=_real(1, 10), n_el=st.integers(1, 36))
+_CLUSTERS = st.builds(RayCluster, st.sampled_from([LOS, NLOS]),
+                      _real(-180, 180), _real(-90, 90), _real(0, 40),
+                      st.lists(_RAYS, max_size=3).map(tuple))
+_NAMES = st.sampled_from(["real_0000.json", "t.json", "sub/truth_7.json"])
+_REALIZATIONS = st.builds(Realization, st.integers(0, 10**6), _NAMES,
+                          st.none() | _NAMES, st.none() | _NAMES)
 _SIMS = st.builds(
     SimConfig, az_range_deg=st.sampled_from([(-60, 60), (-180.0, 180.0)]),
     step_deg=st.sampled_from([5, 2.5]), hpbw_az_deg=_real(1, 20),
@@ -32,14 +44,9 @@ _SEGS = st.builds(SegParams, foreground_threshold_db=_real(1, 30),
                   marker_min_separation=_real(0, 9),
                   smoothing_radius=st.integers(0, 3))
 RECORDS = {
-    AngularGrid: st.builds(
-        AngularGrid, az_start_deg=_real(-180, 180), az_step_deg=_real(1, 10),
-        n_az=st.integers(1, 36), el_start_deg=_real(-90, 90),
-        el_step_deg=_real(1, 10), n_el=st.integers(1, 36)),
+    AngularGrid: _GRIDS,
     Ray: _RAYS,
-    RayCluster: st.builds(RayCluster, st.sampled_from([LOS, NLOS]),
-                          _real(-180, 180), _real(-90, 90), _real(0, 40),
-                          st.lists(_RAYS, max_size=3).map(tuple)),
+    RayCluster: _CLUSTERS,
     GevParams: st.builds(GevParams, gamma=_real(-2, 2), mu=_real(-100, 100),
                          sigma=_real(1, 100)),
     SimConfig: _SIMS,
@@ -54,6 +61,15 @@ RECORDS = {
         sim=_SIMS, seg=_SEGS, n_realizations=st.integers(2, 500),
         n_train=st.just(1), n_test=st.just(1), seed=st.integers(0, 2**64),
         features_csv=st.none() | st.just("table.csv")),
+    TensorManifest: st.builds(
+        TensorManifest, _GRIDS, _real(1, 10), st.integers(0, 4096),
+        st.just("c64le"), st.sampled_from(["t.bin", "real_0001.bin"])),
+    Truth: st.builds(Truth, st.lists(_CLUSTERS, max_size=3).map(tuple)),
+    Realization: _REALIZATIONS,
+    SimulationManifest: st.builds(
+        SimulationManifest, st.lists(_REALIZATIONS, max_size=3).map(tuple),
+        st.none() | _SIMS, st.none() | st.integers(0, 2**64),
+        st.none() | st.integers(1, 500)),
 }
 
 
@@ -69,13 +85,14 @@ def test_every_record_class_is_covered():
 @settings(max_examples=200, deadline=None)
 @given(record=st.one_of(*RECORDS.values()))
 def test_records_round_trip_through_json(record):
-    """from_dict inverts to_dict through JSON text, and every field typed
-    float holds a float (the strategies give some of them integers)."""
+    """from_dict inverts to_dict through JSON text, and every scalar field
+    holds its annotated type (the strategies give some float fields
+    integers)."""
     text = json.dumps(record.to_dict())
     assert type(record).from_dict(json.loads(text)) == record
     for r in [record, *getattr(record, "rays", ())]:
         for field in dataclasses.fields(r):
-            if field.type in (int, float):
+            if field.type in (bool, int, float, str):
                 assert type(getattr(r, field.name)) is field.type
 
 
@@ -88,6 +105,38 @@ def test_records_refuse_bools_and_non_numbers(cls, error):
         for bad in (True, "1", None, [1.0]):
             with pytest.raises(error, match=f"{cls.__name__}.{name} must"):
                 cls.from_dict({**good, name: bad})
+
+
+@pytest.mark.parametrize("cls, doc, message", [
+    (SimConfig, {"los_present": "no"}, "los_present must be a boolean"),
+    (SimConfig, {"los_present": 0}, "los_present must be a boolean"),
+    (SimConfig, {"snr_db": "x"}, "snr_db must be a real number or null"),
+    (MetricConfig, {"r_p_mode": 5}, "r_p_mode must be a string, got 5"),
+    (ExperimentConfig, {"features_csv": 5},
+     "features_csv must be a string or null"),
+    (ExperimentConfig, {"mode": None}, "mode must be a string, got None"),
+    (Realization, {"index": 0, "cir": "t.json", "truth": 1},
+     "truth must be a string or null"),
+    (SimulationManifest, {"seed": True}, "seed must be an integer or null"),
+])
+def test_records_type_bools_strings_and_optional_fields(cls, doc, message):
+    with pytest.raises(cls.error, match=f"{cls.__name__}.{message}"):
+        cls.from_dict(doc)
+
+
+def test_optional_fields_take_null():
+    assert SimConfig.from_dict({"snr_db": None}).snr_db is None
+    assert SimulationManifest.from_dict(
+        {"config": None, "seed": None}) == SimulationManifest()
+    assert Realization.from_dict({"index": 3, "cir": "c.json",
+                                  "pas": None}).pas is None
+
+
+def test_config_errors_inside_data_records_are_data_errors():
+    """A manifest's SimConfig is data: its faults exit as format errors."""
+    with pytest.raises(DataFormatError,
+                       match="bad SimulationManifest: n_taps must be at"):
+        SimulationManifest.from_dict({"config": {"n_taps": 8}})
 
 
 def test_data_records_raise_data_format_errors():

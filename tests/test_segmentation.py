@@ -8,8 +8,7 @@ import pytest
 
 from nlosid import (LOS, NLOS, ConfigError, PasMap, RayCluster, Ray,
                     SegParams, SimConfig, compute_pas, estimate_noise_floor,
-                    label_clusters_with_truth, segment, simulate_realization,
-                    wrap_angle_deg)
+                    label_clusters_with_truth, segment, simulate_realization)
 
 from conftest import blob_map, flat_grid
 from oracles import connected_components
@@ -115,19 +114,6 @@ def test_two_blobs_match_flood_fill_oracle():
             sum(pas.power[p] for p in c.pixels), rel=1e-12)
 
 
-def test_centroid_is_power_weighted_mean():
-    g = flat_grid(n_el=30, n_az=30, step=2.0, az_start=-20.0, el_start=-10.0)
-    pas = blob_map(g, [(14, 11, 800.0, 1.7)])
-    c, = segment(pas, SegParams())
-    w = np.array([pas.power[p] for p in c.pixels])
-    els = np.array([g.angles_of(*p)[0] for p in c.pixels])
-    azs = np.array([g.angles_of(*p)[1] for p in c.pixels])
-    assert c.centroid_el_deg == pytest.approx(np.sum(w * els) / np.sum(w),
-                                              abs=1e-9)
-    assert c.centroid_az_deg == pytest.approx(np.sum(w * azs) / np.sum(w),
-                                              abs=1e-9)
-
-
 def test_flat_map_yields_nothing():
     g = flat_grid(n_el=10, n_az=10)
     assert segment(PasMap(g, np.ones((10, 10))), SegParams()) == []
@@ -185,8 +171,6 @@ def test_blob_straddling_azimuth_seam_stays_whole():
     middle = blob_map(g, [(5, 36, 1000.0, 1.5)])
     middle_cluster, = segment(middle, SegParams())
     assert len(middle_cluster.pixels) == len(clusters[0].pixels)
-    # centroid lands on the seam column, not at the arithmetic mean
-    assert abs(wrap_angle_deg(clusters[0].centroid_az_deg - (-180.0))) < 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +185,6 @@ def _box(cluster_id, rows, cols, peak):
 def segment_cluster(cluster_id, pixels, peak):
     from nlosid import Cluster
     return Cluster(id=cluster_id, pixels=pixels, peak_pixel=peak,
-                   centroid_el_deg=0.0, centroid_az_deg=0.0,
                    total_power=1.0)
 
 
