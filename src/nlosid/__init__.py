@@ -24,10 +24,9 @@ from .gevstats import (GevParams, bootstrap_split, cdf_rmse, gev_cdf,
                        gev_fit_mle, gev_pdf)
 from .metrics import (METRIC_NAMES, CoKurtosisMatrix, FeatureVector,
                       MetricConfig, cluster_features, co_kurtosis,
-                      eigen_ratio, freq_kurtosis, mean_excess_delay,
-                      rms_delay_spread, time_kurtosis)
-from .pas import (AngularGrid, CfrSlice, CirSlice, PasMap, cfr_from_cir,
-                  cir_from_cfr, compute_pas, wrap_angle_deg)
+                      delay_moments, eigen_ratio, freq_kurtosis,
+                      time_kurtosis)
+from .pas import AngularGrid, PasMap, compute_pas, wrap_angle_deg
 from .segmentation import (Cluster, SegParams, estimate_noise_floor,
                            label_clusters_with_truth, segment)
 

@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, Record, RenderError
-from .pas import AngularGrid, CirSlice, TapAxis, wrap_angle_deg
+from .errors import _SCALARS, ConfigError, DataFormatError, Record, RenderError
+from .pas import AngularGrid, wrap_angle_deg
 
 LOS = "LOS"
 NLOS = "NLOS"
@@ -101,8 +101,10 @@ class SimConfig(Record):
         super().__post_init__()
         if self.hpbw_az_deg <= 0 or self.hpbw_el_deg <= 0:
             raise ConfigError("beamwidths must be positive")
-        if self.sample_rate_ghz <= 0:
-            raise ConfigError("sample_rate_ghz must be positive")
+        if not (math.isfinite(self.sample_rate_ghz)
+                and self.sample_rate_ghz > 0):
+            raise ConfigError(f"sample_rate_ghz must be positive and finite, "
+                              f"got {self.sample_rate_ghz}")
         if self.n_taps < 64:
             raise ConfigError("n_taps must be at least 64")
         if self.n_nlos_mean < 1:
@@ -120,10 +122,14 @@ class SimConfig(Record):
                 raise ConfigError(
                     f"snr_db must be None, or finite with a finite noise "
                     f"factor 10 ** (-snr_db / 10); got {self.snr_db}")
+        real, _ = _SCALARS[float]
         for name in ("az_range_deg", "el_range_deg"):
             value = getattr(self, name)
-            if not isinstance(value, (list, tuple)) or len(value) != 2:
-                raise ConfigError(f"{name} must be a [start, stop] pair")
+            if not (isinstance(value, (list, tuple)) and len(value) == 2
+                    and all(isinstance(v, real) and not isinstance(v, bool)
+                            for v in value)):
+                raise ConfigError(f"SimConfig.{name} must be a [start, stop] "
+                                  f"pair of real numbers, got {value!r}")
             # JSON gives lists; store a float tuple so configs compare and hash
             object.__setattr__(self, name, (float(value[0]), float(value[1])))
         # both ranges must land on the step grid
@@ -246,7 +252,7 @@ def _scaled_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class CirTensor(TapAxis):
+class CirTensor:
     """Impulse responses on an angular grid, tap k at k / sample_rate_ghz ns.
 
     signal, shape (n_el, n_az, len(signal_taps)), holds s, the taps at the
@@ -274,7 +280,10 @@ class CirTensor(TapAxis):
     realization: int = 0
 
     def __post_init__(self):
-        super().__post_init__()
+        if not (math.isfinite(self.sample_rate_ghz)
+                and self.sample_rate_ghz > 0):
+            raise ConfigError(f"sample rate must be positive and finite, got "
+                              f"{self.sample_rate_ghz}")
         if self.signal.shape != self.grid.shape + (len(self.signal_taps),):
             raise DataFormatError(
                 f"tensor shape {self.signal.shape} does not match grid "
@@ -293,6 +302,10 @@ class CirTensor(TapAxis):
         (n_el, n_az, n_taps), is kept as it is, not copied."""
         n_taps = data.shape[-1] if data.ndim == 3 else 0
         return cls(grid, sample_rate_ghz, n_taps, np.arange(n_taps), data)
+
+    @property
+    def tap_spacing_ns(self) -> float:
+        return 1.0 / self.sample_rate_ghz
 
     def tap_energy(self) -> np.ndarray:
         """Sum of |h_k|^2 over every tap of each pixel, shape (n_el, n_az)."""
@@ -333,11 +346,12 @@ class CirTensor(TapAxis):
         out[:, self.signal_taps] += (self.along[rows, az_idx][:, None]
                                      * mu).view(complex)
 
-    def pixel(self, el_idx: int, az_idx: int) -> CirSlice:
+    def pixel(self, el_idx: int, az_idx: int) -> np.ndarray:
+        """The (n_taps,) complex taps of one beam direction."""
         taps = np.empty((1, self.n_taps), dtype=complex)
         self._fill(np.array([range(self.grid.n_el)[el_idx]]),
                    range(self.grid.n_az)[az_idx], taps)
-        return CirSlice(taps[0], self.sample_rate_ghz)
+        return taps[0]
 
     @cached_property
     def data(self) -> np.ndarray:

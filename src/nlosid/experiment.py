@@ -30,8 +30,7 @@ from .fileio import (Realization, SimulationManifest, load_cir_tensor,
                      save_model, save_pas_json, save_truth)
 from .gevstats import bootstrap_split, cdf_rmse, gev_cdf, gev_pdf
 from .metrics import METRIC_NAMES, MetricConfig, cluster_features
-from .pas import (AngularGrid, CfrSlice, compute_pas, cir_from_cfr,
-                  wrap_angle_deg)
+from .pas import AngularGrid, compute_pas, wrap_angle_deg
 from .segmentation import SegParams, label_clusters_with_truth, segment
 
 ERROR_TABLE_ROWS = METRIC_NAMES + ("joint_mlr", "ann")
@@ -196,8 +195,12 @@ def ingest_sweeps(sweeps: dict, grid: AngularGrid,
 
     sweeps maps (az_deg, el_deg) to (freqs_ghz, complex values).  Every
     grid direction must be present and all directions must share one
-    frequency axis, and no two sweeps may name one direction (such as
-    azimuths -180 and 180 on a full-circle grid).
+    frequency axis, uniform with at least 8 points, and no two sweeps may
+    name one direction (such as azimuths -180 and 180 on a full-circle
+    grid).  Each direction's taps are the inverse DFT of its values, after
+    a symmetric Hann taper across the band (the usual choice for measured
+    sweeps) unless window is "none", which inverts np.fft.fft exactly.  The
+    sample rate is the point count times the frequency step.
     """
     owners = {}               # pixel -> the sweep key that names it
     for az, el in sweeps:
@@ -219,23 +222,32 @@ def ingest_sweeps(sweeps: dict, grid: AngularGrid,
         more = f" and {len(missing) - 8} more" if len(missing) > 8 else ""
         raise DataFormatError(f"sweeps missing grid directions: {shown}{more}")
 
-    ref_freqs = lookup[(0, 0)][0]
-    slices = {}
-    for pixel, (freqs, values) in lookup.items():
-        if len(freqs) != len(ref_freqs) \
-                or np.max(np.abs(freqs - ref_freqs)) > 1e-9 * max(ref_freqs[-1], 1.0):
-            el, az = grid.angles_of(*pixel)
+    if window not in ("hann", "none"):
+        raise ConfigError(
+            f"unknown window {window!r}, expected 'hann' or 'none'")
+    freqs = np.asarray(lookup[(0, 0)][0], dtype=float)
+    if freqs.ndim != 1 or len(freqs) < 8:
+        raise DataFormatError("a frequency sweep needs at least 8 points")
+    n = len(freqs)
+    df = np.diff(freqs)
+    if np.any(df <= 0):
+        raise DataFormatError("frequency axis must be strictly increasing")
+    step = float(np.mean(df))
+    if np.max(np.abs(df - step)) > 1e-6 * step:
+        raise DataFormatError("frequency axis is not uniformly spaced")
+    data = np.empty(grid.shape + (n,), dtype=complex)
+    for (i, j), (f, values) in lookup.items():
+        if len(f) != n or len(values) != n \
+                or np.max(np.abs(f - freqs)) > 1e-9 * max(freqs[-1], 1.0):
+            el, az = grid.angles_of(i, j)
             raise DataFormatError(
                 f"direction (az={az:g}, el={el:g}) has a different "
                 f"frequency axis from the rest")
-        slices[pixel] = cir_from_cfr(CfrSlice(freqs, values), window=window)
-
-    sample_rate = slices[(0, 0)].sample_rate_ghz
-    n_taps = slices[(0, 0)].n_taps
-    data = np.zeros((grid.n_el, grid.n_az, n_taps), dtype=complex)
-    for (i, j), sl in slices.items():
-        data[i, j, :] = sl.taps
-    return CirTensor.dense(grid, sample_rate, data)
+        data[i, j] = values
+    if window == "hann":
+        data *= np.hanning(n)
+    sample_rate = n * float((freqs[-1] - freqs[0]) / (n - 1))
+    return CirTensor.dense(grid, sample_rate, np.fft.ifft(data, axis=-1))
 
 
 # ---------------------------------------------------------------------------

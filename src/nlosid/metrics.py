@@ -20,7 +20,7 @@ import numpy as np
 
 from .chansim import CirTensor
 from .errors import ConfigError, DegenerateInputError, Record
-from .pas import CfrSlice, CirSlice, PasMap, cfr_from_cir
+from .pas import PasMap
 from .segmentation import Cluster
 
 METRIC_NAMES = ("r_p", "k_t", "k_f", "tau_mean_ns", "tau_rms_ns")
@@ -136,6 +136,10 @@ def eigen_ratio(matrix: CoKurtosisMatrix) -> float:
 
 
 def _magnitude_kurtosis(mag: np.ndarray, what: str) -> float:
+    if len(mag) < 8:
+        raise DegenerateInputError(
+            f"need at least 8 {what}s for a magnitude kurtosis, got "
+            f"{len(mag)}")
     mean = float(np.mean(mag))
     dev = mag - mean
     m2 = float(np.mean(dev ** 2))
@@ -146,39 +150,29 @@ def _magnitude_kurtosis(mag: np.ndarray, what: str) -> float:
     return m4 / m2 ** 2
 
 
-def time_kurtosis(pixel: CirSlice) -> float:
-    """Kurtosis of tap magnitudes of one beam direction."""
-    if pixel.n_taps < 8:
-        raise DegenerateInputError(
-            f"need at least 8 taps for a magnitude kurtosis, got {pixel.n_taps}")
-    return _magnitude_kurtosis(np.abs(np.asarray(pixel.taps)), "tap")
+def time_kurtosis(taps: np.ndarray) -> float:
+    """Kurtosis of the tap magnitudes of one beam direction."""
+    return _magnitude_kurtosis(np.abs(taps), "tap")
 
 
-def freq_kurtosis(cfr: CfrSlice) -> float:
-    """Kurtosis of the magnitude frequency response of one beam direction."""
-    return _magnitude_kurtosis(np.abs(np.asarray(cfr.values)), "frequency-bin")
+def freq_kurtosis(taps: np.ndarray) -> float:
+    """Kurtosis of the magnitude frequency response of one beam direction,
+    its taps' discrete Fourier transform."""
+    return _magnitude_kurtosis(np.abs(np.fft.fft(taps)), "frequency-bin")
 
 
-def _delay_stats(mag: np.ndarray, delays: np.ndarray) -> tuple[float, float]:
-    p = mag ** 2
+def delay_moments(taps: np.ndarray,
+                  sample_rate_ghz: float) -> tuple[float, float]:
+    """Power-weighted mean tap delay and rms delay spread, nanoseconds from
+    the record start, of one beam direction."""
+    p = np.abs(taps) ** 2
     total = p.sum()
     if total <= 0.0:
-        raise DegenerateInputError("slice carries no energy; delays undefined")
+        raise DegenerateInputError("pixel carries no energy; delays undefined")
+    delays = np.arange(len(taps)) / sample_rate_ghz
     mean = float(np.dot(p, delays) / total)
     var = float(np.dot(p, (delays - mean) ** 2) / total)
     return mean, float(np.sqrt(max(var, 0.0)))
-
-
-def mean_excess_delay(pixel: CirSlice) -> float:
-    """Power-weighted mean tap delay, nanoseconds from the record start."""
-    mag = np.abs(np.asarray(pixel.taps))
-    return _delay_stats(mag, pixel.delays_ns)[0]
-
-
-def rms_delay_spread(pixel: CirSlice) -> float:
-    """Power-weighted standard deviation of tap delay, nanoseconds."""
-    mag = np.abs(np.asarray(pixel.taps))
-    return _delay_stats(mag, pixel.delays_ns)[1]
 
 
 def cluster_features(cluster: Cluster, cir: CirTensor, pas: PasMap,
@@ -192,9 +186,8 @@ def cluster_features(cluster: Cluster, cir: CirTensor, pas: PasMap,
         r_p = eigen_ratio(co_kurtosis(cluster, pas, config.r_p_mode))
         peak = cir.pixel(*cluster.peak_pixel)
         k_t = time_kurtosis(peak)
-        tau_mean, tau_rms = _delay_stats(np.abs(np.asarray(peak.taps)),
-                                         peak.delays_ns)
-        k_f = freq_kurtosis(cfr_from_cir(peak))
+        tau_mean, tau_rms = delay_moments(peak, cir.sample_rate_ghz)
+        k_f = freq_kurtosis(peak)
     except DegenerateInputError as exc:
         raise DegenerateInputError(f"cluster {cluster.id}: {exc}") from exc
     return FeatureVector(r_p=float(r_p), k_t=float(k_t), k_f=float(k_f),

@@ -1,4 +1,4 @@
-"""Angular grids, pixel impulse and frequency responses, and power maps.
+"""Angular grids and power maps.
 
 Conventions used throughout the package:
   * angles are degrees, azimuth wraps modulo 360 when a grid spans the
@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, DegenerateInputError, Record
+from .errors import ConfigError, DataFormatError, Record
 
-# relative tolerance for "is this frequency axis uniform"
-_UNIFORM_RTOL = 1e-6
 # an azimuth span this wide closes the circle
 _FULL_TURN_DEG = 360.0 - 1e-9
 
@@ -126,65 +124,6 @@ class AngularGrid(Record):
         return wrap_angle_deg(az - self.azimuths_deg[ref_az_idx])
 
 
-class TapAxis:
-    """Base of responses sampled on a delay axis at sample_rate_ghz."""
-
-    def __post_init__(self):
-        if self.sample_rate_ghz <= 0:
-            raise ConfigError("sample rate must be positive")
-
-    @property
-    def tap_spacing_ns(self) -> float:
-        return 1.0 / self.sample_rate_ghz
-
-
-@dataclass(frozen=True)
-class CirSlice(TapAxis):
-    """Impulse response of a single beam direction."""
-
-    taps: np.ndarray          # complex, shape (n_taps,)
-    sample_rate_ghz: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if np.asarray(self.taps).ndim != 1:
-            raise DataFormatError("a pixel slice must be one-dimensional")
-
-    @property
-    def n_taps(self) -> int:
-        return len(self.taps)
-
-    @property
-    def delays_ns(self) -> np.ndarray:
-        return np.arange(self.n_taps) / self.sample_rate_ghz
-
-
-@dataclass(frozen=True)
-class CfrSlice:
-    """Frequency response of a single beam direction on a uniform axis."""
-
-    frequencies_ghz: np.ndarray
-    values: np.ndarray        # complex, same length
-
-    def __post_init__(self):
-        f = np.asarray(self.frequencies_ghz, dtype=float)
-        if f.ndim != 1 or len(f) < 8:
-            raise DataFormatError("frequency response needs at least 8 points")
-        if len(f) != len(self.values):
-            raise DataFormatError("frequency axis and values disagree in length")
-        df = np.diff(f)
-        if np.any(df <= 0):
-            raise DataFormatError("frequency axis must be strictly increasing")
-        step = float(np.mean(df))
-        if np.max(np.abs(df - step)) > _UNIFORM_RTOL * step:
-            raise DataFormatError("frequency axis is not uniformly spaced")
-
-    @property
-    def spacing_ghz(self) -> float:
-        f = np.asarray(self.frequencies_ghz, dtype=float)
-        return float((f[-1] - f[0]) / (len(f) - 1))
-
-
 @dataclass(frozen=True)
 class PasMap:
     """Power angular spectrum: per-pixel received energy, linear units."""
@@ -210,37 +149,3 @@ def compute_pas(cir) -> PasMap:
     discrete form of integrating squared magnitude over the delay record.
     """
     return PasMap(cir.grid, cir.tap_energy() * cir.tap_spacing_ns)
-
-
-def cfr_from_cir(pixel: CirSlice) -> CfrSlice:
-    """Discrete Fourier transform of one pixel's taps.
-
-    Bin m maps to frequency m / (n * dt) GHz.  Energy is preserved:
-    sum |h|^2 == sum |H|^2 / n.
-    """
-    taps = np.asarray(pixel.taps, dtype=complex)
-    if len(taps) < 8:
-        raise DegenerateInputError(
-            f"need at least 8 taps for a frequency response, got {len(taps)}")
-    values = np.fft.fft(taps)
-    n = len(taps)
-    freqs = np.arange(n) / (n * pixel.tap_spacing_ns)
-    return CfrSlice(freqs, values)
-
-
-def cir_from_cfr(cfr: CfrSlice, window: str = "none") -> CirSlice:
-    """Inverse transform of a sampled frequency response.
-
-    window="hann" applies a symmetric Hann taper across the band before
-    inverting, the usual choice for measured sweeps; "none" inverts the raw
-    samples and is the exact inverse of cfr_from_cir.
-    """
-    values = np.asarray(cfr.values, dtype=complex)
-    n = len(values)
-    if window == "hann":
-        values = values * np.hanning(n)
-    elif window != "none":
-        raise ConfigError(f"unknown window {window!r}, expected 'hann' or 'none'")
-    taps = np.fft.ifft(values)
-    sample_rate = n * cfr.spacing_ghz
-    return CirSlice(taps, sample_rate)

@@ -44,6 +44,16 @@ def flat_grid(n_el: int = 20, n_az: int = 20, step: float = 1.0,
                        el_start_deg=el_start, el_step_deg=step, n_el=n_el)
 
 
+def grid_sweeps(grid: AngularGrid, freqs, values) -> dict:
+    """ingest_sweeps input naming every direction of grid, pixel (i, j)
+    swept at freqs with values[i, j]."""
+    sweeps = {}
+    for i, j in np.ndindex(grid.shape):
+        el, az = grid.angles_of(i, j)
+        sweeps[(az, el)] = (freqs, values[i, j])
+    return sweeps
+
+
 def blob_map(grid: AngularGrid, blobs, floor: float = 1.0) -> PasMap:
     """Power map of Gaussian blobs on a constant background.
 

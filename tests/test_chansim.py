@@ -289,7 +289,7 @@ def test_dense_tensor_reads_back_its_array(values):
     cir = CirTensor.dense(grid, 2.0, values)
     assert cir.data is values and cir.n_taps == n_taps
     for i, j in np.ndindex(grid.shape):
-        assert cir.pixel(i, j).taps.tobytes() == values[i, j].tobytes()
+        assert cir.pixel(i, j).tobytes() == values[i, j].tobytes()
     with np.errstate(over="ignore"):      # huge taps square to inf
         assert cir.tap_energy().tobytes() == \
             np.sum(np.abs(values) ** 2, axis=-1).tobytes()
@@ -302,7 +302,7 @@ def test_noiseless_render_equals_dense_tensor_of_its_data():
     dense = CirTensor.dense(cir.grid, cir.sample_rate_ghz, cir.data)
     assert dense.n_taps == cir.n_taps and dense.data is cir.data
     for p in np.ndindex(cir.grid.shape):
-        assert dense.pixel(*p).taps.tobytes() == cir.pixel(*p).taps.tobytes()
+        assert dense.pixel(*p).tobytes() == cir.pixel(*p).tobytes()
     # the sums run over different tap sets, so they agree to rounding
     np.testing.assert_allclose(dense.tap_energy(), cir.tap_energy(),
                                rtol=1e-12, atol=0.0)
@@ -320,13 +320,13 @@ def test_pixels_match_dense_view_in_any_order():
     pixels = [divmod(int(k), grid.n_az) for k in order]
 
     before = render_cir(clusters, cfg, 5, 3)
-    early = {p: before.pixel(*p).taps.tobytes() for p in pixels[:40]}
+    early = {p: before.pixel(*p).tobytes() for p in pixels[:40]}
     dense = before.data
     after = render_cir(clusters, cfg, 5, 3)
-    late = {p: after.pixel(*p).taps.tobytes() for p in reversed(pixels)}
+    late = {p: after.pixel(*p).tobytes() for p in reversed(pixels)}
     assert dense.tobytes() == after.data.tobytes()
     for p in pixels:
-        assert before.pixel(*p).taps.tobytes() == dense[p].tobytes()
+        assert before.pixel(*p).tobytes() == dense[p].tobytes()
         assert late[p] == dense[p].tobytes()
         if p in early:
             assert early[p] == dense[p].tobytes()
@@ -441,7 +441,7 @@ def test_subnormal_signal_pixels_keep_their_energy():
     np.testing.assert_allclose(np.sum(np.abs(dense) ** 2, axis=2),
                                cir.tap_energy(), rtol=1e-12, atol=0.0)
     for i, j in np.ndindex(cfg.grid().shape):
-        assert cir.pixel(i, j).taps.tobytes() == dense[i, j].tobytes()
+        assert cir.pixel(i, j).tobytes() == dense[i, j].tobytes()
 
 
 def test_lazy_and_eager_noise_give_one_distribution():
@@ -487,11 +487,11 @@ def test_lazy_render_properties(n_az, n_el, n_taps, snr_db, seed, realization,
     cir = render_cir(clusters, cfg, seed, realization)
     grid = cfg.grid()
     picks = [(i % grid.n_el, j % grid.n_az) for i, j in picks]
-    early = [cir.pixel(*p).taps for p in picks]
+    early = [cir.pixel(*p) for p in picks]
     dense = cir.data
     for p, taps in zip(picks, early):
         assert taps.tobytes() == dense[p].tobytes()
-        assert cir.pixel(*p).taps.tobytes() == dense[p].tobytes()
+        assert cir.pixel(*p).tobytes() == dense[p].tobytes()
     np.testing.assert_allclose(cir.tap_energy(),
                                np.sum(np.abs(dense) ** 2, axis=2),
                                rtol=1e-12, atol=0.0)

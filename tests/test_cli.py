@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nlosid import CirSlice, ann_init, cfr_from_cir
+from nlosid import ann_init
 from nlosid.cli import main
 from nlosid.fileio import (ann_model_to_dict, load_cir_tensor, load_features,
                            load_json, save_features, save_json)
@@ -205,14 +205,15 @@ def test_simulation_manifest_records_the_seed(workspace, tmp_path):
 def write_sweep_files(tmp_path, rng):
     grid = flat_grid(3, 4, step=2.0)
     taps = rng.normal(size=(3, 4, 16)) + 1j * rng.normal(size=(3, 4, 16))
+    # DFT bin m of 16 taps at 2 GHz lies at m * 2 / 16 GHz
+    freqs, values = np.arange(16) / 8.0, np.fft.fft(taps)
     header = "az_deg,el_deg,freq_ghz,re,im"
     rows_a, rows_b = [], []
     for i in range(3):
         for j in range(4):
             el, az = grid.angles_of(i, j)
-            cfr = cfr_from_cir(CirSlice(taps[i, j], 2.0))
             target = rows_a if (i * 4 + j) % 2 == 0 else rows_b
-            for f, v in zip(cfr.frequencies_ghz, cfr.values):
+            for f, v in zip(freqs, values[i, j]):
                 target.append(",".join(repr(float(x)) for x in
                                        (az, el, f, v.real, v.imag)))
     a = tmp_path / "sweep_a.csv"
@@ -283,6 +284,12 @@ _TENSOR = {"format": "cir_tensor", "dtype": "c64le",
            "n_taps": 16, "data_file": "t.bin"}
 _TENSOR_FILES = {"t.json": _TENSOR, "t.bin": bytes(16 * 8)}
 _CLASSIFY = ["classify", "--features", "f.csv", "--model", "m.json"]
+_SIMULATE = ["--config", "c.json", "simulate"]
+# 8-point sweeps of a 2x2 grid, the (0, 0) direction's first row repeated
+_SWEEP_REPEATED_ROW = "\n".join(
+    ["az_deg,el_deg,freq_ghz,re,im", "0,0,60.0,1,0"]
+    + [f"{az},{el},{60.0 + 0.25 * k},1,0"
+       for az in (0, 2) for el in (0, 2) for k in range(8)]) + "\n"
 
 
 def _mlr_files(tables):
@@ -467,6 +474,28 @@ MALFORMED_INPUTS = {
     "tensor_data_file_in_subdirectory": (
         {**_TENSOR_FILES, "t.json": {**_TENSOR, "data_file": "d/t.bin"}},
         _EXTRACT, 3, "t.json: data_file must be a bare file name"),
+    "tensor_rate_infinite": (
+        {**_TENSOR_FILES, "t.json": {**_TENSOR, "sample_rate_ghz": math.inf}},
+        _EXTRACT, 3, "t.json: sample rate must be positive and finite"),
+    "tensor_rate_nan": (
+        {**_TENSOR_FILES, "t.json": {**_TENSOR, "sample_rate_ghz": math.nan}},
+        _EXTRACT, 3, "t.json: sample rate must be positive and finite"),
+    "sim_rate_nan": ({"c.json": {"sim": {"sample_rate_ghz": math.nan}}},
+                     _SIMULATE, 2, "sample_rate_ghz must be positive and "
+                                   "finite"),
+    "sim_rate_infinite": ({"c.json": {"sim": {"sample_rate_ghz": math.inf}}},
+                          _SIMULATE, 2, "sample_rate_ghz must be positive "
+                                        "and finite"),
+    "sim_range_strings": (
+        {"c.json": {"sim": {"az_range_deg": ["-60", "60"]}}}, _SIMULATE, 2,
+        "SimConfig.az_range_deg must be a [start, stop] pair of real"),
+    "sim_range_bool": (
+        {"c.json": {"sim": {"el_range_deg": [True, 46]}}}, _SIMULATE, 2,
+        "SimConfig.el_range_deg must be a [start, stop] pair of real"),
+    "ingest_frequency_repeated": (
+        {"x.csv": _SWEEP_REPEATED_ROW},
+        ["ingest", "x.csv", "--az", "0:2:2", "--el", "0:2:2"], 3,
+        "frequency axis must be strictly increasing"),
 }
 
 

@@ -6,11 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlosid import (AngularGrid, CfrSlice, CirSlice, CirTensor, ConfigError,
-                    DataFormatError, ExperimentConfig, MetricConfig,
-                    SegParams, TrainSchedule, cfr_from_cir, cmd_extract,
-                    cmd_simulate, extract_realization, ingest_sweeps,
-                    inputs_from_manifest, run_experiment,
+from nlosid import (AngularGrid, CirTensor, ConfigError, DataFormatError,
+                    ExperimentConfig, MetricConfig, SegParams, TrainSchedule,
+                    cmd_extract, cmd_simulate, extract_realization,
+                    ingest_sweeps, inputs_from_manifest, run_experiment,
                     simulate_realization)
 from nlosid.experiment import (ERROR_TABLE_ROWS, BootstrapSpec,
                                _training_seed)
@@ -19,7 +18,7 @@ from nlosid.fileio import (SimulationManifest, TensorManifest, Truth,
                            save_document, save_features)
 from nlosid.metrics import METRIC_NAMES
 
-from conftest import flat_grid, labelled_feature_rows, small_sim
+from conftest import flat_grid, grid_sweeps, labelled_feature_rows, small_sim
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -243,15 +242,34 @@ def test_ingest_round_trips_synthetic_tensor(rng):
     grid = flat_grid(3, 4, step=2.0, az_start=0.0, el_start=0.0)
     taps = rng.normal(size=(3, 4, 16)) + 1j * rng.normal(size=(3, 4, 16))
     cir = CirTensor.dense(grid, 2.0, taps)
-    sweeps = {}
-    for i in range(3):
-        for j in range(4):
-            el, az = grid.angles_of(i, j)
-            cfr = cfr_from_cir(CirSlice(taps[i, j], 2.0))
-            sweeps[(az, el)] = (cfr.frequencies_ghz, cfr.values)
+    # DFT bin m of 16 taps at 2 GHz lies at m * 2 / 16 GHz
+    sweeps = grid_sweeps(grid, np.arange(16) / 8.0, np.fft.fft(taps))
     back = ingest_sweeps(sweeps, grid, window="none")
     assert back.sample_rate_ghz == pytest.approx(2.0, rel=1e-12)
     np.testing.assert_allclose(back.data, cir.data, rtol=1e-9, atol=1e-12)
+
+
+def test_ingest_checks_the_frequency_axis(rng):
+    grid = flat_grid(2, 3, step=2.0)
+    f = 60.0 + 0.1 * np.arange(16)
+    values = rng.normal(size=(2, 3, 16)) + 1j * rng.normal(size=(2, 3, 16))
+    cir = ingest_sweeps(grid_sweeps(grid, f, values), grid)
+    assert cir.sample_rate_ghz == pytest.approx(16 * 0.1, rel=1e-12)
+    bumpy = f.copy()
+    bumpy[7] += 0.03
+    for freqs, fragment in ((f[:7], "at least 8 points"),
+                            (f[::-1], "strictly increasing"),
+                            (bumpy, "not uniformly spaced")):
+        with pytest.raises(DataFormatError, match=fragment):
+            ingest_sweeps(grid_sweeps(grid, freqs, values[..., :len(freqs)]),
+                          grid)
+    # one direction whose values, or axis, is shorter than the rest's
+    for short in ((f, values[1, 2, :15]), (f[:15], values[1, 2, :15])):
+        sweeps = grid_sweeps(grid, f, values)
+        sweeps[(4.0, 2.0)] = short
+        with pytest.raises(DataFormatError,
+                           match=r"\(az=4, el=2\) has a different"):
+            ingest_sweeps(sweeps, grid)
 
 
 def test_ingest_rejects_bad_geometry(rng):

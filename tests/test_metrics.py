@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from nlosid import (LOS, CfrSlice, CirSlice, CirTensor, Cluster, ConfigError,
-                    CoKurtosisMatrix, DegenerateInputError, FeatureVector,
-                    MetricConfig, PasMap, Ray, RayCluster, SegParams,
-                    SimConfig, cfr_from_cir, cluster_features, co_kurtosis,
-                    compute_pas, eigen_ratio, freq_kurtosis,
-                    mean_excess_delay, render_cir, rms_delay_spread, segment,
-                    time_kurtosis)
+from nlosid import (LOS, CirTensor, Cluster, ConfigError, CoKurtosisMatrix,
+                    DegenerateInputError, FeatureVector, MetricConfig, PasMap,
+                    Ray, RayCluster, SegParams, SimConfig, cluster_features,
+                    co_kurtosis, compute_pas, delay_moments, eigen_ratio,
+                    freq_kurtosis, render_cir, segment, time_kurtosis)
 
 from conftest import blob_map, cluster_of, flat_grid
 from oracles import (angular_moments_oracle, delay_moments_oracle,
@@ -161,7 +159,7 @@ def test_time_kurtosis_exact_sparse_value():
     # one active tap out of four, duplicated to satisfy the length floor;
     # population moments are unchanged by duplicating the sample multiset
     taps = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], dtype=complex)
-    k = time_kurtosis(CirSlice(taps, 1.0))
+    k = time_kurtosis(taps)
     assert k == pytest.approx(7.0 / 3.0, rel=1e-12)
     assert k == pytest.approx(kurtosis_oracle(np.abs(taps)), rel=1e-12)
 
@@ -169,8 +167,7 @@ def test_time_kurtosis_exact_sparse_value():
 def test_time_kurtosis_folded_normal_oracle(rng):
     mags = np.abs(rng.normal(size=1_000_000))
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, len(mags)))
-    slc = CirSlice(mags * phases, 2.0)
-    got = time_kurtosis(slc)
+    got = time_kurtosis(mags * phases)
     assert got == pytest.approx(kurtosis_oracle(mags), rel=1e-9)
     # folded-normal kurtosis, from the first four absolute moments
     assert got == pytest.approx(3.8692, abs=0.05)
@@ -178,43 +175,40 @@ def test_time_kurtosis_folded_normal_oracle(rng):
 
 def test_time_kurtosis_scale_and_permutation_invariant(rng):
     taps = rng.normal(size=64) + 1j * rng.normal(size=64)
-    base = time_kurtosis(CirSlice(taps, 1.0))
-    assert time_kurtosis(CirSlice(10.0 * taps, 1.0)) == pytest.approx(
-        base, rel=1e-12)
+    base = time_kurtosis(taps)
+    assert time_kurtosis(10.0 * taps) == pytest.approx(base, rel=1e-12)
     perm = rng.permutation(64)
-    assert time_kurtosis(CirSlice(taps[perm], 1.0)) == pytest.approx(
-        base, rel=1e-12)
+    assert time_kurtosis(taps[perm]) == pytest.approx(base, rel=1e-12)
 
 
 def test_time_kurtosis_rejects_degenerate_slices():
     with pytest.raises(DegenerateInputError):
-        time_kurtosis(CirSlice(np.ones(4, dtype=complex), 1.0))
+        time_kurtosis(np.ones(4, dtype=complex))
     with pytest.raises(DegenerateInputError):
-        time_kurtosis(CirSlice(np.ones(32, dtype=complex), 1.0))
+        time_kurtosis(np.ones(32, dtype=complex))
     # constant magnitude with varying phase is still degenerate
     phases = np.exp(1j * np.linspace(0, 3, 32))
     with pytest.raises(DegenerateInputError):
-        time_kurtosis(CirSlice(phases, 1.0))
+        time_kurtosis(phases)
 
 
 def test_freq_kurtosis_sinusoid_oracle():
-    f = 2.0 + 0.01 * np.arange(512)
     mags = np.abs(np.sin(np.linspace(0.3, 19.0, 512)))
     values = mags * np.exp(1j * np.linspace(0, 5, 512))
-    cfr = CfrSlice(f, values)
-    assert freq_kurtosis(cfr) == pytest.approx(kurtosis_oracle(mags),
-                                               rel=1e-9)
-    rotated = CfrSlice(f, values * (0.5 - 2.0j))
-    assert freq_kurtosis(rotated) == pytest.approx(freq_kurtosis(cfr),
+    # taps whose DFT is values
+    taps = np.fft.ifft(values)
+    assert freq_kurtosis(taps) == pytest.approx(kurtosis_oracle(mags),
+                                                rel=1e-9)
+    rotated = taps * (0.5 - 2.0j)
+    assert freq_kurtosis(rotated) == pytest.approx(freq_kurtosis(taps),
                                                    rel=1e-12)
 
 
 def test_freq_kurtosis_flat_channel_degenerate():
     taps = np.zeros(64, dtype=complex)
     taps[0] = 1.0
-    cfr = cfr_from_cir(CirSlice(taps, 2.0))
     with pytest.raises(DegenerateInputError):
-        freq_kurtosis(cfr)
+        freq_kurtosis(taps)
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +218,18 @@ def test_freq_kurtosis_flat_channel_degenerate():
 def test_delay_moments_reference_points():
     taps = np.zeros(16, dtype=complex)
     taps[5] = 0.3
-    slc = CirSlice(taps, 1.0)
-    assert mean_excess_delay(slc) == 5.0
-    assert rms_delay_spread(slc) == 0.0
+    assert delay_moments(taps, 1.0) == (5.0, 0.0)
     two = np.zeros(16, dtype=complex)
     two[1] = 0.7
     two[3] = 0.7
-    slc2 = CirSlice(two, 1.0)
-    assert mean_excess_delay(slc2) == 2.0
-    assert rms_delay_spread(slc2) == 1.0
+    assert delay_moments(two, 1.0) == (2.0, 1.0)
+
+
+def test_delay_moments_use_the_sample_rate():
+    # taps 3 and 7 at 4 GHz arrive at 0.75 and 1.75 ns
+    taps = np.zeros(8, dtype=complex)
+    taps[3] = taps[7] = 1.0
+    assert delay_moments(taps, 4.0) == (1.25, 0.5)
 
 
 def test_delay_moments_match_oracle(rng):
@@ -240,18 +237,15 @@ def test_delay_moments_match_oracle(rng):
         n = int(rng.integers(8, 400))
         rate = float(rng.uniform(0.5, 8.0))
         taps = rng.normal(size=n) + 1j * rng.normal(size=n)
-        slc = CirSlice(taps, rate)
-        mean, rms = delay_moments_oracle(np.abs(taps), slc.delays_ns)
-        assert mean_excess_delay(slc) == pytest.approx(mean, rel=1e-12)
-        assert rms_delay_spread(slc) == pytest.approx(rms, rel=1e-12,
-                                                      abs=1e-15)
+        mean, rms = delay_moments_oracle(np.abs(taps), np.arange(n) / rate)
+        got_mean, got_rms = delay_moments(taps, rate)
+        assert got_mean == pytest.approx(mean, rel=1e-12)
+        assert got_rms == pytest.approx(rms, rel=1e-12, abs=1e-15)
 
 
 def test_delay_moments_need_energy():
     with pytest.raises(DegenerateInputError):
-        mean_excess_delay(CirSlice(np.zeros(16, dtype=complex), 1.0))
-    with pytest.raises(DegenerateInputError):
-        rms_delay_spread(CirSlice(np.zeros(16, dtype=complex), 1.0))
+        delay_moments(np.zeros(16, dtype=complex), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
-"""Angular grid, tensor containers, and delay/frequency transforms."""
+"""Angular grid, the tensor container, power maps, and the delay/frequency
+transforms: np.fft.fft one way, ingest_sweeps the other."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from nlosid import (AngularGrid, CfrSlice, CirSlice, CirTensor, ConfigError,
-                    DataFormatError, DegenerateInputError, PasMap,
-                    cfr_from_cir, cir_from_cfr, compute_pas, wrap_angle_deg)
+from nlosid import (AngularGrid, CirTensor, ConfigError, DataFormatError,
+                    DegenerateInputError, PasMap, compute_pas, freq_kurtosis,
+                    ingest_sweeps, wrap_angle_deg)
 
-from conftest import flat_grid
-from oracles import pas_pixel_oracle
+from conftest import flat_grid, grid_sweeps
+from oracles import kurtosis_oracle, pas_pixel_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +124,7 @@ def test_cir_tensor_validation(rng):
     t = CirTensor.dense(g, 2.0, good)
     assert t.n_taps == 16
     assert t.tap_spacing_ns == 0.5
-    assert np.array_equal(t.pixel(1, 2).taps, good[1, 2])
+    assert np.array_equal(t.pixel(1, 2), good[1, 2])
     for wrong in (good[:1], good[..., 0], good[..., None]):
         with pytest.raises(DataFormatError, match="does not match grid"):
             CirTensor.dense(g, 2.0, wrong)
@@ -127,31 +132,10 @@ def test_cir_tensor_validation(rng):
     bad[0, 0, 0] = np.nan
     with pytest.raises(DataFormatError):
         CirTensor.dense(g, 2.0, bad)
-    with pytest.raises(ConfigError):
-        CirTensor.dense(g, 0.0, good)
-
-
-def test_cir_slice_delay_axis():
-    s = CirSlice(np.zeros(8, dtype=complex), 4.0)
-    assert np.array_equal(s.delays_ns, np.arange(8) / 4.0)
-    with pytest.raises(DataFormatError):
-        CirSlice(np.zeros((2, 4), dtype=complex), 4.0)
-
-
-def test_cfr_slice_validation():
-    f = 60.0 + 0.1 * np.arange(16)
-    s = CfrSlice(f, np.ones(16, dtype=complex))
-    assert s.spacing_ghz == pytest.approx(0.1)
-    with pytest.raises(DataFormatError):
-        CfrSlice(f[:4], np.ones(4, dtype=complex))
-    with pytest.raises(DataFormatError):
-        CfrSlice(f, np.ones(15, dtype=complex))
-    bumpy = f.copy()
-    bumpy[7] += 0.03
-    with pytest.raises(DataFormatError):
-        CfrSlice(bumpy, np.ones(16, dtype=complex))
-    with pytest.raises(DataFormatError):
-        CfrSlice(f[::-1], np.ones(16, dtype=complex))
+    for rate in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="sample rate must be positive "
+                                              "and finite"):
+            CirTensor.dense(g, rate, good)
 
 
 def test_pas_map_validation():
@@ -209,71 +193,81 @@ def test_pas_quadratic_scaling_and_phase_invariance(rng):
 # delay/frequency transforms
 
 
-def test_cfr_of_delta_is_flat():
-    taps = np.zeros(32, dtype=complex)
-    taps[0] = 1.0
-    cfr = cfr_from_cir(CirSlice(taps, 4.0))
-    assert np.allclose(np.abs(cfr.values), 1.0, atol=1e-12)
-    assert cfr.frequencies_ghz[0] == 0.0
-    assert cfr.spacing_ghz == pytest.approx(4.0 / 32)
+def one_pixel_sweep(freqs, values, window="none"):
+    """Taps and sample rate that ingest_sweeps gives one swept direction."""
+    grid = flat_grid(n_el=1, n_az=1)
+    sweeps = grid_sweeps(grid, freqs, np.asarray(values)[None, None])
+    cir = ingest_sweeps(sweeps, grid, window=window)
+    return cir.pixel(0, 0), cir.sample_rate_ghz
 
 
 def test_cfr_two_tap_interference_pattern():
     taps = np.zeros(64, dtype=complex)
     taps[0] = 1.0
     taps[5] = 1.0
-    slc = CirSlice(taps, 2.0)
-    cfr = cfr_from_cir(slc)
-    # DC bin sums coherently; the analytic magnitude holds across the band
-    assert abs(cfr.values[0]) == pytest.approx(2.0, rel=1e-12)
-    expected = 2.0 * np.abs(np.cos(np.pi * cfr.frequencies_ghz * 5
-                                   * slc.tap_spacing_ns))
-    assert np.allclose(np.abs(cfr.values), expected, atol=1e-9)
+    # bin m of the two-tap response has magnitude 2 |cos(pi m 5 / n)|
+    analytic = 2.0 * np.abs(np.cos(np.pi * np.arange(64) * 5 / 64))
+    assert freq_kurtosis(taps) == pytest.approx(kurtosis_oracle(analytic),
+                                                rel=1e-9)
 
 
 def test_cfr_parseval(rng):
-    taps = rng.normal(size=200) + 1j * rng.normal(size=200)
-    cfr = cfr_from_cir(CirSlice(taps, 7.0))
+    values = rng.normal(size=200) + 1j * rng.normal(size=200)
+    taps, _ = one_pixel_sweep(60.0 + 0.01 * np.arange(200), values)
     lhs = np.sum(np.abs(taps) ** 2)
-    rhs = np.sum(np.abs(cfr.values) ** 2) / len(taps)
+    rhs = np.sum(np.abs(values) ** 2) / len(values)
     assert rhs == pytest.approx(lhs, rel=1e-9)
 
 
-def test_cfr_needs_eight_taps():
-    with pytest.raises(DegenerateInputError):
-        cfr_from_cir(CirSlice(np.ones(7, dtype=complex), 1.0))
+def test_cfr_needs_eight_taps(rng):
+    taps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    assert math.isfinite(freq_kurtosis(taps))
+    with pytest.raises(DegenerateInputError, match="at least 8"):
+        freq_kurtosis(taps[:7])
 
 
 def test_flat_sweep_inverts_to_single_tap():
     f = 60.0 + 0.1 * np.arange(64)
-    cir = cir_from_cfr(CfrSlice(f, np.ones(64, dtype=complex)))
-    mags = np.abs(cir.taps)
+    taps, _ = one_pixel_sweep(f, np.ones(64, dtype=complex))
+    mags = np.abs(taps)
     assert np.argmax(mags) == 0
     assert mags[0] == pytest.approx(1.0, rel=1e-12)
     assert np.all(mags[1:] < 1e-12)
 
 
-def test_transform_round_trip_is_identity(rng):
-    taps = rng.normal(size=96) + 1j * rng.normal(size=96)
-    slc = CirSlice(taps, 5.0)
-    back = cir_from_cfr(cfr_from_cir(slc), window="none")
-    assert np.allclose(back.taps, taps, rtol=1e-9, atol=1e-12)
-    assert back.sample_rate_ghz == pytest.approx(5.0, rel=1e-12)
+@settings(max_examples=60, deadline=None)
+@given(taps=arrays(complex, st.integers(8, 300),
+                   elements=st.complex_numbers(max_magnitude=1e3,
+                                               allow_nan=False,
+                                               allow_infinity=False)),
+       rate=st.floats(0.5, 50.0), start=st.floats(0.0, 100.0))
+def test_transform_round_trip_is_identity(taps, rate, start):
+    """Taps -> DFT on the axis start + m rate / n -> ingest_sweeps with no
+    window gives back the taps and the sample rate."""
+    n = len(taps)
+    back, back_rate = one_pixel_sweep(start + np.arange(n) * (rate / n),
+                                      np.fft.fft(taps))
+    scale = max(1.0, float(np.max(np.abs(taps))))
+    np.testing.assert_allclose(back, taps, rtol=0, atol=1e-12 * scale)
+    assert back_rate == pytest.approx(rate, rel=1e-12)
 
 
 def test_hann_window_tapers_band_edges(rng):
-    values = rng.normal(size=32) + 1j * rng.normal(size=32)
-    f = 1.0 + 0.05 * np.arange(32)
-    plain = cir_from_cfr(CfrSlice(f, values), window="none")
-    tapered = cir_from_cfr(CfrSlice(f, values), window="hann")
-    assert not np.allclose(plain.taps, tapered.taps)
+    grid = flat_grid(n_el=2, n_az=3)
+    values = rng.normal(size=(2, 3, 32)) + 1j * rng.normal(size=(2, 3, 32))
+    sweeps = grid_sweeps(grid, 1.0 + 0.05 * np.arange(32), values)
+    plain = ingest_sweeps(sweeps, grid, window="none").data
+    tapered = ingest_sweeps(sweeps, grid, window="hann").data
+    assert not np.allclose(plain, tapered)
+    np.testing.assert_allclose(np.fft.fft(tapered), values * np.hanning(32),
+                               rtol=0, atol=1e-12)
     with pytest.raises(ConfigError):
-        cir_from_cfr(CfrSlice(f, values), window="hamming")
+        ingest_sweeps(sweeps, grid, window="hamming")
 
 
 def test_sweep_resolution_example():
     # a 752-point band sampled every 11.5 MHz resolves 0.116 ns taps
     f = 50.0 + 0.0115 * np.arange(752)
-    cir = cir_from_cfr(CfrSlice(f, np.ones(752, dtype=complex)))
-    assert cir.tap_spacing_ns == pytest.approx(1.0 / (752 * 0.0115), rel=1e-9)
-    assert round(cir.tap_spacing_ns, 2) == 0.12
+    _, rate = one_pixel_sweep(f, np.ones(752, dtype=complex))
+    assert 1.0 / rate == pytest.approx(1.0 / (752 * 0.0115), rel=1e-9)
+    assert round(1.0 / rate, 2) == 0.12

@@ -2,13 +2,17 @@
 
 import math
 from dataclasses import replace
+from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlosid import (LOS, NLOS, ConfigError, PasMap, RayCluster, Ray,
                     SegParams, SimConfig, compute_pas, estimate_noise_floor,
                     label_clusters_with_truth, segment, simulate_realization)
+from nlosid import segmentation
 
 from conftest import blob_map, flat_grid
 from oracles import connected_components
@@ -171,6 +175,66 @@ def test_blob_straddling_azimuth_seam_stays_whole():
     middle = blob_map(g, [(5, 36, 1000.0, 1.5)])
     middle_cluster, = segment(middle, SegParams())
     assert len(middle_cluster.pixels) == len(clusters[0].pixels)
+
+
+_ROLL_SEG = SegParams(min_pixels=2, marker_min_separation=1.0)
+
+
+@cache
+def default_map(realization: int) -> PasMap:
+    """Power map of one seed-7 realization of the default, full-circle
+    configuration."""
+    return compute_pas(simulate_realization(SimConfig(), 7, realization)[2])
+
+
+def rolled(pas: PasMap, k: int) -> PasMap:
+    return PasMap(pas.grid, np.roll(pas.power, k, axis=1))
+
+
+def roll_pixel(pixel, k: int, n_az: int) -> tuple[int, int]:
+    return (pixel[0], (pixel[1] + k) % n_az)
+
+
+def flood_inputs(pas: PasMap):
+    """The smoothed map, foreground mask and markers segment floods."""
+    with mock.patch.object(segmentation, "_priority_flood",
+                           wraps=segmentation._priority_flood) as flood:
+        segment(pas, _ROLL_SEG)
+    smoothed, mask, markers, _ = flood.call_args.args
+    return smoothed, mask, markers
+
+
+@settings(max_examples=40, deadline=None)
+@given(realization=st.integers(0, 199), k=st.integers(1, 71))
+def test_rolling_a_full_circle_map_rolls_its_watershed_seeds(realization, k):
+    """Smoothing, the foreground and the markers see the azimuth axis as a
+    circle: rolling the map by k columns rolls each of them by k."""
+    pas = default_map(realization)
+    n_az = pas.grid.n_az
+    smoothed, mask, markers = flood_inputs(pas)
+    got_smoothed, got_mask, got_markers = flood_inputs(rolled(pas, k))
+    assert np.array_equal(got_smoothed, np.roll(smoothed, k, axis=1))
+    assert np.array_equal(got_mask, np.roll(mask, k, axis=1))
+    assert got_markers == [roll_pixel(p, k, n_az) for p in markers]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "_priority_flood breaks ties between equal smoothed values by raster "
+    "position, so a roll can hand plateau pixels, or a whole marker, to "
+    "another basin"))
+@pytest.mark.parametrize("realization, k", [(12, 70), (27, 14)])
+def test_rolling_a_full_circle_map_rolls_its_clusters(realization, k):
+    pas = default_map(realization)
+    n_az = pas.grid.n_az
+    want = {frozenset(roll_pixel(p, k, n_az) for p in c.pixels):
+            (roll_pixel(c.peak_pixel, k, n_az), c.total_power)
+            for c in segment(pas, _ROLL_SEG)}
+    got = {c.pixels: (c.peak_pixel, c.total_power)
+           for c in segment(rolled(pas, k), _ROLL_SEG)}
+    assert got.keys() == want.keys()
+    for pixels, (peak, total) in got.items():
+        assert peak == want[pixels][0]
+        assert total == pytest.approx(want[pixels][1], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
