@@ -265,8 +265,8 @@ class CirTensor:
     and uniform direction v (Muller 1959).  along = |s| + a and across, that
     squared norm, are stored (None when noiseless); a read draws v from the
     pixel's own (seed, realization) sub-stream and returns along mu +
-    sqrt(across) v.  pixel() and data share that routine and no generator
-    state, so they agree bit for bit in any order of access.
+    sqrt(across) v.  pixels(), pixel() and data share that routine and no
+    generator state, so they agree bit for bit in any order of access.
     """
 
     grid: AngularGrid
@@ -320,19 +320,21 @@ class CirTensor:
         rng = rng_stream(self.seed, _STREAM_PIXEL_NOISE, self.realization)
         return rng, rng.bit_generator.state
 
-    def _fill(self, rows: np.ndarray, az_idx: int, out: np.ndarray) -> None:
-        """Write the taps of pixels (rows, az_idx) into out, complex with
-        shape (len(rows), n_taps) and contiguous rows."""
-        s = self.signal[rows, az_idx]
+    def _fill(self, el_idx: np.ndarray, az_idx: np.ndarray,
+              out: np.ndarray) -> None:
+        """Write the taps of pixels (el_idx[r], az_idx[r]) into out[r]; out
+        is complex with shape (len(el_idx), n_taps) and contiguous rows."""
+        s = self.signal[el_idx, az_idx]
         if self.along is None:
             out[:] = 0.0
             out[:, self.signal_taps] = s
             return
         rng, start = self._pixel_noise
         g = out.view(float)
-        for r, i in enumerate(rows):
+        n_az = self.grid.n_az
+        for r, (i, j) in enumerate(zip(el_idx.tolist(), az_idx.tolist())):
             rng.bit_generator.state = start
-            rng.bit_generator.advance(int(i * self.grid.n_az + az_idx) << 64)
+            rng.bit_generator.advance((i * n_az + j) << 64)
             rng.standard_normal(out=g[r])
         mu, _ = _scaled_rows(s.view(float))
         mu[:, 0] += ~mu.any(axis=-1)    # s = 0: first signal tap's axis
@@ -341,28 +343,41 @@ class CirTensor:
         ortho = np.ascontiguousarray(out[:, self.signal_taps]).view(float)
         ortho -= np.vecdot(ortho, mu)[:, None] * mu
         out[:, self.signal_taps] = ortho.view(complex)
-        out *= (np.sqrt(self.across[rows, az_idx])
+        out *= (np.sqrt(self.across[el_idx, az_idx])
                 / np.sqrt(np.vecdot(g, g)))[:, None]
-        out[:, self.signal_taps] += (self.along[rows, az_idx][:, None]
+        out[:, self.signal_taps] += (self.along[el_idx, az_idx][:, None]
                                      * mu).view(complex)
+
+    def pixels(self, el_idx, az_idx) -> np.ndarray:
+        """The (k, n_taps) complex taps of the k beam directions
+        (el_idx[r], az_idx[r]), in the order given; a direction may repeat.
+        Negative indices count from the end of their axis."""
+        el_idx, az_idx = np.asarray(el_idx), np.asarray(az_idx)
+        if el_idx.ndim != 1 or el_idx.shape != az_idx.shape:
+            raise IndexError(f"pixels needs two index sequences of one "
+                             f"length, got shapes {el_idx.shape} and "
+                             f"{az_idx.shape}")
+        out = np.empty((len(el_idx), self.n_taps), dtype=complex)
+        if len(el_idx):
+            self._fill(np.arange(self.grid.n_el)[el_idx],
+                       np.arange(self.grid.n_az)[az_idx], out)
+        return out
 
     def pixel(self, el_idx: int, az_idx: int) -> np.ndarray:
         """The (n_taps,) complex taps of one beam direction."""
-        taps = np.empty((1, self.n_taps), dtype=complex)
-        self._fill(np.array([range(self.grid.n_el)[el_idx]]),
-                   range(self.grid.n_az)[az_idx], taps)
-        return taps[0]
+        return self.pixels([el_idx], [az_idx])[0]
 
     @cached_property
     def data(self) -> np.ndarray:
         """Dense (n_el, n_az, n_taps) taps: the signal itself when every tap
-        is a signal tap and there is no noise, else built on first access."""
+        is a signal tap and there is no noise, else built on first access,
+        one azimuth column per fill."""
         if self.along is None and len(self.signal_taps) == self.n_taps:
             return self.signal
         out = np.empty(self.grid.shape + (self.n_taps,), dtype=complex)
         rows = np.arange(self.grid.n_el)
         for j in range(self.grid.n_az):
-            self._fill(rows, j, out[:, j])
+            self._fill(rows, np.full(self.grid.n_el, j), out[:, j])
         return out
 
 
@@ -378,11 +393,7 @@ def render_cir(clusters: list[RayCluster], config: SimConfig, seed: int,
     noise stream; a read draws the rest (see CirTensor).
     """
     grid = config.grid()
-    az = grid.azimuths_deg
-    el = grid.elevations_deg
-    peak_amp = 0.0
-    taps = {}                 # tap index -> (n_el, n_az) sum of its rays
-
+    taps, ray_az, ray_el, amplitudes, phases = [], [], [], [], []
     for ci, cluster in enumerate(clusters):
         for ri, ray in enumerate(cluster.rays):
             delay = cluster.base_delay_ns + ray.delay_offset_ns
@@ -394,21 +405,28 @@ def render_cir(clusters: list[RayCluster], config: SimConfig, seed: int,
                 raise RenderError(
                     f"cluster {ci} ray {ri}: delay {delay:.3f} ns falls past "
                     f"the {config.record_ns:.3f} ns record")
-            ray_az = cluster.center_az_deg + ray.az_offset_deg
-            ray_el = cluster.center_el_deg + ray.el_offset_deg
-            # beam gain is separable, so amplitude weights factor per axis
-            amp_az = beam_amplitude(wrap_angle_deg(az - ray_az),
-                                    config.hpbw_az_deg)
-            amp_el = beam_amplitude(el - ray_el, config.hpbw_el_deg)
-            coeff = ray.amplitude * np.exp(1j * ray.phase_rad)
-            acc = taps.setdefault(tap, np.zeros(grid.shape, dtype=complex))
-            acc += coeff * np.outer(amp_el, amp_az)
-            peak_amp = max(peak_amp, ray.amplitude)
+            taps.append(tap)
+            ray_az.append(cluster.center_az_deg + ray.az_offset_deg)
+            ray_el.append(cluster.center_el_deg + ray.el_offset_deg)
+            amplitudes.append(ray.amplitude)
+            phases.append(ray.phase_rad)
+    peak_amp = max([0.0] + amplitudes)
 
-    signal_taps = sorted(taps)
-    signal = np.empty(grid.shape + (len(signal_taps),), dtype=complex)
-    for n, k in enumerate(signal_taps):
-        signal[..., n] = taps[k]
+    # beam gain is separable, so amplitude weights factor per axis; one row
+    # per ray
+    amp_az = beam_amplitude(
+        wrap_angle_deg(grid.azimuths_deg - np.array(ray_az)[:, None]),
+        config.hpbw_az_deg)
+    amp_el = beam_amplitude(grid.elevations_deg - np.array(ray_el)[:, None],
+                            config.hpbw_el_deg)
+    coeff = np.array(amplitudes) * np.exp(1j * np.array(phases))
+    signal_taps, slot = np.unique(np.array(taps, dtype=int),
+                                  return_inverse=True)
+    # rays add into their tap in cluster and ray order, onto +0.0
+    acc = np.zeros((len(signal_taps),) + grid.shape, dtype=complex)
+    for r, k in enumerate(slot.tolist()):
+        acc[k] += coeff[r] * (amp_el[r][:, None] * amp_az[r])
+    signal = np.ascontiguousarray(acc.transpose(1, 2, 0))
 
     along = across = None
     if config.snr_db is not None and peak_amp > 0.0:
@@ -419,8 +437,7 @@ def render_cir(clusters: list[RayCluster], config: SimConfig, seed: int,
                  + math.sqrt(sigma2) * rng.standard_normal(grid.shape))
         across = sigma2 * rng.chisquare(2 * config.n_taps - 1, grid.shape)
     return CirTensor(grid, config.sample_rate_ghz, config.n_taps,
-                     np.array(signal_taps, dtype=int), signal, along, across,
-                     seed, realization)
+                     signal_taps, signal, along, across, seed, realization)
 
 
 def simulate_realization(config: SimConfig, seed: int, realization: int = 0

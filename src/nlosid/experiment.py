@@ -7,7 +7,8 @@ and all five jointly) plus the network on the held-out split.
 
 The measured protocol consumes a labelled feature table and repeats a
 bootstrap train/test partition over the measurement samples, averaging the
-fitted tables and error rates over the repeats.
+fitted tables and error rates over the repeats whose test side holds both
+classes; the others are skipped and counted.
 
 Every stage is deterministic in the experiment seed; reports are
 byte-reproducible.
@@ -23,7 +24,7 @@ from .chansim import (LOS, NLOS, STREAM_TRAINING, CirTensor, SimConfig,
 from .classifiers import (TrainSchedule, ann_classify, ann_init, ann_train,
                           error_rates, mlr_classify, mlr_train)
 from .errors import (ConfigError, DataFormatError, DegenerateInputError,
-                     Record)
+                     EvaluationError, Record)
 from .fileio import (Realization, SimulationManifest, load_cir_tensor,
                      load_document, load_features, load_truth,
                      save_cir_tensor, save_document, save_features, save_json,
@@ -93,6 +94,7 @@ def extract_realization(cir: CirTensor, truth, seg: SegParams,
     """Segment one tensor and compute features for every usable cluster.
 
     truth is the generating cluster list, or None for unlabelled data.
+    Every cluster's peak pixel is read in one CirTensor.pixels call.
     Returns (feature vectors, diagnostics dict); clusters whose metrics are
     degenerate are skipped and counted, never fatal.
     """
@@ -102,11 +104,14 @@ def extract_realization(cir: CirTensor, truth, seg: SegParams,
     if truth is not None:
         clusters, los_recovered = label_clusters_with_truth(
             clusters, truth, pas.grid)
+    peak_el, peak_az = np.array([c.peak_pixel for c in clusters],
+                                dtype=int).reshape(-1, 2).T
     rows = []
     skipped = 0
-    for c in clusters:
+    for c, peak in zip(clusters, cir.pixels(peak_el, peak_az)):
         try:
-            rows.append(cluster_features(c, cir, pas, metric))
+            rows.append(cluster_features(c, pas, peak, cir.sample_rate_ghz,
+                                         metric))
         except DegenerateInputError:
             skipped += 1
     diag = {"n_clusters": len(clusters), "skipped_clusters": skipped,
@@ -393,12 +398,23 @@ def _run_measured(config: ExperimentConfig, out: Path) -> dict:
     for r, (train_idx, test_idx) in enumerate(splits):
         train_rows = [fv for k in train_idx for fv in samples[sample_ids[k]]]
         test_rows = [fv for k in test_idx for fv in samples[sample_ids[k]]]
+        diag = {"repeat": r, "train_rows": len(train_rows),
+                "test_rows": len(test_rows)}
+        # error rates need both classes on the test side; a small test
+        # draw from a skewed table can miss one, so that repeat is skipped
+        missing = sorted({LOS, NLOS} - {fv.label for fv in test_rows})
+        if missing:
+            diags.append({**diag, "skipped": f"evaluation set has no "
+                                             f"{' or '.join(missing)} row"})
+            continue
         mlr_model, gev_table, ann_model = train_models(train_rows, config, r)
         repeat_tables.append(gev_table)
         repeat_errors.append(_evaluate(mlr_model, ann_model, test_rows))
-        diags.append({"repeat": r, "train_rows": len(train_rows),
-                      "test_rows": len(test_rows),
-                      "network_training": ann_model.training})
+        diags.append({**diag, "network_training": ann_model.training})
+    if not repeat_tables:
+        raise EvaluationError(
+            f"all {boot.repeats} bootstrap repeats were skipped: both classes "
+            f"must appear in each evaluation set of {boot.n_test} samples")
 
     return {
         "format": "report",
@@ -408,6 +424,7 @@ def _run_measured(config: ExperimentConfig, out: Path) -> dict:
             "n_samples": len(sample_ids),
             "feature_rows": len(loaded),
             "repeats": boot.repeats,
+            "skipped_repeats": boot.repeats - len(repeat_tables),
         },
         "gev_table": _average(repeat_tables),
         "error_table": _average(repeat_errors),

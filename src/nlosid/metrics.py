@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chansim import CirTensor
 from .errors import ConfigError, DegenerateInputError, Record
 from .pas import PasMap
 from .segmentation import Cluster
@@ -88,16 +87,16 @@ def co_kurtosis(cluster: Cluster, pas: PasMap,
             f"cluster needs at least 3 pixels for angular moments, "
             f"got {len(pix)}")
     grid = pas.grid
-    el_axis = grid.elevations_deg
-    el = np.array([el_axis[p[0]] for p in pix])
+    el_idx, az_idx = np.array(pix).T
+    el = grid.elevations_deg[el_idx]
     # azimuth relative to the peak, so a seam-straddling cluster stays
     # contiguous on the angle axis
-    az = grid.azimuth_offsets([p[1] for p in pix], cluster.peak_pixel[1])
+    az = grid.azimuth_offsets(az_idx, cluster.peak_pixel[1])
     if len(set(az.tolist())) < 2 or len(set(el.tolist())) < 2:
         raise DegenerateInputError(
             "cluster spans fewer than 2 distinct angles on an axis")
 
-    w = np.array([pas.power[p] for p in pix], dtype=float)
+    w = np.asarray(pas.power[el_idx, az_idx], dtype=float)
     total = w.sum()
     if total <= 0.0:
         raise DegenerateInputError("cluster carries no power")
@@ -140,13 +139,15 @@ def _magnitude_kurtosis(mag: np.ndarray, what: str) -> float:
         raise DegenerateInputError(
             f"need at least 8 {what}s for a magnitude kurtosis, got "
             f"{len(mag)}")
-    mean = float(np.mean(mag))
+    # np.add.reduce(x) / n is np.mean(x) without its dispatch overhead
+    n = len(mag)
+    mean = float(np.add.reduce(mag) / n)
     dev = mag - mean
-    m2 = float(np.mean(dev ** 2))
+    m2 = float(np.add.reduce(dev ** 2) / n)
     if m2 <= 0.0 or m2 < _VARIANCE_REL_TOL * mean ** 2:
         raise DegenerateInputError(
             f"{what} magnitudes are effectively constant; kurtosis undefined")
-    m4 = float(np.mean(dev ** 4))
+    m4 = float(np.add.reduce(dev ** 4) / n)
     return m4 / m2 ** 2
 
 
@@ -175,18 +176,20 @@ def delay_moments(taps: np.ndarray,
     return mean, float(np.sqrt(max(var, 0.0)))
 
 
-def cluster_features(cluster: Cluster, cir: CirTensor, pas: PasMap,
+def cluster_features(cluster: Cluster, pas: PasMap, peak: np.ndarray,
+                     sample_rate_ghz: float,
                      config: MetricConfig = MetricConfig()) -> FeatureVector:
     """All five metrics for one segmented cluster.
 
-    The angular metric uses the whole pixel set; the delay and frequency
-    metrics come from the impulse response of the cluster's peak pixel.
+    The angular metric uses the cluster's pixels on pas; the delay and
+    frequency metrics come from peak, the (n_taps,) impulse response of the
+    cluster's peak pixel sampled at sample_rate_ghz (CirTensor.pixels reads
+    those of many clusters at once).
     """
     try:
         r_p = eigen_ratio(co_kurtosis(cluster, pas, config.r_p_mode))
-        peak = cir.pixel(*cluster.peak_pixel)
         k_t = time_kurtosis(peak)
-        tau_mean, tau_rms = delay_moments(peak, cir.sample_rate_ghz)
+        tau_mean, tau_rms = delay_moments(peak, sample_rate_ghz)
         k_f = freq_kurtosis(peak)
     except DegenerateInputError as exc:
         raise DegenerateInputError(f"cluster {cluster.id}: {exc}") from exc

@@ -16,6 +16,7 @@ Azimuth is treated as circular whenever the grid spans the full 360
 degrees, so clusters may straddle the +-180 degree seam.
 """
 
+import functools
 import heapq
 from dataclasses import dataclass, replace
 
@@ -76,20 +77,28 @@ def _disc_footprint(radius: int) -> np.ndarray:
     return (r[:, None] ** 2 + r[None, :] ** 2) <= radius ** 2
 
 
-def _neighbors(i: int, j: int, n_el: int, n_az: int, wrap: bool):
-    for di in (-1, 0, 1):
-        ii = i + di
-        if ii < 0 or ii >= n_el:
-            continue
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            jj = j + dj
-            if wrap:
-                jj %= n_az
-            elif jj < 0 or jj >= n_az:
-                continue
-            yield ii, jj
+@functools.lru_cache(maxsize=8)
+def _neighbor_table(n_el: int, n_az: int, wrap: bool) -> tuple:
+    """The 8-connected neighbours of every pixel as flat indices i * n_az +
+    j, indexed by the pixel's flat index, in raster order of the offsets;
+    azimuth wraps when asked, elevation never does."""
+    table = []
+    for i in range(n_el):
+        for j in range(n_az):
+            near = []
+            for ii in (i - 1, i, i + 1):
+                if not 0 <= ii < n_el:
+                    continue
+                for jj in (j - 1, j, j + 1):
+                    if (ii, jj) == (i, j):
+                        continue
+                    if wrap:
+                        jj %= n_az
+                    elif not 0 <= jj < n_az:
+                        continue
+                    near.append(ii * n_az + jj)
+            table.append(tuple(near))
+    return tuple(table)
 
 
 def _pixel_distance(a, b, n_az: int, wrap: bool) -> float:
@@ -154,25 +163,28 @@ def _find_markers(smoothed, power, mask, params, wrap):
     local_max = smoothed >= ndimage.maximum_filter(smoothed, size=3, mode=modes)
     candidate = local_max & mask
 
-    seen = np.zeros_like(candidate, dtype=bool)
+    # flat indices: raster order is increasing index, and (power, -index)
+    # orders like (power, -el, -az)
+    neighbors = _neighbor_table(n_el, n_az, wrap)
+    is_candidate = candidate.ravel().tolist()
+    flat_power = power.ravel().tolist()
+    seen = [False] * len(is_candidate)
     reps = []
-    for i in range(n_el):
-        for j in range(n_az):
-            if not candidate[i, j] or seen[i, j]:
-                continue
-            # flood one plateau of candidate pixels
-            plateau = [(i, j)]
-            seen[i, j] = True
-            queue = [(i, j)]
-            while queue:
-                ci, cj = queue.pop()
-                for ni, nj in _neighbors(ci, cj, n_el, n_az, wrap):
-                    if candidate[ni, nj] and not seen[ni, nj]:
-                        seen[ni, nj] = True
-                        plateau.append((ni, nj))
-                        queue.append((ni, nj))
-            rep = max(plateau, key=lambda p: (power[p], -p[0], -p[1]))
-            reps.append(rep)
+    for p in np.flatnonzero(candidate).tolist():
+        if seen[p]:
+            continue
+        # flood one plateau of candidate pixels
+        plateau = [p]
+        seen[p] = True
+        queue = [p]
+        while queue:
+            for q in neighbors[queue.pop()]:
+                if is_candidate[q] and not seen[q]:
+                    seen[q] = True
+                    plateau.append(q)
+                    queue.append(q)
+        rep = max(plateau, key=lambda q: (flat_power[q], -q))
+        reps.append(divmod(rep, n_az))
 
     reps.sort(key=lambda p: (-smoothed[p], p[0], p[1]))
     kept = []
@@ -188,19 +200,24 @@ def _priority_flood(smoothed, mask, markers, wrap):
     first.  Ties resolve lexicographically by (el, az, marker order), so the
     result is independent of dict or heap internals."""
     n_el, n_az = smoothed.shape
-    labels = np.zeros(smoothed.shape, dtype=int)
+    neighbors = _neighbor_table(n_el, n_az, wrap)
+    # flat indices order like (el, az)
+    flat = smoothed.ravel().tolist()
+    inside = mask.ravel().tolist()
+    labels = [0] * len(flat)
     heap = []
     for lab, (i, j) in enumerate(markers, start=1):
-        heapq.heappush(heap, (-smoothed[i, j], i, j, lab))
+        p = i * n_az + j
+        heapq.heappush(heap, (-flat[p], p, lab))
     while heap:
-        _, i, j, lab = heapq.heappop(heap)
-        if labels[i, j] != 0:
+        _, p, lab = heapq.heappop(heap)
+        if labels[p] != 0:
             continue
-        labels[i, j] = lab
-        for ni, nj in _neighbors(i, j, n_el, n_az, wrap):
-            if mask[ni, nj] and labels[ni, nj] == 0:
-                heapq.heappush(heap, (-smoothed[ni, nj], ni, nj, lab))
-    return labels
+        labels[p] = lab
+        for q in neighbors[p]:
+            if inside[q] and labels[q] == 0:
+                heapq.heappush(heap, (-flat[q], q, lab))
+    return np.array(labels).reshape(n_el, n_az)
 
 
 def _build_clusters(labels, n_basins, power, params: SegParams):

@@ -2,12 +2,15 @@
 
 Everything here is written with plain Python loops and math.fsum so the
 results come from a different code path (and higher working precision) than
-the library under test.  The exception is the eager renderer: it draws
-noise on every tap of the dense tensor, and is the reference for the
-distribution of the lazy renderer's noise.
+the library under test.  The renderers are the exception.
+render_signal_oracle repeats the library's arithmetic one ray at a time,
+so the two must agree bit for bit.  render_cir_oracle draws noise on every
+tap of the dense tensor, and is the reference for the distribution of the
+lazy renderer's noise.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -103,18 +106,19 @@ def connected_components(pixels, n_az, wrap):
     return comps
 
 
-def render_cir_oracle(clusters, config, seed, realization=0) -> np.ndarray:
-    """Dense (n_el, n_az, n_taps) tensor with noise drawn on every tap.
-
-    Rays are added in cluster and ray order with the same expression as
-    chansim.render_cir, so without noise the two agree bit for bit.
-    """
+def render_signal_oracle(clusters, config, seed, realization=0):
+    """(signal_taps, signal, along, across) of chansim.render_cir, built ray
+    by ray: each ray's beam weights from scalar angles, added as
+    coeff * np.outer(amp_el, amp_az) into a per-tap accumulator in cluster
+    and ray order, the taps then stacked in increasing order.  Same
+    arithmetic, one ray at a time, so the render must agree bit for bit,
+    signs of zero included."""
     grid = config.grid()
     az = grid.azimuths_deg
     el = grid.elevations_deg
-    data = np.zeros((grid.n_el, grid.n_az, config.n_taps), dtype=complex)
     ln2 = math.log(2.0)
     peak_amp = 0.0
+    taps = {}
     for cluster in clusters:
         for ray in cluster.rays:
             delay = cluster.base_delay_ns + ray.delay_offset_ns
@@ -125,8 +129,40 @@ def render_cir_oracle(clusters, config, seed, realization=0) -> np.ndarray:
             amp_az = np.exp(-2.0 * ln2 * (d_az / config.hpbw_az_deg) ** 2)
             amp_el = np.exp(-2.0 * ln2 * (d_el / config.hpbw_el_deg) ** 2)
             coeff = ray.amplitude * np.exp(1j * ray.phase_rad)
-            data[:, :, tap] += coeff * np.outer(amp_el, amp_az)
+            acc = taps.setdefault(tap, np.zeros(grid.shape, dtype=complex))
+            acc += coeff * np.outer(amp_el, amp_az)
             peak_amp = max(peak_amp, ray.amplitude)
+    signal_taps = sorted(taps)
+    signal = np.empty(grid.shape + (len(signal_taps),), dtype=complex)
+    for n, k in enumerate(signal_taps):
+        signal[..., n] = taps[k]
+    along = across = None
+    if config.snr_db is not None and peak_amp > 0.0:
+        rng = rng_stream(seed, _STREAM_NOISE, realization)
+        sigma2 = peak_amp ** 2 * 10.0 ** (-config.snr_db / 10.0) / 2.0
+        # |s| per pixel, with each row scaled by a power of two first
+        rows = signal.view(float)
+        exponent = np.frexp(np.max(np.abs(rows), axis=-1))[1]
+        scaled = np.ldexp(rows, -exponent[..., None])
+        along = (np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), exponent)
+                 + math.sqrt(sigma2) * rng.standard_normal(grid.shape))
+        across = sigma2 * rng.chisquare(2 * config.n_taps - 1, grid.shape)
+    return np.array(signal_taps, dtype=int), signal, along, across
+
+
+def render_cir_oracle(clusters, config, seed, realization=0) -> np.ndarray:
+    """Dense (n_el, n_az, n_taps) tensor with noise drawn on every tap.
+
+    The taps without noise are render_signal_oracle's, so a noiseless
+    render must equal this bit for bit.
+    """
+    grid = config.grid()
+    taps, signal, _, _ = render_signal_oracle(
+        clusters, replace(config, snr_db=None), seed, realization)
+    data = np.zeros((grid.n_el, grid.n_az, config.n_taps), dtype=complex)
+    data[:, :, taps] = signal
+    peak_amp = max([0.0] + [ray.amplitude for cluster in clusters
+                            for ray in cluster.rays])
     if config.snr_db is not None and peak_amp > 0.0:
         rng = rng_stream(seed, _STREAM_NOISE, realization)
         noise_power = peak_amp ** 2 * 10.0 ** (-config.snr_db / 10.0)

@@ -367,7 +367,7 @@ def test_criterion_10_measured_protocol_averages_disjoint_splits(tmp_path):
     report = run_experiment(config, tmp_path)
 
     assert report["counts"] == {"n_samples": 50, "feature_rows": 100,
-                                "repeats": 10}
+                                "repeats": 10, "skipped_repeats": 0}
     assert len(report["diagnostics"]["per_repeat"]) == 10
 
     splits = bootstrap_split(50, 30, 20, 10, seed=42)

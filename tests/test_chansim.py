@@ -332,6 +332,54 @@ def test_pixels_match_dense_view_in_any_order():
             assert early[p] == dense[p].tobytes()
 
 
+def tensor_of(kind: str, realization: int) -> CirTensor:
+    """A small_sim render: noisy, noiseless, or the dense copy of the noisy
+    one's data."""
+    cfg = small_sim(snr_db=None if kind == "noiseless" else 30.0)
+    clusters, _ = generate_channel(cfg, 5, realization)
+    cir = render_cir(clusters, cfg, 5, realization)
+    if kind == "dense":
+        return CirTensor.dense(cir.grid, cir.sample_rate_ghz,
+                               render_cir(clusters, cfg, 5, realization).data)
+    return cir
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["noisy", "noiseless", "dense"]),
+       realization=st.integers(0, 99),
+       picks=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 24)),
+                      min_size=1, max_size=10),
+       repeat=st.integers(0, 9))
+def test_batched_read_equals_pixel_and_data(kind, realization, picks, repeat):
+    """pixels() in any order, with a direction repeated, reads the same bits
+    as pixel() and as data, whichever is read first."""
+    picks = picks + [picks[repeat % len(picks)]]
+    el, az = (list(axis) for axis in zip(*picks))
+    first = tensor_of(kind, realization)
+    batch = first.pixels(el, az)
+    assert batch.shape == (len(picks), first.n_taps)
+    assert batch.dtype == complex
+    singles = [first.pixel(*p) for p in picks]
+    dense = tensor_of(kind, realization).data
+    for row, single, p in zip(batch, singles, picks):
+        assert row.tobytes() == single.tobytes() == dense[p].tobytes()
+    assert first.pixels(el, az).tobytes() == batch.tobytes()
+
+
+def test_batched_read_indices():
+    cir = tensor_of("noisy", 1)
+    n_el, n_az = cir.grid.shape
+    assert cir.pixels([-1, 0], [-2, 3]).tobytes() == \
+        np.stack([cir.pixel(n_el - 1, n_az - 2), cir.pixel(0, 3)]).tobytes()
+    assert cir.pixels([], []).shape == (0, cir.n_taps)
+    with pytest.raises(IndexError):
+        cir.pixels([0, 1], [0])
+    with pytest.raises(IndexError):
+        cir.pixels([n_el], [0])
+    with pytest.raises(IndexError):
+        cir.pixel(0, n_az)
+
+
 def test_lazy_pas_matches_dense_pas():
     cfg = small_sim(snr_db=30.0)
     for realization in range(3):
@@ -343,13 +391,19 @@ def test_lazy_pas_matches_dense_pas():
                                    rtol=1e-12, atol=0.0)
 
 
+def bits(a: np.ndarray) -> np.ndarray:
+    """The IEEE bit patterns of a float or complex array, so that -0.0 and
+    +0.0 compare unequal."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def test_noiseless_render_equals_oracle_exactly():
     cfg = small_sim(snr_db=None)
     for realization in range(5):
         clusters, _ = generate_channel(cfg, 5, realization)
         want = oracles.render_cir_oracle(clusters, cfg, 5, realization)
-        assert np.array_equal(render_cir(clusters, cfg, 5, realization).data,
-                              want)
+        got = render_cir(clusters, cfg, 5, realization).data
+        assert np.array_equal(bits(got), bits(want))
     # zero peak amplitude: no noise is drawn, whatever snr_db says
     silent = [RayCluster(kind=NLOS, center_az_deg=0.0, center_el_deg=0.0,
                          base_delay_ns=10.0,
@@ -360,6 +414,32 @@ def test_noiseless_render_equals_oracle_exactly():
     assert not np.any(cir.data)
     assert np.array_equal(cir.data,
                           oracles.render_cir_oracle(silent, noisy_cfg, 7, 1))
+
+
+@pytest.mark.parametrize("cfg", [
+    small_sim(snr_db=None), small_sim(snr_db=30.0), SimConfig(),
+    SimConfig(snr_db=None, los_present=False),
+    SimConfig(az_range_deg=(-60.0, 60.0), el_range_deg=(-20.0, 40.0),
+              step_deg=2.0, snr_db=10.0)],
+    ids=["small-noiseless", "small-noisy", "default", "default-noiseless-nlos",
+         "fine-grid"])
+def test_render_matches_the_ray_by_ray_oracle_bit_for_bit(cfg):
+    """signal, along and across equal the per-ray oracle's bit patterns, so
+    noiseless tensors keep their signs of zero and noisy ones their draws."""
+    for realization in range(4):
+        clusters, _ = generate_channel(cfg, 17, realization)
+        cir = render_cir(clusters, cfg, 17, realization)
+        taps, signal, along, across = oracles.render_signal_oracle(
+            clusters, cfg, 17, realization)
+        assert cir.signal_taps.tolist() == taps.tolist()
+        assert cir.signal.shape == signal.shape
+        assert np.array_equal(bits(cir.signal), bits(signal))
+        if cfg.snr_db is None:
+            assert cir.along is None and along is None
+            assert cir.across is None and across is None
+        else:
+            assert np.array_equal(bits(cir.along), bits(along))
+            assert np.array_equal(bits(cir.across), bits(across))
 
 
 def test_render_with_every_tap_carrying_a_ray():

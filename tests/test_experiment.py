@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from nlosid import (AngularGrid, CirTensor, ConfigError, DataFormatError,
-                    ExperimentConfig, MetricConfig, SegParams, TrainSchedule,
-                    cmd_extract, cmd_simulate, extract_realization,
-                    ingest_sweeps, inputs_from_manifest, run_experiment,
-                    simulate_realization)
+                    DegenerateInputError, ExperimentConfig, MetricConfig,
+                    SegParams, TrainSchedule, cmd_extract, cmd_simulate,
+                    co_kurtosis, compute_pas, delay_moments, eigen_ratio,
+                    extract_realization, freq_kurtosis, ingest_sweeps,
+                    inputs_from_manifest, label_clusters_with_truth,
+                    run_experiment, segment, simulate_realization,
+                    time_kurtosis)
+from nlosid.cli import main as cli_main
 from nlosid.experiment import (ERROR_TABLE_ROWS, BootstrapSpec,
                                _training_seed)
 from nlosid.fileio import (SimulationManifest, TensorManifest, Truth,
@@ -18,7 +22,8 @@ from nlosid.fileio import (SimulationManifest, TensorManifest, Truth,
                            save_document, save_features)
 from nlosid.metrics import METRIC_NAMES
 
-from conftest import flat_grid, grid_sweeps, labelled_feature_rows, small_sim
+from conftest import (flat_grid, grid_sweeps, labelled_feature_rows,
+                      make_fv, small_sim)
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -97,6 +102,34 @@ def test_extract_realization_labels_and_diags():
     assert set(labels) <= {"LOS", "NLOS"}
     if diag["los_recovered"]:
         assert labels.count("LOS") == 1
+
+
+def test_extract_realization_rows_equal_the_per_cluster_path():
+    """One batched peak read per realization gives the same rows, bit for
+    bit, as reading each peak pixel alone and calling the scalar metric
+    functions, on 20 realizations of the reference configuration."""
+    config = ExperimentConfig.from_dict(load_json(
+        Path(__file__).resolve().parent.parent / "configs" / "reference.json"))
+    for i in range(20):
+        truth, _, cir = simulate_realization(config.sim, config.seed, i)
+        rows, diag = extract_realization(cir, truth, config.seg,
+                                         config.metric)
+        pas = compute_pas(cir)
+        found, _ = label_clusters_with_truth(segment(pas, config.seg), truth,
+                                             pas.grid)
+        want = []
+        for c in found:
+            peak = cir.pixel(*c.peak_pixel)
+            try:
+                values = (eigen_ratio(co_kurtosis(c, pas,
+                                                  config.metric.r_p_mode)),
+                          time_kurtosis(peak), freq_kurtosis(peak),
+                          *delay_moments(peak, cir.sample_rate_ghz))
+            except DegenerateInputError:
+                continue
+            want.append((np.array(values).tobytes(), c.truth))
+        assert [(fv.values().tobytes(), fv.label) for fv in rows] == want
+        assert diag["skipped_clusters"] == len(found) - len(want)
 
 
 def test_extract_realization_unlabelled_when_no_truth():
@@ -344,7 +377,7 @@ def test_measured_mode_bootstraps_over_samples(measured_csv, tmp_path):
     report = run_experiment(measured_config(measured_csv), tmp_path)
     assert report["mode"] == "measured"
     assert report["counts"] == {"n_samples": 50, "feature_rows": 100,
-                                "repeats": 10}
+                                "repeats": 10, "skipped_repeats": 0}
     diags = report["diagnostics"]["per_repeat"]
     assert len(diags) == 10
     for d in diags:
@@ -365,3 +398,53 @@ def test_measured_mode_requires_feature_table(tmp_path):
     cfg = ExperimentConfig(mode="measured")
     with pytest.raises(ConfigError, match="features_csv"):
         run_experiment(cfg, tmp_path)
+
+
+def skewed_table(path, n_rows: int, los_every: int) -> None:
+    """n_rows labelled rows, one per sample, every los_every-th one LOS."""
+    rng = np.random.default_rng(4)
+    rows = []
+    for k in range(n_rows):
+        los = k % los_every == 0
+        rows.append((k, make_fv(
+            r_p=float(rng.uniform(0.6, 1.0) if los else rng.uniform(0.1, 0.7)),
+            k_t=float(rng.normal(300.0 if los else 180.0, 40.0)),
+            k_f=float(rng.normal(2.7, 0.2)),
+            tau_mean_ns=float(abs(rng.normal(2.0 if los else 6.0, 1.0))),
+            tau_rms_ns=float(abs(rng.normal(4.5, 0.8))),
+            label="LOS" if los else "NLOS")))
+    save_features(path, rows)
+
+
+def skewed_config(csv_path, n_test: int) -> ExperimentConfig:
+    return ExperimentConfig(
+        mode="measured", features_csv=str(csv_path), seed=1,
+        bootstrap=BootstrapSpec(n_train=150, n_test=n_test, repeats=10),
+        schedule=TrainSchedule(max_epochs=200))
+
+
+def test_measured_mode_skips_repeats_whose_test_side_lacks_a_class(tmp_path):
+    """A 25% LOS table with 5-sample test sides: some draws hold no LOS
+    row.  Those repeats are skipped and counted; the rest are averaged."""
+    skewed_table(tmp_path / "f.csv", 200, 4)
+    report = run_experiment(skewed_config(tmp_path / "f.csv", 5),
+                            tmp_path / "out")
+    diags = report["diagnostics"]["per_repeat"]
+    skipped = [d for d in diags if "skipped" in d]
+    assert report["counts"]["skipped_repeats"] == len(skipped) == 2
+    assert [d["repeat"] for d in diags] == list(range(10))
+    for d in skipped:
+        assert d["skipped"] == "evaluation set has no LOS row"
+        assert d["test_rows"] == 5 and "network_training" not in d
+    assert all("network_training" in d for d in diags if d not in skipped)
+    assert set(report["error_table"]) == set(ERROR_TABLE_ROWS)
+
+
+def test_measured_mode_with_every_repeat_skipped_exits_4(tmp_path, capsys):
+    skewed_table(tmp_path / "f.csv", 200, 4)
+    (tmp_path / "c.json").write_text(json.dumps(
+        skewed_config(tmp_path / "f.csv", 1).to_dict()), encoding="utf-8")
+    code = cli_main(["--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path / "out"), "experiment"])
+    assert code == 4
+    assert "all 10 bootstrap repeats were skipped" in capsys.readouterr().err

@@ -289,11 +289,15 @@ def two_tap_fixture():
     return cluster_of(pixels, pas, truth=LOS), cir, pas
 
 
+def features_of(cluster, cir, pas, config):
+    return cluster_features(cluster, pas, cir.pixel(*cluster.peak_pixel),
+                            cir.sample_rate_ghz, config)
+
+
 def test_cluster_features_two_tap_composition():
     cluster, cir, pas = two_tap_fixture()
     for mode in ("kurtosis", "covariance"):
-        fv = cluster_features(cluster, cir, pas,
-                              MetricConfig(r_p_mode=mode))
+        fv = features_of(cluster, cir, pas, MetricConfig(r_p_mode=mode))
         assert fv.tau_mean_ns == pytest.approx(2.0, rel=1e-14)
         assert fv.tau_rms_ns == pytest.approx(1.0, rel=1e-14)
         assert fv.label == LOS
@@ -303,13 +307,13 @@ def test_cluster_features_two_tap_composition():
 
 def test_cluster_features_scale_invariant():
     cluster, cir, pas = two_tap_fixture()
-    base = cluster_features(cluster, cir, pas, MetricConfig()).values()
+    base = features_of(cluster, cir, pas, MetricConfig()).values()
     for c in (1e-3, 1e3):
         scaled_cir = CirTensor.dense(cir.grid, cir.sample_rate_ghz,
                                      cir.data * c)
         scaled_pas = compute_pas(scaled_cir)
-        got = cluster_features(cluster, scaled_cir, scaled_pas,
-                               MetricConfig()).values()
+        got = features_of(cluster, scaled_cir, scaled_pas,
+                          MetricConfig()).values()
         assert np.all(np.abs(got - base) <= 1e-9 * np.abs(base))
 
 
@@ -318,7 +322,7 @@ def test_cluster_features_annotates_errors():
     silent = CirTensor.dense(cir.grid, cir.sample_rate_ghz,
                              np.zeros_like(cir.data))
     with pytest.raises(DegenerateInputError, match="cluster 1:"):
-        cluster_features(cluster, silent, pas, MetricConfig())
+        features_of(cluster, silent, pas, MetricConfig())
 
 
 def test_single_ray_beam_is_symmetric():
