@@ -427,6 +427,7 @@ def render_cir(clusters: list[RayCluster], config: SimConfig, seed: int,
     for r, k in enumerate(slot.tolist()):
         acc[k] += coeff[r] * (amp_el[r][:, None] * amp_az[r])
     signal = np.ascontiguousarray(acc.transpose(1, 2, 0))
+    del acc                   # one copy of the taps through the norms below
 
     along = across = None
     if config.snr_db is not None and peak_amp > 0.0:

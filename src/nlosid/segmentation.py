@@ -82,6 +82,7 @@ def _neighbor_table(n_el: int, n_az: int, wrap: bool) -> tuple:
     """The 8-connected neighbours of every pixel as flat indices i * n_az +
     j, indexed by the pixel's flat index, in raster order of the offsets;
     azimuth wraps when asked, elevation never does."""
+    flat = list(range(n_el * n_az))     # one int object per index
     table = []
     for i in range(n_el):
         for j in range(n_az):
@@ -96,7 +97,7 @@ def _neighbor_table(n_el: int, n_az: int, wrap: bool) -> tuple:
                         jj %= n_az
                     elif not 0 <= jj < n_az:
                         continue
-                    near.append(ii * n_az + jj)
+                    near.append(flat[ii * n_az + jj])
             table.append(tuple(near))
     return tuple(table)
 
