@@ -16,6 +16,7 @@ Azimuth is treated as circular whenever the grid spans the full 360
 degrees, so clusters may straddle the +-180 degree seam.
 """
 
+import array
 import functools
 import heapq
 from dataclasses import dataclass, replace
@@ -167,21 +168,21 @@ def _find_markers(smoothed, power, mask, params, wrap):
     # flat indices: raster order is increasing index, and (power, -index)
     # orders like (power, -el, -az)
     neighbors = _neighbor_table(n_el, n_az, wrap)
-    is_candidate = candidate.ravel().tolist()
-    flat_power = power.ravel().tolist()
-    seen = [False] * len(is_candidate)
+    flat_power = power.ravel()
+    candidates = np.flatnonzero(candidate).tolist()
+    unseen = set(candidates)
     reps = []
-    for p in np.flatnonzero(candidate).tolist():
-        if seen[p]:
+    for p in candidates:
+        if p not in unseen:
             continue
         # flood one plateau of candidate pixels
+        unseen.remove(p)
         plateau = [p]
-        seen[p] = True
         queue = [p]
         while queue:
             for q in neighbors[queue.pop()]:
-                if is_candidate[q] and not seen[q]:
-                    seen[q] = True
+                if q in unseen:
+                    unseen.remove(q)
                     plateau.append(q)
                     queue.append(q)
         rep = max(plateau, key=lambda q: (flat_power[q], -q))
@@ -205,7 +206,8 @@ def _priority_flood(smoothed, mask, markers, wrap):
     # flat indices order like (el, az)
     flat = smoothed.ravel().tolist()
     inside = mask.ravel().tolist()
-    labels = [0] * len(flat)
+    # int64 zeros that numpy views without a copy at the end
+    labels = array.array("q", bytes(8 * len(flat)))
     heap = []
     for lab, (i, j) in enumerate(markers, start=1):
         p = i * n_az + j
@@ -218,19 +220,29 @@ def _priority_flood(smoothed, mask, markers, wrap):
         for q in neighbors[p]:
             if inside[q] and labels[q] == 0:
                 heapq.heappush(heap, (-flat[q], q, lab))
-    return np.array(labels).reshape(n_el, n_az)
+    return np.frombuffer(labels, dtype=np.int64).reshape(n_el, n_az)
 
 
 def _build_clusters(labels, n_basins, power, params: SegParams):
+    n_az = labels.shape[1]
+    flat = labels.ravel()
+    # each basin's flat indices in raster order, as argwhere lists them
+    order = np.argsort(flat, kind="stable")
+    starts = np.searchsorted(flat[order], np.arange(1, n_basins + 2))
+    flat_power = power.ravel()
     raw = []
     for lab in range(1, n_basins + 1):
-        idx = np.argwhere(labels == lab)
+        idx = order[starts[lab - 1]:starts[lab]]
         if len(idx) < params.min_pixels:
             continue
-        pix = [(int(i), int(j)) for i, j in idx]
-        total = float(power[idx[:, 0], idx[:, 1]].sum())
-        peak_pixel = max(pix, key=lambda p: (power[p], -p[0], -p[1]))
-        raw.append((total, peak_pixel, frozenset(pix)))
+        basin_power = flat_power[idx]
+        total = float(basin_power.sum())
+        # the first maximum in raster order: the strongest pixel, ties to
+        # the smallest (el, az)
+        peak_pixel = divmod(int(idx[np.argmax(basin_power)]), n_az)
+        el, az = np.divmod(idx, n_az)
+        raw.append((total, peak_pixel,
+                    frozenset(zip(el.tolist(), az.tolist()))))
 
     raw.sort(key=lambda r: (-r[0], r[1]))
     return [Cluster(id=k, pixels=pixels, peak_pixel=peak_pixel,
