@@ -370,8 +370,7 @@ class CirTensor:
     @cached_property
     def data(self) -> np.ndarray:
         """Dense (n_el, n_az, n_taps) taps: the signal itself when every tap
-        is a signal tap and there is no noise, else built on first access,
-        one azimuth column per fill."""
+        is a signal tap and there is no noise, else built on first access."""
         if self.along is None and len(self.signal_taps) == self.n_taps:
             return self.signal
         out = np.empty(self.grid.shape + (self.n_taps,), dtype=complex)

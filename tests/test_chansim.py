@@ -339,8 +339,7 @@ def tensor_of(kind: str, realization: int) -> CirTensor:
     clusters, _ = generate_channel(cfg, 5, realization)
     cir = render_cir(clusters, cfg, 5, realization)
     if kind == "dense":
-        return CirTensor.dense(cir.grid, cir.sample_rate_ghz,
-                               render_cir(clusters, cfg, 5, realization).data)
+        return CirTensor.dense(cir.grid, cir.sample_rate_ghz, cir.data)
     return cir
 
 
