@@ -6,10 +6,12 @@ two weak companions.  The remaining clusters are reflections: bundles of
 rays with exponentially decaying mean amplitude, random phases, and small
 angular jitter around the cluster direction.
 
-Rendering sweeps a Gaussian beam pair over a rectangular angular grid and
-accumulates each ray into the delay bin nearest its total delay, optionally
-adding complex white noise referenced to the strongest ray, of which each
-pixel keeps two numbers until its taps are read.
+Rendering sweeps a Gaussian beam pair over a rectangular angular grid.  Each
+ray lands in the delay bin nearest its total delay, weighted per axis by the
+beam, and a rendered tensor keeps the rays in that factored form, building a
+pixel's taps only when they are read.  Optional complex white noise,
+referenced to the strongest ray, is kept as two numbers per pixel until
+then.
 """
 
 import math
@@ -243,29 +245,62 @@ def beam_amplitude(d_deg, hpbw_deg: float):
     return np.exp(-2.0 * math.log(2.0) * (d_deg / hpbw_deg) ** 2)
 
 
-def _scaled_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_rows(x: np.ndarray) -> np.ndarray:
     """Rows (last axis) of x scaled exactly, by powers of two, to a largest
     entry in [0.5, 1), so their sums of squares cannot underflow even for
-    subnormal rows; and the exponents that undo the scaling."""
+    subnormal rows."""
     exponent = np.frexp(np.max(np.abs(x), axis=-1, keepdims=True))[1]
-    return np.ldexp(x, -exponent), exponent
+    return np.ldexp(x, -exponent)
+
+
+@dataclass(frozen=True, eq=False)
+class BeamRays:
+    """A rendered channel in the factored form the separable beam gives:
+    ray r adds coeff[r] * amp_el[r, i] * amp_az[r, j] to signal tap slot[r]
+    of pixel (i, j)."""
+
+    slot: np.ndarray          # (n_rays,) index into the signal taps
+    coeff: np.ndarray         # (n_rays,) complex amplitude
+    amp_el: np.ndarray        # (n_rays, n_el) beam weight per elevation row
+    amp_az: np.ndarray        # (n_rays, n_az) beam weight per azimuth column
+
+    def norms(self, peak_amp: float) -> np.ndarray:
+        """|s| of every pixel, shape (n_el, n_az), peak_amp at least every
+        ray's amplitude.  The coefficients are first scaled exactly by
+        peak_amp's power of two, so |s| scales exactly with the amplitudes
+        and its squares underflow only below about 2^-500 peak_amp.  All
+        taps with one ray add |c|^2 e^2 (x) a^2 in one matrix product; a tap
+        with several rays is built and then squared, which cannot cancel."""
+        exponent = math.frexp(peak_amp)[1]
+        coeff = np.ldexp(self.coeff.view(float), -exponent).view(complex)
+        counts = np.bincount(self.slot)
+        alone = counts[self.slot] == 1
+        energy = ((self.amp_el[alone].T ** 2 * np.abs(coeff[alone]) ** 2)
+                  @ self.amp_az[alone] ** 2)
+        for k in np.flatnonzero(counts > 1):
+            s = 0.0
+            for r in np.flatnonzero(self.slot == k):
+                s = s + coeff[r] * (self.amp_el[r][:, None] * self.amp_az[r])
+            energy += s.real ** 2 + s.imag ** 2
+        return np.ldexp(np.sqrt(energy), exponent)
 
 
 @dataclass(frozen=True, eq=False)
 class CirTensor:
     """Impulse responses on an angular grid, tap k at k / sample_rate_ghz ns.
 
-    signal, shape (n_el, n_az, len(signal_taps)), holds s, the taps at the
-    increasing indices signal_taps; the others are zero before noise.  A
-    dense tensor has every tap a signal tap and no noise.  A rendered one
-    keeps its noise as two numbers per pixel.  A pixel's white noise (real
-    view, p = 2 n_taps coordinates, variance sigma^2) is a ~ N(0, sigma^2)
-    along mu = s / |s| (the first signal tap's axis when s = 0) plus an
-    independent rest, orthogonal to mu, of squared norm sigma^2 chi^2(p - 1)
-    and uniform direction v (Muller 1959).  along = |s| + a and across, that
-    squared norm, are stored (None when noiseless); a read draws v from the
-    pixel's own (seed, realization) sub-stream and returns along mu +
-    sqrt(across) v.  pixels(), pixel() and data share that routine and no
+    s, the signal, is nonzero only at the increasing tap indices
+    signal_taps.  A dense tensor stores every tap, all of them signal taps,
+    and no noise.  A rendered one stores its rays (BeamRays), from which
+    any pixel's signal taps are built, and its noise as two numbers per
+    pixel.  A pixel's white noise (real view, p = 2 n_taps coordinates,
+    variance sigma^2) is a ~ N(0, sigma^2) along mu = s / |s| (the first
+    signal tap's axis when s = 0) plus an independent rest, orthogonal to
+    mu, of squared norm sigma^2 chi^2(p - 1) and uniform direction v
+    (Muller 1959).  along = |s| + a and across, that squared norm, are
+    stored (None when noiseless); a read draws v from the pixel's own
+    (seed, realization) sub-stream and returns along mu + sqrt(across) v.
+    pixels(), pixel(), signal and data share one signal routine and no
     generator state, so they agree bit for bit in any order of access.
     """
 
@@ -273,7 +308,8 @@ class CirTensor:
     sample_rate_ghz: float
     n_taps: int
     signal_taps: np.ndarray
-    signal: np.ndarray
+    stored: np.ndarray | None = None   # dense: (n_el, n_az, n_taps) taps
+    rays: BeamRays | None = None       # rendered
     along: np.ndarray | None = None
     across: np.ndarray | None = None
     seed: int = 0
@@ -284,14 +320,15 @@ class CirTensor:
                 and self.sample_rate_ghz > 0):
             raise ConfigError(f"sample rate must be positive and finite, got "
                               f"{self.sample_rate_ghz}")
-        if self.signal.shape != self.grid.shape + (len(self.signal_taps),):
+        if self.rays is None and (self.stored.shape != self.grid.shape
+                                  + (len(self.signal_taps),)):
             raise DataFormatError(
-                f"tensor shape {self.signal.shape} does not match grid "
+                f"tensor shape {self.stored.shape} does not match grid "
                 f"{self.grid.shape} + tap axis")
         # a non-finite signal tap makes its pixel's along non-finite
-        stored = ((self.signal,) if self.along is None
-                  else (self.along, self.across))
-        if not all(np.isfinite(a).all() for a in stored):
+        kept = ((self.signal,) if self.along is None
+                else (self.along, self.across))
+        if not all(np.isfinite(a).all() for a in kept):
             raise DataFormatError(
                 "impulse-response tensor contains non-finite taps")
 
@@ -313,6 +350,32 @@ class CirTensor:
             return np.sum(np.abs(self.signal) ** 2, axis=-1)
         return self.along ** 2 + self.across
 
+    def _signal_at(self, el_idx: np.ndarray, az_idx: np.ndarray) -> np.ndarray:
+        """The C-contiguous signal taps, shape (*shape, len(signal_taps)),
+        of pixels (el_idx[p], az_idx[p]) for the indices p of shape, the
+        broadcast shape of the two index arrays.  A rendered tensor adds each
+        ray into its tap in cluster and ray order, onto +0.0, tap by tap over
+        all the pixels at once, so every pixel gets the same bits however it
+        is read."""
+        if self.rays is None:
+            return self.stored[el_idx, az_idx]
+        rays = self.rays
+        weight = rays.amp_el[:, el_idx] * rays.amp_az[:, az_idx]
+        acc = np.zeros((len(self.signal_taps),) + weight.shape[1:],
+                       dtype=complex)
+        for r, k in enumerate(rays.slot.tolist()):
+            acc[k] += rays.coeff[r] * weight[r]
+        return np.ascontiguousarray(np.moveaxis(acc, 0, -1))
+
+    @property
+    def signal(self) -> np.ndarray:
+        """s, shape (n_el, n_az, len(signal_taps)): a dense tensor's stored
+        taps, built on each access for a rendered one."""
+        if self.rays is None:
+            return self.stored
+        return self._signal_at(*np.ix_(range(self.grid.n_el),
+                                       range(self.grid.n_az)))
+
     @cached_property
     def _pixel_noise(self) -> tuple[np.random.Generator, dict]:
         """Generator and start state of the pixel draws: pixel k = el_idx *
@@ -320,11 +383,11 @@ class CirTensor:
         rng = rng_stream(self.seed, _STREAM_PIXEL_NOISE, self.realization)
         return rng, rng.bit_generator.state
 
-    def _fill(self, el_idx: np.ndarray, az_idx: np.ndarray,
+    def _fill(self, el_idx: np.ndarray, az_idx: np.ndarray, s: np.ndarray,
               out: np.ndarray) -> None:
-        """Write the taps of pixels (el_idx[r], az_idx[r]) into out[r]; out
-        is complex with shape (len(el_idx), n_taps) and contiguous rows."""
-        s = self.signal[el_idx, az_idx]
+        """Write the taps of pixels (el_idx[r], az_idx[r]), whose signal
+        taps are s[r], into out[r]; out is complex with shape
+        (len(el_idx), n_taps) and contiguous rows."""
         if self.along is None:
             out[:] = 0.0
             out[:, self.signal_taps] = s
@@ -336,7 +399,7 @@ class CirTensor:
             rng.bit_generator.state = start
             rng.bit_generator.advance((i * n_az + j) << 64)
             rng.standard_normal(out=g[r])
-        mu, _ = _scaled_rows(s.view(float))
+        mu = _scaled_rows(s.view(float))
         mu[:, 0] += ~mu.any(axis=-1)    # s = 0: first signal tap's axis
         mu /= np.sqrt(np.vecdot(mu, mu))[:, None]
         # mu is zero off the signal taps, so only they lose a component
@@ -359,8 +422,9 @@ class CirTensor:
                              f"{az_idx.shape}")
         out = np.empty((len(el_idx), self.n_taps), dtype=complex)
         if len(el_idx):
-            self._fill(np.arange(self.grid.n_el)[el_idx],
-                       np.arange(self.grid.n_az)[az_idx], out)
+            el_idx = np.arange(self.grid.n_el)[el_idx]
+            az_idx = np.arange(self.grid.n_az)[az_idx]
+            self._fill(el_idx, az_idx, self._signal_at(el_idx, az_idx), out)
         return out
 
     def pixel(self, el_idx: int, az_idx: int) -> np.ndarray:
@@ -370,13 +434,16 @@ class CirTensor:
     @cached_property
     def data(self) -> np.ndarray:
         """Dense (n_el, n_az, n_taps) taps: the signal itself when every tap
-        is a signal tap and there is no noise, else built on first access."""
+        is a signal tap and there is no noise, else built on first access
+        from one pass of the signal routine over every pixel."""
+        signal = self.signal
         if self.along is None and len(self.signal_taps) == self.n_taps:
-            return self.signal
+            return signal
         out = np.empty(self.grid.shape + (self.n_taps,), dtype=complex)
         rows = np.arange(self.grid.n_el)
         for j in range(self.grid.n_az):
-            self._fill(rows, np.full(self.grid.n_el, j), out[:, j])
+            self._fill(rows, np.full(self.grid.n_el, j), signal[:, j],
+                       out[:, j])
         return out
 
 
@@ -386,10 +453,12 @@ def render_cir(clusters: list[RayCluster], config: SimConfig, seed: int,
 
     Each ray lands in the delay bin nearest its total delay with amplitude
     scaled by the square root of the beam power gain toward its direction.
-    With snr_db set, every tap carries circular complex Gaussian noise, its
-    per-tap power snr_db below the strongest ray's squared amplitude.  The
-    render draws two numbers of it per pixel from the (seed, realization)
-    noise stream; a read draws the rest (see CirTensor).
+    The tensor keeps the rays (BeamRays), not the taps.  With snr_db set,
+    every tap carries circular complex Gaussian noise, its per-tap power
+    snr_db below the strongest ray's squared amplitude.  The render draws
+    two numbers of it per pixel from the (seed, realization) noise stream,
+    the first added to |s|, which BeamRays.norms takes from the rays
+    without building the taps; a read draws the rest (see CirTensor).
     """
     grid = config.grid()
     taps, ray_az, ray_el, amplitudes, phases = [], [], [], [], []
@@ -421,23 +490,18 @@ def render_cir(clusters: list[RayCluster], config: SimConfig, seed: int,
     coeff = np.array(amplitudes) * np.exp(1j * np.array(phases))
     signal_taps, slot = np.unique(np.array(taps, dtype=int),
                                   return_inverse=True)
-    # rays add into their tap in cluster and ray order, onto +0.0
-    acc = np.zeros((len(signal_taps),) + grid.shape, dtype=complex)
-    for r, k in enumerate(slot.tolist()):
-        acc[k] += coeff[r] * (amp_el[r][:, None] * amp_az[r])
-    signal = np.ascontiguousarray(acc.transpose(1, 2, 0))
-    del acc                   # one copy of the taps through the norms below
+    rays = BeamRays(slot, coeff, amp_el, amp_az)
 
     along = across = None
     if config.snr_db is not None and peak_amp > 0.0:
         rng = rng_stream(seed, _STREAM_NOISE, realization)
         sigma2 = peak_amp ** 2 * config.noise_factor / 2.0
-        scaled, exponent = _scaled_rows(signal.view(float))
-        along = (np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), exponent[..., 0])
+        along = (rays.norms(peak_amp)
                  + math.sqrt(sigma2) * rng.standard_normal(grid.shape))
         across = sigma2 * rng.chisquare(2 * config.n_taps - 1, grid.shape)
     return CirTensor(grid, config.sample_rate_ghz, config.n_taps,
-                     signal_taps, signal, along, across, seed, realization)
+                     signal_taps, rays=rays, along=along, across=across,
+                     seed=seed, realization=realization)
 
 
 def simulate_realization(config: SimConfig, seed: int, realization: int = 0

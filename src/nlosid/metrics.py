@@ -142,13 +142,16 @@ def _magnitude_kurtosis(mag: np.ndarray, what: str) -> float:
     # np.add.reduce(x) / n is np.mean(x) without its dispatch overhead
     n = len(mag)
     mean = float(np.add.reduce(mag) / n)
+    # products, not powers: ** calls pow, slow per element and, unlike a
+    # product, not exact under power-of-two scaling
     dev = mag - mean
-    m2 = float(np.add.reduce(dev ** 2) / n)
+    sq = dev * dev
+    m2 = float(np.add.reduce(sq) / n)
     if m2 <= 0.0 or m2 < _VARIANCE_REL_TOL * mean ** 2:
         raise DegenerateInputError(
             f"{what} magnitudes are effectively constant; kurtosis undefined")
-    m4 = float(np.add.reduce(dev ** 4) / n)
-    return m4 / m2 ** 2
+    m4 = float(np.add.reduce(sq * sq) / n)
+    return m4 / (m2 * m2)
 
 
 def time_kurtosis(taps: np.ndarray) -> float:

@@ -9,6 +9,7 @@ Conventions used throughout the package:
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,11 @@ _FULL_TURN_DEG = 360.0 - 1e-9
 def wrap_angle_deg(a):
     """Map angles (scalar or array) into [-180, 180)."""
     return (np.asarray(a, dtype=float) + 180.0) % 360.0 - 180.0
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -83,13 +89,17 @@ class AngularGrid(Record):
     def shape(self) -> tuple[int, int]:
         return (self.n_el, self.n_az)
 
-    @property
+    # each axis is built once per grid and kept read-only; fields alone
+    # decide ==, hash and to_dict
+    @cached_property
     def azimuths_deg(self) -> np.ndarray:
-        return self.az_start_deg + self.az_step_deg * np.arange(self.n_az)
+        return _read_only(self.az_start_deg
+                          + self.az_step_deg * np.arange(self.n_az))
 
-    @property
+    @cached_property
     def elevations_deg(self) -> np.ndarray:
-        return self.el_start_deg + self.el_step_deg * np.arange(self.n_el)
+        return _read_only(self.el_start_deg
+                          + self.el_step_deg * np.arange(self.n_el))
 
     @property
     def wraps_azimuth(self) -> bool:

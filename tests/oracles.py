@@ -3,10 +3,14 @@
 Everything here is written with plain Python loops and math.fsum so the
 results come from a different code path (and higher working precision) than
 the library under test.  The renderers are the exception.
-render_signal_oracle repeats the library's arithmetic one ray at a time,
-so the two must agree bit for bit.  render_cir_oracle draws noise on every
-tap of the dense tensor, and is the reference for the distribution of the
-lazy renderer's noise.
+render_signal_oracle builds the dense signal one ray at a time with the
+library's arithmetic, so a rendered tensor's signal taps and across must
+agree with it bit for bit.  Its |s| (scaled_norm_oracle) is the accumulated
+taps' norm, with each pixel's row scaled by a power of two first; the render
+computes |s| from the rays' separable beam weights instead, so along agrees
+to a few rounding errors of |s|.  render_cir_oracle draws noise on every tap
+of the dense tensor, and is the reference for the distribution of the lazy
+renderer's noise.
 """
 
 import math
@@ -106,13 +110,25 @@ def connected_components(pixels, n_az, wrap):
     return comps
 
 
+def scaled_norm_oracle(signal) -> np.ndarray:
+    """|s| of each pixel of an (n_el, n_az, n_taps) complex signal, each
+    pixel's row scaled by a power of two to a largest entry in [0.5, 1)
+    first, so its sum of squares cannot underflow even for subnormal rows."""
+    rows = signal.view(float)
+    exponent = np.frexp(np.max(np.abs(rows), axis=-1))[1]
+    scaled = np.ldexp(rows, -exponent[..., None])
+    return np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), exponent)
+
+
 def render_signal_oracle(clusters, config, seed, realization=0):
     """(signal_taps, signal, along, across) of chansim.render_cir, built ray
     by ray: each ray's beam weights from scalar angles, added as
     coeff * np.outer(amp_el, amp_az) into a per-tap accumulator in cluster
     and ray order, the taps then stacked in increasing order.  Same
-    arithmetic, one ray at a time, so the render must agree bit for bit,
-    signs of zero included."""
+    arithmetic, one ray at a time, so the render's signal and across must
+    agree bit for bit, signs of zero included.  along is
+    scaled_norm_oracle(signal) plus the render's draw of the noise along
+    s."""
     grid = config.grid()
     az = grid.azimuths_deg
     el = grid.elevations_deg
@@ -140,11 +156,7 @@ def render_signal_oracle(clusters, config, seed, realization=0):
     if config.snr_db is not None and peak_amp > 0.0:
         rng = rng_stream(seed, _STREAM_NOISE, realization)
         sigma2 = peak_amp ** 2 * 10.0 ** (-config.snr_db / 10.0) / 2.0
-        # |s| per pixel, with each row scaled by a power of two first
-        rows = signal.view(float)
-        exponent = np.frexp(np.max(np.abs(rows), axis=-1))[1]
-        scaled = np.ldexp(rows, -exponent[..., None])
-        along = (np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), exponent)
+        along = (scaled_norm_oracle(signal)
                  + math.sqrt(sigma2) * rng.standard_normal(grid.shape))
         across = sigma2 * rng.chisquare(2 * config.n_taps - 1, grid.shape)
     return np.array(signal_taps, dtype=int), signal, along, across

@@ -423,8 +423,10 @@ def test_noiseless_render_equals_oracle_exactly():
     ids=["small-noiseless", "small-noisy", "default", "default-noiseless-nlos",
          "fine-grid"])
 def test_render_matches_the_ray_by_ray_oracle_bit_for_bit(cfg):
-    """signal, along and across equal the per-ray oracle's bit patterns, so
-    noiseless tensors keep their signs of zero and noisy ones their draws."""
+    """signal and across equal the per-ray oracle's bit patterns, so
+    noiseless tensors keep their signs of zero and noisy ones their draws;
+    along is the oracle's |s| plus the same noise draw, to the rounding of
+    |s| (see assert_along_matches_oracle)."""
     for realization in range(4):
         clusters, _ = generate_channel(cfg, 17, realization)
         cir = render_cir(clusters, cfg, 17, realization)
@@ -437,8 +439,65 @@ def test_render_matches_the_ray_by_ray_oracle_bit_for_bit(cfg):
             assert cir.along is None and along is None
             assert cir.across is None and across is None
         else:
-            assert np.array_equal(bits(cir.along), bits(along))
+            assert_along_matches_oracle(cir, clusters, signal, along)
             assert np.array_equal(bits(cir.across), bits(across))
+
+
+def assert_along_matches_oracle(cir, clusters, signal, along):
+    """|render along - oracle along| <= 1e-14 |s| + 2^-500 peak + 1 ulp of
+    along, |s| the oracle's norm of its accumulated taps.  The render sums
+    the squares of |s| in another order and in another factoring, so it
+    may differ by a few roundings relative to |s|, and may lose pixels
+    whose squares underflow, far below the strongest ray."""
+    peak = max(ray.amplitude for c in clusters for ray in c.rays)
+    bound = (1e-14 * oracles.scaled_norm_oracle(signal) + 2.0 ** -500 * peak
+             + np.spacing(np.abs(along)))
+    assert np.all(np.abs(cir.along - along) <= bound)
+
+
+def opposed_rays():
+    """A ray (tap, amplitude, phase, az and el offsets), alone or with a
+    twin in its tap of nearly opposite phase from nearly its direction."""
+    ray = st.tuples(st.integers(0, 4), st.floats(1e-3, 1.0),
+                    st.floats(0.0, 2.0 * math.pi), st.floats(-120.0, 120.0),
+                    st.floats(-8.0, 8.0))
+    twin = st.tuples(st.floats(0.5, 1.0), st.floats(-1e-3, 1e-3),
+                     st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+    def rays(base, offset):
+        tap, amp, phase, az, el = base
+        if offset is None:
+            return [base]
+        ratio, dphase, daz, d_el = offset
+        return [base, (tap, amp * ratio, phase + math.pi + dphase, az + daz,
+                       el + d_el)]
+    return st.builds(rays, ray, st.none() | twin)
+
+
+@settings(max_examples=40, deadline=None)
+@given(groups=st.lists(opposed_rays(), min_size=1, max_size=6),
+       snr_db=st.sampled_from([20.0, 60.0, 300.0]),
+       realization=st.integers(0, 999))
+def test_along_is_the_norm_of_the_taps_plus_its_noise(groups, snr_db,
+                                                      realization):
+    """Over random rays, some 80-120 degrees off the beam (subnormal
+    energies and taps) and some cancelling a twin in their tap, at SNRs up
+    to 300 dB where along is nearly |s| alone: signal and across keep the
+    oracle's bits and along is within the rounding bound of its |s|."""
+    cfg = SimConfig(az_range_deg=(0.0, 120.0), el_range_deg=(-8.0, 8.0),
+                    step_deg=4.0, sample_rate_ghz=2.0, n_taps=64,
+                    snr_db=snr_db)
+    rays = tuple(Ray(tap / 2.0, amp, phase, az, el)
+                 for group in groups for tap, amp, phase, az, el in group)
+    clusters = [RayCluster(kind=NLOS, center_az_deg=0.0, center_el_deg=0.0,
+                           base_delay_ns=5.0, rays=rays)]
+    cir = render_cir(clusters, cfg, 23, realization)
+    taps, signal, along, across = oracles.render_signal_oracle(
+        clusters, cfg, 23, realization)
+    assert cir.signal_taps.tolist() == taps.tolist()
+    assert np.array_equal(bits(cir.signal), bits(signal))
+    assert np.array_equal(bits(cir.across), bits(across))
+    assert_along_matches_oracle(cir, clusters, signal, along)
 
 
 def test_render_with_every_tap_carrying_a_ray():

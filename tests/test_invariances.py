@@ -29,6 +29,15 @@ def scaled(clusters, factor: float) -> list:
             for c in clusters]
 
 
+def rotated(clusters, azimuth_deg: float) -> list:
+    return [replace(c, center_az_deg=c.center_az_deg + azimuth_deg)
+            for c in clusters]
+
+
+def by_delay(rows) -> list:
+    return sorted(rows, key=lambda fv: fv.tau_mean_ns)
+
+
 def delayed(clusters, delay_ns: float) -> list:
     return [replace(c, base_delay_ns=c.base_delay_ns + delay_ns)
             for c in clusters]
@@ -74,3 +83,26 @@ def test_noiseless_delay_shift_moves_only_the_mean_delay(realization, shift):
         for name in ("r_p", "k_t", "k_f", "tau_rms_ns"):
             assert fv.metric(name) == pytest.approx(want.metric(name),
                                                     rel=1e-9)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(realization=st.integers(0, 199), steps=st.integers(1, 71))
+def test_noiseless_azimuth_rotation_keeps_the_feature_rows(realization,
+                                                          steps):
+    """On the full-circle reference grid, turning every cluster by a whole
+    number of grid steps turns the map with it, so without noise the
+    feature rows and labels are the same multiset, to rtol 1e-12: only
+    angles relative to a cluster's peak enter the metrics."""
+    sim = replace(REFERENCE.sim, snr_db=None)
+    grid = sim.grid()
+    assert grid.wraps_azimuth
+    clusters, _ = generate_channel(sim, REFERENCE.seed, realization)
+    rows, _ = extract(clusters, sim, realization)
+    got, _ = extract(rotated(clusters, steps * grid.az_step_deg), sim,
+                     realization)
+    rows, got = by_delay(rows), by_delay(got)
+    assert len(rows) >= 1
+    assert [fv.label for fv in got] == [fv.label for fv in rows]
+    np.testing.assert_allclose([fv.values() for fv in got],
+                               [fv.values() for fv in rows],
+                               rtol=1e-12, atol=0.0)

@@ -47,6 +47,20 @@ def test_grid_axes_and_pixel_mapping():
     assert not g.wraps_azimuth
 
 
+def test_grid_axes_are_built_once_and_read_only():
+    g = AngularGrid(az_start_deg=-60.0, az_step_deg=5.0, n_az=25,
+                    el_start_deg=-30.0, el_step_deg=5.0, n_el=13)
+    fresh = AngularGrid.from_dict(g.to_dict())
+    for axis in ("azimuths_deg", "elevations_deg"):
+        values = getattr(g, axis)
+        assert getattr(g, axis) is values
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+    # the cached axes are not fields: equality, hash and dict are unchanged
+    assert g == fresh and hash(g) == hash(fresh)
+    assert g.to_dict() == fresh.to_dict()
+
+
 def test_grid_wraps_only_on_full_circle():
     full = AngularGrid(az_start_deg=-180.0, az_step_deg=5.0, n_az=72,
                        el_start_deg=0.0, el_step_deg=5.0, n_el=4)
