@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .chansim import LOS, NLOS
 from .errors import (ConfigError, DataFormatError, EvaluationError, Record,
@@ -300,6 +299,8 @@ def ann_train(model: AnnModel, features: list,
         if loss < best["loss"]:
             best.update(loss=loss, theta=theta.copy())
         return loss, _flatten(grads)
+
+    from scipy.optimize import minimize     # imported at first fit
 
     result = minimize(loss_and_grad, _flatten(model.weights()), jac=True,
                       method="L-BFGS-B",

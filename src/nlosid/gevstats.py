@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import gamma as gamma_fn
 
 from .errors import ConfigError, DataFormatError, FitError, Record
 
@@ -133,6 +131,8 @@ def _pwm_init(x_sorted: np.ndarray) -> tuple[float, float, float]:
     if abs(k) < 1e-6:
         sigma = l2 / math.log(2.0)
         return 0.0, sigma, l1 - _EULER * sigma
+    from scipy.special import gamma as gamma_fn    # imported at first fit
+
     k = max(k, -0.99)                        # keep gamma_fn(1 + k) defined
     g1k = gamma_fn(1.0 + k)
     sigma = l2 * k / ((1.0 - 2.0 ** (-k)) * g1k)
@@ -172,6 +172,8 @@ def gev_fit_mle(samples) -> GevParams:
 
     def objective(v):
         return _neg_log_likelihood(v[0], math.exp(v[1]), v[2], x)
+
+    from scipy.optimize import minimize     # imported at first fit
 
     res = minimize(objective, x0=np.array([gamma0, math.log(sigma0), mu0]),
                    method="Nelder-Mead",

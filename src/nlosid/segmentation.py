@@ -19,10 +19,10 @@ degrees, so clusters may straddle the +-180 degree seam.
 import array
 import functools
 import heapq
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .chansim import LOS, NLOS, RayCluster
 from .errors import ConfigError, Record
@@ -69,13 +69,6 @@ def estimate_noise_floor(pas: PasMap) -> float:
     a robust stand-in for the noise-only level.
     """
     return float(np.median(pas.power))
-
-
-def _disc_footprint(radius: int) -> np.ndarray:
-    if radius == 0:
-        return np.ones((1, 1), dtype=bool)
-    r = np.arange(-radius, radius + 1)
-    return (r[:, None] ** 2 + r[None, :] ** 2) <= radius ** 2
 
 
 @functools.lru_cache(maxsize=8)
@@ -139,6 +132,31 @@ def segment(pas: PasMap, params: SegParams) -> list[Cluster]:
     return _build_clusters(labels, len(markers), power, params)
 
 
+def _shifted_extremes(a, half_widths, ops, pad: int):
+    """Apply each of ops (np.minimum or np.maximum) in turn over a footprint
+    of centred azimuth runs: half_widths[d] is the run's half-width at row
+    offsets +-d.  The azimuth axis is first padded circularly by pad
+    columns, and cropped again at the end.  Offsets that leave the padded
+    map are dropped; for a symmetric, orthogonally convex footprint that
+    equals replicating the edge."""
+    work = np.concatenate([a[:, -pad:], a, a[:, :pad]], axis=1) if pad \
+        else a
+    for op in ops:
+        # runs[w]: op over the centred azimuth run of half-width w
+        runs = [work]
+        for w in range(1, max(half_widths) + 1):
+            run = runs[-1].copy()
+            op(run[:, w:], work[:, :-w], out=run[:, w:])
+            op(run[:, :-w], work[:, w:], out=run[:, :-w])
+            runs.append(run)
+        out = runs[half_widths[0]].copy()
+        for d, w in enumerate(half_widths[1:], start=1):
+            op(out[d:], runs[w][:-d], out=out[d:])
+            op(out[:-d], runs[w][d:], out=out[:-d])
+        work = out
+    return work[:, pad:work.shape[1] - pad] if pad else work
+
+
 def _smooth_db(db, radius: int, wrap: bool):
     """Grayscale open-then-close with a disc footprint.  Opening trims
     speckle maxima, closing refills dents.  On a full-circle grid the
@@ -146,14 +164,18 @@ def _smooth_db(db, radius: int, wrap: bool):
     column; elevation edges replicate."""
     if radius == 0:
         return db
-    footprint = _disc_footprint(radius)
+    disc = [math.isqrt(radius * radius - d * d) for d in range(radius + 1)]
     # open o close reads original values up to 4 * radius away
     pad = min(4 * radius, db.shape[1]) if wrap else 0
-    work = np.concatenate([db[:, -pad:], db, db[:, :pad]], axis=1) if pad \
-        else db
-    work = ndimage.grey_opening(work, footprint=footprint, mode="nearest")
-    work = ndimage.grey_closing(work, footprint=footprint, mode="nearest")
-    return work[:, pad:work.shape[1] - pad] if pad else work
+    return _shifted_extremes(
+        db, disc, (np.minimum, np.maximum, np.maximum, np.minimum), pad)
+
+
+def _marker_maximum(smoothed, wrap: bool):
+    """3x3 maximum: azimuth wraps on a full circle, elevation edges
+    replicate."""
+    return _shifted_extremes(smoothed, (1, 1), (np.maximum,),
+                             1 if wrap else 0)
 
 
 def _find_markers(smoothed, power, mask, params, wrap):
@@ -161,8 +183,7 @@ def _find_markers(smoothed, power, mask, params, wrap):
     representative pixel per plateau, strongest first, with close pairs
     thinned."""
     n_el, n_az = smoothed.shape
-    modes = ("nearest", "wrap") if wrap else ("nearest", "nearest")
-    local_max = smoothed >= ndimage.maximum_filter(smoothed, size=3, mode=modes)
+    local_max = smoothed >= _marker_maximum(smoothed, wrap)
     candidate = local_max & mask
 
     # flat indices: raster order is increasing index, and (power, -index)

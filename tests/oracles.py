@@ -10,13 +10,16 @@ taps' norm, with each pixel's row scaled by a power of two first; the render
 computes |s| from the rays' separable beam weights instead, so along agrees
 to a few rounding errors of |s|.  render_cir_oracle draws noise on every tap
 of the dense tensor, and is the reference for the distribution of the lazy
-renderer's noise.
+renderer's noise.  The morphology oracles are the other exception: they
+are the scipy.ndimage calls that segmentation's numpy min/max filters
+replace, and those filters must agree with them bit for bit.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
+from scipy import ndimage
 
 from nlosid.chansim import _STREAM_NOISE, rng_stream
 from nlosid.gevstats import gev_pdf
@@ -108,6 +111,29 @@ def connected_components(pixels, n_az, wrap):
                         frontier.append(p)
         comps.append(frozenset(comp))
     return comps
+
+
+def smooth_db_oracle(db, radius: int, wrap: bool):
+    """segmentation._smooth_db through scipy.ndimage: grey opening then
+    closing with a disc footprint, mode nearest, on the map padded
+    circularly by min(4 * radius, n_az) azimuth columns when wrap."""
+    if radius == 0:
+        return db
+    r = np.arange(-radius, radius + 1)
+    footprint = (r[:, None] ** 2 + r[None, :] ** 2) <= radius ** 2
+    pad = min(4 * radius, db.shape[1]) if wrap else 0
+    work = np.concatenate([db[:, -pad:], db, db[:, :pad]], axis=1) if pad \
+        else db
+    work = ndimage.grey_opening(work, footprint=footprint, mode="nearest")
+    work = ndimage.grey_closing(work, footprint=footprint, mode="nearest")
+    return work[:, pad:work.shape[1] - pad] if pad else work
+
+
+def marker_maximum_oracle(smoothed, wrap: bool):
+    """The 3x3 maximum that segmentation's markers compare against, through
+    scipy.ndimage: elevation mode nearest, azimuth wrap when asked."""
+    modes = ("nearest", "wrap") if wrap else ("nearest", "nearest")
+    return ndimage.maximum_filter(smoothed, size=3, mode=modes)
 
 
 def scaled_norm_oracle(signal) -> np.ndarray:

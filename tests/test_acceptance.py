@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy import integrate
 
 from nlosid import (CirTensor, ExperimentConfig, GevParams, MetricConfig,
@@ -19,7 +20,6 @@ from nlosid import (CirTensor, ExperimentConfig, GevParams, MetricConfig,
                     gev_fit_mle, gev_pdf, cdf_rmse, mlr_classify, mlr_train,
                     run_experiment, segment, simulate_realization,
                     time_kurtosis)
-from nlosid import classifiers
 from nlosid.classifiers import _loss_and_grads
 from nlosid.experiment import extract_realization
 from nlosid.fileio import load_features, load_json
@@ -262,14 +262,14 @@ def test_criterion_06_network_gradients_and_training(monkeypatch):
     # record the loss at every iteration of the optimizer ann_train runs;
     # scipy passes the full state only to a parameter of this name
     losses = []
-    optimizer = classifiers.minimize
+    optimizer = scipy.optimize.minimize
 
     def recording(*args, **kwargs):
         def callback(intermediate_result):
             losses.append(intermediate_result.fun)
         return optimizer(*args, callback=callback, **kwargs)
 
-    monkeypatch.setattr(classifiers, "minimize", recording)
+    monkeypatch.setattr(scipy.optimize, "minimize", recording)
     feats = separable_features(n_per_class=40)
     raw = np.array([f.values() for f in feats])
     x = (raw - raw.mean(axis=0)) / raw.std(axis=0)

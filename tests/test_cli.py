@@ -2,10 +2,14 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlosid
 from nlosid import ann_init
 from nlosid.cli import main
 from nlosid.fileio import (ann_model_to_dict, load_cir_tensor, load_features,
@@ -266,6 +270,84 @@ def test_ingest_validates_axes(tmp_path, rng, capsys):
     assert "start:stop:step" in capsys.readouterr().err
     assert main(["ingest", str(a), "--az", "0:5:2", "--el", "0:4:2"]) == 2
     assert "whole number" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# cold start: only fitting loads scipy
+
+
+# A fresh process that puts a finder in front of every scipy import, imports
+# nlosid.cli, runs each command line through main and prints the exit codes
+# and the scipy modules it was asked for.  "refuse" makes each such import
+# fail; "record" lets it load.
+_GUARDED_CLI = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+mode, commands = sys.argv[2], json.loads(sys.argv[3])
+seen = []
+
+class ScipyGuard:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            seen.append(name)
+            if mode == "refuse":
+                raise ModuleNotFoundError(f"{name} refused", name=name)
+        return None
+
+sys.meta_path.insert(0, ScipyGuard())
+from nlosid.cli import main
+imported = list(seen)
+codes = [main(argv) for argv in commands]
+print(json.dumps({"imported": imported, "codes": codes, "seen": seen}))
+"""
+
+
+def run_guarded(mode: str, commands) -> dict:
+    src = Path(nlosid.__file__).resolve().parent.parent
+    argv = json.dumps([[str(a) for a in cmd] for cmd in commands])
+    done = subprocess.run([sys.executable, "-c", _GUARDED_CLI, str(src), mode,
+                           argv], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_fitted_models_run_without_scipy(tmp_path, rng):
+    """Importing nlosid, simulate, extract, ingest and classify with either
+    model kind need numpy alone: a process that refuses scipy runs them."""
+    config = {"mode": "simulate", "sim": small_sim(snr_db=60.0).to_dict(),
+              "seg": {"min_pixels": 2, "marker_min_separation": 1.0},
+              "n_realizations": 6, "n_train": 3, "n_test": 3, "seed": 11}
+    cfg = tmp_path / "config.json"
+    save_json(cfg, config)
+    train_csv = tmp_path / "train.csv"
+    save_features(train_csv, labelled_feature_rows(n_realizations=40))
+    models = tmp_path / "models"
+    assert main(["--out", str(models), "train",
+                 "--features", str(train_csv)]) == 0
+    sim, features = tmp_path / "sim", tmp_path / "features.csv"
+    a, b, _ = write_sweep_files(tmp_path, rng)
+    result = run_guarded("refuse", [
+        ["--config", cfg, "--out", sim, "simulate"],
+        ["--config", cfg, "--out", features, "extract",
+         "--manifest", sim / "simulation.json"],
+        ["--out", tmp_path / "tensor.json", "ingest", a, b,
+         "--az", "0:6:2", "--el", "0:4:2"],
+        *(["--out", tmp_path / f"{kind}.csv", "classify",
+           "--features", features, "--model", models / f"{kind}_model.json"]
+          for kind in ("mlr", "ann"))])
+    assert result == {"imported": [], "codes": [0] * 5, "seen": []}
+    assert len(load_features(features)) >= 6
+
+
+def test_train_imports_the_optimizer(tmp_path):
+    """The guard above is not vacuous: it sees train load scipy.optimize,
+    and only once train has started fitting."""
+    train_csv = tmp_path / "train.csv"
+    save_features(train_csv, labelled_feature_rows(n_realizations=40))
+    result = run_guarded("record", [["--out", tmp_path / "models", "train",
+                                     "--features", train_csv]])
+    assert result["imported"] == [] and result["codes"] == [0]
+    assert "scipy.optimize" in result["seen"]
 
 
 # ---------------------------------------------------------------------------

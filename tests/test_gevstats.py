@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy import stats
 
@@ -85,6 +86,42 @@ def test_pdf_integrates_to_one(rng):
         left, _ = integrate.quad(lambda x: gev_pdf(x, p), lo, p.mu, limit=300)
         right, _ = integrate.quad(lambda x: gev_pdf(x, p), p.mu, hi, limit=300)
         assert left + right == pytest.approx(1.0, abs=1e-6)
+
+
+# shapes across both tails, plus the Gumbel branch at and around 0
+_gev_params = st.builds(
+    GevParams,
+    gamma=st.one_of(st.floats(-0.9, 0.9), st.sampled_from([0.0, 1e-10,
+                                                           -1e-10])),
+    mu=st.floats(-20.0, 20.0), sigma=st.floats(0.2, 15.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_gev_params)
+def test_cdf_non_decreasing_across_support_edges(p):
+    lo, hi = p.support()
+    edges = [e for e in (lo, hi) if math.isfinite(e)]
+    near = [np.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
+    left = lo if math.isfinite(lo) else p.mu - 40 * p.sigma
+    right = hi if math.isfinite(hi) else p.mu + 40 * p.sigma
+    x = np.sort(np.concatenate([
+        np.linspace(left - 5 * p.sigma, right + 5 * p.sigma, 2001),
+        edges, near]))
+    cdf = gev_cdf(x, p)
+    assert np.all(cdf[:-1] <= cdf[1:] + 1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_gev_params)
+def test_pdf_integrates_to_one_over_the_support(p):
+    # a shape near 0 puts a finite edge millions of scales away, where quad
+    # would miss the peak, so the pieces break at mu and mu +- 40 sigma
+    lo, hi = p.support()
+    cuts = [lo, *(c for c in (p.mu - 40 * p.sigma, p.mu, p.mu + 40 * p.sigma)
+                  if lo < c < hi), hi]
+    total = sum(integrate.quad(lambda x: gev_pdf(x, p), a, b, limit=300)[0]
+                for a, b in zip(cuts, cuts[1:]))
+    assert total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_cdf_derivative_is_pdf(rng):
