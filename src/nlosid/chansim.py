@@ -290,11 +290,12 @@ class CirTensor:
     """Impulse responses on an angular grid, tap k at k / sample_rate_ghz ns.
 
     s, the signal, is nonzero only at the increasing tap indices
-    signal_taps.  A dense tensor stores every tap, all of them signal taps,
-    and no noise.  A rendered one stores its rays (BeamRays), from which
-    any pixel's signal taps are built, and its noise as two numbers per
-    pixel.  A pixel's white noise (real view, p = 2 n_taps coordinates,
-    variance sigma^2) is a ~ N(0, sigma^2) along mu = s / |s| (the first
+    signal_taps.  A dense tensor stores every tap (a file's complex64 taps
+    are read as complex128), all of them signal taps, and no noise.  A
+    rendered one stores its rays (BeamRays), from which any pixel's signal
+    taps are built, and its noise as two numbers per pixel.  A pixel's white
+    noise (real view, p = 2 n_taps coordinates, variance sigma^2) is
+    a ~ N(0, sigma^2) along mu = s / |s| (the first
     signal tap's axis when s = 0) plus an independent rest, orthogonal to
     mu, of squared norm sigma^2 chi^2(p - 1) and uniform direction v
     (Muller 1959).  along = |s| + a and across, that squared norm, are
@@ -326,8 +327,8 @@ class CirTensor:
                 f"tensor shape {self.stored.shape} does not match grid "
                 f"{self.grid.shape} + tap axis")
         # a non-finite signal tap makes its pixel's along non-finite
-        kept = ((self.signal,) if self.along is None
-                else (self.along, self.across))
+        kept = ((self.along, self.across) if self.along is not None
+                else (self.stored if self.rays is None else self.signal,))
         if not all(np.isfinite(a).all() for a in kept):
             raise DataFormatError(
                 "impulse-response tensor contains non-finite taps")
@@ -336,7 +337,7 @@ class CirTensor:
     def dense(cls, grid: AngularGrid, sample_rate_ghz: float,
               data: np.ndarray) -> "CirTensor":
         """Noiseless tensor whose every tap is a signal tap; data, shape
-        (n_el, n_az, n_taps), is kept as it is, not copied."""
+        (n_el, n_az, n_taps), complex64 or complex128, is kept uncopied."""
         n_taps = data.shape[-1] if data.ndim == 3 else 0
         return cls(grid, sample_rate_ghz, n_taps, np.arange(n_taps), data)
 
@@ -345,10 +346,12 @@ class CirTensor:
         return 1.0 / self.sample_rate_ghz
 
     def tap_energy(self) -> np.ndarray:
-        """Sum of |h_k|^2 over every tap of each pixel, shape (n_el, n_az)."""
-        if self.along is None:
-            return np.sum(np.abs(self.signal) ** 2, axis=-1)
-        return self.along ** 2 + self.across
+        """Sum of |h_k|^2 over each pixel's taps, row by row: (n_el, n_az)."""
+        if self.along is not None:
+            return self.along ** 2 + self.across
+        az = np.arange(self.grid.n_az)
+        return np.array([np.sum(np.abs(self._signal_at(i, az)) ** 2, axis=-1)
+                         for i in np.arange(self.grid.n_el)[:, None]])
 
     def _signal_at(self, el_idx: np.ndarray, az_idx: np.ndarray) -> np.ndarray:
         """The C-contiguous signal taps, shape (*shape, len(signal_taps)),
@@ -358,7 +361,7 @@ class CirTensor:
         all the pixels at once, so every pixel gets the same bits however it
         is read."""
         if self.rays is None:
-            return self.stored[el_idx, az_idx]
+            return self.stored[el_idx, az_idx].astype(complex, copy=False)
         rays = self.rays
         weight = rays.amp_el[:, el_idx] * rays.amp_az[:, az_idx]
         acc = np.zeros((len(self.signal_taps),) + weight.shape[1:],
@@ -369,10 +372,10 @@ class CirTensor:
 
     @property
     def signal(self) -> np.ndarray:
-        """s, shape (n_el, n_az, len(signal_taps)): a dense tensor's stored
-        taps, built on each access for a rendered one."""
+        """s, complex128 with shape (n_el, n_az, len(signal_taps)): a dense
+        tensor's stored taps, built on each access for a rendered one."""
         if self.rays is None:
-            return self.stored
+            return self.stored.astype(complex, copy=False)
         return self._signal_at(*np.ix_(range(self.grid.n_el),
                                        range(self.grid.n_az)))
 
@@ -435,16 +438,12 @@ class CirTensor:
     def data(self) -> np.ndarray:
         """Dense (n_el, n_az, n_taps) taps: the signal itself when every tap
         is a signal tap and there is no noise, else built on first access
-        from one pass of the signal routine over every pixel."""
-        signal = self.signal
+        by one pixels() call over every direction."""
         if self.along is None and len(self.signal_taps) == self.n_taps:
-            return signal
-        out = np.empty(self.grid.shape + (self.n_taps,), dtype=complex)
-        rows = np.arange(self.grid.n_el)
-        for j in range(self.grid.n_az):
-            self._fill(rows, np.full(self.grid.n_el, j), signal[:, j],
-                       out[:, j])
-        return out
+            return self.signal
+        el_idx, az_idx = np.indices(self.grid.shape).reshape(2, -1)
+        return self.pixels(el_idx, az_idx).reshape(self.grid.shape
+                                                   + (self.n_taps,))
 
 
 def render_cir(clusters: list[RayCluster], config: SimConfig, seed: int,

@@ -129,6 +129,7 @@ def extract_all(realizations, seg: SegParams, metric: MetricConfig):
     rows, diags = [], []
     for index, cir, truth in realizations:
         features, diag = extract_realization(cir, truth, seg, metric)
+        del cir     # so the next tensor is not loaded beside this one
         rows.extend((index, fv) for fv in features)
         diags.append({"index": index, **diag})
     skipped = sum(d["skipped_clusters"] for d in diags)
@@ -153,7 +154,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> Path:
     """Write every realization's tensor, power map, and ground truth, plus
     a manifest tying them together.  Returns the manifest path.
 
-    The tensor written is the dense view of the same render that
+    The tensor written holds the pixels of the same render that
     run_experiment analyses, so staged and in-process runs see one draw.
     """
     out = Path(out_dir)

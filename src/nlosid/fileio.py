@@ -4,14 +4,16 @@ Everything textual is JSON with sorted keys or CSV with a fixed header, and
 every writer is deterministic: identical objects produce identical bytes,
 with no timestamps or absolute paths.  Impulse-response tensors pair a JSON
 manifest with a sibling raw binary of little-endian float32 (re, im) pairs
-in (elevation, azimuth, tap) index order.  The JSON documents read back
-are Records tagged with their FORMAT; see save_document and load_document.
+in (elevation, azimuth, tap) index order, written one elevation row at a
+time and kept as complex64 when read.  The JSON documents read back are
+Records tagged with their FORMAT; see save_document and load_document.
 """
 
 import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,16 +121,24 @@ class TensorManifest(Record):
 
 
 def save_cir_tensor(cir: CirTensor, manifest_path) -> None:
+    """Stream the tensor's pixels out one elevation row at a time; a refused
+    or failed write leaves neither the binary nor the manifest."""
     manifest_path = Path(manifest_path)
     manifest = TensorManifest(cir.grid, cir.sample_rate_ghz, cir.n_taps,
                               "c64le", manifest_path.stem + ".bin")
+    bin_path = manifest_path.with_name(manifest.data_file)
+    part = bin_path.with_name(bin_path.name + ".part")
+    az = np.arange(cir.grid.n_az)
     try:
-        with np.errstate(over="raise"):
-            data = cir.data.astype("<c8")
+        with open(part, "wb") as f, np.errstate(over="raise"):
+            for i in range(cir.grid.n_el):
+                cir.pixels(np.full_like(az, i), az).astype("<c8").tofile(f)
+        os.replace(part, bin_path)
     except FloatingPointError as exc:
         raise DataFormatError(f"{manifest_path}: taps exceed the complex64 "
                               f"range of the tensor file") from exc
-    data.tofile(manifest_path.with_name(manifest.data_file))
+    finally:
+        part.unlink(missing_ok=True)
     save_document(manifest_path, manifest)
 
 
@@ -144,7 +154,7 @@ def load_cir_tensor(manifest_path) -> CirTensor:
         raise DataFormatError(
             f"{bin_path}: holds {actual} bytes, expected {expected} for a "
             f"{'x'.join(map(str, shape))} tensor")
-    data = np.fromfile(bin_path, dtype="<c8").reshape(shape).astype(complex)
+    data = np.fromfile(bin_path, dtype="<c8").reshape(shape)
     try:
         return CirTensor.dense(manifest.grid, manifest.sample_rate_ghz, data)
     except NlosIdError as exc:

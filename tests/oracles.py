@@ -12,16 +12,22 @@ to a few rounding errors of |s|.  render_cir_oracle draws noise on every tap
 of the dense tensor, and is the reference for the distribution of the lazy
 renderer's noise.  The morphology oracles are the other exception: they
 are the scipy.ndimage calls that segmentation's numpy min/max filters
-replace, and those filters must agree with them bit for bit.
+replace, and those filters must agree with them bit for bit.  So are the
+tensor-file oracles: save_cir_tensor_oracle casts the whole dense view at
+once and load_cir_tensor_oracle promotes the whole file to complex128, where
+fileio streams elevation rows and keeps complex64; the files and every read
+of the loaded tensor must agree with them bit for bit.
 """
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
-from nlosid.chansim import _STREAM_NOISE, rng_stream
+from nlosid.chansim import _STREAM_NOISE, CirTensor, rng_stream
+from nlosid.fileio import TensorManifest, load_document
 from nlosid.gevstats import gev_pdf
 from nlosid.pas import wrap_angle_deg
 
@@ -238,3 +244,21 @@ def network_score_oracle(model, fv) -> float:
     top = max(z)
     e = [math.exp(v - top) for v in z]
     return e[0] / (e[0] + e[1])
+
+
+def save_cir_tensor_oracle(cir, bin_path) -> None:
+    """The tensor file's binary half, cast from the dense view in one go."""
+    with np.errstate(over="raise"):
+        data = cir.data.astype("<c8")
+    data.tofile(bin_path)
+
+
+def load_cir_tensor_oracle(manifest_path) -> CirTensor:
+    """A tensor file read whole and promoted to complex128 before the dense
+    tensor is built on it."""
+    manifest_path = Path(manifest_path)
+    manifest = load_document(manifest_path, TensorManifest)
+    shape = manifest.grid.shape + (manifest.n_taps,)
+    bin_path = manifest_path.with_name(manifest.data_file)
+    data = np.fromfile(bin_path, dtype="<c8").reshape(shape).astype(complex)
+    return CirTensor.dense(manifest.grid, manifest.sample_rate_ghz, data)

@@ -1,6 +1,7 @@
 """End-to-end protocol orchestration: simulated and measured campaigns."""
 
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,11 @@ from nlosid import (AngularGrid, CirTensor, ConfigError, DataFormatError,
                     time_kurtosis)
 from nlosid.cli import main as cli_main
 from nlosid.experiment import (ERROR_TABLE_ROWS, BootstrapSpec,
-                               _training_seed)
+                               _training_seed, extract_all)
 from nlosid.fileio import (SimulationManifest, TensorManifest, Truth,
-                           load_document, load_features, load_json,
-                           save_document, save_features)
+                           load_cir_tensor, load_document, load_features,
+                           load_json, save_cir_tensor, save_document,
+                           save_features)
 from nlosid.metrics import METRIC_NAMES
 
 from conftest import (flat_grid, grid_sweeps, labelled_feature_rows,
@@ -140,6 +142,30 @@ def test_extract_realization_unlabelled_when_no_truth():
         MetricConfig())
     assert diag["los_recovered"] is None
     assert all(fv.label is None for fv in rows)
+
+
+def test_extract_all_drops_each_tensor_before_the_next_loads(tmp_path):
+    """extract_all holds one tensor at a time: when the generator resumes
+    to load the next tensor, every tensor it yielded before is gone."""
+    save_cir_tensor(simulate_realization(small_sim(snr_db=60.0), 7, 4)[2],
+                    tmp_path / "t.json")
+    refs, alive = [], []
+
+    def load_tracked():
+        cir = load_cir_tensor(tmp_path / "t.json")
+        refs.append(weakref.ref(cir))
+        return cir
+
+    def loaded():
+        for index in range(3):
+            alive.append(sum(ref() is not None for ref in refs))
+            yield index, load_tracked(), None
+
+    _, log = extract_all(loaded(), SegParams(min_pixels=2,
+                                             marker_min_separation=1.0),
+                         MetricConfig())
+    assert [d["index"] for d in log["realizations"]] == [0, 1, 2]
+    assert alive == [0, 0, 0] and len(refs) == 3
 
 
 # ---------------------------------------------------------------------------

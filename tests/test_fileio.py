@@ -1,14 +1,18 @@
 """Serialization round trips and format diagnostics."""
 
 import json
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlosid import (AngularGrid, CirTensor, DataFormatError, GevParams,
-                    MlrModel, PasMap, ann_init, ann_train,
-                    inputs_from_manifest, mlr_classify, simulate_realization)
+from nlosid import (AngularGrid, CirTensor, DataFormatError,
+                    ExperimentConfig, GevParams, MlrModel, PasMap, SimConfig,
+                    ann_init, ann_train, compute_pas, inputs_from_manifest,
+                    mlr_classify, simulate_realization)
 from nlosid.fileio import (ann_model_from_dict, ann_model_to_dict,
                            load_cir_tensor, load_features, load_json,
                            load_model, load_sweep_csv, load_truth,
@@ -18,6 +22,7 @@ from nlosid.fileio import (ann_model_from_dict, ann_model_to_dict,
 from nlosid.classifiers import ANN_ARRAYS
 from nlosid.metrics import METRIC_NAMES
 
+import oracles
 from conftest import (RAW_NUMBERS, flat_grid, json_with_raw_numbers, make_fv,
                       separable_features, small_sim)
 
@@ -87,6 +92,126 @@ def test_cir_tensor_manifest_diagnostics(tmp_path):
     (tmp_path / "t.bin").unlink()
     with pytest.raises(DataFormatError, match="missing"):
         load_cir_tensor(path)
+
+
+def test_overflow_mid_file_leaves_no_tensor_files(tmp_path, monkeypatch):
+    """A rendered tensor whose fourth elevation row overflows complex64 is
+    refused after three rows were written, and leaves neither the binary,
+    nor its temporary file, nor the manifest."""
+    cir = simulate_realization(small_sim(snr_db=40.0), 7, 0)[2]
+    rows_read = []
+    real_pixels = CirTensor.pixels
+
+    def pixels(self, el_idx, az_idx):
+        out = real_pixels(self, el_idx, az_idx)
+        rows_read.append(int(el_idx[0]))
+        if el_idx[0] == 3:
+            out[1, 5] = 1e300
+        return out
+
+    monkeypatch.setattr(CirTensor, "pixels", pixels)
+    with pytest.raises(DataFormatError, match="complex64"):
+        save_cir_tensor(cir, tmp_path / "t.json")
+    assert rows_read == [0, 1, 2, 3]
+    assert list(tmp_path.iterdir()) == []
+
+
+def rendered_tensor(n_el, n_az, n_taps, snr_db, seed) -> CirTensor:
+    """A rendered tensor on an n_el x n_az grid: the render of a grid with
+    at least two directions on each axis, cut to its leading rows and
+    columns, noise included."""
+    cfg = SimConfig(az_range_deg=(0.0, 10.0 * max(n_az - 1, 1)),
+                    el_range_deg=(0.0, 10.0 * max(n_el - 1, 1)),
+                    step_deg=10.0, hpbw_az_deg=10.0, hpbw_el_deg=10.0,
+                    sample_rate_ghz=1.0, n_taps=n_taps, snr_db=snr_db)
+    cir = simulate_realization(cfg, seed, 0)[2]
+    noise = ({} if cir.along is None else
+             {"along": cir.along[:n_el, :n_az],
+              "across": cir.across[:n_el, :n_az]})
+    return replace(cir, grid=replace(cir.grid, n_el=n_el, n_az=n_az),
+                   rays=replace(cir.rays, amp_el=cir.rays.amp_el[:, :n_el],
+                                amp_az=cir.rays.amp_az[:, :n_az]), **noise)
+
+
+def dense_tensor(n_el, n_az, n_taps, seed) -> CirTensor:
+    """A dense complex128 tensor with magnitudes over 60 decades, and some
+    zero taps."""
+    rng = np.random.default_rng(seed)
+    shape = (n_el, n_az, n_taps)
+    values = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+              * 10.0 ** rng.uniform(-30.0, 30.0, shape))
+    values[rng.random(shape) < 0.1] = 0.0
+    return CirTensor.dense(AngularGrid(0.0, 10.0, n_az, 0.0, 10.0, n_el),
+                           2.0, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_el=st.integers(1, 4), n_az=st.integers(1, 6),
+       n_taps=st.integers(64, 128),
+       kind=st.sampled_from(["noiseless", "noisy", "dense"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_streamed_tensor_files_match_the_whole_array_oracles(
+        n_el, n_az, n_taps, kind, seed, tmp_path_factory):
+    """The row-streamed binary equals the whole-array writer's bytes, and
+    the complex64 tensor loaded from it reads (pixels in any order with
+    repeats, tap_energy, data and compute_pas) bit for bit as the tensor
+    promoted whole to complex128, with complex128 and float64 results."""
+    if kind == "dense":
+        cir = dense_tensor(n_el, n_az, n_taps, seed)
+    else:
+        cir = rendered_tensor(n_el, n_az, n_taps,
+                              None if kind == "noiseless" else 30.0, seed)
+    path = tmp_path_factory.mktemp("tensor") / "t.json"
+    save_cir_tensor(cir, path)
+    oracle_bin = path.with_name("oracle.bin")
+    oracles.save_cir_tensor_oracle(cir, oracle_bin)
+    assert path.with_suffix(".bin").read_bytes() == oracle_bin.read_bytes()
+
+    want = oracles.load_cir_tensor_oracle(path).data
+    want_energy = np.sum(np.abs(want) ** 2, axis=-1)
+    got = load_cir_tensor(path)
+    assert got.stored.dtype == np.complex64
+    rng = np.random.default_rng(seed)
+    el_idx = rng.integers(0, n_el, 3 * n_el * n_az)
+    az_idx = rng.integers(0, n_az, 3 * n_el * n_az)
+    for value, expected in (
+            (got.pixels(el_idx, az_idx), want[el_idx, az_idx]),
+            (got.tap_energy(), want_energy),
+            (got.data, want),
+            (compute_pas(got).power, want_energy * got.tap_spacing_ns)):
+        assert value.dtype == expected.dtype
+        assert value.dtype in (np.complex128, np.float64)
+        assert value.shape == expected.shape
+        assert value.tobytes() == expected.tobytes()
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory traced while it ran; numpy
+    reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tensor_files_pass_through_memory_one_row_at_a_time(tmp_path):
+    """On one reference realization (28 x 72 x 512 taps, 16.5 MB dense at
+    complex128): saving peaks below a quarter of the dense size and caches
+    no dense view, loading below 1.25 times the file, and the power map of
+    the loaded tensor below 2 MB."""
+    config = ExperimentConfig.from_dict(load_json(
+        Path(__file__).resolve().parent.parent / "configs" / "reference.json"))
+    cir = simulate_realization(config.sim, config.seed, 0)[2]
+    dense_bytes = 16 * cir.grid.n_el * cir.grid.n_az * cir.n_taps
+    path = tmp_path / "real_0000.json"
+    _, peak = traced_peak(save_cir_tensor, cir, path)
+    assert peak < dense_bytes / 4
+    assert "data" not in vars(cir)
+    loaded, peak = traced_peak(load_cir_tensor, path)
+    assert peak < 1.25 * path.with_suffix(".bin").stat().st_size
+    _, peak = traced_peak(compute_pas, loaded)
+    assert peak < 2e6
 
 
 # ---------------------------------------------------------------------------
