@@ -79,6 +79,9 @@ class RayCluster(Record):
         super().__post_init__()
         if self.kind not in (LOS, NLOS):
             raise ConfigError(f"unknown cluster kind {self.kind!r}")
+        where = (self.center_az_deg, self.center_el_deg, self.base_delay_ns)
+        if not all(map(math.isfinite, where)):
+            raise DataFormatError(f"non-finite cluster centre or delay {where}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ class SimConfig(Record):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.hpbw_az_deg <= 0 or self.hpbw_el_deg <= 0:
+        if not (self.hpbw_az_deg > 0 and self.hpbw_el_deg > 0):
             raise ConfigError("beamwidths must be positive")
         if not (math.isfinite(self.sample_rate_ghz)
                 and self.sample_rate_ghz > 0):
@@ -109,12 +112,14 @@ class SimConfig(Record):
                               f"got {self.sample_rate_ghz}")
         if self.n_taps < 64:
             raise ConfigError("n_taps must be at least 64")
-        if self.n_nlos_mean < 1:
+        if not self.n_nlos_mean >= 1:
             raise ConfigError("n_nlos_mean must be at least 1")
-        if self.decay_ns <= 0 or self.ray_gap_mean_ns <= 0:
+        if not (self.decay_ns > 0 and self.ray_gap_mean_ns > 0):
             raise ConfigError("decay_ns and ray_gap_mean_ns must be positive")
-        if self.angular_jitter_deg < 0:
+        if not self.angular_jitter_deg >= 0:
             raise ConfigError("angular_jitter_deg must be non-negative")
+        object.__setattr__(self, "angular_jitter_deg",
+                           self.angular_jitter_deg + 0.0)   # numpy refuses -0.0
         if self.snr_db is not None:
             try:
                 factor = self.noise_factor

@@ -56,7 +56,7 @@ class TrainSchedule(Record):
         super().__post_init__()
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be positive")
-        if self.loss_tolerance < 0:
+        if not self.loss_tolerance >= 0:
             raise ConfigError("loss_tolerance must be non-negative")
 
 

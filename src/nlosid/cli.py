@@ -144,7 +144,7 @@ def _run_experiment(args) -> int:
     out_dir = _out_path(args, "out")
     report = run_experiment(config, out_dir)
     print(f"wrote report.json under {out_dir}")
-    _print_error_table(report)
+    print("\n".join(_error_table(report)))
     return 0
 
 
@@ -152,28 +152,30 @@ def _run_report(args) -> int:
     report = load_json(args.report)
     if report.get("format") != "report":
         raise DataFormatError(f"{args.report}: not a report document")
-    print(f"mode: {report.get('mode')}")
-    counts = report.get("counts", {})
-    print("counts: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
-    print()
-    print("fitted distributions (training data)")
-    print(f"{'metric':<12}{'class':<7}{'gamma':>10}{'mu':>12}"
-          f"{'sigma':>12}{'cdf_rmse':>10}")
-    for metric, entry in report.get("gev_table", {}).items():
-        for key in ("los", "nlos"):
-            p = entry[key]
-            print(f"{metric:<12}{key.upper():<7}{p['gamma']:>10.4f}"
-                  f"{p['mu']:>12.4f}{p['sigma']:>12.4f}{p['cdf_rmse']:>10.4f}")
-    print()
-    _print_error_table(report)
+    try:    # the whole text first, so a malformed report prints nothing
+        counts = sorted(report.get("counts", {}).items())
+        lines = [f"mode: {report.get('mode')}",
+                 "counts: " + ", ".join(f"{k}={v}" for k, v in counts), "",
+                 "fitted distributions (training data)",
+                 f"{'metric':<12}{'class':<7}{'gamma':>10}{'mu':>12}"
+                 f"{'sigma':>12}{'cdf_rmse':>10}"]
+        lines += [f"{metric:<12}{key.upper():<7}{p['gamma']:>10.4f}"
+                  f"{p['mu']:>12.4f}{p['sigma']:>12.4f}{p['cdf_rmse']:>10.4f}"
+                  for metric, entry in report.get("gev_table", {}).items()
+                  for key in ("los", "nlos") for p in (entry[key],)]
+        lines += ["", *_error_table(report)]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(
+            f"{args.report}: malformed report: {exc}") from exc
+    print("\n".join(lines))
     return 0
 
 
-def _print_error_table(report: dict) -> None:
-    print("error rates (held-out data)")
-    print(f"{'rule':<12}{'type I':>10}{'type II':>10}")
-    for rule, entry in report.get("error_table", {}).items():
-        print(f"{rule:<12}{entry['type_i']:>10.3f}{entry['type_ii']:>10.3f}")
+def _error_table(report: dict) -> list:
+    return ["error rates (held-out data)",
+            f"{'rule':<12}{'type I':>10}{'type II':>10}",
+            *(f"{rule:<12}{e['type_i']:>10.3f}{e['type_ii']:>10.3f}"
+              for rule, e in report.get("error_table", {}).items())]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,8 +27,8 @@ from .errors import (ConfigError, DataFormatError, DegenerateInputError,
                      EvaluationError, Record)
 from .fileio import (Realization, SimulationManifest, load_cir_tensor,
                      load_document, load_features, load_truth,
-                     save_cir_tensor, save_document, save_features, save_json,
-                     save_model, save_pas_json, save_truth)
+                     save_cir_tensor, save_csv, save_document, save_features,
+                     save_json, save_model, save_pas_json, save_truth)
 from .gevstats import bootstrap_split, cdf_rmse, gev_cdf, gev_pdf
 from .metrics import METRIC_NAMES, MetricConfig, cluster_features
 from .pas import AngularGrid, compute_pas, wrap_angle_deg
@@ -317,15 +317,12 @@ def _write_curves(out_dir: Path, train_rows: list, mlr_model) -> list:
             emp_pdf = np.where((x >= edges[0]) & (x <= edges[-1]),
                                hist[bin_idx], 0.0)
             emp_cdf = np.searchsorted(values, x, side="right") / len(values)
-            fit_pdf = gev_pdf(x, params)
-            fit_cdf = gev_cdf(x, params)
             name = f"{metric}_{key}.csv"
-            lines = ["x,fitted_pdf,fitted_cdf,empirical_pdf,empirical_cdf"]
-            for k in range(len(x)):
-                lines.append(",".join(repr(float(v)) for v in (
-                    x[k], fit_pdf[k], fit_cdf[k], emp_pdf[k], emp_cdf[k])))
-            (curve_dir / name).write_text("\n".join(lines) + "\n",
-                                          encoding="utf-8")
+            save_csv(curve_dir / name, ["x", "fitted_pdf", "fitted_cdf",
+                                        "empirical_pdf", "empirical_cdf"],
+                     np.column_stack((x, gev_pdf(x, params),
+                                      gev_cdf(x, params), emp_pdf,
+                                      emp_cdf)).tolist())
             names.append(f"curves/{name}")
     return names
 
@@ -339,10 +336,9 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     out_dir, and return the report dictionary."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if config.mode == "simulate":
-        report = _run_simulated(config, out)
-    else:
-        report = _run_measured(config, out)
+    run = _run_simulated if config.mode == "simulate" else _run_measured
+    report = {"format": "report", "mode": config.mode,
+              "config": config.to_dict(), **run(config, out)}
     save_json(out / "report.json", report)
     return report
 
@@ -361,9 +357,6 @@ def _run_simulated(config: ExperimentConfig, out: Path) -> dict:
     curves = _write_curves(out, train_rows, mlr_model)
 
     return {
-        "format": "report",
-        "mode": "simulate",
-        "config": config.to_dict(),
         "counts": {
             "n_realizations": config.n_realizations,
             "feature_rows": len(rows),
@@ -418,9 +411,6 @@ def _run_measured(config: ExperimentConfig, out: Path) -> dict:
             f"must appear in each evaluation set of {boot.n_test} samples")
 
     return {
-        "format": "report",
-        "mode": "measured",
-        "config": config.to_dict(),
         "counts": {
             "n_samples": len(sample_ids),
             "feature_rows": len(loaded),

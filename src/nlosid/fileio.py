@@ -2,7 +2,9 @@
 
 Everything textual is JSON with sorted keys or CSV with a fixed header, and
 every writer is deterministic: identical objects produce identical bytes,
-with no timestamps or absolute paths.  Impulse-response tensors pair a JSON
+with no timestamps or absolute paths.  Every CSV table is written by
+save_csv and read by one row loop, _records, which names the line and byte
+offset only of a line it refuses.  Impulse-response tensors pair a JSON
 manifest with a sibling raw binary of little-endian float32 (re, im) pairs
 in (elevation, azimuth, tap) index order, written one elevation row at a
 time and kept as complex64 when read.  The JSON documents read back are
@@ -61,20 +63,41 @@ def load_json(path) -> dict:
 
 
 def _read_csv(path) -> tuple[list, list]:
-    """A CSV file's stripped header fields, and (location, stripped fields)
-    for each non-blank line after it; the location names the file, line
-    and byte offset for error messages."""
+    """A CSV file's stripped header fields, and all its lines."""
     lines = _read_text(path).splitlines()
     if not lines:
         raise DataFormatError(f"{path}: file is empty")
-    records = []
-    offset = len(lines[0]) + 1
+    return [h.strip() for h in lines[0].split(",")], lines
+
+
+def _records(path, lines, n_fields, parse):
+    """Yield parse(stripped fields) for each non-blank line after the
+    header.  A line with another field count, or whose fields parse refuses
+    with a ValueError, raises a DataFormatError naming its line and the
+    byte offset at which it starts."""
     for lineno, line in enumerate(lines[1:], start=2):
-        if line.strip():
-            records.append((f"{path}: line {lineno} (byte {offset})",
-                            [p.strip() for p in line.split(",")]))
-        offset += len(line) + 1
-    return [h.strip() for h in lines[0].split(",")], records
+        if not line.strip():
+            continue
+        fields = [p.strip() for p in line.split(",")]
+        try:
+            if len(fields) != n_fields:
+                raise ValueError(
+                    f"expected {n_fields} fields, got {len(fields)}")
+            record = parse(fields)
+        except ValueError as exc:
+            offset = sum(len(before) + 1 for before in lines[:lineno - 1])
+            raise DataFormatError(
+                f"{path}: line {lineno} (byte {offset}): {exc}") from exc
+        yield record
+
+
+def save_csv(path, header, records) -> None:
+    """Write a header row and then records as CSV with bare newlines."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(records)
+    Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
 def save_document(path, record) -> None:
@@ -178,23 +201,23 @@ def save_pas_json(pas: PasMap, path) -> None:
 # measured frequency sweeps
 
 
+def _sweep_row(fields) -> list:
+    row = [float(f) for f in fields]
+    if not all(map(math.isfinite, row[:3])):
+        raise ValueError("az_deg, el_deg and freq_ghz must be finite")
+    return row
+
+
 def load_sweep_csv(path) -> dict:
     """Parse a sweep file into {(az_deg, el_deg): (freqs_ghz, complex values)}
     with each direction's rows sorted by frequency."""
-    header, records = _read_csv(path)
+    header, lines = _read_csv(path)
     if header != _SWEEP_HEADER:
         raise DataFormatError(
             f"{path}: header must be {','.join(_SWEEP_HEADER)}, "
             f"got {','.join(header)!r}")
     per_direction: dict = {}
-    for where, parts in records:
-        if len(parts) != 5:
-            raise DataFormatError(
-                f"{where}: expected 5 fields, got {len(parts)}")
-        try:
-            az, el, freq, re, im = (float(p) for p in parts)
-        except ValueError as exc:
-            raise DataFormatError(f"{where}: {exc}") from exc
+    for az, el, freq, re, im in _records(path, lines, 5, _sweep_row):
         per_direction.setdefault((az, el), []).append((freq, re, im))
     out = {}
     for key in sorted(per_direction):
@@ -214,22 +237,15 @@ def save_features(path, rows) -> None:
     realization column is written when any row carries one."""
     rows = list(rows)
     with_realization = any(r is not None for r, _ in rows)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = (["realization"] if with_realization else []) + _FEATURE_HEADER
-    writer.writerow(header)
-    for realization, fv in rows:
-        record = [repr(float(v)) for v in fv.values()] + [fv.label or ""]
-        if with_realization:
-            record = [str(0 if realization is None else int(realization))] \
-                + record
-        writer.writerow(record)
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    save_csv(path, (["realization"] if with_realization else [])
+             + _FEATURE_HEADER,
+             [([0 if r is None else int(r)] if with_realization else [])
+              + fv.values().tolist() + [fv.label or ""] for r, fv in rows])
 
 
 def load_features(path) -> list:
     """Returns a list of (realization | None, FeatureVector)."""
-    header, records = _read_csv(path)
+    header, lines = _read_csv(path)
     if header == ["realization"] + _FEATURE_HEADER:
         with_realization = True
     elif header == _FEATURE_HEADER:
@@ -238,20 +254,11 @@ def load_features(path) -> list:
         raise DataFormatError(
             f"{path}: header must be {','.join(_FEATURE_HEADER)} with an "
             f"optional leading realization column, got {','.join(header)!r}")
-    out = []
-    for where, parts in records:
-        if len(parts) != len(header):
-            raise DataFormatError(
-                f"{where}: expected {len(header)} fields, got {len(parts)}")
-        try:
-            realization = int(parts[0]) if with_realization else None
-            vals = [float(p) for p in
-                    (parts[1:6] if with_realization else parts[0:5])]
-        except ValueError as exc:
-            raise DataFormatError(f"{where}: {exc}") from exc
-        out.append((realization,
-                    FeatureVector(*vals, label=parts[-1] or None)))
-    return out
+    first = int(with_realization)
+    return list(_records(path, lines, len(header), lambda fields: (
+        int(fields[0]) if with_realization else None,
+        FeatureVector(*map(float, fields[first:first + 5]),
+                      label=fields[-1] or None))))
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +372,8 @@ def load_model(path):
 
 def save_verdicts(path, rows) -> None:
     """rows: iterable of (realization | None, Verdict, truth | None)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["realization", "decision", "score",
-                     "support_violation", "truth"])
-    for realization, verdict, truth in rows:
-        writer.writerow([
-            "" if realization is None else int(realization),
-            verdict.decision, repr(float(verdict.score)),
-            int(verdict.support_violation), truth or "",
-        ])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    save_csv(path, ["realization", "decision", "score", "support_violation",
+                    "truth"],
+             [["" if r is None else int(r), verdict.decision,
+               float(verdict.score), int(verdict.support_violation),
+               truth or ""] for r, verdict, truth in rows])

@@ -41,11 +41,11 @@ class SegParams(Record):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.foreground_threshold_db <= 0:
+        if not self.foreground_threshold_db > 0:
             raise ConfigError("foreground_threshold_db must be positive")
         if self.min_pixels < 1:
             raise ConfigError("min_pixels must be at least 1")
-        if self.marker_min_separation < 0:
+        if not self.marker_min_separation >= 0:
             raise ConfigError("marker_min_separation must be non-negative")
         if self.smoothing_radius < 0:
             raise ConfigError("smoothing_radius must be non-negative")

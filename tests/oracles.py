@@ -16,9 +16,14 @@ replace, and those filters must agree with them bit for bit.  So are the
 tensor-file oracles: save_cir_tensor_oracle casts the whole dense view at
 once and load_cir_tensor_oracle promotes the whole file to complex128, where
 fileio streams elevation rows and keeps complex64; the files and every read
-of the loaded tensor must agree with them bit for bit.
+of the loaded tensor must agree with them bit for bit.  The CSV oracles are
+the table readers and writers as they were before fileio gained its one row
+loop and one writer: the loaders must return what they return, and the
+writers must write their bytes.
 """
 
+import csv
+import io
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -26,9 +31,12 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from nlosid.chansim import _STREAM_NOISE, CirTensor, rng_stream
-from nlosid.fileio import TensorManifest, load_document
-from nlosid.gevstats import gev_pdf
+from nlosid.chansim import LOS, NLOS, _STREAM_NOISE, CirTensor, rng_stream
+from nlosid.errors import DataFormatError
+from nlosid.experiment import _CURVE_BINS, _CURVE_POINTS
+from nlosid.fileio import TensorManifest, _read_text, load_document
+from nlosid.gevstats import gev_cdf, gev_pdf
+from nlosid.metrics import METRIC_NAMES, FeatureVector
 from nlosid.pas import wrap_angle_deg
 
 
@@ -262,3 +270,145 @@ def load_cir_tensor_oracle(manifest_path) -> CirTensor:
     bin_path = manifest_path.with_name(manifest.data_file)
     data = np.fromfile(bin_path, dtype="<c8").reshape(shape).astype(complex)
     return CirTensor.dense(manifest.grid, manifest.sample_rate_ghz, data)
+
+
+_FEATURE_HEADER = list(METRIC_NAMES) + ["label"]
+_SWEEP_HEADER = ["az_deg", "el_deg", "freq_ghz", "re", "im"]
+
+
+def read_csv_oracle(path) -> tuple[list, list]:
+    """A CSV file's stripped header fields, and (location, stripped fields)
+    for each non-blank line after it; the location names the file, line
+    and byte offset for error messages."""
+    lines = _read_text(path).splitlines()
+    if not lines:
+        raise DataFormatError(f"{path}: file is empty")
+    records = []
+    offset = len(lines[0]) + 1
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line.strip():
+            records.append((f"{path}: line {lineno} (byte {offset})",
+                            [p.strip() for p in line.split(",")]))
+        offset += len(line) + 1
+    return [h.strip() for h in lines[0].split(",")], records
+
+
+def load_features_oracle(path) -> list:
+    """Returns a list of (realization | None, FeatureVector)."""
+    header, records = read_csv_oracle(path)
+    if header == ["realization"] + _FEATURE_HEADER:
+        with_realization = True
+    elif header == _FEATURE_HEADER:
+        with_realization = False
+    else:
+        raise DataFormatError(
+            f"{path}: header must be {','.join(_FEATURE_HEADER)} with an "
+            f"optional leading realization column, got {','.join(header)!r}")
+    out = []
+    for where, parts in records:
+        if len(parts) != len(header):
+            raise DataFormatError(
+                f"{where}: expected {len(header)} fields, got {len(parts)}")
+        try:
+            realization = int(parts[0]) if with_realization else None
+            vals = [float(p) for p in
+                    (parts[1:6] if with_realization else parts[0:5])]
+        except ValueError as exc:
+            raise DataFormatError(f"{where}: {exc}") from exc
+        out.append((realization,
+                    FeatureVector(*vals, label=parts[-1] or None)))
+    return out
+
+
+def load_sweep_csv_oracle(path) -> dict:
+    """Parse a sweep file into {(az_deg, el_deg): (freqs_ghz, complex values)}
+    with each direction's rows sorted by frequency."""
+    header, records = read_csv_oracle(path)
+    if header != _SWEEP_HEADER:
+        raise DataFormatError(
+            f"{path}: header must be {','.join(_SWEEP_HEADER)}, "
+            f"got {','.join(header)!r}")
+    per_direction: dict = {}
+    for where, parts in records:
+        if len(parts) != 5:
+            raise DataFormatError(
+                f"{where}: expected 5 fields, got {len(parts)}")
+        try:
+            az, el, freq, re, im = (float(p) for p in parts)
+        except ValueError as exc:
+            raise DataFormatError(f"{where}: {exc}") from exc
+        per_direction.setdefault((az, el), []).append((freq, re, im))
+    out = {}
+    for key in sorted(per_direction):
+        rows = sorted(per_direction[key])
+        freqs = np.array([r[0] for r in rows])
+        values = np.array([complex(r[1], r[2]) for r in rows])
+        out[key] = (freqs, values)
+    return out
+
+
+def save_features_oracle(path, rows) -> None:
+    """rows: iterable of (realization | None, FeatureVector).  The
+    realization column is written when any row carries one."""
+    rows = list(rows)
+    with_realization = any(r is not None for r, _ in rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = (["realization"] if with_realization else []) + _FEATURE_HEADER
+    writer.writerow(header)
+    for realization, fv in rows:
+        record = [repr(float(v)) for v in fv.values()] + [fv.label or ""]
+        if with_realization:
+            record = [str(0 if realization is None else int(realization))] \
+                + record
+        writer.writerow(record)
+    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+
+
+def save_verdicts_oracle(path, rows) -> None:
+    """rows: iterable of (realization | None, Verdict, truth | None)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["realization", "decision", "score",
+                     "support_violation", "truth"])
+    for realization, verdict, truth in rows:
+        writer.writerow([
+            "" if realization is None else int(realization),
+            verdict.decision, repr(float(verdict.score)),
+            int(verdict.support_violation), truth or "",
+        ])
+    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+
+
+def write_curves_oracle(out_dir: Path, train_rows: list, mlr_model) -> list:
+    """One CSV per metric and class: fitted pdf/cdf against the empirical
+    histogram and staircase."""
+    curve_dir = out_dir / "curves"
+    curve_dir.mkdir(parents=True, exist_ok=True)
+    names = []
+    for metric in METRIC_NAMES:
+        for label, key in ((LOS, "los"), (NLOS, "nlos")):
+            values = np.sort(np.array([f.metric(metric) for f in train_rows
+                                       if f.label == label]))
+            params = mlr_model.params(metric, label)
+            lo, hi = values[0], values[-1]
+            span = hi - lo if hi > lo else max(abs(hi), 1.0)
+            x = np.linspace(lo - 0.05 * span, hi + 0.05 * span, _CURVE_POINTS)
+            hist, edges = np.histogram(values, bins=_CURVE_BINS,
+                                       density=True)
+            bin_idx = np.clip(np.searchsorted(edges, x, side="right") - 1,
+                              0, _CURVE_BINS - 1)
+            emp_pdf = np.where((x >= edges[0]) & (x <= edges[-1]),
+                               hist[bin_idx], 0.0)
+            emp_cdf = np.searchsorted(values, x, side="right") / len(values)
+            fit_pdf = gev_pdf(x, params)
+            fit_cdf = gev_cdf(x, params)
+            name = f"{metric}_{key}.csv"
+            lines = ["x,fitted_pdf,fitted_cdf,empirical_pdf,empirical_cdf"]
+            for k in range(len(x)):
+                lines.append(",".join(repr(float(v)) for v in (
+                    x[k], fit_pdf[k], fit_cdf[k], emp_pdf[k], emp_cdf[k])))
+            (curve_dir / name).write_text("\n".join(lines) + "\n",
+                                          encoding="utf-8")
+            names.append(f"curves/{name}")
+    return names

@@ -374,6 +374,21 @@ _SWEEP_REPEATED_ROW = "\n".join(
        for az in (0, 2) for el in (0, 2) for k in range(8)]) + "\n"
 
 
+_INGEST = ["ingest", "x.csv", "--az", "0:2:2", "--el", "0:2:2"]
+_EXTRACT_MANIFEST = ["extract", "--manifest", "s.json"]
+_REPORT = ["report", "r.json"]
+
+
+def _truth_files(**centre):
+    """A one-cluster truth file, its manifest and tensor."""
+    cluster = {"kind": "LOS", "center_az_deg": 0.0, "center_el_deg": 0.0,
+               "base_delay_ns": 1.0, "rays": [], **centre}
+    return {**_TENSOR_FILES,
+            "s.json": {"format": "simulation", "realizations": [
+                {"index": 0, "cir": "t.json", "truth": "u.json"}]},
+            "u.json": {"format": "truth", "clusters": [cluster]}}
+
+
 def _mlr_files(tables):
     return {"m.json": {"format": "mlr_model", "tables": tables},
             "f.csv": _FEATURES}
@@ -578,6 +593,49 @@ MALFORMED_INPUTS = {
         {"x.csv": _SWEEP_REPEATED_ROW},
         ["ingest", "x.csv", "--az", "0:2:2", "--el", "0:2:2"], 3,
         "frequency axis must be strictly increasing"),
+    "ingest_azimuth_nan": (
+        {"x.csv": _SWEEP_REPEATED_ROW.replace("\n0,0,60.0,", "\nnan,0,60.0,",
+                                              1)},
+        _INGEST, 3, "x.csv: line 2 (byte 29): az_deg, el_deg and freq_ghz "
+                    "must be finite"),
+    "ingest_elevation_infinite": (
+        {"x.csv": _SWEEP_REPEATED_ROW.replace("\n2,2,60.5,", "\n2,Infinity,"
+                                              "60.5,", 1)},
+        _INGEST, 3, "x.csv: line 29 (byte 393): az_deg, el_deg and freq_ghz "
+                    "must be finite"),
+    "truth_centre_nan": (
+        _truth_files(center_az_deg=math.nan), _EXTRACT_MANIFEST, 3,
+        "u.json: non-finite cluster centre or delay (nan, 0.0, 1.0)"),
+    "truth_centre_infinite": (
+        _truth_files(center_el_deg=math.inf), _EXTRACT_MANIFEST, 3,
+        "u.json: non-finite cluster centre or delay (0.0, inf, 1.0)"),
+    "sim_nlos_mean_nan": ({"c.json": {"sim": {"n_nlos_mean": math.nan}}},
+                          _SIMULATE, 2, "n_nlos_mean must be at least 1"),
+    "sim_beamwidth_nan": ({"c.json": {"sim": {"hpbw_el_deg": math.nan}}},
+                          _SIMULATE, 2, "beamwidths must be positive"),
+    "sim_decay_nan": ({"c.json": {"sim": {"decay_ns": math.nan}}}, _SIMULATE,
+                      2, "decay_ns and ray_gap_mean_ns must be positive"),
+    "sim_jitter_nan": ({"c.json": {"sim": {"angular_jitter_deg": math.nan}}},
+                       _SIMULATE, 2, "angular_jitter_deg must be "
+                                     "non-negative"),
+    "seg_threshold_nan": (
+        {"c.json": {"seg": {"foreground_threshold_db": math.nan}}},
+        _EXPERIMENT, 2, "foreground_threshold_db must be positive"),
+    "seg_separation_nan": (
+        {"c.json": {"seg": {"marker_min_separation": math.nan}}},
+        _EXPERIMENT, 2, "marker_min_separation must be non-negative"),
+    "schedule_tolerance_nan": (
+        {"c.json": {"schedule": {"loss_tolerance": math.nan}}}, _EXPERIMENT,
+        2, "loss_tolerance must be non-negative"),
+    "report_gev_entry_number": (
+        {"r.json": {"format": "report", "gev_table": {"r_p": 5}}}, _REPORT,
+        3, "r.json: malformed report"),
+    "report_counts_list": ({"r.json": {"format": "report", "counts": [1]}},
+                           _REPORT, 3, "r.json: malformed report"),
+    "report_type_i_string": (
+        {"r.json": {"format": "report", "error_table": {
+            "ann": {"type_i": "0.1", "type_ii": 0.0}}}}, _REPORT, 3,
+        "r.json: malformed report"),
 }
 
 
@@ -593,9 +651,27 @@ def test_malformed_input_exits_cleanly(case, tmp_path, monkeypatch, capsys):
         else:
             save_json(tmp_path / name, content)
     assert main(argv) == expected_code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ")
     assert fragment in err
+    assert out == ""      # refused before anything is printed
+
+
+def test_negative_zero_jitter_simulates_as_zero(tmp_path):
+    """numpy refuses a scale of -0.0, so the config stores 0.0 for it."""
+    files = []
+    for jitter in (-0.0, 0.0):
+        cfg = tmp_path / f"c{jitter}.json"
+        sim = {**small_sim().to_dict(), "angular_jitter_deg": jitter}
+        save_json(cfg, {"sim": sim, "n_realizations": 2, "n_train": 1,
+                        "n_test": 1})
+        assert ("-0.0" in cfg.read_text()) == (str(jitter) == "-0.0")
+        out = tmp_path / f"sim{jitter}"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
+        files.append(sorted((p.name, p.read_bytes()) for p in out.iterdir()))
+        assert math.copysign(1.0, load_json(out / "simulation.json")
+                             ["config"]["angular_jitter_deg"]) == 1.0
+    assert files[0] == files[1]
 
 
 def test_bad_config_exits_with_config_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Serialization round trips and format diagnostics."""
 
 import json
+import shutil
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from nlosid import (AngularGrid, CirTensor, DataFormatError,
                     ExperimentConfig, GevParams, MlrModel, PasMap, SimConfig,
                     ann_init, ann_train, compute_pas, inputs_from_manifest,
-                    mlr_classify, simulate_realization)
+                    Verdict, mlr_classify, simulate_realization)
+from nlosid.experiment import _write_curves
 from nlosid.fileio import (ann_model_from_dict, ann_model_to_dict,
                            load_cir_tensor, load_features, load_json,
                            load_model, load_sweep_csv, load_truth,
@@ -393,6 +395,205 @@ def test_save_verdicts_layout(tmp_path):
     assert lines[0] == "realization,decision,score,support_violation,truth"
     assert lines[1] == "0,LOS,1.25,0,LOS"
     assert lines[2] == ",NLOS,-inf,1,"
+
+
+# ---------------------------------------------------------------------------
+# the one CSV row loop and the one writer against the readers and writers
+# they replaced (tests/oracles.py)
+
+_PAD = st.sampled_from(["", " ", "  ", "\t", " \t "])
+_BLANK = st.sampled_from(["", " ", "\t", "  \t "])
+_FLOATS = st.one_of(st.floats(), st.just(-0.0), st.floats(-1e-300, 1e-300))
+_NUMBER_TEXT = st.one_of(
+    _FLOATS.map(repr), st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["-0.0", "0", "1e400", "-1e400", "nan", "-inf", "Infinity",
+                     "1_0", ".5", "5."]))
+_FINITE_TEXT = st.one_of(
+    st.floats(-720.0, 720.0).map(repr),
+    st.sampled_from(["-0.0", "0", "0.0", "-180", "180.0", "45", "1e-320"]))
+
+
+@st.composite
+def _tables(draw, header, row, corruptions):
+    """(text, index of the corrupted data line or None, corruption kind):
+    rows drawn by row in shuffled order, padded, with blank and
+    whitespace-only lines mixed in, "\n" or "\r\n" line ends, and
+    optionally one corrupted line."""
+    rows = [[draw(_PAD) + cell + draw(_PAD) for cell in r]
+            for r in draw(st.lists(row, max_size=8).flatmap(st.permutations))]
+    kind = draw(st.sampled_from((None,) + corruptions))
+    bad = None
+    if kind is not None:
+        fields = [draw(_PAD) + cell + draw(_PAD) for cell in draw(row)]
+        if kind == "count":
+            fields = draw(st.sampled_from(
+                [fields[:-1], fields + ["1"], fields[:1], [""] * 9]))
+        elif kind == "number":
+            k = draw(st.integers(0, len(fields) - 2))
+            fields[k] = draw(st.sampled_from(["abc", "", "0x10", "1e", "--1",
+                                              "2.5.1"]))
+        else:   # a non-finite direction or frequency
+            k = draw(st.integers(0, 2))
+            fields[k] = draw(_PAD) + draw(st.sampled_from(
+                ["nan", "NaN", "inf", "-Infinity", "1e400", "-1e999"]))
+        bad = draw(st.integers(0, len(rows)))
+        rows.insert(bad, fields)
+    lines = [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_BLANK))
+    if bad is not None:   # its index among the lines that are not blank
+        bad = [i for i, line in enumerate(lines) if line.strip()].index(
+            lines.index(",".join(rows[bad])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    tail = draw(st.sampled_from(["", end, end + end]))
+    return end.join([header] + lines) + tail, bad, kind
+
+
+def _feature_row(with_realization):
+    label = st.sampled_from(["LOS", "NLOS", "", "x y", "los"])
+    cells = st.tuples(*[_NUMBER_TEXT] * 5, label).map(list)
+    if with_realization:
+        cells = st.tuples(st.integers(-5, 10 ** 20).map(str), cells).map(
+            lambda rc: [rc[0], *rc[1]])
+    return cells
+
+
+_FEATURE_TABLES = st.booleans().flatmap(lambda with_realization: _tables(
+    ("realization," if with_realization else "") + ",".join(METRIC_NAMES)
+    + ",label", _feature_row(with_realization), ("count", "number")))
+_SWEEP_TABLES = _tables(
+    "az_deg,el_deg,freq_ghz,re,im",
+    st.tuples(st.sampled_from(["0", "-0.0", "0.0", "5", "-180", "180.0"]),
+              st.sampled_from(["-0.0", "0", "45", "90.0"]), _FINITE_TEXT,
+              _NUMBER_TEXT, _NUMBER_TEXT).map(list),
+    ("count", "number", "angle"))
+
+
+def _write_table(tmp_path_factory, text) -> Path:
+    path = tmp_path_factory.getbasetemp() / "table_oracle" / "table.csv"
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(text.encode())
+    return path
+
+
+def _check_refusal(path, load, oracle, bad, kind):
+    """A corrupted line is refused where the oracle placed it: the same
+    message, or for a non-finite direction (which the oracle let through)
+    the oracle's line and byte."""
+    with pytest.raises(DataFormatError) as refused:
+        load(path)
+    where = oracles.read_csv_oracle(path)[1][bad][0]
+    if kind == "angle":
+        oracle(path)
+        assert str(refused.value).startswith(where + ": ")
+        assert "must be finite" in str(refused.value)
+    else:
+        with pytest.raises(DataFormatError) as expected:
+            oracle(path)
+        assert str(refused.value) == str(expected.value)
+        assert str(refused.value).startswith(where + ": ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_FEATURE_TABLES)
+def test_feature_tables_load_as_the_old_reader_did(table, tmp_path_factory):
+    text, bad, kind = table
+    path = _write_table(tmp_path_factory, text)
+    if kind is not None:
+        _check_refusal(path, load_features, oracles.load_features_oracle,
+                       bad, kind)
+        return
+    got, want = load_features(path), oracles.load_features_oracle(path)
+    assert len(got) == len(want)
+    for (r0, f0), (r1, f1) in zip(got, want):
+        assert r0 == r1 and type(r0) is type(r1)
+        assert f0.label == f1.label
+        assert f0.values().tobytes() == f1.values().tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_SWEEP_TABLES)
+def test_sweep_tables_load_as_the_old_reader_did(table, tmp_path_factory):
+    text, bad, kind = table
+    path = _write_table(tmp_path_factory, text)
+    if kind is not None:
+        _check_refusal(path, load_sweep_csv, oracles.load_sweep_csv_oracle,
+                       bad, kind)
+        return
+    got, want = load_sweep_csv(path), oracles.load_sweep_csv_oracle(path)
+    # key order, and the sign of a zero angle, as well as the values
+    assert [tuple(map(repr, k)) for k in got] \
+        == [tuple(map(repr, k)) for k in want]
+    for (f0, v0), (f1, v1) in zip(got.values(), want.values()):
+        assert f0.dtype == f1.dtype and f0.tobytes() == f1.tobytes()
+        assert v0.dtype == v1.dtype and v0.tobytes() == v1.tobytes()
+
+
+_FEATURE_VECTORS = st.builds(
+    make_fv, r_p=_FLOATS, k_t=_FLOATS, k_f=_FLOATS, tau_mean_ns=_FLOATS,
+    tau_rms_ns=_FLOATS,
+    label=st.one_of(st.sampled_from([None, "LOS", "NLOS", ""]),
+                    st.text(max_size=4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 10 ** 6),
+                                         st.booleans()), _FEATURE_VECTORS),
+                     max_size=6))
+def test_save_features_writes_the_old_bytes(rows, tmp_path_factory):
+    d = tmp_path_factory.getbasetemp() / "writer_oracle"
+    d.mkdir(exist_ok=True)
+    save_features(d / "new.csv", rows)
+    oracles.save_features_oracle(d / "old.csv", rows)
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.one_of(st.none(), st.integers(0, 10 ** 6)),
+    st.builds(Verdict, st.sampled_from(["LOS", "NLOS"]), _FLOATS,
+              st.booleans()),
+    st.sampled_from([None, "LOS", "NLOS"])), max_size=6))
+def test_save_verdicts_writes_the_old_bytes(rows, tmp_path_factory):
+    d = tmp_path_factory.getbasetemp() / "writer_oracle"
+    d.mkdir(exist_ok=True)
+    save_verdicts(d / "new.csv", rows)
+    oracles.save_verdicts_oracle(d / "old.csv", rows)
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+
+_GEV_PARAMS = st.builds(GevParams, st.floats(-0.9, 0.9) | st.just(0.0),
+                        st.floats(-10.0, 10.0), st.floats(0.01, 10.0))
+_METRIC_VALUES = st.lists(
+    st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.0]),
+    min_size=1, max_size=12)
+
+
+# values a few units in the last place apart make histogram bins too narrow
+# for a finite density, in the old writer and the new alike
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+@settings(max_examples=40, deadline=None)
+@given(samples=st.tuples(*[st.tuples(_METRIC_VALUES, _METRIC_VALUES)] * 5),
+       params=st.tuples(*[st.tuples(_GEV_PARAMS, _GEV_PARAMS)] * 5))
+def test_curve_files_are_the_old_bytes(samples, params, tmp_path_factory):
+    rows = []
+    for label, side in (("LOS", 0), ("NLOS", 1)):
+        columns = [s[side] for s in samples]
+        for k in range(max(map(len, columns))):
+            rows.append(make_fv(*(c[k % len(c)] for c in columns),
+                                label=label))
+    model = MlrModel(dict(zip(METRIC_NAMES, params)))
+    base = tmp_path_factory.getbasetemp() / "curve_oracle"
+    for side in ("new", "old"):
+        shutil.rmtree(base / side, ignore_errors=True)
+        (base / side).mkdir(parents=True)
+    assert _write_curves(base / "new", rows, model) \
+        == oracles.write_curves_oracle(base / "old", rows, model)
+    names = sorted(p.name for p in (base / "old" / "curves").iterdir())
+    assert names == sorted(p.name for p in (base / "new" / "curves").iterdir())
+    for name in names:
+        assert (base / "new" / "curves" / name).read_bytes() \
+            == (base / "old" / "curves" / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
