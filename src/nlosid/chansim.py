@@ -106,18 +106,24 @@ class SimConfig(Record):
         super().__post_init__()
         if not (self.hpbw_az_deg > 0 and self.hpbw_el_deg > 0):
             raise ConfigError("beamwidths must be positive")
-        if not (math.isfinite(self.sample_rate_ghz)
-                and self.sample_rate_ghz > 0):
+        if not 0 < self.sample_rate_ghz < math.inf:
             raise ConfigError(f"sample_rate_ghz must be positive and finite, "
                               f"got {self.sample_rate_ghz}")
         if self.n_taps < 64:
             raise ConfigError("n_taps must be at least 64")
-        if not self.n_nlos_mean >= 1:
-            raise ConfigError("n_nlos_mean must be at least 1")
+        if not 1 <= self.n_nlos_mean <= 9.2e18:
+            raise ConfigError(f"n_nlos_mean must be at least 1 and at most "
+                              f"9.2e18, numpy's Poisson limit; got "
+                              f"{self.n_nlos_mean}")
         if not (self.decay_ns > 0 and self.ray_gap_mean_ns > 0):
             raise ConfigError("decay_ns and ray_gap_mean_ns must be positive")
         if not self.angular_jitter_deg >= 0:
             raise ConfigError("angular_jitter_deg must be non-negative")
+        for name in ("hpbw_az_deg", "hpbw_el_deg", "decay_ns",
+                     "ray_gap_mean_ns", "angular_jitter_deg"):
+            if not math.isfinite(getattr(self, name)):   # NaN failed above
+                raise ConfigError(f"SimConfig.{name} must be finite, got "
+                                  f"{getattr(self, name)}")
         object.__setattr__(self, "angular_jitter_deg",
                            self.angular_jitter_deg + 0.0)   # numpy refuses -0.0
         if self.snr_db is not None:

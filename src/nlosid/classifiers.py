@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chansim import LOS, NLOS
-from .errors import (ConfigError, DataFormatError, EvaluationError, Record,
-                     TrainingError)
+from .errors import (ConfigError, DataFormatError, EvaluationError,
+                     NlosIdError, Record, TrainingError)
 from .gevstats import GevParams, gev_fit_mle, gev_pdf
 from .metrics import METRIC_NAMES, FeatureVector
 
@@ -65,10 +65,23 @@ class TrainSchedule(Record):
 
 
 @dataclass(frozen=True)
-class MlrModel:
-    """Fitted GEV parameter pair (LOS, NLOS) per metric."""
+class GevPair(Record):
+    """The fitted LOS and NLOS distributions of one metric."""
 
-    tables: dict
+    error = DataFormatError
+
+    los: GevParams
+    nlos: GevParams
+
+
+@dataclass(frozen=True)
+class MlrModel(Record):
+    """Fitted GEV parameter pair per metric."""
+
+    FORMAT = "mlr_model"
+    error = DataFormatError
+
+    tables: dict[str, GevPair]
 
     def __post_init__(self):
         unknown = set(self.tables) - set(METRIC_NAMES)
@@ -79,7 +92,7 @@ class MlrModel:
 
     def params(self, metric: str, label: str) -> GevParams:
         pair = self.tables[metric]
-        return pair[0] if label == LOS else pair[1]
+        return pair.los if label == LOS else pair.nlos
 
 
 def _split_by_label(features: list) -> tuple[list, list]:
@@ -110,7 +123,7 @@ def mlr_train(features: list) -> MlrModel:
             except Exception as exc:
                 raise TrainingError(
                     f"fitting metric {name}, class {label}: {exc}") from exc
-        tables[name] = (pair[0], pair[1])
+        tables[name] = GevPair(*pair)
     return MlrModel(tables)
 
 
@@ -178,7 +191,11 @@ def mlr_classify(model: MlrModel, features, metrics=None):
 
 @dataclass(frozen=True, eq=False)
 class AnnModel:
-    """Weights, biases, and the feature standardization learned with them."""
+    """Weights, biases, and the feature standardization learned with them.
+    Its document holds each array as nested lists, which are not Record
+    fields, so it converts them itself."""
+
+    FORMAT = "ann_model"
 
     iw: np.ndarray             # (10, 5) input weights
     b1: np.ndarray             # (10,)
@@ -199,6 +216,22 @@ class AnnModel:
 
     def weights(self) -> tuple:
         return (self.iw, self.b1, self.lw21, self.b2, self.lw32, self.b3)
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name).tolist() for name in ANN_ARRAYS}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        try:
+            arrays = {n: np.array(d[n], dtype=float) for n in ANN_ARRAYS}
+            bad = [n for n, a in arrays.items() if not np.isfinite(a).all()]
+            if bad:
+                raise DataFormatError(f"non-finite entries in {bad}")
+            return cls(**arrays)
+        except KeyError as exc:
+            raise DataFormatError(f"model document missing field {exc}") from exc
+        except (NlosIdError, OverflowError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"bad model document: {exc}") from exc
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

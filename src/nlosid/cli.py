@@ -10,13 +10,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .classifiers import MlrModel, ann_classify, error_rates, mlr_classify
+from .classifiers import (AnnModel, MlrModel, ann_classify, error_rates,
+                          mlr_classify)
 from .errors import ConfigError, DataFormatError, NumericalError
 from .experiment import (ExperimentConfig, cmd_extract, cmd_simulate,
                          fit_gev_table, ingest_sweeps, inputs_from_manifest,
                          run_experiment, train_models)
-from .fileio import (load_features, load_json, load_model, load_sweep_csv,
-                     save_cir_tensor, save_json, save_model, save_verdicts)
+from .fileio import (load_document, load_features, load_json, load_sweep_csv,
+                     save_cir_tensor, save_document, save_json, save_verdicts)
 from .pas import AngularGrid
 
 
@@ -106,14 +107,14 @@ def _run_train(args) -> int:
     mlr_model, _, ann_model = train_models(rows, config)
     out_dir = _out_path(args, "out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_model(out_dir / "mlr_model.json", mlr_model)
-    save_model(out_dir / "ann_model.json", ann_model)
+    save_document(out_dir / "mlr_model.json", mlr_model)
+    save_document(out_dir / "ann_model.json", ann_model)
     print(f"wrote mlr_model.json and ann_model.json under {out_dir}")
     return 0
 
 
 def _run_classify(args) -> int:
-    model = load_model(args.model)
+    model = load_document(args.model, MlrModel, AnnModel)
     rows = load_features(args.features)
     if isinstance(model, MlrModel):
         subset = args.metrics.split(",") if args.metrics else None

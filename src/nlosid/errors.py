@@ -54,9 +54,9 @@ class Record:
     A bool field takes bools, an int field integers, a float field real
     numbers (never bools, stored as that type) and a str field strings; an
     X | None field also takes None.  from_dict also parses Record fields,
-    and tuples of them, and raises the class's error for every value it or
-    the class rejects: ConfigError for config sections, DataFormatError
-    for data."""
+    tuples of them (JSON lists) and str-keyed dicts of them (JSON objects),
+    and raises the class's error for every value it or the class rejects:
+    ConfigError for config sections, DataFormatError for data."""
 
     error = ConfigError
 
@@ -88,13 +88,15 @@ class Record:
         kwargs = {}
         try:
             for key, value in d.items():
-                kind, many, optional = nested.get(key, (None, False, False))
+                kind, many, optional = nested.get(key, (None, None, False))
                 if kind is not None and not (optional and value is None):
-                    if many and not isinstance(value, list):
-                        raise cls.error(f"{name}.{key} must be a list, got "
-                                        f"{type(value).__name__}")
-                    value = (tuple(map(kind.from_dict, value)) if many
-                             else kind.from_dict(value))
+                    if many and not isinstance(value, many):
+                        raise cls.error(f"{name}.{key} must be {_NOUNS[many]}"
+                                        f", got {type(value).__name__}")
+                    value = (kind.from_dict(value) if many is None
+                             else tuple(map(kind.from_dict, value))
+                             if many is list else
+                             {k: kind.from_dict(v) for k, v in value.items()})
                 kwargs[key] = value
             return cls(**kwargs)
         except cls.error:
@@ -105,19 +107,21 @@ class Record:
 
 _SCALARS = {bool: (bool, "a boolean"), int: (numbers.Integral, "an integer"),
             float: (numbers.Real, "a real number"), str: (str, "a string")}
+_NOUNS = {list: "a list", dict: "an object"}
 
 
 @functools.cache
 def _field_table(cls) -> tuple:
     """Scalar fields as (name, type, optional), and Record-typed ones as
-    name -> (Record class, whether a tuple of them, optional)."""
+    name -> (Record class R, the JSON container of a tuple[R, ...] field
+    (list) or a dict[str, R] field (dict) or None, optional)."""
     scalars, nested = [], {}
     for f in dataclasses.fields(cls):
         args = typing.get_args(f.type)
         optional = type(None) in args                 # X | None
         kind = args[0] if optional else f.type
-        many = typing.get_origin(kind) is tuple
-        kind = typing.get_args(kind)[0] if many else kind
+        many = {tuple: list, dict: dict}.get(typing.get_origin(kind))
+        kind = typing.get_args(kind)[many is dict] if many else kind
         if kind in _SCALARS and not many:
             scalars.append((f.name, kind, optional))
         elif isinstance(kind, type) and issubclass(kind, Record):

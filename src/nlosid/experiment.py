@@ -28,7 +28,7 @@ from .errors import (ConfigError, DataFormatError, DegenerateInputError,
 from .fileio import (Realization, SimulationManifest, load_cir_tensor,
                      load_document, load_features, load_truth,
                      save_cir_tensor, save_csv, save_document, save_features,
-                     save_json, save_model, save_pas_json, save_truth)
+                     save_json, save_pas_json, save_truth)
 from .gevstats import bootstrap_split, cdf_rmse, gev_cdf, gev_pdf
 from .metrics import METRIC_NAMES, MetricConfig, cluster_features
 from .pas import AngularGrid, compute_pas, wrap_angle_deg
@@ -351,8 +351,8 @@ def _run_simulated(config: ExperimentConfig, out: Path) -> dict:
     test_rows = [fv for i, fv in rows
                  if config.n_train <= i < config.n_train + config.n_test]
     mlr_model, gev_table, ann_model = train_models(train_rows, config)
-    save_model(out / "mlr_model.json", mlr_model)
-    save_model(out / "ann_model.json", ann_model)
+    save_document(out / "mlr_model.json", mlr_model)
+    save_document(out / "ann_model.json", ann_model)
     error_table = _evaluate(mlr_model, ann_model, test_rows)
     curves = _write_curves(out, train_rows, mlr_model)
 

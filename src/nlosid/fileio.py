@@ -7,8 +7,9 @@ save_csv and read by one row loop, _records, which names the line and byte
 offset only of a line it refuses.  Impulse-response tensors pair a JSON
 manifest with a sibling raw binary of little-endian float32 (re, im) pairs
 in (elevation, azimuth, tap) index order, written one elevation row at a
-time and kept as complex64 when read.  The JSON documents read back are
-Records tagged with their FORMAT; see save_document and load_document.
+time and kept as complex64 when read.  Every JSON document read back but
+the report is a Record, or the network model with its own array
+conversion, tagged with its FORMAT; see save_document and load_document.
 """
 
 import csv
@@ -22,9 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .chansim import CirTensor, RayCluster, SimConfig
-from .classifiers import ANN_ARRAYS, AnnModel, MlrModel
 from .errors import DataFormatError, NlosIdError, Record
-from .gevstats import GevParams
 from .metrics import METRIC_NAMES, FeatureVector
 from .pas import AngularGrid, PasMap
 
@@ -101,17 +100,20 @@ def save_csv(path, header, records) -> None:
 
 
 def save_document(path, record) -> None:
-    """Write a Record as JSON, tagged with its class's FORMAT."""
+    """Write a Record, or an AnnModel, as JSON tagged with its FORMAT."""
     save_json(path, {"format": record.FORMAT, **record.to_dict()})
 
 
-def load_document(path, cls):
-    """Read a cls Record that save_document wrote; errors name the file."""
+def load_document(path, *classes):
+    """Read what save_document wrote, as the one of classes whose FORMAT
+    the document names; errors name the file."""
     doc = load_json(path)
     found = doc.pop("format", None)
-    if found != cls.FORMAT:
+    cls = next((c for c in classes if c.FORMAT == found), None)
+    if cls is None:
+        wanted = " or ".join(repr(c.FORMAT) for c in classes)
         raise DataFormatError(
-            f"{path}: expected a {cls.FORMAT!r} document, found {found!r}")
+            f"{path}: expected a {wanted} document, found {found!r}")
     try:
         return cls.from_dict(doc)
     except DataFormatError as exc:
@@ -300,70 +302,6 @@ class SimulationManifest(Record):
     config: SimConfig | None = None   # what generated the files, which
     seed: int | None = None           # extract does not need
     n_realizations: int | None = None
-
-
-# ---------------------------------------------------------------------------
-# models
-
-
-def mlr_model_to_dict(model: MlrModel) -> dict:
-    return {"format": "mlr_model",
-            "tables": {name: {"los": los.to_dict(), "nlos": nlos.to_dict()}
-                       for name, (los, nlos) in model.tables.items()}}
-
-
-def mlr_model_from_dict(doc: dict) -> MlrModel:
-    try:
-        return MlrModel({
-            name: (GevParams.from_dict(entry["los"]),
-                   GevParams.from_dict(entry["nlos"]))
-            for name, entry in doc["tables"].items()
-        })
-    except KeyError as exc:
-        raise DataFormatError(f"model document missing field {exc}") from exc
-    except (NlosIdError, AttributeError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"bad model document: {exc}") from exc
-
-
-def ann_model_to_dict(model: AnnModel) -> dict:
-    return {"format": "ann_model",
-            **{name: getattr(model, name).tolist() for name in ANN_ARRAYS}}
-
-
-def ann_model_from_dict(doc: dict) -> AnnModel:
-    try:
-        arrays = {name: np.array(doc[name], dtype=float)
-                  for name in ANN_ARRAYS}
-        bad = [name for name, a in arrays.items() if not np.isfinite(a).all()]
-        if bad:
-            raise DataFormatError(f"non-finite entries in {bad}")
-        return AnnModel(**arrays)
-    except KeyError as exc:
-        raise DataFormatError(f"model document missing field {exc}") from exc
-    except (NlosIdError, OverflowError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"bad model document: {exc}") from exc
-
-
-def save_model(path, model) -> None:
-    """Write an MlrModel or an AnnModel as its JSON document."""
-    to_dict = (mlr_model_to_dict if isinstance(model, MlrModel)
-               else ann_model_to_dict)
-    save_json(path, to_dict(model))
-
-
-def load_model(path):
-    """Read a model document with the reader its format names."""
-    doc = load_json(path)
-    kind = doc.get("format")
-    try:
-        if kind == "mlr_model":
-            return mlr_model_from_dict(doc)
-        if kind == "ann_model":
-            return ann_model_from_dict(doc)
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    raise DataFormatError(f"{path}: expected an mlr_model or ann_model "
-                          f"document, found {kind!r}")
 
 
 # ---------------------------------------------------------------------------

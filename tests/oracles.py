@@ -231,7 +231,8 @@ def ratio_score_oracle(model, fv, names, floor):
     score, violation = 0.0, False
     for name in names:
         x = fv.metric(name)
-        f_los, f_nlos = (gev_pdf(x, params) for params in model.tables[name])
+        pair = model.tables[name]
+        f_los, f_nlos = gev_pdf(x, pair.los), gev_pdf(x, pair.nlos)
         if f_los == 0.0 and f_nlos == 0.0:
             return -math.inf, True
         violation = violation or f_los == 0.0 or f_nlos == 0.0

@@ -13,12 +13,12 @@ import pytest
 import scipy.optimize
 from scipy import integrate
 
-from nlosid import (CirTensor, ExperimentConfig, GevParams, MetricConfig,
-                    MlrModel, PasMap, SegParams, TrainSchedule, ann_classify,
-                    ann_init, ann_train, cluster_features, co_kurtosis,
-                    delay_moments, eigen_ratio, freq_kurtosis, gev_cdf,
-                    gev_fit_mle, gev_pdf, cdf_rmse, mlr_classify, mlr_train,
-                    run_experiment, segment, simulate_realization,
+from nlosid import (CirTensor, ExperimentConfig, GevPair, GevParams,
+                    MetricConfig, MlrModel, PasMap, SegParams, TrainSchedule,
+                    ann_classify, ann_init, ann_train, cluster_features,
+                    co_kurtosis, delay_moments, eigen_ratio, freq_kurtosis,
+                    gev_cdf, gev_fit_mle, gev_pdf, cdf_rmse, mlr_classify,
+                    mlr_train, run_experiment, segment, simulate_realization,
                     time_kurtosis)
 from nlosid.classifiers import _loss_and_grads
 from nlosid.experiment import extract_realization
@@ -294,7 +294,7 @@ def test_criterion_07_ratio_test_worked_example():
     density evaluation, and resolves to LOS."""
     los = GevParams(gamma=-1.363, mu=0.9579, sigma=0.0574)
     nlos = GevParams(gamma=-0.6214, mu=0.5588, sigma=0.2789)
-    model = MlrModel({"r_p": (los, nlos)})
+    model = MlrModel({"r_p": GevPair(los, nlos)})
     fv = make_fv(r_p=0.95)
     verdict = mlr_classify(model, fv, metrics=["r_p"])
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from nlosid import (LOS, NLOS, AnnModel, ConfigError, DataFormatError,
-                    EvaluationError, GevParams, MlrModel, TrainSchedule,
+                    EvaluationError, GevPair, GevParams, MlrModel,
+                    TrainSchedule,
                     TrainingError, ann_classify, ann_init, ann_train,
                     error_rates, gev_pdf, mlr_classify, mlr_train, softmax)
 from nlosid.classifiers import (LOG_DENSITY_FLOOR, _loss_and_grads,
@@ -24,7 +25,7 @@ def same_params_model() -> MlrModel:
 
     Gumbel shape keeps the support unbounded for any test point."""
     p = GevParams(gamma=0.0, mu=1.0, sigma=0.5)
-    return MlrModel({name: (p, p) for name in METRIC_NAMES})
+    return MlrModel({name: GevPair(p, p) for name in METRIC_NAMES})
 
 
 def zero_model(b3=(0.0, 0.0)) -> AnnModel:
@@ -56,7 +57,7 @@ def test_joint_score_is_sum_of_singletons():
             "k_f": GevParams(0.0806, 2.369, 0.1848),
             "tau_mean_ns": GevParams(-0.1822, 6.673, 3.388),
             "tau_rms_ns": GevParams(0.0483, 5.590, 1.195)}
-    model = MlrModel({n: (los[n], nlos[n]) for n in METRIC_NAMES})
+    model = MlrModel({n: GevPair(los[n], nlos[n]) for n in METRIC_NAMES})
     fv = make_fv(r_p=0.8, k_t=250.0, k_f=2.5, tau_mean_ns=3.0, tau_rms_ns=5.0)
     joint = mlr_classify(model, fv)
     parts = [mlr_classify(model, fv, metrics=[n]).score
@@ -65,8 +66,8 @@ def test_joint_score_is_sum_of_singletons():
 
 
 def test_score_monotone_in_likelihood_ratio():
-    model = MlrModel({"r_p": (GevParams(-0.5, 0.9, 0.05),
-                              GevParams(-0.5, 0.5, 0.2))})
+    model = MlrModel({"r_p": GevPair(GevParams(-0.5, 0.9, 0.05),
+                                     GevParams(-0.5, 0.5, 0.2))})
     scores = [mlr_classify(model, make_fv(r_p=x), metrics=["r_p"]).score
               for x in (0.5, 0.7, 0.85, 0.92)]
     assert scores == sorted(scores)
@@ -76,8 +77,8 @@ def test_score_monotone_in_likelihood_ratio():
 
 def test_one_sided_support_violation_uses_floor():
     # LOS density vanishes above 1.0; the NLOS edge sits near 1.0076
-    model = MlrModel({"r_p": (GevParams(-1.0, 0.95, 0.05),
-                              GevParams(-0.6214, 0.5588, 0.2789))})
+    model = MlrModel({"r_p": GevPair(GevParams(-1.0, 0.95, 0.05),
+                                     GevParams(-0.6214, 0.5588, 0.2789))})
     x = 1.005
     assert gev_pdf(x, model.params("r_p", LOS)) == 0.0
     f_nlos = gev_pdf(x, model.params("r_p", NLOS))
@@ -89,8 +90,9 @@ def test_one_sided_support_violation_uses_floor():
 
 
 def test_point_outside_both_supports_is_nlos():
-    pair = (GevParams(-1.0, 0.9, 0.05), GevParams(-1.0, 0.5, 0.1))
-    model = MlrModel({"r_p": pair, "k_t": (GevParams(0.0, 300.0, 50.0),) * 2})
+    pair = GevPair(GevParams(-1.0, 0.9, 0.05), GevParams(-1.0, 0.5, 0.1))
+    gumbel = GevParams(0.0, 300.0, 50.0)
+    model = MlrModel({"r_p": pair, "k_t": GevPair(gumbel, gumbel)})
     v = mlr_classify(model, make_fv(r_p=5.0), metrics=["r_p", "k_t"])
     assert v.decision == NLOS
     assert v.score == -math.inf
@@ -104,7 +106,8 @@ def test_metric_subset_validation():
     with pytest.raises(ConfigError):
         mlr_classify(model, make_fv(), metrics=[])
     # the model, not the request, lacks the metric
-    small = MlrModel({"r_p": (GevParams(0.0, 1.0, 1.0),) * 2})
+    gumbel = GevParams(0.0, 1.0, 1.0)
+    small = MlrModel({"r_p": GevPair(gumbel, gumbel)})
     with pytest.raises(DataFormatError, match="no tables for"):
         mlr_classify(small, make_fv(), metrics=["k_t"])
 
@@ -155,7 +158,7 @@ _PHASES = (Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink)
                                 max_size=5), max_size=12))
 def test_ratio_test_table_matches_rows(pairs, subset, all_tied, values):
     # a tied pair makes that metric's ratio exactly zero
-    model = MlrModel({name: (los, los if tied or all_tied else nlos)
+    model = MlrModel({name: GevPair(los, los if tied or all_tied else nlos)
                       for name, (los, nlos, tied) in zip(METRIC_NAMES, pairs)})
     rows = [make_fv(*v) for v in values]
     names = [n for n in METRIC_NAMES if subset is None or n in subset]
@@ -196,7 +199,8 @@ def test_model_validation():
     with pytest.raises(ConfigError):
         MlrModel({})
     with pytest.raises(ConfigError):
-        MlrModel({"nope": (GevParams(0.0, 0.0, 1.0),) * 2})
+        gumbel = GevParams(0.0, 0.0, 1.0)
+        MlrModel({"nope": GevPair(gumbel, gumbel)})
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import pytest
 import nlosid
 from nlosid import ann_init
 from nlosid.cli import main
-from nlosid.fileio import (ann_model_to_dict, load_cir_tensor, load_features,
-                           load_json, save_features, save_json)
+from nlosid.fileio import (load_cir_tensor, load_features, load_json,
+                           save_features, save_json)
 from nlosid.metrics import METRIC_NAMES
 
 from conftest import (flat_grid, json_with_raw_numbers, labelled_feature_rows,
@@ -151,7 +151,8 @@ def test_classify_rejects_other_documents(workspace, tmp_path, capsys):
     code = main(["classify", "--features", str(features_csv),
                  "--model", str(sim_dir / "simulation.json")])
     assert code == 3
-    assert "mlr_model or ann_model" in capsys.readouterr().err
+    assert ("simulation.json: expected a 'mlr_model' or 'ann_model' "
+            "document, found 'simulation'") in capsys.readouterr().err
 
 
 def test_experiment_and_report_commands(workspace, tmp_path, capsys):
@@ -395,7 +396,8 @@ def _mlr_files(tables):
 
 
 def _ann_files(**changes):
-    return {"m.json": {**ann_model_to_dict(ann_init(0)), **changes},
+    return {"m.json": {"format": "ann_model", **ann_init(0).to_dict(),
+                       **changes},
             "f.csv": _FEATURES}
 
 
@@ -428,7 +430,7 @@ MALFORMED_INPUTS = {
             "r_p": {"los": {**_GEV, "gamma": "a"}, "nlos": _GEV}}},
          "f.csv": _FEATURES},
         ["classify", "--features", "f.csv", "--model", "m.json"], 3,
-        "model document"),
+        "m.json: GevParams.gamma must be a real number, got 'a'"),
     "missing_config": ({}, ["--config", "nope.json", "experiment"], 3,
                        "nope.json"),
     "seed_not_int": ({"c.json": {"seed": "x"}}, _EXPERIMENT, 2,
@@ -547,7 +549,7 @@ MALFORMED_INPUTS = {
         _EXTRACT, 3, "t.json: AngularGrid.n_az must be an integer"),
     "mlr_error_names_file": (
         _mlr_files({"r_p": {"los": {**_GEV, "sigma": -1.0}, "nlos": _GEV}}),
-        _CLASSIFY, 3, "m.json: bad model document"),
+        _CLASSIFY, 3, "m.json: bad GevParams: scale must be positive"),
     "sim_los_present_not_bool": (
         {"c.json": {"sim": {"los_present": "no"}}}, _EXPERIMENT, 2,
         "SimConfig.los_present must be a boolean"),
@@ -627,6 +629,25 @@ MALFORMED_INPUTS = {
     "schedule_tolerance_nan": (
         {"c.json": {"schedule": {"loss_tolerance": math.nan}}}, _EXPERIMENT,
         2, "loss_tolerance must be non-negative"),
+    "mlr_tables_list": (_mlr_files([]), _CLASSIFY, 3,
+                        "m.json: MlrModel.tables must be an object, got list"),
+    "mlr_entry_number": (_mlr_files({"r_p": 5}), _CLASSIFY, 3,
+                         "m.json: GevPair must be an object, got int"),
+    "mlr_entry_without_nlos": (
+        _mlr_files({"r_p": {"los": _GEV}}), _CLASSIFY, 3,
+        "m.json: bad GevPair: GevPair.__init__() missing 1 required "
+        "positional argument: 'nlos'"),
+    "sim_nlos_mean_infinite": (
+        {"c.json": {"sim": {"n_nlos_mean": math.inf}}}, _SIMULATE, 2,
+        "n_nlos_mean must be at least 1 and at most 9.2e18"),
+    "sim_nlos_mean_past_poisson_limit": (
+        {"c.json": {"sim": {"n_nlos_mean": 1e19}}}, _SIMULATE, 2,
+        "n_nlos_mean must be at least 1 and at most 9.2e18"),
+    **{f"sim_{name}_infinite": (
+        {"c.json": {"sim": {name: math.inf}}}, _SIMULATE, 2,
+        f"SimConfig.{name} must be finite, got inf")
+       for name in ("hpbw_az_deg", "hpbw_el_deg", "decay_ns",
+                    "ray_gap_mean_ns", "angular_jitter_deg")},
     "report_gev_entry_number": (
         {"r.json": {"format": "report", "gev_table": {"r_p": 5}}}, _REPORT,
         3, "r.json: malformed report"),

@@ -7,14 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlosid import (AngularGrid, CirTensor, ConfigError, DataFormatError,
-                    DegenerateInputError, ExperimentConfig, MetricConfig,
-                    SegParams, TrainSchedule, cmd_extract, cmd_simulate,
-                    co_kurtosis, compute_pas, delay_moments, eigen_ratio,
-                    extract_realization, freq_kurtosis, ingest_sweeps,
-                    inputs_from_manifest, label_clusters_with_truth,
-                    run_experiment, segment, simulate_realization,
-                    time_kurtosis)
+from nlosid import (AngularGrid, AnnModel, CirTensor, ConfigError,
+                    DataFormatError, DegenerateInputError, ExperimentConfig,
+                    MetricConfig, MlrModel, SegParams, TrainSchedule,
+                    cmd_extract, cmd_simulate, co_kurtosis, compute_pas,
+                    delay_moments, eigen_ratio, extract_realization,
+                    freq_kurtosis, ingest_sweeps, inputs_from_manifest,
+                    label_clusters_with_truth, run_experiment, segment,
+                    simulate_realization, time_kurtosis)
 from nlosid.cli import main as cli_main
 from nlosid.experiment import (ERROR_TABLE_ROWS, BootstrapSpec,
                                _training_seed, extract_all)
@@ -251,15 +251,19 @@ def test_cmd_simulate_writes_manifest_and_files(tmp_path):
 
 
 def test_stored_documents_round_trip_byte_for_byte(tmp_path):
-    """Each document simulate writes reads back through its Record and
-    writes again as the same bytes."""
+    """Each document simulate and train write reads back through its class
+    and writes again as the same bytes."""
     manifest = cmd_simulate(tiny_config(n_realizations=2, n_train=1,
                                         n_test=1), tmp_path / "sim")
+    save_features(tmp_path / "f.csv", labelled_feature_rows())
+    assert cli_main(["--out", str(tmp_path / "models"), "train",
+                     "--features", str(tmp_path / "f.csv")]) == 0
     again = tmp_path / "again.json"
-    for name, cls in (("simulation.json", SimulationManifest),
-                      ("real_0000.json", TensorManifest),
-                      ("truth_0000.json", Truth)):
-        path = manifest.parent / name
+    for path, cls in ((manifest, SimulationManifest),
+                      (manifest.parent / "real_0000.json", TensorManifest),
+                      (manifest.parent / "truth_0000.json", Truth),
+                      (tmp_path / "models" / "mlr_model.json", MlrModel),
+                      (tmp_path / "models" / "ann_model.json", AnnModel)):
         save_document(again, load_document(path, cls))
         assert again.read_bytes() == path.read_bytes()
 

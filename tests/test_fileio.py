@@ -10,16 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlosid import (AngularGrid, CirTensor, DataFormatError,
-                    ExperimentConfig, GevParams, MlrModel, PasMap, SimConfig,
-                    ann_init, ann_train, compute_pas, inputs_from_manifest,
-                    Verdict, mlr_classify, simulate_realization)
+from nlosid import (AngularGrid, AnnModel, CirTensor, DataFormatError,
+                    ExperimentConfig, GevPair, GevParams, MlrModel, PasMap,
+                    SimConfig, ann_init, ann_train, compute_pas,
+                    inputs_from_manifest, Verdict, mlr_classify,
+                    simulate_realization)
 from nlosid.experiment import _write_curves
-from nlosid.fileio import (ann_model_from_dict, ann_model_to_dict,
-                           load_cir_tensor, load_features, load_json,
-                           load_model, load_sweep_csv, load_truth,
-                           save_cir_tensor, save_features, save_json,
-                           save_model, save_pas_json, save_truth,
+from nlosid.fileio import (load_cir_tensor, load_document, load_features,
+                           load_json, load_sweep_csv, load_truth,
+                           save_cir_tensor, save_document, save_features,
+                           save_json, save_pas_json, save_truth,
                            save_verdicts)
 from nlosid.classifiers import ANN_ARRAYS
 from nlosid.metrics import METRIC_NAMES
@@ -331,16 +331,20 @@ def test_truth_round_trip(tmp_path):
 # models
 
 
+def _load_model(path):
+    return load_document(path, MlrModel, AnnModel)
+
+
 def test_mlr_model_round_trip_preserves_decisions(tmp_path):
     model = MlrModel({
-        "r_p": (GevParams(-1.363, 0.9579, 0.0574),
-                GevParams(-0.6214, 0.5588, 0.2789)),
-        "k_t": (GevParams(-0.2142, 318.9, 53.49),
-                GevParams(-0.0658, 177.6, 46.93)),
+        "r_p": GevPair(GevParams(-1.363, 0.9579, 0.0574),
+                       GevParams(-0.6214, 0.5588, 0.2789)),
+        "k_t": GevPair(GevParams(-0.2142, 318.9, 53.49),
+                       GevParams(-0.0658, 177.6, 46.93)),
     })
     path = tmp_path / "mlr.json"
-    save_model(path, model)
-    back = load_model(path)
+    save_document(path, model)
+    back = _load_model(path)
     assert back.tables == model.tables
     fv = make_fv(r_p=0.95, k_t=290.0)
     a = mlr_classify(model, fv, metrics=["r_p", "k_t"])
@@ -350,34 +354,34 @@ def test_mlr_model_round_trip_preserves_decisions(tmp_path):
     doc = load_json(path)
     doc["format"] = "gev_table"
     save_json(path, doc)
-    with pytest.raises(DataFormatError,
-                       match="expected an mlr_model or ann_model document"):
-        load_model(path)
+    with pytest.raises(DataFormatError, match="expected a 'mlr_model' or "
+                                              "'ann_model' document"):
+        _load_model(path)
 
 
 def test_ann_model_round_trip_is_bit_faithful(tmp_path):
     model = ann_train(ann_init(4), separable_features(n_per_class=10))
     path = tmp_path / "ann.json"
-    save_model(path, model)
-    back = load_model(path)
+    save_document(path, model)
+    back = _load_model(path)
     for a, b in zip(model.weights(), back.weights()):
         assert np.array_equal(a, b)
     assert np.array_equal(model.feature_means, back.feature_means)
     assert np.array_equal(model.feature_scales, back.feature_scales)
 
-    doc = ann_model_to_dict(model)
+    doc = model.to_dict()
     del doc["lw21"]
     with pytest.raises(DataFormatError, match="missing field"):
-        ann_model_from_dict(doc)
+        AnnModel.from_dict(doc)
 
 
 @pytest.mark.parametrize("changes", [
     {"b1": [10 ** 400] * 10}, {"iw": "x"}, {"lw32": [[0.0] * 10] * 3},
     {"feature_scales": [[1.0]] * 5}])
 def test_bad_network_arrays_are_data_format_errors(changes):
-    doc = {**ann_model_to_dict(ann_init(0)), **changes}
+    doc = {**ann_init(0).to_dict(), **changes}
     with pytest.raises(DataFormatError, match="bad model document"):
-        ann_model_from_dict(doc)
+        AnnModel.from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +586,8 @@ def test_curve_files_are_the_old_bytes(samples, params, tmp_path_factory):
         for k in range(max(map(len, columns))):
             rows.append(make_fv(*(c[k % len(c)] for c in columns),
                                 label=label))
-    model = MlrModel(dict(zip(METRIC_NAMES, params)))
+    model = MlrModel({name: GevPair(*pair)
+                      for name, pair in zip(METRIC_NAMES, params)})
     base = tmp_path_factory.getbasetemp() / "curve_oracle"
     for side in ("new", "old"):
         shutil.rmtree(base / side, ignore_errors=True)
@@ -675,7 +680,7 @@ _ANN_DOCS = _mutated(format=st.just("ann_model"), **{
 
 
 _PARSERS = {"table.csv": (load_features, load_sweep_csv),
-            "t.json": (load_cir_tensor, load_truth, load_model,
+            "t.json": (load_cir_tensor, load_truth, _load_model,
                        inputs_from_manifest)}
 _INPUTS = st.one_of(
     _CSV_TEXT.map(lambda data: ("table.csv", data)),

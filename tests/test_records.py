@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlosid import (LOS, NLOS, AngularGrid, ConfigError, DataFormatError,
-                    ExperimentConfig, GevParams, MetricConfig, Ray,
-                    RayCluster, SegParams, SimConfig, TrainSchedule)
+                    ExperimentConfig, GevPair, GevParams, MetricConfig,
+                    MlrModel, Ray, RayCluster, SegParams, SimConfig,
+                    TrainSchedule)
 from nlosid.errors import Record
 from nlosid.experiment import BootstrapSpec
 from nlosid.fileio import (Realization, SimulationManifest, TensorManifest,
                            Truth)
+from nlosid.metrics import METRIC_NAMES
 
 
 def _real(lo: int, hi: int):
@@ -43,12 +45,17 @@ _SEGS = st.builds(SegParams, foreground_threshold_db=_real(1, 30),
                   min_pixels=st.integers(1, 9),
                   marker_min_separation=_real(0, 9),
                   smoothing_radius=st.integers(0, 3))
+_GEVS = st.builds(GevParams, gamma=_real(-2, 2), mu=_real(-100, 100),
+                  sigma=_real(1, 100))
+_PAIRS = st.builds(GevPair, _GEVS, _GEVS)
 RECORDS = {
     AngularGrid: _GRIDS,
     Ray: _RAYS,
     RayCluster: _CLUSTERS,
-    GevParams: st.builds(GevParams, gamma=_real(-2, 2), mu=_real(-100, 100),
-                         sigma=_real(1, 100)),
+    GevParams: _GEVS,
+    GevPair: _PAIRS,
+    MlrModel: st.builds(MlrModel, st.dictionaries(
+        st.sampled_from(METRIC_NAMES), _PAIRS, min_size=1)),
     SimConfig: _SIMS,
     SegParams: _SEGS,
     MetricConfig: st.builds(
@@ -154,3 +161,4 @@ def test_data_records_raise_data_format_errors():
                        "el_offset_deg": 0.0})
     with pytest.raises(DataFormatError, match="bad AngularGrid: .*missing"):
         AngularGrid.from_dict({"n_az": 2})
+
