@@ -145,8 +145,19 @@ class SimConfig(Record):
                                   f"pair of real numbers, got {value!r}")
             # JSON gives lists; store a float tuple so configs compare and hash
             object.__setattr__(self, name, (float(value[0]), float(value[1])))
-        # both ranges must land on the step grid
-        self.grid()
+        # both ranges must land on the step grid, and the dense complex128
+        # tensor must be an array numpy can size
+        grid = self.grid()
+        counts = {"el_range_deg": grid.n_el, "az_range_deg": grid.n_az,
+                  "n_taps": self.n_taps}
+        limit = np.iinfo(np.intp).max
+        if 16 * math.prod(counts.values()) > limit:
+            name = max(counts, key=counts.get)
+            step = "" if name == "n_taps" else f" at step_deg {self.step_deg}"
+            raise ConfigError(
+                f"SimConfig.{name}{step} is too large: its dense tensor of "
+                f"complex128 taps would exceed the {limit} bytes numpy can "
+                f"allocate")
 
     def grid(self) -> AngularGrid:
         """The scan grid implied by the ranges and step."""

@@ -222,6 +222,9 @@ class AnnModel:
 
     @classmethod
     def from_dict(cls, d: dict):
+        unknown = set(d) - set(ANN_ARRAYS)
+        if unknown:
+            raise DataFormatError(f"unknown AnnModel fields: {sorted(unknown)}")
         try:
             arrays = {n: np.array(d[n], dtype=float) for n in ANN_ARRAYS}
             bad = [n for n, a in arrays.items() if not np.isfinite(a).all()]

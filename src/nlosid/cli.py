@@ -10,6 +10,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .chansim import LOS, NLOS
 from .classifiers import (AnnModel, MlrModel, ann_classify, error_rates,
                           mlr_classify)
 from .errors import ConfigError, DataFormatError, NumericalError
@@ -132,10 +133,14 @@ def _run_classify(args) -> int:
     labelled = [(v, fv.label) for (_, fv), v in zip(rows, verdicts)
                 if fv.label is not None]
     msg = f"wrote {len(verdicts)} verdicts to {out}"
-    if labelled:
+    classes = {t for _, t in labelled}
+    if {LOS, NLOS} <= classes:
         t1, t2 = error_rates([v for v, _ in labelled],
                              [t for _, t in labelled])
         msg += f"; type I {t1:.3f}, type II {t2:.3f}"
+    elif labelled:
+        msg += (f"; error rates need both classes, and the labels hold "
+                f"only {' and '.join(sorted(classes))}")
     print(msg)
     return 0
 

@@ -14,6 +14,8 @@ Every stage is deterministic in the experiment seed; reports are
 byte-reproducible.
 """
 
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,17 +158,27 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> Path:
 
     The tensor written holds the pixels of the same render that
     run_experiment analyses, so staged and in-process runs see one draw.
+    Its elevation rows are split between this process and a fork pool of
+    one worker per further CPU it may run on, held for the whole run.
     """
+    import multiprocessing    # loaded by this command alone
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else 1)
+    k = min(cpus, config.sim.grid().n_el)
+    use_pool = k > 1 and "fork" in multiprocessing.get_all_start_methods()
     entries = []
-    for i, cir, clusters in simulated_realizations(config):
-        entry = Realization(i, f"real_{i:04d}.json", f"pas_{i:04d}.json",
-                            f"truth_{i:04d}.json")
-        save_cir_tensor(cir, out / entry.cir)
-        save_pas_json(compute_pas(cir), out / entry.pas)
-        save_truth(out / entry.truth, clusters)
-        entries.append(entry)
+    with (multiprocessing.get_context("fork").Pool(k - 1) if use_pool
+          else nullcontext()) as pool:
+        for i, cir, clusters in simulated_realizations(config):
+            entry = Realization(i, f"real_{i:04d}.json", f"pas_{i:04d}.json",
+                                f"truth_{i:04d}.json")
+            save_cir_tensor(cir, out / entry.cir, pool)
+            save_pas_json(compute_pas(cir), out / entry.pas)
+            save_truth(out / entry.truth, clusters)
+            entries.append(entry)
     manifest_path = out / "simulation.json"
     save_document(manifest_path, SimulationManifest(
         tuple(entries), config.sim, config.seed, config.n_realizations))

@@ -132,6 +132,27 @@ def test_train_then_classify_round_trip(workspace, tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("kind", ["mlr", "ann"])
+def test_classify_one_class_table_gives_no_error_rates(kind, workspace,
+                                                       tmp_path, capsys):
+    """A labelled table of one class is classified (exit 0); the message
+    says why there are no error rates."""
+    _, cfg_path, features_csv, _ = workspace
+    models = tmp_path / "models"
+    assert main(["--config", str(cfg_path), "--out", str(models), "train",
+                 "--features", str(features_csv)]) == 0
+    los_only = tmp_path / "los.csv"
+    los_only.write_text(_FEATURES + "2,3,4,5,6,LOS\n")
+    capsys.readouterr()
+    verdicts = tmp_path / "verdicts.csv"
+    assert main(["--out", str(verdicts), "classify", "--features",
+                 str(los_only), "--model",
+                 str(models / f"{kind}_model.json")]) == 0
+    out = capsys.readouterr().out
+    assert "error rates need both classes" in out and "type I" not in out
+    assert len(verdicts.read_text().splitlines()) == 3
+
+
 def test_classify_rejects_metric_subset_for_network(workspace, tmp_path,
                                                     capsys):
     _, cfg_path, features_csv, _ = workspace
@@ -274,28 +295,29 @@ def test_ingest_validates_axes(tmp_path, rng, capsys):
 
 
 # ---------------------------------------------------------------------------
-# cold start: only fitting loads scipy
+# cold start: only fitting loads scipy, and only simulate multiprocessing
 
 
-# A fresh process that puts a finder in front of every scipy import, imports
-# nlosid.cli, runs each command line through main and prints the exit codes
-# and the scipy modules it was asked for.  "refuse" makes each such import
-# fail; "record" lets it load.
+# A fresh process that puts a finder in front of every import of one
+# top-level package (scipy unless named), imports nlosid.cli, runs each
+# command line through main and prints the exit codes and the modules of
+# that package it was asked for.  "refuse" makes each such import fail;
+# "record" lets it load.
 _GUARDED_CLI = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-mode, commands = sys.argv[2], json.loads(sys.argv[3])
+mode, commands, guarded = sys.argv[2], json.loads(sys.argv[3]), sys.argv[4]
 seen = []
 
-class ScipyGuard:
+class Guard:
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
+        if name == guarded or name.startswith(guarded + "."):
             seen.append(name)
             if mode == "refuse":
                 raise ModuleNotFoundError(f"{name} refused", name=name)
         return None
 
-sys.meta_path.insert(0, ScipyGuard())
+sys.meta_path.insert(0, Guard())
 from nlosid.cli import main
 imported = list(seen)
 codes = [main(argv) for argv in commands]
@@ -303,18 +325,21 @@ print(json.dumps({"imported": imported, "codes": codes, "seen": seen}))
 """
 
 
-def run_guarded(mode: str, commands) -> dict:
+def run_guarded(mode: str, commands, guarded: str = "scipy") -> dict:
     src = Path(nlosid.__file__).resolve().parent.parent
     argv = json.dumps([[str(a) for a in cmd] for cmd in commands])
     done = subprocess.run([sys.executable, "-c", _GUARDED_CLI, str(src), mode,
-                           argv], capture_output=True, text=True, timeout=60)
+                           argv, guarded], capture_output=True, text=True,
+                          timeout=60)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_fitted_models_run_without_scipy(tmp_path, rng):
     """Importing nlosid, simulate, extract, ingest and classify with either
-    model kind need numpy alone: a process that refuses scipy runs them."""
+    model kind need numpy alone: a process that refuses scipy runs them.
+    Of these, only simulate needs multiprocessing: a process that refuses
+    it imports nlosid and runs the others."""
     config = {"mode": "simulate", "sim": small_sim(snr_db=60.0).to_dict(),
               "seg": {"min_pixels": 2, "marker_min_separation": 1.0},
               "n_realizations": 6, "n_train": 3, "n_test": 3, "seed": 11}
@@ -327,22 +352,37 @@ def test_fitted_models_run_without_scipy(tmp_path, rng):
                  "--features", str(train_csv)]) == 0
     sim, features = tmp_path / "sim", tmp_path / "features.csv"
     a, b, _ = write_sweep_files(tmp_path, rng)
-    result = run_guarded("refuse", [
-        ["--config", cfg, "--out", sim, "simulate"],
+    simulate = ["--config", cfg, "--out", sim, "simulate"]
+    others = [
         ["--config", cfg, "--out", features, "extract",
          "--manifest", sim / "simulation.json"],
         ["--out", tmp_path / "tensor.json", "ingest", a, b,
          "--az", "0:6:2", "--el", "0:4:2"],
         *(["--out", tmp_path / f"{kind}.csv", "classify",
            "--features", features, "--model", models / f"{kind}_model.json"]
-          for kind in ("mlr", "ann"))])
+          for kind in ("mlr", "ann"))]
+    result = run_guarded("refuse", [simulate, *others])
     assert result == {"imported": [], "codes": [0] * 5, "seen": []}
     assert len(load_features(features)) >= 6
+    result = run_guarded("refuse", others, "multiprocessing")
+    assert result == {"imported": [], "codes": [0] * 4, "seen": []}
+
+
+def test_simulate_imports_multiprocessing(tmp_path):
+    """The multiprocessing guard above is not vacuous: it sees simulate load
+    multiprocessing, and only once simulate has started."""
+    cfg = tmp_path / "config.json"
+    save_json(cfg, {"sim": small_sim().to_dict(), "n_realizations": 2,
+                    "n_train": 1, "n_test": 1})
+    result = run_guarded("record", [["--config", cfg, "--out", tmp_path / "s",
+                                     "simulate"]], "multiprocessing")
+    assert result["imported"] == [] and result["codes"] == [0]
+    assert "multiprocessing" in result["seen"]
 
 
 def test_train_imports_the_optimizer(tmp_path):
-    """The guard above is not vacuous: it sees train load scipy.optimize,
-    and only once train has started fitting."""
+    """The scipy guard above is not vacuous: it sees train load
+    scipy.optimize, and only once train has started fitting."""
     train_csv = tmp_path / "train.csv"
     save_features(train_csv, labelled_feature_rows(n_realizations=40))
     result = run_guarded("record", [["--out", tmp_path / "models", "train",
@@ -531,6 +571,8 @@ MALFORMED_INPUTS = {
                       "b1 has shape ()"),
     "ann_weights_non_finite": (_ann_files(b3=["nan", "inf"]), _CLASSIFY, 3,
                                "m.json: bad model document: non-finite"),
+    "ann_unknown_array": (_ann_files(lw99=[1]), _CLASSIFY, 3,
+                          "m.json: unknown AnnModel fields: ['lw99']"),
     "mlr_metric_missing": (
         _mlr_files({"r_p": {"los": _GEV, "nlos": _GEV}}), _CLASSIFY, 3,
         "m.json: model has no tables for"),
@@ -648,6 +690,12 @@ MALFORMED_INPUTS = {
         f"SimConfig.{name} must be finite, got inf")
        for name in ("hpbw_az_deg", "hpbw_el_deg", "decay_ns",
                     "ray_gap_mean_ns", "angular_jitter_deg")},
+    "sim_el_range_too_large": (
+        {"c.json": {"sim": {"el_range_deg": [-30, 1e308]}}}, _SIMULATE, 2,
+        "SimConfig.el_range_deg at step_deg 5.0 is too large"),
+    "sim_n_taps_too_large": (
+        {"c.json": {"sim": {"n_taps": 2 ** 70}}}, _SIMULATE, 2,
+        "SimConfig.n_taps is too large"),
     "report_gev_entry_number": (
         {"r.json": {"format": "report", "gev_table": {"r_p": 5}}}, _REPORT,
         3, "r.json: malformed report"),

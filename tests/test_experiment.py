@@ -1,6 +1,8 @@
 """End-to-end protocol orchestration: simulated and measured campaigns."""
 
 import json
+import multiprocessing
+import os
 import weakref
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from nlosid import (AngularGrid, AnnModel, CirTensor, ConfigError,
                     freq_kurtosis, ingest_sweeps, inputs_from_manifest,
                     label_clusters_with_truth, run_experiment, segment,
                     simulate_realization, time_kurtosis)
+from nlosid import experiment
 from nlosid.cli import main as cli_main
 from nlosid.experiment import (ERROR_TABLE_ROWS, BootstrapSpec,
                                _training_seed, extract_all)
@@ -266,6 +269,50 @@ def test_stored_documents_round_trip_byte_for_byte(tmp_path):
                       (tmp_path / "models" / "ann_model.json", AnnModel)):
         save_document(again, load_document(path, cls))
         assert again.read_bytes() == path.read_bytes()
+
+
+def simulate_on_cpus(monkeypatch, n_cpus, config, out):
+    """cmd_simulate on a process whose affinity set holds n_cpus CPUs.
+    Returns the worker count of the pool each tensor was written with (0
+    for none) and the exit code the error, if any, maps to."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    workers = []
+
+    def spy(cir, path, pool=None):
+        workers.append(0 if pool is None else pool._processes)
+        return save_cir_tensor(cir, path, pool)
+
+    monkeypatch.setattr(experiment, "save_cir_tensor", spy)
+    try:
+        cmd_simulate(config, out)
+    except DataFormatError:
+        return workers, 3
+    return workers, 0
+
+
+def test_simulate_writes_the_same_files_on_one_and_two_cpus(tmp_path,
+                                                            monkeypatch):
+    cfg = tiny_config(n_realizations=3, n_train=1, n_test=1)
+    files = []
+    for n_cpus in (1, 2):
+        out = tmp_path / f"cpus{n_cpus}"
+        assert simulate_on_cpus(monkeypatch, n_cpus, cfg, out) \
+            == ([n_cpus - 1] * 3, 0)
+        files.append(sorted((p.name, p.read_bytes()) for p in out.iterdir()))
+    assert len(files[0]) == 3 * 4 + 1 and files[0] == files[1]
+
+
+@pytest.mark.parametrize("snr_db", [60.0, -3000.0])
+def test_simulate_leaves_no_worker_running(snr_db, tmp_path, monkeypatch):
+    """The pool's workers are gone when simulate returns, and when a tensor
+    whose noise overflows complex64 (snr_db -3000) is refused."""
+    cfg = tiny_config(sim=small_sim(snr_db=snr_db), n_realizations=2,
+                      n_train=1, n_test=1)
+    workers, code = simulate_on_cpus(monkeypatch, 2, cfg, tmp_path)
+    assert workers[0] == 1 and code == (0 if snr_db > 0 else 3)
+    assert multiprocessing.active_children() == []
+    if code:
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_inputs_from_manifest_rejects_other_documents(tmp_path):
