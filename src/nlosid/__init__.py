@@ -17,9 +17,9 @@ from .classifiers import (AnnModel, GevPair, MlrModel, TrainSchedule,
 from .errors import (ConfigError, DataFormatError, DegenerateInputError,
                      EvaluationError, FitError, NlosIdError, NumericalError,
                      RenderError, TrainingError)
-from .experiment import (BootstrapSpec, ExperimentConfig, cmd_extract,
-                         cmd_simulate, extract_realization, ingest_sweeps,
-                         inputs_from_manifest, run_experiment)
+from .experiment import (BootstrapSpec, ExperimentConfig, Report,
+                         cmd_extract, cmd_simulate, extract_realization,
+                         ingest_sweeps, inputs_from_manifest, run_experiment)
 from .gevstats import (GevParams, bootstrap_split, cdf_rmse, gev_cdf,
                        gev_fit_mle, gev_pdf)
 from .metrics import (METRIC_NAMES, CoKurtosisMatrix, FeatureVector,

@@ -21,7 +21,7 @@ from .chansim import LOS, NLOS
 from .errors import (ConfigError, DataFormatError, EvaluationError,
                      NlosIdError, Record, TrainingError)
 from .gevstats import GevParams, gev_fit_mle, gev_pdf
-from .metrics import METRIC_NAMES, FeatureVector
+from .metrics import METRIC_NAMES
 
 # log density assigned to a metric value outside one fitted support; keeps
 # scores finite and ordered while still dominating any in-support term
@@ -140,20 +140,16 @@ def _validated_subset(metrics) -> tuple:
     return tuple(n for n in METRIC_NAMES if n in subset)
 
 
-def _table(features) -> tuple[np.ndarray, bool]:
-    """(n, 5) metric array of one feature vector or a sequence of them,
-    and whether a single vector was given."""
-    if isinstance(features, FeatureVector):
-        return features.values()[None, :], True
-    return np.array([f.values() for f in features]).reshape(-1, N_INPUT), False
+def _table(features) -> np.ndarray:
+    """(n, 5) metric array of a sequence of feature vectors."""
+    return np.array([f.values() for f in features]).reshape(-1, N_INPUT)
 
 
-def mlr_classify(model: MlrModel, features, metrics=None):
+def mlr_classify(model: MlrModel, features, metrics=None) -> list:
     """Sum of per-metric log density ratios; LOS wins at a non-negative sum.
 
-    features is one FeatureVector, giving one Verdict, or a sequence of
-    them, giving a list of Verdicts scored as whole columns: one density
-    evaluation per metric and class.
+    features is a sequence of FeatureVectors, giving a list of Verdicts
+    scored as whole columns: one density evaluation per metric and class.
 
     A metric value outside one class's support contributes the floored log
     density for that side and raises the support_violation flag.  A value
@@ -164,7 +160,7 @@ def mlr_classify(model: MlrModel, features, metrics=None):
     missing = set(names) - set(model.tables)
     if missing:
         raise DataFormatError(f"model has no tables for: {sorted(missing)}")
-    x, single = _table(features)
+    x = _table(features)
     score = np.zeros(len(x))
     violation = np.zeros(len(x), dtype=bool)
     unlike_both = np.zeros(len(x), dtype=bool)
@@ -179,10 +175,9 @@ def mlr_classify(model: MlrModel, features, metrics=None):
             score += (np.where(los_zero, LOG_DENSITY_FLOOR, np.log(f_los))
                       - np.where(nlos_zero, LOG_DENSITY_FLOOR, np.log(f_nlos)))
     score[unlike_both] = -math.inf
-    verdicts = [Verdict(decision=LOS if s >= 0.0 else NLOS, score=float(s),
-                        support_violation=bool(v))
-                for s, v in zip(score, violation)]
-    return verdicts[0] if single else verdicts
+    return [Verdict(decision=LOS if s >= 0.0 else NLOS, score=float(s),
+                    support_violation=bool(v))
+            for s, v in zip(score, violation)]
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +315,7 @@ def ann_train(model: AnnModel, features: list,
         raise TrainingError(
             f"need at least 2 samples per class, got {len(los)} LOS "
             f"and {len(nlos)} NLOS")
-    x, means, scales = _standardize(_table(features)[0])
+    x, means, scales = _standardize(_table(features))
     y = np.array([[1.0, 0.0] if f.label == LOS else [0.0, 1.0]
                   for f in features])
 
@@ -349,18 +344,17 @@ def ann_train(model: AnnModel, features: list,
                     feature_scales=scales, training=training)
 
 
-def ann_classify(model: AnnModel, features):
+def ann_classify(model: AnnModel, features) -> list:
     """LOS exactly when the LOS output probability is at least 0.5, so a
     tied output keeps the line-of-sight hypothesis.
 
-    features is one FeatureVector, giving one Verdict, or a sequence of
-    them, giving a list of Verdicts from one batched forward pass."""
-    x, single = _table(features)
+    features is a sequence of FeatureVectors, giving a list of Verdicts
+    from one batched forward pass."""
+    x = _table(features)
     a3 = _forward_batch(model.weights(),
                         (x - model.feature_means) / model.feature_scales)[2]
-    verdicts = [Verdict(decision=LOS if p >= 0.5 else NLOS, score=float(p))
-                for p in a3[:, 0]]
-    return verdicts[0] if single else verdicts
+    return [Verdict(decision=LOS if p >= 0.5 else NLOS, score=float(p))
+            for p in a3[:, 0]]
 
 
 def error_rates(decisions: list, truths: list) -> tuple[float, float]:

@@ -14,7 +14,7 @@ from .chansim import LOS, NLOS
 from .classifiers import (AnnModel, MlrModel, ann_classify, error_rates,
                           mlr_classify)
 from .errors import ConfigError, DataFormatError, NumericalError
-from .experiment import (ExperimentConfig, cmd_extract, cmd_simulate,
+from .experiment import (ExperimentConfig, Report, cmd_extract, cmd_simulate,
                          fit_gev_table, ingest_sweeps, inputs_from_manifest,
                          run_experiment, train_models)
 from .fileio import (load_document, load_features, load_json, load_sweep_csv,
@@ -97,7 +97,8 @@ def _run_fit(args) -> int:
     rows = [fv for _, fv in load_features(args.features)]
     _, table = fit_gev_table(rows)
     out = _out_path(args, "gev_table.json")
-    save_json(out, {"format": "gev_table", "metrics": table})
+    save_json(out, {"format": "gev_table", "metrics": {
+        name: pair.to_dict() for name, pair in table.items()}})
     print(f"wrote per-class distribution table to {out}")
     return 0
 
@@ -155,33 +156,27 @@ def _run_experiment(args) -> int:
 
 
 def _run_report(args) -> int:
-    report = load_json(args.report)
-    if report.get("format") != "report":
-        raise DataFormatError(f"{args.report}: not a report document")
-    try:    # the whole text first, so a malformed report prints nothing
-        counts = sorted(report.get("counts", {}).items())
-        lines = [f"mode: {report.get('mode')}",
-                 "counts: " + ", ".join(f"{k}={v}" for k, v in counts), "",
-                 "fitted distributions (training data)",
-                 f"{'metric':<12}{'class':<7}{'gamma':>10}{'mu':>12}"
-                 f"{'sigma':>12}{'cdf_rmse':>10}"]
-        lines += [f"{metric:<12}{key.upper():<7}{p['gamma']:>10.4f}"
-                  f"{p['mu']:>12.4f}{p['sigma']:>12.4f}{p['cdf_rmse']:>10.4f}"
-                  for metric, entry in report.get("gev_table", {}).items()
-                  for key in ("los", "nlos") for p in (entry[key],)]
-        lines += ["", *_error_table(report)]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(
-            f"{args.report}: malformed report: {exc}") from exc
+    report = load_document(args.report, Report)
+    counts = sorted(report.counts.items())
+    lines = [f"mode: {report.mode}",
+             "counts: " + ", ".join(f"{k}={v}" for k, v in counts), "",
+             "fitted distributions (training data)",
+             f"{'metric':<12}{'class':<7}{'gamma':>10}{'mu':>12}"
+             f"{'sigma':>12}{'cdf_rmse':>10}"]
+    lines += [f"{metric:<12}{key.upper():<7}{p.gamma:>10.4f}{p.mu:>12.4f}"
+              f"{p.sigma:>12.4f}{p.cdf_rmse:>10.4f}"
+              for metric, pair in report.gev_table.items()
+              for key, p in (("los", pair.los), ("nlos", pair.nlos))]
+    lines += ["", *_error_table(report)]
     print("\n".join(lines))
     return 0
 
 
-def _error_table(report: dict) -> list:
+def _error_table(report: Report) -> list:
     return ["error rates (held-out data)",
             f"{'rule':<12}{'type I':>10}{'type II':>10}",
-            *(f"{rule:<12}{e['type_i']:>10.3f}{e['type_ii']:>10.3f}"
-              for rule, e in report.get("error_table", {}).items())]
+            *(f"{rule:<12}{e.type_i:>10.3f}{e.type_ii:>10.3f}"
+              for rule, e in report.error_table.items())]
 
 
 def build_parser() -> argparse.ArgumentParser:

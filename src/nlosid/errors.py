@@ -52,11 +52,12 @@ class Record:
     """Field types and dict round trip of a frozen dataclass kept as JSON.
 
     A bool field takes bools, an int field integers, a float field real
-    numbers (never bools, stored as that type) and a str field strings; an
-    X | None field also takes None.  from_dict also parses Record fields,
-    tuples of them (JSON lists) and str-keyed dicts of them (JSON objects),
-    and raises the class's error for every value it or the class rejects:
-    ConfigError for config sections, DataFormatError for data."""
+    numbers (never bools, stored as that type), a str field strings and a
+    dict field objects; an X | None field also takes None.  from_dict also
+    parses Record fields, tuples of them (JSON lists) and str-keyed dicts
+    of them (JSON objects), and raises the class's error for every value
+    it or the class rejects: ConfigError for config sections,
+    DataFormatError for data."""
 
     error = ConfigError
 
@@ -106,7 +107,8 @@ class Record:
 
 
 _SCALARS = {bool: (bool, "a boolean"), int: (numbers.Integral, "an integer"),
-            float: (numbers.Real, "a real number"), str: (str, "a string")}
+            float: (numbers.Real, "a real number"), str: (str, "a string"),
+            dict: (dict, "an object")}
 _NOUNS = {list: "a list", dict: "an object"}
 
 

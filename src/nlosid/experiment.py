@@ -17,21 +17,22 @@ byte-reproducible.
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .chansim import (LOS, NLOS, STREAM_TRAINING, CirTensor, SimConfig,
                       simulate_realization)
-from .classifiers import (TrainSchedule, ann_classify, ann_init, ann_train,
-                          error_rates, mlr_classify, mlr_train)
+from .classifiers import (GevPair, TrainSchedule, ann_classify, ann_init,
+                          ann_train, error_rates, mlr_classify, mlr_train)
 from .errors import (ConfigError, DataFormatError, DegenerateInputError,
                      EvaluationError, Record)
 from .fileio import (Realization, SimulationManifest, load_cir_tensor,
                      load_document, load_features, load_truth,
                      save_cir_tensor, save_csv, save_document, save_features,
-                     save_json, save_pas_json, save_truth)
-from .gevstats import bootstrap_split, cdf_rmse, gev_cdf, gev_pdf
+                     save_pas_json, save_truth)
+from .gevstats import GevParams, bootstrap_split, cdf_rmse, gev_cdf, gev_pdf
 from .metrics import METRIC_NAMES, MetricConfig, cluster_features
 from .pas import AngularGrid, compute_pas, wrap_angle_deg
 from .segmentation import SegParams, label_clusters_with_truth, segment
@@ -83,6 +84,46 @@ class ExperimentConfig(Record):
             raise ConfigError(
                 f"n_train + n_test = {self.n_train + self.n_test} exceeds "
                 f"n_realizations = {self.n_realizations}")
+
+
+@dataclass(frozen=True)
+class GevFit(GevParams):
+    """Fitted parameters and their cdf's RMSE against the fitted sample."""
+
+    cdf_rmse: float
+
+
+@dataclass(frozen=True)
+class FitPair(GevPair):
+    los: GevFit
+    nlos: GevFit
+
+
+@dataclass(frozen=True)
+class ErrorRates(Record):
+    """Type I: true LOS decided NLOS; type II: true NLOS decided LOS."""
+
+    error = DataFormatError
+
+    type_i: float
+    type_ii: float
+
+
+@dataclass(frozen=True)
+class Report(Record):
+    """report.json: tables keyed by metric, and by "joint_mlr" and "ann"
+    for the error table; counts, diagnostics and curves vary by mode."""
+
+    FORMAT = "report"
+    error = DataFormatError
+
+    mode: str
+    config: ExperimentConfig
+    counts: dict
+    gev_table: dict[str, FitPair]
+    error_table: dict[str, ErrorRates]
+    diagnostics: dict
+    curves: dict
 
 
 def _training_seed(master_seed: int, repeat: int) -> int:
@@ -233,11 +274,13 @@ def ingest_sweeps(sweeps: dict, grid: AngularGrid,
                 "are one grid direction".format(*owners[pixel], az, el))
         owners[pixel] = (az, el)
     lookup = {pixel: sweeps[key] for pixel, key in owners.items()}
-    missing = [grid.angles_of(*pixel) for pixel in np.ndindex(grid.shape)
-               if pixel not in lookup]
-    if missing:
-        shown = ", ".join(f"(az={az:g}, el={el:g})" for el, az in missing[:8])
-        more = f" and {len(missing) - 8} more" if len(missing) > 8 else ""
+    n_missing = grid.n_el * grid.n_az - len(lookup)
+    if n_missing:     # found lazily, as a grid can be too large to list
+        missing = ((i, j) for i in range(grid.n_el) for j in range(grid.n_az)
+                   if (i, j) not in lookup)
+        shown = ", ".join("(az={1:g}, el={0:g})".format(*grid.angles_of(*p))
+                          for p in islice(missing, 8))
+        more = f" and {n_missing - 8} more" if n_missing > 8 else ""
         raise DataFormatError(f"sweeps missing grid directions: {shown}{more}")
 
     if window not in ("hann", "none"):
@@ -274,19 +317,18 @@ def ingest_sweeps(sweeps: dict, grid: AngularGrid,
 
 def fit_gev_table(train_rows: list):
     """Fit the ratio-test model and tabulate its per-metric, per-class
-    parameters with cdf fit quality.  Returns (model, table)."""
+    parameters with cdf fit quality.  Returns (model, {metric: FitPair})."""
     model = mlr_train(train_rows)
-    table = {}
-    for name in METRIC_NAMES:
-        entry = {}
-        for label, key in ((LOS, "los"), (NLOS, "nlos")):
-            values = np.array([f.metric(name) for f in train_rows
-                               if f.label == label])
-            params = model.params(name, label)
-            entry[key] = {**params.to_dict(),
-                          "cdf_rmse": cdf_rmse(values, params)}
-        table[name] = entry
-    return model, table
+
+    def fit(name, label):
+        values = np.array([f.metric(name) for f in train_rows
+                           if f.label == label])
+        params = model.params(name, label)
+        return GevFit(params.gamma, params.mu, params.sigma,
+                      cdf_rmse(values, params))
+
+    return model, {name: FitPair(fit(name, LOS), fit(name, NLOS))
+                   for name in METRIC_NAMES}
 
 
 def train_models(rows: list, config: ExperimentConfig, repeat: int = 0):
@@ -304,7 +346,7 @@ def _evaluate(mlr_model, ann_model, test_rows: list) -> dict:
                 for name in METRIC_NAMES}
     verdicts["joint_mlr"] = mlr_classify(mlr_model, test_rows)
     verdicts["ann"] = ann_classify(ann_model, test_rows)
-    return {row: dict(zip(("type_i", "type_ii"), error_rates(decided, truths)))
+    return {row: ErrorRates(*error_rates(decided, truths))
             for row, decided in verdicts.items()}
 
 
@@ -343,19 +385,18 @@ def _write_curves(out_dir: Path, train_rows: list, mlr_model) -> list:
 # full protocols
 
 
-def run_experiment(config: ExperimentConfig, out_dir) -> dict:
+def run_experiment(config: ExperimentConfig, out_dir) -> Report:
     """Run the configured protocol end to end, write its artifacts under
-    out_dir, and return the report dictionary."""
+    out_dir, and return the Report written to report.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run = _run_simulated if config.mode == "simulate" else _run_measured
-    report = {"format": "report", "mode": config.mode,
-              "config": config.to_dict(), **run(config, out)}
-    save_json(out / "report.json", report)
+    report = run(config, out)
+    save_document(out / "report.json", report)
     return report
 
 
-def _run_simulated(config: ExperimentConfig, out: Path) -> dict:
+def _run_simulated(config: ExperimentConfig, out: Path) -> Report:
     rows, log = extract_all(simulated_realizations(config), config.seg,
                             config.metric)
     save_features(out / "features.csv", rows)
@@ -368,24 +409,20 @@ def _run_simulated(config: ExperimentConfig, out: Path) -> dict:
     error_table = _evaluate(mlr_model, ann_model, test_rows)
     curves = _write_curves(out, train_rows, mlr_model)
 
-    return {
-        "counts": {
-            "n_realizations": config.n_realizations,
-            "feature_rows": len(rows),
-            "train_rows": len(train_rows),
-            "test_rows": len(test_rows),
-            "skipped_clusters": log["skipped_clusters"],
-            "los_missed": log["los_missed"],
-        },
-        "gev_table": gev_table,
-        "error_table": error_table,
-        "diagnostics": {"network_training": ann_model.training,
-                        "per_realization": log["realizations"]},
-        "curves": {"files": curves},
-    }
+    return Report(
+        config.mode, config,
+        counts={"n_realizations": config.n_realizations,
+                "feature_rows": len(rows), "train_rows": len(train_rows),
+                "test_rows": len(test_rows),
+                "skipped_clusters": log["skipped_clusters"],
+                "los_missed": log["los_missed"]},
+        gev_table=gev_table, error_table=error_table,
+        diagnostics={"network_training": ann_model.training,
+                     "per_realization": log["realizations"]},
+        curves={"files": curves})
 
 
-def _run_measured(config: ExperimentConfig, out: Path) -> dict:
+def _run_measured(config: ExperimentConfig, out: Path) -> Report:
     if config.features_csv is None:
         raise ConfigError("measured mode needs features_csv in the config")
     loaded = load_features(config.features_csv)
@@ -422,22 +459,20 @@ def _run_measured(config: ExperimentConfig, out: Path) -> dict:
             f"all {boot.repeats} bootstrap repeats were skipped: both classes "
             f"must appear in each evaluation set of {boot.n_test} samples")
 
-    return {
-        "counts": {
-            "n_samples": len(sample_ids),
-            "feature_rows": len(loaded),
-            "repeats": boot.repeats,
-            "skipped_repeats": boot.repeats - len(repeat_tables),
-        },
-        "gev_table": _average(repeat_tables),
-        "error_table": _average(repeat_errors),
-        "diagnostics": {"per_repeat": diags},
-        "curves": {"files": []},
-    }
+    return Report(
+        config.mode, config,
+        counts={"n_samples": len(sample_ids), "feature_rows": len(loaded),
+                "repeats": boot.repeats,
+                "skipped_repeats": boot.repeats - len(repeat_tables)},
+        gev_table=_average(repeat_tables),
+        error_table=_average(repeat_errors),
+        diagnostics={"per_repeat": diags}, curves={"files": []})
 
 
 def _average(docs: list):
-    """Entry-by-entry mean of nested dicts that share one layout."""
+    """Entry-by-entry mean of Records or nested dicts of one layout."""
+    if isinstance(docs[0], Record):
+        return type(docs[0]).from_dict(_average([d.to_dict() for d in docs]))
     if isinstance(docs[0], dict):
         return {key: _average([d[key] for d in docs]) for key in docs[0]}
     return float(np.mean(docs))

@@ -9,9 +9,9 @@ manifest with a sibling raw binary of little-endian float32 (re, im) pairs
 in (elevation, azimuth, tap) index order, written one elevation row at a
 time (the rows split, when a process pool is given, between its workers
 and the caller, each seeking to its own rows of a file sized first) and
-kept as complex64 when read.  Every JSON document read back but
-the report is a Record, or the network model with its own array
-conversion, tagged with its FORMAT; see save_document and load_document.
+kept as complex64 when read.  Every JSON document read back is a Record,
+or the network model with its own array conversion, tagged with its
+FORMAT; see save_document and load_document.
 """
 
 import csv
@@ -39,8 +39,9 @@ def save_json(path, obj) -> None:
 
 
 def _read_text(path) -> str:
+    """A file's UTF-8 text with its line ends as stored."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(
             f"{path}: not UTF-8 text (byte {exc.start})") from exc
@@ -64,8 +65,8 @@ def load_json(path) -> dict:
 
 
 def _read_csv(path) -> tuple[list, list]:
-    """A CSV file's stripped header fields, and all its lines."""
-    lines = _read_text(path).splitlines()
+    """A CSV file's stripped header fields, and its lines with their ends."""
+    lines = _read_text(path).splitlines(keepends=True)
     if not lines:
         raise DataFormatError(f"{path}: file is empty")
     return [h.strip() for h in lines[0].split(",")], lines
@@ -86,7 +87,7 @@ def _records(path, lines, n_fields, parse):
                     f"expected {n_fields} fields, got {len(fields)}")
             record = parse(fields)
         except ValueError as exc:
-            offset = sum(len(before) + 1 for before in lines[:lineno - 1])
+            offset = sum(len(before.encode()) for before in lines[:lineno - 1])
             raise DataFormatError(
                 f"{path}: line {lineno} (byte {offset}): {exc}") from exc
         yield record

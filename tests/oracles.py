@@ -280,17 +280,19 @@ _SWEEP_HEADER = ["az_deg", "el_deg", "freq_ghz", "re", "im"]
 def read_csv_oracle(path) -> tuple[list, list]:
     """A CSV file's stripped header fields, and (location, stripped fields)
     for each non-blank line after it; the location names the file, line
-    and byte offset for error messages."""
-    lines = _read_text(path).splitlines()
-    if not lines:
+    and offset in the bytes as stored, for error messages."""
+    _read_text(path)        # refuses a file that is not UTF-8
+    raw = Path(path).read_bytes().splitlines(keepends=True)
+    if not raw:
         raise DataFormatError(f"{path}: file is empty")
+    lines = [line.decode("utf-8") for line in raw]
     records = []
-    offset = len(lines[0]) + 1
+    offset = len(raw[0])
     for lineno, line in enumerate(lines[1:], start=2):
         if line.strip():
             records.append((f"{path}: line {lineno} (byte {offset})",
                             [p.strip() for p in line.split(",")]))
-        offset += len(line) + 1
+        offset += len(raw[lineno - 1])
     return [h.strip() for h in lines[0].split(",")], records
 
 

@@ -4,6 +4,7 @@ Each test states its tolerance inline and fails with the measured value,
 so a verbose run reads as a pass/fail checklist for the whole package.
 """
 
+import hashlib
 import math
 import time
 from pathlib import Path
@@ -186,8 +187,8 @@ def test_criterion_04_scale_invariance_of_features_and_decisions():
     clusters, _, cir = simulate_realization(sim, 7, 40)
     base_rows, _ = extract_realization(cir, clusters, seg, metric)
     assert len(base_rows) >= 2
-    base_mlr = [mlr_classify(mlr_model, fv).decision for fv in base_rows]
-    base_ann = [ann_classify(ann_model, fv).decision for fv in base_rows]
+    base_mlr = [mlr_classify(mlr_model, [fv])[0].decision for fv in base_rows]
+    base_ann = [ann_classify(ann_model, [fv])[0].decision for fv in base_rows]
 
     for c in (1e-3, 1.0, 1e3):
         scaled = CirTensor.dense(cir.grid, cir.sample_rate_ghz, cir.data * c)
@@ -196,9 +197,9 @@ def test_criterion_04_scale_invariance_of_features_and_decisions():
         for fv, ref in zip(rows, base_rows):
             np.testing.assert_allclose(fv.values(), ref.values(), rtol=1e-9,
                                        atol=0.0)
-        assert [mlr_classify(mlr_model, fv).decision for fv in rows] \
+        assert [mlr_classify(mlr_model, [fv])[0].decision for fv in rows] \
             == base_mlr
-        assert [ann_classify(ann_model, fv).decision for fv in rows] \
+        assert [ann_classify(ann_model, [fv])[0].decision for fv in rows] \
             == base_ann
 
 
@@ -283,7 +284,7 @@ def test_criterion_06_network_gradients_and_training(monkeypatch):
         assert loss <= prev, f"loss rose at iteration {iteration}"
         prev = loss
     assert model.training["loss"] <= min(losses)
-    verdicts = [ann_classify(model, f) for f in feats]
+    verdicts = [ann_classify(model, [f])[0] for f in feats]
     wrong = sum(1 for v, f in zip(verdicts, feats) if v.decision != f.label)
     assert wrong == 0, f"{wrong} of {len(feats)} training points missed"
 
@@ -296,7 +297,7 @@ def test_criterion_07_ratio_test_worked_example():
     nlos = GevParams(gamma=-0.6214, mu=0.5588, sigma=0.2789)
     model = MlrModel({"r_p": GevPair(los, nlos)})
     fv = make_fv(r_p=0.95)
-    verdict = mlr_classify(model, fv, metrics=["r_p"])
+    verdict = mlr_classify(model, [fv], metrics=["r_p"])[0]
 
     def direct_density(x, g, m, s):
         z = (x - m) / s
@@ -331,15 +332,14 @@ def test_criterion_08_reference_campaign_statistics(reference_run):
     assert median(nlos, "tau_mean_ns") > median(los, "tau_mean_ns")
     assert median(nlos, "tau_rms_ns") > median(los, "tau_rms_ns")
 
-    joint = report["error_table"]["joint_mlr"]
-    assert joint["type_i"] <= 0.20, f"joint type I {joint['type_i']}"
-    assert joint["type_ii"] <= 0.20, f"joint type II {joint['type_ii']}"
+    joint = report.error_table["joint_mlr"]
+    assert joint.type_i <= 0.20, f"joint type I {joint.type_i}"
+    assert joint.type_ii <= 0.20, f"joint type II {joint.type_ii}"
 
-    ann = report["error_table"]["ann"]
-    assert ann["type_i"] <= 0.15, f"network type I {ann['type_i']}"
-    assert ann["type_ii"] <= 0.15, f"network type II {ann['type_ii']}"
-    assert ann["type_i"] <= joint["type_i"] \
-        or ann["type_ii"] <= joint["type_ii"]
+    ann = report.error_table["ann"]
+    assert ann.type_i <= 0.15, f"network type I {ann.type_i}"
+    assert ann.type_ii <= 0.15, f"network type II {ann.type_ii}"
+    assert ann.type_i <= joint.type_i or ann.type_ii <= joint.type_ii
 
 
 def test_criterion_09_reports_are_byte_reproducible(reference_run, tmp_path):
@@ -349,6 +349,14 @@ def test_criterion_09_reports_are_byte_reproducible(reference_run, tmp_path):
     run_experiment(config, tmp_path)
     assert (tmp_path / "report.json").read_bytes() \
         == (out / "report.json").read_bytes()
+
+
+def test_reference_report_bytes_are_pinned(reference_run):
+    """The reference report.json, byte for byte.  Not one of the criteria:
+    a change that moves these bytes edits the digest and says why."""
+    out = reference_run[2]
+    assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() \
+        == "17d07f860e94e8b34625b4cd5c947ccd72b15e0ed903f0b95d4bf9d7ac412744"
 
 
 def test_criterion_10_measured_protocol_averages_disjoint_splits(tmp_path):
@@ -366,9 +374,9 @@ def test_criterion_10_measured_protocol_averages_disjoint_splits(tmp_path):
         schedule=TrainSchedule(max_epochs=300), seed=42)
     report = run_experiment(config, tmp_path)
 
-    assert report["counts"] == {"n_samples": 50, "feature_rows": 100,
-                                "repeats": 10, "skipped_repeats": 0}
-    assert len(report["diagnostics"]["per_repeat"]) == 10
+    assert report.counts == {"n_samples": 50, "feature_rows": 100,
+                             "repeats": 10, "skipped_repeats": 0}
+    assert len(report.diagnostics["per_repeat"]) == 10
 
     splits = bootstrap_split(50, 30, 20, 10, seed=42)
     assert len(splits) == 10
@@ -379,7 +387,7 @@ def test_criterion_10_measured_protocol_averages_disjoint_splits(tmp_path):
 
     # each repeat scores 20 LOS and 20 NLOS rows, so every averaged rate
     # is a multiple of 1 / (20 * 10)
-    for entry in report["error_table"].values():
-        for value in (entry["type_i"], entry["type_ii"]):
+    for entry in report.error_table.values():
+        for value in (entry.type_i, entry.type_ii):
             assert 0.0 <= value <= 1.0
             assert abs(value * 200 - round(value * 200)) < 1e-9

@@ -40,7 +40,7 @@ def zero_model(b3=(0.0, 0.0)) -> AnnModel:
 
 
 def test_identical_hypotheses_score_zero_resolves_los():
-    v = mlr_classify(same_params_model(), make_fv())
+    v = mlr_classify(same_params_model(), [make_fv()])[0]
     assert v.score == 0.0
     assert v.decision == LOS
     assert not v.support_violation
@@ -59,8 +59,8 @@ def test_joint_score_is_sum_of_singletons():
             "tau_rms_ns": GevParams(0.0483, 5.590, 1.195)}
     model = MlrModel({n: GevPair(los[n], nlos[n]) for n in METRIC_NAMES})
     fv = make_fv(r_p=0.8, k_t=250.0, k_f=2.5, tau_mean_ns=3.0, tau_rms_ns=5.0)
-    joint = mlr_classify(model, fv)
-    parts = [mlr_classify(model, fv, metrics=[n]).score
+    joint = mlr_classify(model, [fv])[0]
+    parts = [mlr_classify(model, [fv], metrics=[n])[0].score
              for n in METRIC_NAMES]
     assert joint.score == sum(parts)
 
@@ -68,11 +68,12 @@ def test_joint_score_is_sum_of_singletons():
 def test_score_monotone_in_likelihood_ratio():
     model = MlrModel({"r_p": GevPair(GevParams(-0.5, 0.9, 0.05),
                                      GevParams(-0.5, 0.5, 0.2))})
-    scores = [mlr_classify(model, make_fv(r_p=x), metrics=["r_p"]).score
+    scores = [mlr_classify(model, [make_fv(r_p=x)], metrics=["r_p"])[0].score
               for x in (0.5, 0.7, 0.85, 0.92)]
     assert scores == sorted(scores)
-    assert mlr_classify(model, make_fv(r_p=0.92), metrics=["r_p"]).decision == LOS
-    assert mlr_classify(model, make_fv(r_p=0.45), metrics=["r_p"]).decision == NLOS
+    assert [v.decision for v in mlr_classify(
+        model, [make_fv(r_p=0.92), make_fv(r_p=0.45)], metrics=["r_p"])] \
+        == [LOS, NLOS]
 
 
 def test_one_sided_support_violation_uses_floor():
@@ -83,7 +84,7 @@ def test_one_sided_support_violation_uses_floor():
     assert gev_pdf(x, model.params("r_p", LOS)) == 0.0
     f_nlos = gev_pdf(x, model.params("r_p", NLOS))
     assert f_nlos > 0.0
-    v = mlr_classify(model, make_fv(r_p=x), metrics=["r_p"])
+    v = mlr_classify(model, [make_fv(r_p=x)], metrics=["r_p"])[0]
     assert v.support_violation
     assert v.score == pytest.approx(LOG_DENSITY_FLOOR - math.log(f_nlos))
     assert v.decision == NLOS
@@ -93,7 +94,7 @@ def test_point_outside_both_supports_is_nlos():
     pair = GevPair(GevParams(-1.0, 0.9, 0.05), GevParams(-1.0, 0.5, 0.1))
     gumbel = GevParams(0.0, 300.0, 50.0)
     model = MlrModel({"r_p": pair, "k_t": GevPair(gumbel, gumbel)})
-    v = mlr_classify(model, make_fv(r_p=5.0), metrics=["r_p", "k_t"])
+    v = mlr_classify(model, [make_fv(r_p=5.0)], metrics=["r_p", "k_t"])[0]
     assert v.decision == NLOS
     assert v.score == -math.inf
     assert v.support_violation
@@ -102,21 +103,21 @@ def test_point_outside_both_supports_is_nlos():
 def test_metric_subset_validation():
     model = same_params_model()
     with pytest.raises(ConfigError):
-        mlr_classify(model, make_fv(), metrics=["r_p", "bogus"])
+        mlr_classify(model, [make_fv()], metrics=["r_p", "bogus"])
     with pytest.raises(ConfigError):
-        mlr_classify(model, make_fv(), metrics=[])
+        mlr_classify(model, [make_fv()], metrics=[])
     # the model, not the request, lacks the metric
     gumbel = GevParams(0.0, 1.0, 1.0)
     small = MlrModel({"r_p": GevPair(gumbel, gumbel)})
     with pytest.raises(DataFormatError, match="no tables for"):
-        mlr_classify(small, make_fv(), metrics=["k_t"])
+        mlr_classify(small, [make_fv()], metrics=["k_t"])
 
 
 def test_subset_order_does_not_change_score():
     model = same_params_model()
     fv = make_fv()
-    a = mlr_classify(model, fv, metrics=["k_f", "r_p"])
-    b = mlr_classify(model, fv, metrics=["r_p", "k_f"])
+    a = mlr_classify(model, [fv], metrics=["k_f", "r_p"])[0]
+    b = mlr_classify(model, [fv], metrics=["r_p", "k_f"])[0]
     assert a.score == b.score
 
 
@@ -133,7 +134,7 @@ def test_mlr_train_class_floor():
 def test_mlr_train_separates_engineered_classes():
     feats = separable_features(n_per_class=60)
     model = mlr_train(feats)
-    verdicts = [mlr_classify(model, f, metrics=["r_p"]) for f in feats]
+    verdicts = [mlr_classify(model, [f], metrics=["r_p"])[0] for f in feats]
     wrong = sum(1 for v, f in zip(verdicts, feats) if v.decision != f.label)
     assert wrong == 0
 
@@ -167,7 +168,7 @@ def test_ratio_test_table_matches_rows(pairs, subset, all_tied, values):
     for fv, verdict in zip(rows, table):
         score, violation = oracles.ratio_score_oracle(model, fv, names,
                                                       LOG_DENSITY_FLOOR)
-        row = mlr_classify(model, fv, metrics=subset)
+        row = mlr_classify(model, [fv], metrics=subset)[0]
         assert verdict.decision == row.decision \
             == (LOS if score >= 0.0 else NLOS)
         assert verdict.support_violation == row.support_violation == violation
@@ -189,7 +190,7 @@ def test_network_table_matches_rows(seed, zero, values):
     assert len(table) == len(rows)
     for fv, verdict in zip(rows, table):
         score = oracles.network_score_oracle(model, fv)
-        assert verdict.decision == ann_classify(model, fv).decision
+        assert verdict.decision == ann_classify(model, [fv])[0].decision
         assert verdict.decision == (LOS if score >= 0.5 else NLOS)
         assert not verdict.support_violation
         assert verdict.score == pytest.approx(score, rel=1e-12, abs=0.0)
@@ -214,7 +215,7 @@ def test_zero_network_outputs_half():
     assert np.array_equal(a3, [[0.5, 0.5]])
     assert np.all(a1 == 0.0) and np.all(a2 == 0.0)
     # a tie keeps the line-of-sight hypothesis
-    v = ann_classify(zero_model(), make_fv())
+    v = ann_classify(zero_model(), [make_fv()])[0]
     assert v.decision == LOS and v.score == 0.5
 
 
@@ -229,11 +230,11 @@ def test_softmax_rows_normalized(rng):
 
 def test_output_bias_pins_probabilities():
     model = zero_model(b3=(math.log(0.9), math.log(0.1)))
-    v = ann_classify(model, make_fv())
+    v = ann_classify(model, [make_fv()])[0]
     assert v.score == pytest.approx(0.9, abs=1e-12)
     assert v.decision == LOS
     flipped = zero_model(b3=(math.log(0.1), math.log(0.9)))
-    v = ann_classify(flipped, make_fv())
+    v = ann_classify(flipped, [make_fv()])[0]
     assert v.score == pytest.approx(0.1, abs=1e-12)
     assert v.decision == NLOS
 
@@ -291,7 +292,7 @@ def test_training_reaches_perfect_accuracy_on_separable_data():
     feats = separable_features(n_per_class=40)
     model = ann_train(ann_init(0), feats,
                       TrainSchedule(max_epochs=2000))
-    verdicts = [ann_classify(model, f) for f in feats]
+    verdicts = [ann_classify(model, [f])[0] for f in feats]
     assert all(v.decision == f.label for v, f in zip(verdicts, feats))
 
 
@@ -335,8 +336,8 @@ def test_consistent_feature_rescaling_keeps_decisions():
     base = ann_train(ann_init(1), feats, TrainSchedule(max_epochs=400))
     moved = ann_train(ann_init(1), scaled, TrainSchedule(max_epochs=400))
     for f, g in zip(feats, scaled):
-        assert ann_classify(base, f).score == pytest.approx(
-            ann_classify(moved, g).score, abs=1e-9)
+        assert ann_classify(base, [f])[0].score == pytest.approx(
+            ann_classify(moved, [g])[0].score, abs=1e-9)
 
 
 def test_non_finite_training_loss_raises():

@@ -418,6 +418,10 @@ _SWEEP_REPEATED_ROW = "\n".join(
 _INGEST = ["ingest", "x.csv", "--az", "0:2:2", "--el", "0:2:2"]
 _EXTRACT_MANIFEST = ["extract", "--manifest", "s.json"]
 _REPORT = ["report", "r.json"]
+# a minimal valid report: the default config, empty tables
+_REPORT_DOC = {"format": "report", "mode": "simulate", "config": {},
+               "counts": {}, "gev_table": {}, "error_table": {},
+               "diagnostics": {}, "curves": {}}
 
 
 def _truth_files(**centre):
@@ -428,6 +432,12 @@ def _truth_files(**centre):
             "s.json": {"format": "simulation", "realizations": [
                 {"index": 0, "cir": "t.json", "truth": "u.json"}]},
             "u.json": {"format": "truth", "clusters": [cluster]}}
+
+
+def _report_files(**changes):
+    """The minimal report with fields replaced, or dropped where None."""
+    doc = {**_REPORT_DOC, **changes}
+    return {"r.json": {k: v for k, v in doc.items() if v is not None}}
 
 
 def _mlr_files(tables):
@@ -697,15 +707,33 @@ MALFORMED_INPUTS = {
         {"c.json": {"sim": {"n_taps": 2 ** 70}}}, _SIMULATE, 2,
         "SimConfig.n_taps is too large"),
     "report_gev_entry_number": (
-        {"r.json": {"format": "report", "gev_table": {"r_p": 5}}}, _REPORT,
-        3, "r.json: malformed report"),
-    "report_counts_list": ({"r.json": {"format": "report", "counts": [1]}},
-                           _REPORT, 3, "r.json: malformed report"),
+        _report_files(gev_table={"r_p": 5}), _REPORT, 3,
+        "r.json: FitPair must be an object, got int"),
+    "report_counts_list": (_report_files(counts=[1]), _REPORT, 3,
+                           "r.json: Report.counts must be an object, got [1]"),
     "report_type_i_string": (
-        {"r.json": {"format": "report", "error_table": {
-            "ann": {"type_i": "0.1", "type_ii": 0.0}}}}, _REPORT, 3,
-        "r.json: malformed report"),
+        _report_files(error_table={"ann": {"type_i": "0.1", "type_ii": 0.0}}),
+        _REPORT, 3,
+        "r.json: ErrorRates.type_i must be a real number, got '0.1'"),
+    "report_without_error_table": (
+        _report_files(error_table=None), _REPORT, 3,
+        "r.json: bad Report: Report.__init__() missing 1 required "
+        "positional argument: 'error_table'"),
+    "ingest_el_axis_too_large": (
+        {"x.csv": "az_deg,el_deg,freq_ghz,re,im\n" + "".join(
+            f"0,0,{60.0 + 0.25 * k},1,0\n" for k in range(8))},
+        ["ingest", "x.csv", "--az", "0:2:2", "--el=-30:1e308:5"], 3,
+        "sweeps missing grid directions: (az=0, el=-30), (az=2, el=-30)"),
 }
+
+
+def test_the_minimal_report_prints(tmp_path, monkeypatch, capsys):
+    """The report cases above each break one field of a report that
+    prints."""
+    monkeypatch.chdir(tmp_path)
+    save_json(tmp_path / "r.json", _REPORT_DOC)
+    assert main(_REPORT) == 0
+    assert capsys.readouterr().out.startswith("mode: simulate\ncounts: \n")
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))

@@ -19,7 +19,7 @@ from nlosid import (AngularGrid, AnnModel, CirTensor, ConfigError,
                     simulate_realization, time_kurtosis)
 from nlosid import experiment
 from nlosid.cli import main as cli_main
-from nlosid.experiment import (ERROR_TABLE_ROWS, BootstrapSpec,
+from nlosid.experiment import (ERROR_TABLE_ROWS, BootstrapSpec, Report,
                                _training_seed, extract_all)
 from nlosid.fileio import (SimulationManifest, TensorManifest, Truth,
                            load_cir_tensor, load_document, load_features,
@@ -176,26 +176,27 @@ def test_extract_all_drops_each_tensor_before_the_next_loads(tmp_path):
 
 
 def test_report_structure(tiny_run):
-    report, _ = tiny_run
-    assert report["format"] == "report"
-    assert report["mode"] == "simulate"
-    assert set(report) == {"format", "mode", "config", "counts", "gev_table",
-                           "error_table", "diagnostics", "curves"}
-    assert set(report["error_table"]) == set(ERROR_TABLE_ROWS)
+    report, out = tiny_run
+    doc = load_json(out / "report.json")
+    assert doc["format"] == "report"
+    assert report.mode == doc["mode"] == "simulate"
+    assert set(doc) == {"format", "mode", "config", "counts", "gev_table",
+                        "error_table", "diagnostics", "curves"}
+    assert set(report.error_table) == set(ERROR_TABLE_ROWS)
     for row in ERROR_TABLE_ROWS:
-        entry = report["error_table"][row]
-        assert 0.0 <= entry["type_i"] <= 1.0
-        assert 0.0 <= entry["type_ii"] <= 1.0
-    assert set(report["gev_table"]) == set(METRIC_NAMES)
+        entry = report.error_table[row]
+        assert 0.0 <= entry.type_i <= 1.0
+        assert 0.0 <= entry.type_ii <= 1.0
+    assert set(report.gev_table) == set(METRIC_NAMES)
     for name in METRIC_NAMES:
         for key in ("los", "nlos"):
-            cell = report["gev_table"][name][key]
+            cell = doc["gev_table"][name][key]
             assert set(cell) == {"gamma", "mu", "sigma", "cdf_rmse"}
             assert cell["sigma"] > 0
-    counts = report["counts"]
+    counts = report.counts
     assert counts["n_realizations"] == 45
     assert counts["feature_rows"] >= counts["train_rows"] + counts["test_rows"]
-    assert len(report["diagnostics"]["per_realization"]) == 45
+    assert len(report.diagnostics["per_realization"]) == 45
 
 
 def test_artifacts_written(tiny_run):
@@ -203,7 +204,7 @@ def test_artifacts_written(tiny_run):
     for name in ("report.json", "features.csv", "mlr_model.json",
                  "ann_model.json"):
         assert (out / name).exists()
-    curve_files = report["curves"]["files"]
+    curve_files = report.curves["files"]
     assert len(curve_files) == 2 * len(METRIC_NAMES)
     for rel in curve_files:
         path = out / rel
@@ -217,8 +218,8 @@ def test_feature_rows_use_leading_realizations_for_training(tiny_run):
     rows = load_features(out / "features.csv")
     train = [fv for i, fv in rows if i < 30]
     test = [fv for i, fv in rows if 30 <= i < 45]
-    assert len(train) == report["counts"]["train_rows"]
-    assert len(test) == report["counts"]["test_rows"]
+    assert len(train) == report.counts["train_rows"]
+    assert len(test) == report.counts["test_rows"]
     for label in ("LOS", "NLOS"):
         assert sum(1 for fv in train if fv.label == label) >= 20
 
@@ -452,15 +453,15 @@ def measured_config(csv_path) -> ExperimentConfig:
 
 def test_measured_mode_bootstraps_over_samples(measured_csv, tmp_path):
     report = run_experiment(measured_config(measured_csv), tmp_path)
-    assert report["mode"] == "measured"
-    assert report["counts"] == {"n_samples": 50, "feature_rows": 100,
-                                "repeats": 10, "skipped_repeats": 0}
-    diags = report["diagnostics"]["per_repeat"]
+    assert report.mode == "measured"
+    assert report.counts == {"n_samples": 50, "feature_rows": 100,
+                             "repeats": 10, "skipped_repeats": 0}
+    diags = report.diagnostics["per_repeat"]
     assert len(diags) == 10
     for d in diags:
         assert d["train_rows"] == 60 and d["test_rows"] == 40
-    assert report["curves"]["files"] == []
-    assert set(report["error_table"]) == set(ERROR_TABLE_ROWS)
+    assert report.curves["files"] == []
+    assert set(report.error_table) == set(ERROR_TABLE_ROWS)
 
 
 def test_measured_mode_is_byte_reproducible(measured_csv, tmp_path):
@@ -469,6 +470,22 @@ def test_measured_mode_is_byte_reproducible(measured_csv, tmp_path):
     run_experiment(measured_config(measured_csv), a)
     run_experiment(measured_config(measured_csv), b)
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+
+def test_loaded_reports_save_their_own_bytes(tiny_run, measured_csv,
+                                            tmp_path):
+    """report.json read back as a Report and saved again is the same file,
+    in both modes, and the simulated one equals what run_experiment
+    returned."""
+    report, simulated = tiny_run
+    assert load_document(simulated / "report.json", Report) == report
+    measured = tmp_path / "measured"
+    run_experiment(measured_config(measured_csv), measured)
+    for out in (simulated, measured):
+        save_document(tmp_path / "again.json",
+                      load_document(out / "report.json", Report))
+        assert (tmp_path / "again.json").read_bytes() \
+            == (out / "report.json").read_bytes()
 
 
 def test_measured_mode_requires_feature_table(tmp_path):
@@ -506,15 +523,15 @@ def test_measured_mode_skips_repeats_whose_test_side_lacks_a_class(tmp_path):
     skewed_table(tmp_path / "f.csv", 200, 4)
     report = run_experiment(skewed_config(tmp_path / "f.csv", 5),
                             tmp_path / "out")
-    diags = report["diagnostics"]["per_repeat"]
+    diags = report.diagnostics["per_repeat"]
     skipped = [d for d in diags if "skipped" in d]
-    assert report["counts"]["skipped_repeats"] == len(skipped) == 2
+    assert report.counts["skipped_repeats"] == len(skipped) == 2
     assert [d["repeat"] for d in diags] == list(range(10))
     for d in skipped:
         assert d["skipped"] == "evaluation set has no LOS row"
         assert d["test_rows"] == 5 and "network_training" not in d
     assert all("network_training" in d for d in diags if d not in skipped)
-    assert set(report["error_table"]) == set(ERROR_TABLE_ROWS)
+    assert set(report.error_table) == set(ERROR_TABLE_ROWS)
 
 
 def test_measured_mode_with_every_repeat_skipped_exits_4(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import re
 import shutil
 import tracemalloc
 from dataclasses import replace
@@ -423,8 +424,8 @@ def test_mlr_model_round_trip_preserves_decisions(tmp_path):
     back = _load_model(path)
     assert back.tables == model.tables
     fv = make_fv(r_p=0.95, k_t=290.0)
-    a = mlr_classify(model, fv, metrics=["r_p", "k_t"])
-    b = mlr_classify(back, fv, metrics=["r_p", "k_t"])
+    a = mlr_classify(model, [fv], metrics=["r_p", "k_t"])[0]
+    b = mlr_classify(back, [fv], metrics=["r_p", "k_t"])[0]
     assert a == b
 
     doc = load_json(path)
@@ -607,6 +608,22 @@ def test_sweep_tables_load_as_the_old_reader_did(table, tmp_path_factory):
     for (f0, v0), (f1, v1) in zip(got.values(), want.values()):
         assert f0.dtype == f1.dtype and f0.tobytes() == f1.tobytes()
         assert v0.dtype == v1.dtype and v0.tobytes() == v1.tobytes()
+
+
+@pytest.mark.parametrize("end, label", [("\n", "LOS"), ("\r\n", "LOS"),
+                                        ("\n", "L\u00d6S")])
+def test_refused_csv_lines_are_named_by_their_byte_offset(end, label,
+                                                          tmp_path):
+    """The offset counts the bytes as stored: both bytes of a CRLF end and
+    every byte of a multibyte character on an earlier line."""
+    bad = "1,2,x,4,5,LOS"
+    raw = end.join([",".join(METRIC_NAMES) + ",label",
+                    f"1,2,3,4,5,{label}", "", bad, ""]).encode()
+    (tmp_path / "f.csv").write_bytes(raw)
+    with pytest.raises(DataFormatError, match=r"line 4 \(byte \d+\)") as e:
+        load_features(tmp_path / "f.csv")
+    offset = int(re.search(r"byte (\d+)", str(e.value))[1])
+    assert raw[offset:].startswith(bad.encode())
 
 
 _FEATURE_VECTORS = st.builds(

@@ -12,7 +12,8 @@ from nlosid import (LOS, NLOS, AngularGrid, ConfigError, DataFormatError,
                     MlrModel, Ray, RayCluster, SegParams, SimConfig,
                     TrainSchedule)
 from nlosid.errors import Record
-from nlosid.experiment import BootstrapSpec
+from nlosid.experiment import (ERROR_TABLE_ROWS, BootstrapSpec, ErrorRates,
+                               FitPair, GevFit, Report)
 from nlosid.fileio import (Realization, SimulationManifest, TensorManifest,
                            Truth)
 from nlosid.metrics import METRIC_NAMES
@@ -48,6 +49,22 @@ _SEGS = st.builds(SegParams, foreground_threshold_db=_real(1, 30),
 _GEVS = st.builds(GevParams, gamma=_real(-2, 2), mu=_real(-100, 100),
                   sigma=_real(1, 100))
 _PAIRS = st.builds(GevPair, _GEVS, _GEVS)
+_FITS = st.builds(GevFit, gamma=_real(-2, 2), mu=_real(-100, 100),
+                  sigma=_real(1, 100), cdf_rmse=_real(0, 1))
+_FIT_PAIRS = st.builds(FitPair, _FITS, _FITS)
+_RATES = st.builds(ErrorRates, _real(0, 1), _real(0, 1))
+_CONFIGS = st.builds(
+    ExperimentConfig, mode=st.sampled_from(["simulate", "measured"]),
+    sim=_SIMS, seg=_SEGS, n_realizations=st.integers(2, 500),
+    n_train=st.just(1), n_test=st.just(1), seed=st.integers(0, 2**64),
+    features_csv=st.none() | st.just("table.csv"))
+# JSON objects that come back equal from JSON text
+_OBJECTS = st.dictionaries(st.text(max_size=8), st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8), max_size=4)
 RECORDS = {
     AngularGrid: _GRIDS,
     Ray: _RAYS,
@@ -63,11 +80,17 @@ RECORDS = {
     TrainSchedule: st.builds(TrainSchedule, max_epochs=st.integers(1, 10**6),
                              loss_tolerance=_real(0, 1)),
     BootstrapSpec: st.builds(BootstrapSpec, *[st.integers(1, 50)] * 3),
-    ExperimentConfig: st.builds(
-        ExperimentConfig, mode=st.sampled_from(["simulate", "measured"]),
-        sim=_SIMS, seg=_SEGS, n_realizations=st.integers(2, 500),
-        n_train=st.just(1), n_test=st.just(1), seed=st.integers(0, 2**64),
-        features_csv=st.none() | st.just("table.csv")),
+    ExperimentConfig: _CONFIGS,
+    GevFit: _FITS,
+    FitPair: _FIT_PAIRS,
+    ErrorRates: _RATES,
+    Report: st.builds(
+        Report, mode=st.sampled_from(["simulate", "measured"]),
+        config=_CONFIGS, counts=_OBJECTS,
+        gev_table=st.dictionaries(st.sampled_from(METRIC_NAMES), _FIT_PAIRS),
+        error_table=st.dictionaries(st.sampled_from(ERROR_TABLE_ROWS),
+                                    _RATES),
+        diagnostics=_OBJECTS, curves=_OBJECTS),
     TensorManifest: st.builds(
         TensorManifest, _GRIDS, _real(1, 10), st.integers(0, 4096),
         st.just("c64le"), st.sampled_from(["t.bin", "real_0001.bin"])),
