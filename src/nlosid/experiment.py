@@ -125,6 +125,16 @@ class Report(Record):
     diagnostics: dict
     curves: dict
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.mode != self.config.mode:
+            raise self.error(f"Report.mode {self.mode!r} differs from "
+                             f"config.mode {self.config.mode!r}")
+        for name, known in (("gev_table", METRIC_NAMES),
+                            ("error_table", ERROR_TABLE_ROWS)):
+            if unknown := sorted(set(getattr(self, name)) - set(known)):
+                raise self.error(f"Report.{name} has unknown rows {unknown}")
+
 
 def _training_seed(master_seed: int, repeat: int) -> int:
     seq = np.random.SeedSequence(master_seed,
@@ -193,33 +203,48 @@ def simulated_realizations(config: ExperimentConfig):
 # staged commands
 
 
+def _write_realization(config: ExperimentConfig, out, entry) -> None:
+    """Draw one realization and write its tensor, power map and truth."""
+    clusters, _, cir = simulate_realization(config.sim, config.seed,
+                                            entry.index)
+    save_cir_tensor(cir, out / entry.cir)
+    save_pas_json(compute_pas(cir), out / entry.pas)
+    save_truth(out / entry.truth, clusters)
+
+
 def cmd_simulate(config: ExperimentConfig, out_dir) -> Path:
     """Write every realization's tensor, power map, and ground truth, plus
     a manifest tying them together.  Returns the manifest path.
 
     The tensor written holds the pixels of the same render that
     run_experiment analyses, so staged and in-process runs see one draw.
-    Its elevation rows are split between this process and a fork pool of
-    one worker per further CPU it may run on, held for the whole run.
+    Realizations go in blocks of k, the CPUs this process may run on: it
+    writes the first of each block, and a fork pool of k - 1 workers the
+    rest.  A block's shares are all awaited before any is read, so the
+    error raised is that of its lowest failing index, as on one CPU.
     """
     import multiprocessing    # loaded by this command alone
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else 1)
-    k = min(cpus, config.sim.grid().n_el)
-    use_pool = k > 1 and "fork" in multiprocessing.get_all_start_methods()
-    entries = []
-    with (multiprocessing.get_context("fork").Pool(k - 1) if use_pool
+    entries = [Realization(i, f"real_{i:04d}.json", f"pas_{i:04d}.json",
+                           f"truth_{i:04d}.json")
+               for i in range(config.n_realizations)]
+    k = (min(len(os.sched_getaffinity(0)), len(entries))
+         if hasattr(os, "sched_getaffinity")
+         and "fork" in multiprocessing.get_all_start_methods() else 1)
+    with (multiprocessing.get_context("fork").Pool(k - 1) if k > 1
           else nullcontext()) as pool:
-        for i, cir, clusters in simulated_realizations(config):
-            entry = Realization(i, f"real_{i:04d}.json", f"pas_{i:04d}.json",
-                                f"truth_{i:04d}.json")
-            save_cir_tensor(cir, out / entry.cir, pool)
-            save_pas_json(compute_pas(cir), out / entry.pas)
-            save_truth(out / entry.truth, clusters)
-            entries.append(entry)
+        for first in range(0, len(entries), k):
+            shares = [pool.apply_async(_write_realization, (config, out, e))
+                      for e in entries[first + 1:first + k]]
+            try:
+                _write_realization(config, out, entries[first])
+            finally:    # the pool's exit would kill a worker mid-write
+                for share in shares:
+                    share.wait()
+            for share in shares:
+                share.get()
     manifest_path = out / "simulation.json"
     save_document(manifest_path, SimulationManifest(
         tuple(entries), config.sim, config.seed, config.n_realizations))

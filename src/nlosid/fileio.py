@@ -7,11 +7,9 @@ save_csv and read by one row loop, _records, which names the line and byte
 offset only of a line it refuses.  Impulse-response tensors pair a JSON
 manifest with a sibling raw binary of little-endian float32 (re, im) pairs
 in (elevation, azimuth, tap) index order, written one elevation row at a
-time (the rows split, when a process pool is given, between its workers
-and the caller, each seeking to its own rows of a file sized first) and
-kept as complex64 when read.  Every JSON document read back is a Record,
-or the network model with its own array conversion, tagged with its
-FORMAT; see save_document and load_document.
+time and kept as complex64 when read.  Every JSON document read back is a
+Record, or the network model with its own array conversion, tagged with
+its FORMAT; see save_document and load_document.
 """
 
 import csv
@@ -19,7 +17,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +52,7 @@ def load_json(path) -> dict:
     except json.JSONDecodeError as exc:
         raise DataFormatError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno} "
-            f"(byte {exc.pos})") from exc
+            f"(byte {len(exc.doc[:exc.pos].encode())})") from exc
     except ValueError as exc:   # an integer too long to convert
         raise DataFormatError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -148,44 +146,19 @@ class TensorManifest(Record):
                                   f"got {self.data_file!r}")
 
 
-def _write_rows(cir: CirTensor, part, rows) -> None:
-    """Write the given elevation rows of the tensor into their places in
-    the sized file part.  It sets its own error state, which a forked
-    worker does not inherit."""
-    az = np.arange(cir.grid.n_az)
-    row_bytes = 8 * cir.grid.n_az * cir.n_taps
-    with open(part, "r+b") as f, np.errstate(over="raise"):
-        for i in rows:
-            f.seek(i * row_bytes)
-            cir.pixels(np.full_like(az, i), az).astype("<c8").tofile(f)
-
-
-def save_cir_tensor(cir: CirTensor, manifest_path, pool=None) -> None:
+def save_cir_tensor(cir: CirTensor, manifest_path) -> None:
     """Stream the tensor's pixels out one elevation row at a time; a refused
-    or failed write leaves neither the binary nor the manifest.  With a
-    multiprocessing pool of k - 1 workers, worker w writes rows w, w + k,
-    ... and this process rows 0, k, ..., for the same bytes."""
+    or failed write leaves neither the binary nor the manifest."""
     manifest_path = Path(manifest_path)
     manifest = TensorManifest(cir.grid, cir.sample_rate_ghz, cir.n_taps,
                               "c64le", manifest_path.stem + ".bin")
     bin_path = manifest_path.with_name(manifest.data_file)
     part = bin_path.with_name(bin_path.name + ".part")
-    n_el = cir.grid.n_el
-    k = 1 + (0 if pool is None else pool._processes)   # its worker count
+    az = np.arange(cir.grid.n_az)
     try:
-        with open(part, "wb") as f:
-            f.truncate(8 * math.prod(cir.grid.shape) * cir.n_taps)
-        # workers get the stored fields only, not a cached dense view
-        shares = [pool.apply_async(_write_rows, (replace(cir), part,
-                                                 range(w, n_el, k)))
-                  for w in range(1, k)]
-        try:
-            _write_rows(cir, part, range(0, n_el, k))
-        finally:    # no worker may write once the file is moved or removed
-            for share in shares:
-                share.wait()
-        for share in shares:
-            share.get()
+        with open(part, "wb") as f, np.errstate(over="raise"):
+            for i in range(cir.grid.n_el):
+                cir.pixels(np.full_like(az, i), az).astype("<c8").tofile(f)
         os.replace(part, bin_path)
     except FloatingPointError as exc:
         raise DataFormatError(f"{manifest_path}: taps exceed the complex64 "

@@ -719,6 +719,17 @@ MALFORMED_INPUTS = {
         _report_files(error_table=None), _REPORT, 3,
         "r.json: bad Report: Report.__init__() missing 1 required "
         "positional argument: 'error_table'"),
+    "report_mode_mismatch": (
+        _report_files(mode="measured"), _REPORT, 3,
+        "r.json: Report.mode 'measured' differs from config.mode 'simulate'"),
+    "report_unknown_metric": (
+        _report_files(gev_table={"bogus": {
+            side: {"gamma": 0.0, "mu": 0.0, "sigma": 1.0, "cdf_rmse": 0.0}
+            for side in ("los", "nlos")}}), _REPORT, 3,
+        "r.json: Report.gev_table has unknown rows ['bogus']"),
+    "report_unknown_rule": (
+        _report_files(error_table={"bogus": {"type_i": 0.1, "type_ii": 0.0}}),
+        _REPORT, 3, "r.json: Report.error_table has unknown rows ['bogus']"),
     "ingest_el_axis_too_large": (
         {"x.csv": "az_deg,el_deg,freq_ghz,re,im\n" + "".join(
             f"0,0,{60.0 + 0.25 * k},1,0\n" for k in range(8))},

@@ -3,7 +3,9 @@
 import json
 import multiprocessing
 import os
+import shutil
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +19,14 @@ from nlosid import (AngularGrid, AnnModel, CirTensor, ConfigError,
                     freq_kurtosis, ingest_sweeps, inputs_from_manifest,
                     label_clusters_with_truth, run_experiment, segment,
                     simulate_realization, time_kurtosis)
-from nlosid import experiment
+from nlosid import chansim, experiment
 from nlosid.cli import main as cli_main
 from nlosid.experiment import (ERROR_TABLE_ROWS, BootstrapSpec, Report,
                                _training_seed, extract_all)
 from nlosid.fileio import (SimulationManifest, TensorManifest, Truth,
                            load_cir_tensor, load_document, load_features,
                            load_json, save_cir_tensor, save_document,
-                           save_features)
+                           save_features, save_json)
 from nlosid.metrics import METRIC_NAMES
 
 from conftest import (flat_grid, grid_sweeps, labelled_feature_rows,
@@ -272,35 +274,96 @@ def test_stored_documents_round_trip_byte_for_byte(tmp_path):
         assert again.read_bytes() == path.read_bytes()
 
 
-def simulate_on_cpus(monkeypatch, n_cpus, config, out):
+def simulate_on_cpus(monkeypatch, n_cpus, config, out) -> int:
     """cmd_simulate on a process whose affinity set holds n_cpus CPUs.
-    Returns the worker count of the pool each tensor was written with (0
-    for none) and the exit code the error, if any, maps to."""
+    Returns the exit code its error, if any, maps to."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
-    workers = []
-
-    def spy(cir, path, pool=None):
-        workers.append(0 if pool is None else pool._processes)
-        return save_cir_tensor(cir, path, pool)
-
-    monkeypatch.setattr(experiment, "save_cir_tensor", spy)
     try:
         cmd_simulate(config, out)
     except DataFormatError:
-        return workers, 3
-    return workers, 0
+        return 3
+    return 0
 
 
-def test_simulate_writes_the_same_files_on_one_and_two_cpus(tmp_path,
-                                                            monkeypatch):
-    cfg = tiny_config(n_realizations=3, n_train=1, n_test=1)
+def test_simulate_writes_the_same_files_on_one_two_and_three_cpus(
+        tmp_path, monkeypatch):
+    """Four realizations in blocks of one, two and three (the last block
+    partial) give one tree: a manifest, binary, power map and truth file
+    per realization, the simulation manifest, and no temporary file."""
+    cfg = tiny_config(n_realizations=4, n_train=1, n_test=1)
     files = []
-    for n_cpus in (1, 2):
+    for n_cpus in (1, 2, 3):
         out = tmp_path / f"cpus{n_cpus}"
-        assert simulate_on_cpus(monkeypatch, n_cpus, cfg, out) \
-            == ([n_cpus - 1] * 3, 0)
+        assert simulate_on_cpus(monkeypatch, n_cpus, cfg, out) == 0
         files.append(sorted((p.name, p.read_bytes()) for p in out.iterdir()))
-    assert len(files[0]) == 3 * 4 + 1 and files[0] == files[1]
+    assert len(files[0]) == 4 * 4 + 1
+    assert not any(name.endswith(".part") for name, _ in files[0])
+    assert files[0] == files[1] == files[2]
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+def test_this_process_writes_the_first_realization_of_each_block(
+        n_cpus, tmp_path, monkeypatch):
+    """On k CPUs this process itself renders and writes realizations 0, k,
+    2k, ...; a span traced in this process sees those calls, and the calls
+    a forked worker makes never reach this process's list."""
+    calls = []
+
+    def spy(module, name, index_of):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append((name, index_of(args)))
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(chansim, "render_cir", lambda args: args[3])
+    for name in ("save_cir_tensor", "save_pas_json"):
+        spy(experiment, name, lambda args: int(Path(args[1]).stem[-4:]))
+    spy(experiment, "save_truth", lambda args: int(Path(args[0]).stem[-4:]))
+    cfg = tiny_config(n_realizations=5, n_train=1, n_test=1)
+    assert simulate_on_cpus(monkeypatch, n_cpus, cfg, tmp_path) == 0
+    assert calls == [(name, i) for i in range(0, 5, n_cpus)
+                     for name in ("render_cir", "save_cir_tensor",
+                                  "save_pas_json", "save_truth")]
+    assert len(list(tmp_path.iterdir())) == 4 * 5 + 1
+
+
+def test_a_failing_worker_share_exits_as_on_one_cpu(tmp_path, monkeypatch,
+                                                     capsys):
+    """Realization 1, a worker's share on two CPUs, has a tap beyond the
+    complex64 range.  simulate exits 3 with the message it gives on one
+    CPU, keeps realization 0's files only, writes no manifest and no
+    temporary file, and leaves no worker running."""
+    real = experiment.simulate_realization
+
+    def simulate(sim, seed, i):
+        clusters, labels, cir = real(sim, seed, i)
+        if i == 1:
+            along = cir.along.copy()
+            along[0, 0] = 1e300
+            cir = replace(cir, along=along)
+        return clusters, labels, cir
+
+    monkeypatch.setattr(experiment, "simulate_realization", simulate)
+    config = tmp_path / "c.json"
+    save_json(config, tiny_config(n_realizations=2, n_train=1,
+                                  n_test=1).to_dict())
+    out = tmp_path / "out"
+    seen = []
+    for n_cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n_cpus)))
+        assert cli_main(["--config", str(config), "--out", str(out),
+                         "simulate"]) == 3
+        seen.append((capsys.readouterr().err,
+                     sorted((p.name, p.read_bytes()) for p in out.iterdir())))
+        assert multiprocessing.active_children() == []
+        shutil.rmtree(out)
+    assert "real_0001.json: taps exceed the complex64 range" in seen[0][0]
+    assert [name for name, _ in seen[0][1]] == [
+        "pas_0000.json", "real_0000.bin", "real_0000.json", "truth_0000.json"]
+    assert seen[0] == seen[1]
 
 
 @pytest.mark.parametrize("snr_db", [60.0, -3000.0])
@@ -309,8 +372,8 @@ def test_simulate_leaves_no_worker_running(snr_db, tmp_path, monkeypatch):
     whose noise overflows complex64 (snr_db -3000) is refused."""
     cfg = tiny_config(sim=small_sim(snr_db=snr_db), n_realizations=2,
                       n_train=1, n_test=1)
-    workers, code = simulate_on_cpus(monkeypatch, 2, cfg, tmp_path)
-    assert workers[0] == 1 and code == (0 if snr_db > 0 else 3)
+    code = simulate_on_cpus(monkeypatch, 2, cfg, tmp_path)
+    assert code == (0 if snr_db > 0 else 3)
     assert multiprocessing.active_children() == []
     if code:
         assert list(tmp_path.iterdir()) == []

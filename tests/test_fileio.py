@@ -1,7 +1,6 @@
 """Serialization round trips and format diagnostics."""
 
 import json
-import multiprocessing
 import re
 import shutil
 import tracemalloc
@@ -49,6 +48,16 @@ def test_load_json_reports_position(tmp_path):
     p.write_text('{\n  "a": 1,\n  "b": }\n')
     with pytest.raises(DataFormatError, match=r"line 3 column 8 \(byte 19\)"):
         load_json(p)
+
+
+def test_json_offsets_count_bytes(tmp_path):
+    """After a two-byte character the offset is the refused byte's place
+    in the file, not its character index."""
+    p = tmp_path / "bad.json"
+    p.write_bytes('{"\u00e9": 1,\n "b": }'.encode())
+    with pytest.raises(DataFormatError, match=r"line 2 column 7 \(byte 16\)"):
+        load_json(p)
+    assert p.read_bytes()[16:17] == b"}"
 
 
 # ---------------------------------------------------------------------------
@@ -187,81 +196,6 @@ def test_streamed_tensor_files_match_the_whole_array_oracles(
         assert value.dtype in (np.complex128, np.float64)
         assert value.shape == expected.shape
         assert value.tobytes() == expected.tobytes()
-
-
-@pytest.fixture(scope="module")
-def fork_pool():
-    """Two forked workers, which with the caller make three row writers."""
-    with multiprocessing.get_context("fork").Pool(2) as pool:
-        yield pool
-
-
-@settings(max_examples=30, deadline=None)
-@given(n_el=st.integers(1, 7), n_az=st.integers(1, 5),
-       n_taps=st.integers(64, 96), snr_db=st.sampled_from([None, 30.0]),
-       seed=st.integers(0, 2**32 - 1))
-def test_pooled_tensor_files_equal_the_serial_ones(
-        n_el, n_az, n_taps, snr_db, seed, fork_pool, tmp_path_factory):
-    """Rows written by a pool's workers and the caller give the bytes the
-    caller writes alone, noisy or noiseless, for any row count."""
-    cir = rendered_tensor(n_el, n_az, n_taps, snr_db, seed)
-    files = []
-    for pool in (None, fork_pool):
-        path = tmp_path_factory.mktemp("tensor") / "t.json"
-        save_cir_tensor(cir, path, pool)
-        files.append(sorted((p.name, p.read_bytes())
-                            for p in path.parent.iterdir()))
-    assert [name for name, _ in files[0]] == ["t.bin", "t.json"]
-    assert files[0] == files[1]
-
-
-class InlinePool:
-    """A one-worker pool stand-in that runs each task when it is given and
-    keeps the arguments it was sent."""
-
-    _processes = 1
-
-    def __init__(self):
-        self.sent = []
-
-    def apply_async(self, fn, args):
-        self.sent.append(args)
-        fn(*args)
-        return self
-
-    def wait(self):
-        pass
-
-    def get(self):
-        pass
-
-
-def test_workers_are_sent_no_cached_dense_view(tmp_path):
-    """A tensor whose dense view was built (as a traced render builds it)
-    goes to a worker without it, with the rows that worker owns."""
-    cir = rendered_tensor(3, 4, 64, 30.0, 1)
-    dense = cir.data
-    pool = InlinePool()
-    save_cir_tensor(cir, tmp_path / "t.json", pool)
-    ((sent, _, rows),) = pool.sent
-    assert "data" not in vars(sent) and rows == range(1, 3, 2)
-    assert (tmp_path / "t.bin").read_bytes() == dense.astype("<c8").tobytes()
-
-
-def test_overflow_in_a_worker_row_leaves_no_tensor_files(fork_pool,
-                                                         tmp_path):
-    """A tensor whose along overflows complex64 only in row 1, which the
-    first worker writes, is refused (exit 3) and leaves no file behind;
-    the pool then writes the tensor without that value."""
-    cir = rendered_tensor(4, 3, 64, 30.0, 5)
-    along = cir.along.copy()
-    along[1, 2] = 1e300
-    with pytest.raises(DataFormatError, match="complex64"):
-        save_cir_tensor(replace(cir, along=along), tmp_path / "t.json",
-                        fork_pool)
-    assert list(tmp_path.iterdir()) == []
-    save_cir_tensor(cir, tmp_path / "t.json", fork_pool)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.bin", "t.json"]
 
 
 def traced_peak(fn, *args):

@@ -84,9 +84,10 @@ RECORDS = {
     GevFit: _FITS,
     FitPair: _FIT_PAIRS,
     ErrorRates: _RATES,
+    # a report's mode is its config's
     Report: st.builds(
-        Report, mode=st.sampled_from(["simulate", "measured"]),
-        config=_CONFIGS, counts=_OBJECTS,
+        lambda config, **fields: Report(config.mode, config, **fields),
+        _CONFIGS, counts=_OBJECTS,
         gev_table=st.dictionaries(st.sampled_from(METRIC_NAMES), _FIT_PAIRS),
         error_table=st.dictionaries(st.sampled_from(ERROR_TABLE_ROWS),
                                     _RATES),
