@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chansim import LOS, NLOS
-from .errors import (ConfigError, DataFormatError, EvaluationError,
-                     NlosIdError, Record, TrainingError)
+from .errors import (ConfigError, DataFormatError, EvaluationError, Record,
+                     TrainingError)
 from .gevstats import GevParams, gev_fit_mle, gev_pdf
 from .metrics import METRIC_NAMES
 
@@ -185,12 +185,12 @@ def mlr_classify(model: MlrModel, features, metrics=None) -> list:
 
 
 @dataclass(frozen=True, eq=False)
-class AnnModel:
-    """Weights, biases, and the feature standardization learned with them.
-    Its document holds each array as nested lists, which are not Record
-    fields, so it converts them itself."""
+class AnnModel(Record):
+    """Weights, biases, and the feature standardization learned with them,
+    and how ann_train stopped."""
 
     FORMAT = "ann_model"
+    error = DataFormatError
 
     iw: np.ndarray             # (10, 5) input weights
     b1: np.ndarray             # (10,)
@@ -200,9 +200,10 @@ class AnnModel:
     b3: np.ndarray             # (2,)
     feature_means: np.ndarray  # (5,)
     feature_scales: np.ndarray  # (5,)
-    training: dict | None = None   # how ann_train stopped; not saved
+    training: dict | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         for name, shape in ANN_ARRAYS.items():
             arr = getattr(self, name)
             if arr.shape != shape:
@@ -211,25 +212,6 @@ class AnnModel:
 
     def weights(self) -> tuple:
         return (self.iw, self.b1, self.lw21, self.b2, self.lw32, self.b3)
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name).tolist() for name in ANN_ARRAYS}
-
-    @classmethod
-    def from_dict(cls, d: dict):
-        unknown = set(d) - set(ANN_ARRAYS)
-        if unknown:
-            raise DataFormatError(f"unknown AnnModel fields: {sorted(unknown)}")
-        try:
-            arrays = {n: np.array(d[n], dtype=float) for n in ANN_ARRAYS}
-            bad = [n for n, a in arrays.items() if not np.isfinite(a).all()]
-            if bad:
-                raise DataFormatError(f"non-finite entries in {bad}")
-            return cls(**arrays)
-        except KeyError as exc:
-            raise DataFormatError(f"model document missing field {exc}") from exc
-        except (NlosIdError, OverflowError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"bad model document: {exc}") from exc
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

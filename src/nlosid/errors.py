@@ -10,6 +10,8 @@ import functools
 import numbers
 import typing
 
+import numpy as np
+
 
 class NlosIdError(Exception):
     """Base class for every error raised by this package."""
@@ -51,12 +53,14 @@ class RenderError(ConfigError):
 class Record:
     """Field types and dict round trip of a frozen dataclass kept as JSON.
 
-    A bool field takes bools, an int field integers, a float field real
-    numbers (never bools, stored as that type), a str field strings and a
-    dict field objects; an X | None field also takes None.  from_dict also
-    parses Record fields, tuples of them (JSON lists) and str-keyed dicts
-    of them (JSON objects), and raises the class's error for every value
-    it or the class rejects: ConfigError for config sections,
+    A bool field takes bools, an int field integers, a float field finite
+    real numbers (never bools), a tuple[float, float] field two of them and
+    an np.ndarray field nested lists or an array of them (stored as float,
+    float tuple and float64 array), a str field strings and a dict field
+    objects; an X | None field also takes None.  from_dict also parses
+    Record fields, tuples of them (JSON lists) and str-keyed dicts of them
+    (JSON objects).  Every value it or the class rejects raises the class's
+    error naming Class.field: ConfigError for config sections,
     DataFormatError for data."""
 
     error = ConfigError
@@ -64,17 +68,39 @@ class Record:
     def __post_init__(self):
         for name, kind, optional in _field_table(type(self))[0]:
             value = getattr(self, name)
-            if type(value) is kind or (optional and value is None):
+            # the exact-type fast path; x - x is 0.0 for finite floats only
+            if type(value) is kind and (kind is not float
+                                        or value - value == 0.0) \
+                    or optional and value is None:
                 continue
-            accepts, noun = _SCALARS[kind]
-            if isinstance(value, bool) or not isinstance(value, accepts):
-                raise self.error(
-                    f"{type(self).__name__}.{name} must be {noun}"
-                    f"{' or null' if optional else ''}, got {value!r}")
-            object.__setattr__(self, name, kind(value))
+            object.__setattr__(self, name,
+                               self._checked(name, kind, value, optional))
+
+    def _checked(self, name, kind, value, optional):
+        """value stored as kind, or the class's error naming the field."""
+        accepts, noun = _SCALARS[kind]
+        where, cells = f"{type(self).__name__}.{name}", [value]
+        if kind == "array":     # a ragged list keeps lists as its cells
+            value = np.asarray(value, dtype=object)
+            cells = value.flat
+        elif kind == "pair":
+            cells = value if isinstance(value, (list, tuple)) \
+                and len(value) == 2 else [None]
+        for v in cells:
+            if isinstance(v, bool) or not isinstance(v, accepts):
+                raise self.error(f"{where} must be {noun}"
+                                 f"{' or null' if optional else ''}, got "
+                                 f"{v if kind == 'array' else value!r}")
+        value = (value.astype(float) if kind == "array" else
+                 tuple(map(float, value)) if kind == "pair" else kind(value))
+        if accepts is numbers.Real:
+            bad = np.ravel(value)[~np.isfinite(np.ravel(value))]
+            if bad.size:
+                raise self.error(f"{where} must be finite, got {bad[0]}")
+        return value
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return dataclasses.asdict(self, dict_factory=_json_object)
 
     @classmethod
     def from_dict(cls, d):
@@ -108,20 +134,30 @@ class Record:
 
 _SCALARS = {bool: (bool, "a boolean"), int: (numbers.Integral, "an integer"),
             float: (numbers.Real, "a real number"), str: (str, "a string"),
-            dict: (dict, "an object")}
+            dict: (dict, "an object"),
+            "pair": (numbers.Real, "a [start, stop] pair of real numbers"),
+            "array": (numbers.Real, "an array of real numbers")}
+# field types checked under the string keys above, which no value has
+_ALIASES = {tuple[float, float]: "pair", np.ndarray: "array"}
 _NOUNS = {list: "a list", dict: "an object"}
+
+
+def _json_object(pairs) -> dict:
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in pairs}
 
 
 @functools.cache
 def _field_table(cls) -> tuple:
-    """Scalar fields as (name, type, optional), and Record-typed ones as
-    name -> (Record class R, the JSON container of a tuple[R, ...] field
-    (list) or a dict[str, R] field (dict) or None, optional)."""
+    """Checked fields as (name, _SCALARS key, optional), and Record-typed
+    ones as name -> (Record class R, the JSON container of a tuple[R, ...]
+    field (list) or a dict[str, R] field (dict) or None, optional)."""
     scalars, nested = [], {}
     for f in dataclasses.fields(cls):
         args = typing.get_args(f.type)
         optional = type(None) in args                 # X | None
         kind = args[0] if optional else f.type
+        kind = _ALIASES.get(kind, kind)
         many = {tuple: list, dict: dict}.get(typing.get_origin(kind))
         kind = typing.get_args(kind)[many is dict] if many else kind
         if kind in _SCALARS and not many:

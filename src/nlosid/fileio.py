@@ -4,12 +4,12 @@ Everything textual is JSON with sorted keys or CSV with a fixed header, and
 every writer is deterministic: identical objects produce identical bytes,
 with no timestamps or absolute paths.  Every CSV table is written by
 save_csv and read by one row loop, _records, which names the line and byte
-offset only of a line it refuses.  Impulse-response tensors pair a JSON
-manifest with a sibling raw binary of little-endian float32 (re, im) pairs
-in (elevation, azimuth, tap) index order, written one elevation row at a
-time and kept as complex64 when read.  Every JSON document read back is a
-Record, or the network model with its own array conversion, tagged with
-its FORMAT; see save_document and load_document.
+offset only of a line it refuses; _floats parses the numbers of both
+tables and refuses any that is not finite.  Impulse-response tensors pair
+a JSON manifest with a sibling raw binary of little-endian float32 (re, im)
+pairs in (elevation, azimuth, tap) index order, written one elevation row
+at a time and kept as complex64 when read.  Every JSON document read back
+is a Record tagged with its FORMAT; see save_document and load_document.
 """
 
 import csv
@@ -101,7 +101,7 @@ def save_csv(path, header, records) -> None:
 
 
 def save_document(path, record) -> None:
-    """Write a Record, or an AnnModel, as JSON tagged with its FORMAT."""
+    """Write a Record as JSON tagged with its FORMAT."""
     save_json(path, {"format": record.FORMAT, **record.to_dict()})
 
 
@@ -204,10 +204,13 @@ def save_pas_json(pas: PasMap, path) -> None:
 # measured frequency sweeps
 
 
-def _sweep_row(fields) -> list:
+def _floats(fields) -> list:
+    """The number fields of a CSV line, the one parser of both tables; a
+    ValueError names the first field that is not a finite number."""
     row = [float(f) for f in fields]
-    if not all(map(math.isfinite, row[:3])):
-        raise ValueError("az_deg, el_deg and freq_ghz must be finite")
+    if not all(map(math.isfinite, row)):
+        bad = next(f for f, v in zip(fields, row) if not math.isfinite(v))
+        raise ValueError(f"not a finite number: {bad!r}")
     return row
 
 
@@ -220,7 +223,7 @@ def load_sweep_csv(path) -> dict:
             f"{path}: header must be {','.join(_SWEEP_HEADER)}, "
             f"got {','.join(header)!r}")
     per_direction: dict = {}
-    for az, el, freq, re, im in _records(path, lines, 5, _sweep_row):
+    for az, el, freq, re, im in _records(path, lines, 5, _floats):
         per_direction.setdefault((az, el), []).append((freq, re, im))
     out = {}
     for key in sorted(per_direction):
@@ -260,7 +263,7 @@ def load_features(path) -> list:
     first = int(with_realization)
     return list(_records(path, lines, len(header), lambda fields: (
         int(fields[0]) if with_realization else None,
-        FeatureVector(*map(float, fields[first:first + 5]),
+        FeatureVector(*_floats(fields[first:first + 5]),
                       label=fields[-1] or None))))
 
 

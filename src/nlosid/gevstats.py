@@ -42,11 +42,8 @@ class GevParams(Record):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ConfigError(
-                f"scale must be positive and finite, got {self.sigma}")
-        if not (math.isfinite(self.gamma) and math.isfinite(self.mu)):
-            raise ConfigError("shape and location must be finite")
+        if not self.sigma > 0.0:
+            raise ConfigError(f"scale must be positive, got {self.sigma}")
 
     def support(self) -> tuple[float, float]:
         """Open interval on which the density is positive."""

@@ -45,11 +45,9 @@ class AngularGrid(Record):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (np.isfinite([self.az_start_deg, self.el_start_deg]).all()
-                and 0.0 < self.az_step_deg <= 360.0
+        if not (0.0 < self.az_step_deg <= 360.0
                 and 0.0 < self.el_step_deg <= 360.0):
-            raise ConfigError("angular grid needs finite starts and steps in "
-                              "(0, 360] degrees")
+            raise ConfigError("angular grid needs steps in (0, 360] degrees")
         if self.n_az < 1 or self.n_el < 1:
             raise ConfigError("grid needs at least one pixel per axis")
         span = (self.n_az - 1) * self.az_step_deg

@@ -164,6 +164,7 @@ def _smooth_db(db, radius: int, wrap: bool):
     column; elevation edges replicate."""
     if radius == 0:
         return db
+    radius = min(radius, sum(db.shape))    # a wider disc smooths alike
     disc = [math.isqrt(radius * radius - d * d) for d in range(radius + 1)]
     # open o close reads original values up to 4 * radius away
     pad = min(4 * radius, db.shape[1]) if wrap else 0

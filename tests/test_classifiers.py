@@ -341,9 +341,12 @@ def test_consistent_feature_rescaling_keeps_decisions():
 
 
 def test_non_finite_training_loss_raises():
-    broken = replace(ann_init(0), iw=np.full((10, 5), np.nan))
-    with pytest.raises(TrainingError, match="training loss became nan"):
-        ann_train(broken, separable_features(n_per_class=5))
+    """A network holds finite weights only, so the loss is broken through
+    features whose standardization overflows."""
+    huge = [replace(f, r_p=1e308) for f in separable_features(n_per_class=5)]
+    with pytest.raises(TrainingError, match="training loss became nan"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        ann_train(ann_init(0), huge)
 
 
 def test_ann_train_class_floor():

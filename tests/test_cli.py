@@ -399,6 +399,18 @@ _GRID = {"az_start_deg": 0.0, "az_step_deg": 1.0, "n_az": "x",
          "el_start_deg": 0.0, "el_step_deg": 1.0, "n_el": 2}
 _GEV = {"gamma": 0.0, "mu": 0.0, "sigma": 1.0}
 _FEATURES = ",".join(METRIC_NAMES) + ",label\n1,2,3,4,5,LOS\n"
+# 40 LOS and 40 NLOS rows, enough to train on
+_LABELLED = ",".join(METRIC_NAMES) + ",label\n" + "".join(
+    ",".join(map(repr, fv.values().tolist())) + f",{fv.label}\n"
+    for _, fv in labelled_feature_rows(n_realizations=40))
+
+
+def _labelled_with(r_p: str) -> str:
+    """_LABELLED with the first row's r_p field replaced."""
+    header, first, rest = _LABELLED.split("\n", 2)
+    return "\n".join([header, r_p + first[first.index(","):], rest])
+
+
 _EXPERIMENT = ["--config", "c.json", "experiment"]
 _EXTRACT = ["extract", "--cir", "t.json"]
 # a 1x1-pixel, 16-tap tensor manifest and its data file
@@ -432,6 +444,15 @@ def _truth_files(**centre):
             "s.json": {"format": "simulation", "realizations": [
                 {"index": 0, "cir": "t.json", "truth": "u.json"}]},
             "u.json": {"format": "truth", "clusters": [cluster]}}
+
+
+def _small_run(**sections):
+    """A 4-realization config on the small grid, with sections merged in."""
+    config = {"sim": small_sim().to_dict(), "n_realizations": 4,
+              "n_train": 2, "n_test": 2}
+    for name, fields in sections.items():
+        config[name] = {**config.get(name, {}), **fields}
+    return {"c.json": config}
 
 
 def _report_files(**changes):
@@ -544,13 +565,14 @@ MALFORMED_INPUTS = {
     "tensor_step_nan": (
         {**_TENSOR_FILES, "t.json": {
             **_TENSOR, "grid": {**_TENSOR["grid"], "az_step_deg": math.nan}}},
-        _EXTRACT, 3, "steps in (0, 360]"),
+        _EXTRACT, 3, "t.json: AngularGrid.az_step_deg must be finite, got nan"),
     "tensor_step_huge": (
         {**_TENSOR_FILES, "t.json": {
             **_TENSOR, "grid": {**_TENSOR["grid"], "az_step_deg": 1e308}}},
         _EXTRACT, 3, "steps in (0, 360]"),
     "sim_step_nan": ({"c.json": {"sim": {"step_deg": math.nan}}},
-                     ["--config", "c.json", "simulate"], 2, "(0, 360]"),
+                     ["--config", "c.json", "simulate"], 2,
+                     "SimConfig.step_deg must be finite, got nan"),
     "ingest_axis_infinite": (
         {}, ["ingest", "x.csv", "--az", "0:inf:2", "--el", "0:4:2"], 2,
         "--az values must be finite"),
@@ -579,8 +601,9 @@ MALFORMED_INPUTS = {
                      "iw has shape (10, 4)"),
     "ann_b1_scalar": (_ann_files(b1=0.5), _CLASSIFY, 3,
                       "b1 has shape ()"),
-    "ann_weights_non_finite": (_ann_files(b3=["nan", "inf"]), _CLASSIFY, 3,
-                               "m.json: bad model document: non-finite"),
+    "ann_weights_non_finite": (
+        _ann_files(b3=["nan", "inf"]), _CLASSIFY, 3,
+        "m.json: AnnModel.b3 must be an array of real numbers, got 'nan'"),
     "ann_unknown_array": (_ann_files(lw99=[1]), _CLASSIFY, 3,
                           "m.json: unknown AnnModel fields: ['lw99']"),
     "mlr_metric_missing": (
@@ -627,16 +650,18 @@ MALFORMED_INPUTS = {
         _EXTRACT, 3, "t.json: data_file must be a bare file name"),
     "tensor_rate_infinite": (
         {**_TENSOR_FILES, "t.json": {**_TENSOR, "sample_rate_ghz": math.inf}},
-        _EXTRACT, 3, "t.json: sample rate must be positive and finite"),
+        _EXTRACT, 3,
+        "t.json: TensorManifest.sample_rate_ghz must be finite, got inf"),
     "tensor_rate_nan": (
         {**_TENSOR_FILES, "t.json": {**_TENSOR, "sample_rate_ghz": math.nan}},
-        _EXTRACT, 3, "t.json: sample rate must be positive and finite"),
+        _EXTRACT, 3,
+        "t.json: TensorManifest.sample_rate_ghz must be finite, got nan"),
     "sim_rate_nan": ({"c.json": {"sim": {"sample_rate_ghz": math.nan}}},
-                     _SIMULATE, 2, "sample_rate_ghz must be positive and "
-                                   "finite"),
+                     _SIMULATE, 2,
+                     "SimConfig.sample_rate_ghz must be finite, got nan"),
     "sim_rate_infinite": ({"c.json": {"sim": {"sample_rate_ghz": math.inf}}},
-                          _SIMULATE, 2, "sample_rate_ghz must be positive "
-                                        "and finite"),
+                          _SIMULATE, 2,
+                          "SimConfig.sample_rate_ghz must be finite, got inf"),
     "sim_range_strings": (
         {"c.json": {"sim": {"az_range_deg": ["-60", "60"]}}}, _SIMULATE, 2,
         "SimConfig.az_range_deg must be a [start, stop] pair of real"),
@@ -650,37 +675,40 @@ MALFORMED_INPUTS = {
     "ingest_azimuth_nan": (
         {"x.csv": _SWEEP_REPEATED_ROW.replace("\n0,0,60.0,", "\nnan,0,60.0,",
                                               1)},
-        _INGEST, 3, "x.csv: line 2 (byte 29): az_deg, el_deg and freq_ghz "
-                    "must be finite"),
+        _INGEST, 3, "x.csv: line 2 (byte 29): not a finite number: 'nan'"),
     "ingest_elevation_infinite": (
         {"x.csv": _SWEEP_REPEATED_ROW.replace("\n2,2,60.5,", "\n2,Infinity,"
                                               "60.5,", 1)},
-        _INGEST, 3, "x.csv: line 29 (byte 393): az_deg, el_deg and freq_ghz "
-                    "must be finite"),
+        _INGEST, 3, "x.csv: line 29 (byte 393): not a finite number: "
+                    "'Infinity'"),
     "truth_centre_nan": (
         _truth_files(center_az_deg=math.nan), _EXTRACT_MANIFEST, 3,
-        "u.json: non-finite cluster centre or delay (nan, 0.0, 1.0)"),
+        "u.json: RayCluster.center_az_deg must be finite, got nan"),
     "truth_centre_infinite": (
         _truth_files(center_el_deg=math.inf), _EXTRACT_MANIFEST, 3,
-        "u.json: non-finite cluster centre or delay (0.0, inf, 1.0)"),
+        "u.json: RayCluster.center_el_deg must be finite, got inf"),
     "sim_nlos_mean_nan": ({"c.json": {"sim": {"n_nlos_mean": math.nan}}},
-                          _SIMULATE, 2, "n_nlos_mean must be at least 1"),
+                          _SIMULATE, 2,
+                          "SimConfig.n_nlos_mean must be finite, got nan"),
     "sim_beamwidth_nan": ({"c.json": {"sim": {"hpbw_el_deg": math.nan}}},
-                          _SIMULATE, 2, "beamwidths must be positive"),
+                          _SIMULATE, 2,
+                          "SimConfig.hpbw_el_deg must be finite, got nan"),
     "sim_decay_nan": ({"c.json": {"sim": {"decay_ns": math.nan}}}, _SIMULATE,
-                      2, "decay_ns and ray_gap_mean_ns must be positive"),
+                      2, "SimConfig.decay_ns must be finite, got nan"),
     "sim_jitter_nan": ({"c.json": {"sim": {"angular_jitter_deg": math.nan}}},
-                       _SIMULATE, 2, "angular_jitter_deg must be "
-                                     "non-negative"),
+                       _SIMULATE, 2, "SimConfig.angular_jitter_deg must be "
+                                     "finite, got nan"),
     "seg_threshold_nan": (
         {"c.json": {"seg": {"foreground_threshold_db": math.nan}}},
-        _EXPERIMENT, 2, "foreground_threshold_db must be positive"),
+        _EXPERIMENT, 2,
+        "SegParams.foreground_threshold_db must be finite, got nan"),
     "seg_separation_nan": (
         {"c.json": {"seg": {"marker_min_separation": math.nan}}},
-        _EXPERIMENT, 2, "marker_min_separation must be non-negative"),
+        _EXPERIMENT, 2,
+        "SegParams.marker_min_separation must be finite, got nan"),
     "schedule_tolerance_nan": (
         {"c.json": {"schedule": {"loss_tolerance": math.nan}}}, _EXPERIMENT,
-        2, "loss_tolerance must be non-negative"),
+        2, "TrainSchedule.loss_tolerance must be finite, got nan"),
     "mlr_tables_list": (_mlr_files([]), _CLASSIFY, 3,
                         "m.json: MlrModel.tables must be an object, got list"),
     "mlr_entry_number": (_mlr_files({"r_p": 5}), _CLASSIFY, 3,
@@ -691,10 +719,11 @@ MALFORMED_INPUTS = {
         "positional argument: 'nlos'"),
     "sim_nlos_mean_infinite": (
         {"c.json": {"sim": {"n_nlos_mean": math.inf}}}, _SIMULATE, 2,
-        "n_nlos_mean must be at least 1 and at most 9.2e18"),
+        "SimConfig.n_nlos_mean must be finite, got inf"),
     "sim_nlos_mean_past_poisson_limit": (
         {"c.json": {"sim": {"n_nlos_mean": 1e19}}}, _SIMULATE, 2,
-        "n_nlos_mean must be at least 1 and at most 9.2e18"),
+        "SimConfig.n_nlos_mean must be at least 1 and at most the grid's "
+        "2016 beam directions, got 1e+19"),
     **{f"sim_{name}_infinite": (
         {"c.json": {"sim": {name: math.inf}}}, _SIMULATE, 2,
         f"SimConfig.{name} must be finite, got inf")
@@ -730,6 +759,53 @@ MALFORMED_INPUTS = {
     "report_unknown_rule": (
         _report_files(error_table={"bogus": {"type_i": 0.1, "type_ii": 0.0}}),
         _REPORT, 3, "r.json: Report.error_table has unknown rows ['bogus']"),
+    "sim_nlos_mean_past_the_grid": (
+        _small_run(sim={"n_nlos_mean": 326}), _SIMULATE, 2,
+        "SimConfig.n_nlos_mean must be at least 1 and at most the grid's "
+        "325 beam directions, got 326"),
+    "seg_threshold_infinite": (
+        _small_run(seg={"foreground_threshold_db": math.inf}), _EXPERIMENT,
+        2, "SegParams.foreground_threshold_db must be finite, got inf"),
+    "seg_separation_infinite": (
+        _small_run(seg={"marker_min_separation": math.inf}), _EXPERIMENT, 2,
+        "SegParams.marker_min_separation must be finite, got inf"),
+    "schedule_tolerance_infinite": (
+        {"c.json": {"mode": "measured", "features_csv": "f.csv",
+                    "schedule": {"loss_tolerance": math.inf},
+                    "bootstrap": {"n_train": 60, "n_test": 20, "repeats": 1}},
+         "f.csv": _LABELLED}, _EXPERIMENT, 2,
+        "TrainSchedule.loss_tolerance must be finite, got inf"),
+    "ann_weights_numeric_strings": (
+        _ann_files(b3=["0.1", "-0.2"]), _CLASSIFY, 3,
+        "m.json: AnnModel.b3 must be an array of real numbers, got '0.1'"),
+    "ann_weights_nan": (
+        _ann_files(b3=[math.nan, 0.0]), _CLASSIFY, 3,
+        "m.json: AnnModel.b3 must be finite, got nan"),
+    "report_type_i_nan": (
+        _report_files(error_table={"ann": {"type_i": math.nan,
+                                           "type_ii": 0.0}}), _REPORT, 3,
+        "r.json: ErrorRates.type_i must be finite, got nan"),
+    "truth_amplitude_nan": (
+        _truth_files(rays=[{"delay_offset_ns": 0.0, "amplitude": math.nan,
+                            "phase_rad": 0.0, "az_offset_deg": 0.0,
+                            "el_offset_deg": 0.0}]), _EXTRACT_MANIFEST, 3,
+        "u.json: Ray.amplitude must be finite, got nan"),
+    "features_nan_ratio_test": (
+        _mlr_files({name: {"los": _GEV, "nlos": _GEV}
+                    for name in METRIC_NAMES})
+        | {"f.csv": _FEATURES.replace("1,2,3,", "1,nan,3,")}, _CLASSIFY, 3,
+        "f.csv: line 2 (byte 41): not a finite number: 'nan'"),
+    "features_infinite_network": (
+        _ann_files() | {"f.csv": _FEATURES.replace("4,5,", "4,inf,")},
+        _CLASSIFY, 3, "f.csv: line 2 (byte 41): not a finite number: 'inf'"),
+    "features_nan_train": (
+        {"f.csv": _labelled_with("nan")},
+        ["train", "--features", "f.csv"], 3,
+        "f.csv: line 2 (byte 41): not a finite number: 'nan'"),
+    "features_infinite_fit": (
+        {"f.csv": _labelled_with("-Infinity")},
+        ["fit", "--features", "f.csv"], 3,
+        "f.csv: line 2 (byte 41): not a finite number: '-Infinity'"),
     "ingest_el_axis_too_large": (
         {"x.csv": "az_deg,el_deg,freq_ghz,re,im\n" + "".join(
             f"0,0,{60.0 + 0.25 * k},1,0\n" for k in range(8))},

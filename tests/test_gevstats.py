@@ -28,7 +28,8 @@ def random_params(rng) -> GevParams:
 def test_params_validation_and_support():
     with pytest.raises(ConfigError):
         GevParams(gamma=0.1, mu=0.0, sigma=0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(GevParams.error, match="GevParams.gamma must be "
+                                              "finite, got nan"):
         GevParams(gamma=math.nan, mu=0.0, sigma=1.0)
     heavy = GevParams(gamma=0.5, mu=2.0, sigma=1.0)
     assert heavy.support() == (0.0, math.inf)

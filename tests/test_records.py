@@ -3,14 +3,17 @@ dataclass."""
 
 import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlosid import (LOS, NLOS, AngularGrid, ConfigError, DataFormatError,
-                    ExperimentConfig, GevPair, GevParams, MetricConfig,
-                    MlrModel, Ray, RayCluster, SegParams, SimConfig,
-                    TrainSchedule)
+from nlosid import (LOS, NLOS, AngularGrid, AnnModel, ConfigError,
+                    DataFormatError, ExperimentConfig, GevPair, GevParams,
+                    MetricConfig, MlrModel, Ray, RayCluster, SegParams,
+                    SimConfig, TrainSchedule, ann_init)
+from nlosid.classifiers import ANN_ARRAYS
 from nlosid.errors import Record
 from nlosid.experiment import (ERROR_TABLE_ROWS, BootstrapSpec, ErrorRates,
                                FitPair, GevFit, Report)
@@ -92,6 +95,12 @@ RECORDS = {
         error_table=st.dictionaries(st.sampled_from(ERROR_TABLE_ROWS),
                                     _RATES),
         diagnostics=_OBJECTS, curves=_OBJECTS),
+    AnnModel: st.builds(AnnModel, **{
+        name: st.lists(_real(-10, 10), min_size=math.prod(shape),
+                       max_size=math.prod(shape)).map(
+            lambda cells, shape=shape: np.reshape(cells, shape))
+        for name, shape in ANN_ARRAYS.items()},
+        training=st.none() | _OBJECTS),
     TensorManifest: st.builds(
         TensorManifest, _GRIDS, _real(1, 10), st.integers(0, 4096),
         st.just("c64le"), st.sampled_from(["t.bin", "real_0001.bin"])),
@@ -120,11 +129,20 @@ def test_records_round_trip_through_json(record):
     holds its annotated type (the strategies give some float fields
     integers)."""
     text = json.dumps(record.to_dict())
-    assert type(record).from_dict(json.loads(text)) == record
+    back = type(record).from_dict(json.loads(text))
+    assert json.dumps(back.to_dict()) == text
+    if type(record).__dataclass_params__.eq:   # not AnnModel's arrays
+        assert back == record
     for r in [record, *getattr(record, "rays", ())]:
         for field in dataclasses.fields(r):
+            value = getattr(r, field.name)
             if field.type in (bool, int, float, str):
-                assert type(getattr(r, field.name)) is field.type
+                assert type(value) is field.type
+            elif field.type == tuple[float, float]:
+                assert type(value) is tuple and set(map(type, value)) \
+                    == {float}
+            elif field.type is np.ndarray:
+                assert value.dtype == np.float64
 
 
 @pytest.mark.parametrize("cls, error", [(SegParams, ConfigError),
@@ -153,6 +171,49 @@ def test_records_refuse_bools_and_non_numbers(cls, error):
 def test_records_type_bools_strings_and_optional_fields(cls, doc, message):
     with pytest.raises(cls.error, match=f"{cls.__name__}.{message}"):
         cls.from_dict(doc)
+
+
+_RAY = {"delay_offset_ns": 0.0, "amplitude": 1.0, "phase_rad": 0.0,
+        "az_offset_deg": 0.0, "el_offset_deg": 0.0}
+
+
+@pytest.mark.parametrize("cls, doc, message", [
+    (Ray, {**_RAY, "amplitude": math.nan}, "Ray.amplitude must be finite, "
+                                           "got nan"),
+    (Ray, {**_RAY, "phase_rad": -math.inf}, "Ray.phase_rad must be finite, "
+                                            "got -inf"),
+    (SimConfig, {"snr_db": math.nan}, "SimConfig.snr_db must be finite, "
+                                      "got nan"),
+    (SimConfig, {"az_range_deg": [0, math.inf]},
+     "SimConfig.az_range_deg must be finite, got inf"),
+    (SimConfig, {"el_range_deg": [0, 10, 20]},
+     r"SimConfig.el_range_deg must be a \[start, stop\] pair of real "
+     r"numbers, got \[0, 10, 20\]"),
+    (SimConfig, {"el_range_deg": 5}, "SimConfig.el_range_deg must be a"),
+    (AnnModel, {"b1": [True] * 10}, "AnnModel.b1 must be an array of real "
+                                    "numbers, got True"),
+    (AnnModel, {"b1": [None] * 10}, "AnnModel.b1 must be an array of real "
+                                    "numbers, got None"),
+    (AnnModel, {"iw": [[0.0] * 5] * 9 + [[0.0] * 4]},
+     r"AnnModel.iw must be an array of real numbers, got \[0.0, 0.0"),
+    (AnnModel, {"lw21": [[0.0] * 10] * 9 + [[0.0] * 9 + [math.inf]]},
+     "AnnModel.lw21 must be finite, got inf"),
+])
+def test_records_refuse_non_finite_numbers(cls, doc, message):
+    """Float fields, [start, stop] pairs and arrays take finite real
+    numbers only, and the refusal names the field."""
+    base = ann_init(0).to_dict() if cls is AnnModel else {}
+    with pytest.raises(cls.error, match=message):
+        cls.from_dict({**base, **doc})
+
+
+def test_arrays_are_checked_and_copied_in_memory_too():
+    with pytest.raises(DataFormatError, match="AnnModel.iw must be finite"):
+        dataclasses.replace(ann_init(0), iw=np.full((10, 5), np.nan))
+    weights = np.ones((10, 5), dtype=int)
+    model = dataclasses.replace(ann_init(0), iw=weights)
+    assert model.iw.dtype == np.float64 and model.iw is not weights
+    assert SimConfig(az_range_deg=[-60, 60]).az_range_deg == (-60.0, 60.0)
 
 
 def test_optional_fields_take_null():

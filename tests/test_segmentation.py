@@ -202,6 +202,17 @@ def test_morphology_matches_ndimage_bit_for_bit(db, radius, wrap):
         == marker_maximum_oracle(smoothed, wrap).tobytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(db=_db_maps, wrap=st.booleans())
+def test_radii_past_the_map_smooth_as_the_oracle(db, wrap):
+    """A disc wider than the map smooths as scipy.ndimage's does, and a
+    radius of 2**70 as one just past the map (it once filled memory)."""
+    radius = sum(db.shape) + 2
+    want = smooth_db_oracle(db, radius, wrap).tobytes()
+    assert segmentation._smooth_db(db, radius, wrap).tobytes() == want
+    assert segmentation._smooth_db(db, 2 ** 70, wrap).tobytes() == want
+
+
 _ROLL_SEG = SegParams(min_pixels=2, marker_min_separation=1.0)
 
 
