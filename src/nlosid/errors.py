@@ -91,8 +91,13 @@ class Record:
                 raise self.error(f"{where} must be {noun}"
                                  f"{' or null' if optional else ''}, got "
                                  f"{v if kind == 'array' else value!r}")
-        value = (value.astype(float) if kind == "array" else
-                 tuple(map(float, value)) if kind == "pair" else kind(value))
+        try:
+            value = (value.astype(float) if kind == "array" else
+                     tuple(map(float, value)) if kind == "pair"
+                     else kind(value))
+        except OverflowError:     # an integer past the float range
+            raise self.error(f"{where} must be finite, got an integer too "
+                             f"large for a float") from None
         if accepts is numbers.Real:
             bad = np.ravel(value)[~np.isfinite(np.ravel(value))]
             if bad.size:

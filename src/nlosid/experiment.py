@@ -15,8 +15,9 @@ byte-reproducible.
 """
 
 import os
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -173,16 +174,24 @@ def extract_realization(cir: CirTensor, truth, seg: SegParams,
 
 
 def extract_all(realizations, seg: SegParams, metric: MetricConfig):
-    """extract_realization over (index, tensor, truth | None) triples.
+    """extract_realization over (index, tensor, truth | None) triples,
+    folded as _fold_extracted does."""
+    def extracted():
+        for index, cir, truth in realizations:
+            done = extract_realization(cir, truth, seg, metric)
+            del cir     # so the next tensor is not loaded beside this one
+            yield index, done
 
-    Returns (rows, log): rows pair realization indices with feature
-    vectors; the log holds each realization's diagnostics, the total of
-    skipped clusters, and the realizations whose direct path was missed.
-    """
+    return _fold_extracted(extracted())
+
+
+def _fold_extracted(extracted):
+    """(rows, log) of (index, (features, diagnostics)) pairs: rows pair
+    realization indices with feature vectors; the log holds each
+    realization's diagnostics, the total of skipped clusters, and the
+    realizations whose direct path was missed."""
     rows, diags = [], []
-    for index, cir, truth in realizations:
-        features, diag = extract_realization(cir, truth, seg, metric)
-        del cir     # so the next tensor is not loaded beside this one
+    for index, (features, diag) in extracted:
         rows.extend((index, fv) for fv in features)
         diags.append({"index": index, **diag})
     skipped = sum(d["skipped_clusters"] for d in diags)
@@ -191,12 +200,51 @@ def extract_all(realizations, seg: SegParams, metric: MetricConfig):
                   "los_missed": missed}
 
 
-def simulated_realizations(config: ExperimentConfig):
-    """(index, rendered tensor, generating clusters) for every realization of
-    the configured campaign, drawn one at a time."""
-    for i in range(config.n_realizations):
-        clusters, _, cir = simulate_realization(config.sim, config.seed, i)
-        yield i, cir, clusters
+@contextmanager
+def _split_over_cpus(n: int):
+    """Yield (k, split): k is the number of CPUs this process may run on,
+    at most n, or 1 with no affinity call or no fork start method.
+    split(work, items) is [work(x) for x in items], one share per process:
+    items[0::k] here and items[w::k] in worker w of a fork pool of k - 1,
+    held for the block.  Every share is awaited before any result is read;
+    a share stops at its first exception, and split raises that of the
+    lowest failing index, as on one CPU."""
+    import multiprocessing    # loaded by the pooled commands alone
+
+    k = (min(len(os.sched_getaffinity(0)), n)
+         if hasattr(os, "sched_getaffinity")
+         and "fork" in multiprocessing.get_all_start_methods() else 1)
+
+    def split(work, items) -> list:
+        shares = [pool.apply_async(_share, (work, items[w::k]))
+                  for w in range(1, min(k, len(items)))]
+        try:
+            done = [_share(work, items[0::k])]
+        finally:    # the pool's exit would kill a worker mid-task
+            for share in shares:
+                share.wait()
+        done += [share.get() for share in shares]
+        failed = [(w + len(results) * k, exc)
+                  for w, (results, exc) in enumerate(done) if exc is not None]
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
+        return [done[i % k][0][i // k] for i in range(len(items))]
+
+    with (multiprocessing.get_context("fork").Pool(k - 1) if k > 1
+          else nullcontext()) as pool:
+        yield k, split
+
+
+def _share(work, items) -> tuple:
+    """(results, None) of work over items, or (the results before the first
+    item that raised, its exception)."""
+    results = []
+    try:
+        for x in items:
+            results.append(work(x))
+    except Exception as exc:
+        return results, exc
+    return results, None
 
 
 # ---------------------------------------------------------------------------
@@ -218,33 +266,20 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> Path:
 
     The tensor written holds the pixels of the same render that
     run_experiment analyses, so staged and in-process runs see one draw.
-    Realizations go in blocks of k, the CPUs this process may run on: it
-    writes the first of each block, and a fork pool of k - 1 workers the
-    rest.  A block's shares are all awaited before any is read, so the
-    error raised is that of its lowest failing index, as on one CPU.
+    Realizations go through _split_over_cpus in blocks of k, one per
+    process: this process writes the first of each block and the workers
+    the rest, so the error raised is that of the lowest failing index, as
+    on one CPU.
     """
-    import multiprocessing    # loaded by this command alone
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = [Realization(i, f"real_{i:04d}.json", f"pas_{i:04d}.json",
                            f"truth_{i:04d}.json")
                for i in range(config.n_realizations)]
-    k = (min(len(os.sched_getaffinity(0)), len(entries))
-         if hasattr(os, "sched_getaffinity")
-         and "fork" in multiprocessing.get_all_start_methods() else 1)
-    with (multiprocessing.get_context("fork").Pool(k - 1) if k > 1
-          else nullcontext()) as pool:
+    write = partial(_write_realization, config, out)
+    with _split_over_cpus(len(entries)) as (k, split):
         for first in range(0, len(entries), k):
-            shares = [pool.apply_async(_write_realization, (config, out, e))
-                      for e in entries[first + 1:first + k]]
-            try:
-                _write_realization(config, out, entries[first])
-            finally:    # the pool's exit would kill a worker mid-write
-                for share in shares:
-                    share.wait()
-            for share in shares:
-                share.get()
+            split(write, entries[first:first + k])
     manifest_path = out / "simulation.json"
     save_document(manifest_path, SimulationManifest(
         tuple(entries), config.sim, config.seed, config.n_realizations))
@@ -412,7 +447,11 @@ def _write_curves(out_dir: Path, train_rows: list, mlr_model) -> list:
 
 def run_experiment(config: ExperimentConfig, out_dir) -> Report:
     """Run the configured protocol end to end, write its artifacts under
-    out_dir, and return the Report written to report.json."""
+    out_dir, and return the Report written to report.json.
+
+    A simulated campaign's realizations are drawn and extracted through
+    _split_over_cpus, each from its own keyed streams, and the fits run in
+    this process, so the outputs are the same bytes on any CPU count."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run = _run_simulated if config.mode == "simulate" else _run_measured
@@ -421,9 +460,17 @@ def run_experiment(config: ExperimentConfig, out_dir) -> Report:
     return report
 
 
+def _simulated_features(config: ExperimentConfig, i: int):
+    """extract_realization of the configured campaign's realization i."""
+    clusters, _, cir = simulate_realization(config.sim, config.seed, i)
+    return extract_realization(cir, clusters, config.seg, config.metric)
+
+
 def _run_simulated(config: ExperimentConfig, out: Path) -> Report:
-    rows, log = extract_all(simulated_realizations(config), config.seg,
-                            config.metric)
+    indices = range(config.n_realizations)
+    with _split_over_cpus(len(indices)) as (_, split):
+        extracted = split(partial(_simulated_features, config), indices)
+    rows, log = _fold_extracted(zip(indices, extracted))
     save_features(out / "features.csv", rows)
     train_rows = [fv for i, fv in rows if i < config.n_train]
     test_rows = [fv for i, fv in rows

@@ -2,9 +2,10 @@
 
 One property: take a tiny, valid set of the files nlosid reads (a config,
 a simulation with its tensors and truth files, a feature table, both model
-kinds and a report), change one place in one of them, and run the command
-that reads it through cli.main.  Whatever the change, the command exits 0,
-2, 3 or 4, no exception escapes, and a non-zero exit prints an `error: `
+kinds and a report), change one place in one of them or delete or cut
+short a tensor's data file, and run the command that reads it through
+cli.main.  Whatever the change, the command exits 0, 2, 3 or 4 (3 for a
+data file), no exception escapes, and a non-zero exit prints an `error: `
 line.
 
 tests/test_fuzz_documents.py runs a few derandomized examples of it.  For
@@ -30,13 +31,17 @@ from nlosid.fileio import save_features, save_json
 from conftest import labelled_feature_rows, small_sim
 
 DELETE = object()     # the replacement that removes the place it names
+TRUNCATE = object()   # the one that cuts a file short, at a drawn length
 REPLACEMENTS = [DELETE, None, "x", [1.0], {"a": 1}, True, 0, -0.0, 1e308,
                 -1e308, 2 ** 70, math.nan, math.inf, -math.inf]
+# a tensor's data file holds bytes, not values
+DATA_REPLACEMENTS = [DELETE, TRUNCATE]
 
 _SIM = "sim/simulation.json"
 _MLR = "models/mlr_model.json"
 # document kind -> its file under the fixture directory
 FILES = {"config": "c.json", "tensor": "sim/real_0000.json",
+         "tensor_data": "sim/real_0000.bin",
          "truth": "sim/truth_0000.json", "simulation": _SIM,
          "mlr_model": _MLR, "ann_model": "models/ann_model.json",
          "features": "g.csv", "report": "rep/report.json"}
@@ -82,6 +87,8 @@ def command(kind: str, path: tuple, root: Path) -> list:
                                else extract)
     return {
         "tensor": config + out + ["extract", "--cir", str(root / FILES[kind])],
+        "tensor_data": config + out + ["extract", "--cir",
+                                       str(root / FILES["tensor"])],
         "truth": config + out + extract,
         "simulation": config + out + extract,
         "mlr_model": out + classify + [str(root / _MLR)],
@@ -92,7 +99,10 @@ def command(kind: str, path: tuple, root: Path) -> list:
 
 
 def read(kind: str, file: Path):
-    """A JSON document, or a CSV table as a list of rows of fields."""
+    """A JSON document, a CSV table as a list of rows of fields, or a data
+    file's bytes."""
+    if kind == "tensor_data":
+        return file.read_bytes()
     text = file.read_text()
     if kind == "features":
         return [line.split(",") for line in text.splitlines()]
@@ -104,6 +114,8 @@ def write(kind: str, file: Path, doc) -> None:
     the replacement's text."""
     if doc is DELETE:
         file.unlink()
+    elif kind == "tensor_data":
+        file.write_bytes(doc)
     elif kind != "features":
         file.write_text(json.dumps(doc))
     elif isinstance(doc, list):
@@ -155,8 +167,13 @@ def fuzz_property(fixture: Path):
     @given(kind=st.sampled_from(sorted(FILES)), data=st.data())
     def changed_documents_exit_cleanly(kind, data):
         path = data.draw(st.sampled_from(paths[kind]), label="path")
-        replacement = data.draw(st.sampled_from(REPLACEMENTS),
-                                label="replacement")
+        replacement = data.draw(st.sampled_from(
+            DATA_REPLACEMENTS if kind == "tensor_data" else REPLACEMENTS),
+            label="replacement")
+        if replacement is TRUNCATE:
+            size = len(docs[kind])
+            replacement = docs[kind][:data.draw(st.integers(0, size - 1),
+                                                label="length")]
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp) / "docs"
             shutil.copytree(fixture, root)
@@ -165,6 +182,7 @@ def fuzz_property(fixture: Path):
             write(kind, root / FILES[kind], doc)
             code, err = run(command(kind, path, root))
         assert code in (0, 2, 3, 4), err
+        assert code == 3 or kind != "tensor_data", err
         if code:
             assert any(line.startswith("error: ")
                        for line in err.splitlines()), err

@@ -339,7 +339,7 @@ def test_fitted_models_run_without_scipy(tmp_path, rng):
     """Importing nlosid, simulate, extract, ingest and classify with either
     model kind need numpy alone: a process that refuses scipy runs them.
     Of these, only simulate needs multiprocessing: a process that refuses
-    it imports nlosid and runs the others."""
+    it imports nlosid and runs the others, and report."""
     config = {"mode": "simulate", "sim": small_sim(snr_db=60.0).to_dict(),
               "seg": {"min_pixels": 2, "marker_min_separation": 1.0},
               "n_realizations": 6, "n_train": 3, "n_test": 3, "seed": 11}
@@ -364,8 +364,11 @@ def test_fitted_models_run_without_scipy(tmp_path, rng):
     result = run_guarded("refuse", [simulate, *others])
     assert result == {"imported": [], "codes": [0] * 5, "seen": []}
     assert len(load_features(features)) >= 6
-    result = run_guarded("refuse", others, "multiprocessing")
-    assert result == {"imported": [], "codes": [0] * 4, "seen": []}
+    report = tmp_path / "report.json"
+    save_json(report, _REPORT_DOC)
+    result = run_guarded("refuse", [*others, ["report", report]],
+                         "multiprocessing")
+    assert result == {"imported": [], "codes": [0] * 5, "seen": []}
 
 
 def test_simulate_imports_multiprocessing(tmp_path):
@@ -376,6 +379,20 @@ def test_simulate_imports_multiprocessing(tmp_path):
                     "n_train": 1, "n_test": 1})
     result = run_guarded("record", [["--config", cfg, "--out", tmp_path / "s",
                                      "simulate"]], "multiprocessing")
+    assert result["imported"] == [] and result["codes"] == [0]
+    assert "multiprocessing" in result["seen"]
+
+
+def test_experiment_imports_multiprocessing(tmp_path):
+    """experiment, which extracts realizations in a pool as simulate writes
+    them, loads multiprocessing too, and only once it has started."""
+    cfg = tmp_path / "config.json"
+    save_json(cfg, {"sim": small_sim(snr_db=60.0).to_dict(),
+                    "seg": {"min_pixels": 2, "marker_min_separation": 1.0},
+                    "schedule": {"max_epochs": 50},
+                    "n_realizations": 35, "n_train": 30, "n_test": 5})
+    result = run_guarded("record", [["--config", cfg, "--out", tmp_path / "e",
+                                     "experiment"]], "multiprocessing")
     assert result["imported"] == [] and result["codes"] == [0]
     assert "multiprocessing" in result["seen"]
 
@@ -544,7 +561,8 @@ MALFORMED_INPUTS = {
         _EXTRACT, 3, "AngularGrid.n_az must be an integer"),
     "tensor_rate_overflow": (
         {**_TENSOR_FILES, "t.json": {**_TENSOR, "sample_rate_ghz": 10 ** 399}},
-        _EXTRACT, 3, "t.json: bad TensorManifest"),
+        _EXTRACT, 3, "t.json: TensorManifest.sample_rate_ghz must be finite, "
+        "got an integer too large for a float"),
     "sim_range_overflow": (
         {"c.json": json_with_raw_numbers(
             {"sim": {"az_range_deg": [0, "@inf"]}})},
@@ -790,6 +808,12 @@ MALFORMED_INPUTS = {
                             "phase_rad": 0.0, "az_offset_deg": 0.0,
                             "el_offset_deg": 0.0}]), _EXTRACT_MANIFEST, 3,
         "u.json: Ray.amplitude must be finite, got nan"),
+    "truth_amplitude_past_the_float_range": (
+        _truth_files(rays=[{"delay_offset_ns": 0.0, "amplitude": 10 ** 400,
+                            "phase_rad": 0.0, "az_offset_deg": 0.0,
+                            "el_offset_deg": 0.0}]), _EXTRACT_MANIFEST, 3,
+        "u.json: Ray.amplitude must be finite, got an integer too large for "
+        "a float"),
     "features_nan_ratio_test": (
         _mlr_files({name: {"los": _GEV, "nlos": _GEV}
                     for name in METRIC_NAMES})

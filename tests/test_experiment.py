@@ -274,10 +274,15 @@ def test_stored_documents_round_trip_byte_for_byte(tmp_path):
         assert again.read_bytes() == path.read_bytes()
 
 
+def mock_cpus(monkeypatch, n_cpus) -> None:
+    """Give this process an affinity set of n_cpus CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+
+
 def simulate_on_cpus(monkeypatch, n_cpus, config, out) -> int:
     """cmd_simulate on a process whose affinity set holds n_cpus CPUs.
     Returns the exit code its error, if any, maps to."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    mock_cpus(monkeypatch, n_cpus)
     try:
         cmd_simulate(config, out)
     except DataFormatError:
@@ -352,8 +357,7 @@ def test_a_failing_worker_share_exits_as_on_one_cpu(tmp_path, monkeypatch,
     out = tmp_path / "out"
     seen = []
     for n_cpus in (1, 2):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(n_cpus)))
+        mock_cpus(monkeypatch, n_cpus)
         assert cli_main(["--config", str(config), "--out", str(out),
                          "simulate"]) == 3
         seen.append((capsys.readouterr().err,
@@ -377,6 +381,71 @@ def test_simulate_leaves_no_worker_running(snr_db, tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
     if code:
         assert list(tmp_path.iterdir()) == []
+
+
+def test_experiment_writes_the_same_files_on_one_two_and_three_cpus(
+        tmp_path, monkeypatch):
+    """43 realizations in shares of 43, 22 + 21 and 15 + 14 + 14 give one
+    tree: report.json, features.csv, both model files and the curves, byte
+    for byte, with no worker left running."""
+    cfg = tiny_config(n_realizations=43, n_train=28, n_test=15)
+    trees = []
+    for n_cpus in (1, 2, 3):
+        mock_cpus(monkeypatch, n_cpus)
+        out = tmp_path / f"cpus{n_cpus}"
+        run_experiment(cfg, out)
+        assert multiprocessing.active_children() == []
+        trees.append(sorted((p.relative_to(out).as_posix(), p.read_bytes())
+                            for p in out.rglob("*") if p.is_file()))
+    assert [name for name, _ in trees[0]] == sorted(
+        ["report.json", "features.csv", "mlr_model.json", "ann_model.json"]
+        + [f"curves/{m}_{c}.csv" for m in METRIC_NAMES for c in ("los", "nlos")])
+    assert trees[0] == trees[1] == trees[2]
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+def test_this_process_extracts_every_kth_realization(n_cpus, tmp_path,
+                                                     monkeypatch):
+    """On k CPUs run_experiment itself extracts realizations 0, k, 2k, ...
+    and no others; the calls a forked worker makes never reach this
+    process's list, though the report counts every realization."""
+    calls = []
+    real = experiment.extract_realization
+
+    def spy(cir, *args):
+        calls.append(cir.realization)
+        return real(cir, *args)
+
+    monkeypatch.setattr(experiment, "extract_realization", spy)
+    mock_cpus(monkeypatch, n_cpus)
+    report = run_experiment(tiny_config(n_realizations=43, n_train=28,
+                                        n_test=15), tmp_path)
+    assert calls == list(range(0, 43, n_cpus))
+    assert [d["index"] for d in report.diagnostics["per_realization"]] \
+        == list(range(43))
+
+
+def test_a_failing_realization_raises_as_on_one_cpu(tmp_path, monkeypatch):
+    """Realizations 2 and 3 raise.  On 1, 2 and 3 CPUs run_experiment
+    raises realization 2's error, the lowest index, whether this process's
+    share holds it (2 CPUs) or a worker's does while this process fails
+    on 3 (3 CPUs); it writes no report and leaves no worker running."""
+    real = experiment.simulate_realization
+
+    def simulate(sim, seed, i):
+        if i in (2, 3):
+            raise DataFormatError(f"realization {i} refused")
+        return real(sim, seed, i)
+
+    monkeypatch.setattr(experiment, "simulate_realization", simulate)
+    for n_cpus in (1, 2, 3):
+        mock_cpus(monkeypatch, n_cpus)
+        out = tmp_path / f"cpus{n_cpus}"
+        with pytest.raises(DataFormatError, match="^realization 2 refused$"):
+            run_experiment(tiny_config(n_realizations=6, n_train=3,
+                                       n_test=3), out)
+        assert multiprocessing.active_children() == []
+        assert list(out.iterdir()) == []
 
 
 def test_inputs_from_manifest_rejects_other_documents(tmp_path):

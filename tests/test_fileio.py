@@ -388,12 +388,18 @@ def test_ann_model_round_trip_is_bit_faithful(tmp_path):
         AnnModel.from_dict(doc)
 
 
-@pytest.mark.parametrize("changes", [
-    {"b1": [10 ** 400] * 10}, {"iw": "x"}, {"lw32": [[0.0] * 10] * 3},
-    {"feature_scales": [[1.0]] * 5}])
-def test_bad_network_arrays_are_data_format_errors(changes):
+@pytest.mark.parametrize("changes, fragment", [
+    pytest.param({"b1": [10 ** 400] * 10}, "AnnModel.b1 must be finite, got "
+                 "an integer too large for a float", id="changes0"),
+    pytest.param({"iw": "x"}, "AnnModel.iw must be an array of real numbers",
+                 id="changes1"),
+    pytest.param({"lw32": [[0.0] * 10] * 3}, "lw32 has shape (3, 10), "
+                 "expected (2, 10)", id="changes2"),
+    pytest.param({"feature_scales": [[1.0]] * 5}, "feature_scales has shape "
+                 "(5, 1), expected (5,)", id="changes3")])
+def test_bad_network_arrays_are_data_format_errors(changes, fragment):
     doc = {**ann_init(0).to_dict(), **changes}
-    with pytest.raises(DataFormatError, match="AnnModel"):
+    with pytest.raises(DataFormatError, match=re.escape(fragment)):
         AnnModel.from_dict(doc)
 
 

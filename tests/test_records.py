@@ -240,7 +240,8 @@ def test_data_records_raise_data_format_errors():
         RayCluster.from_dict({"kind": LOS, "center_az_deg": 0.0,
                               "center_el_deg": 0.0, "base_delay_ns": 1.0,
                               "rays": 5})
-    with pytest.raises(DataFormatError, match="bad Ray: int too large"):
+    with pytest.raises(DataFormatError, match="Ray.amplitude must be finite, "
+                                              "got an integer too large"):
         Ray.from_dict({"delay_offset_ns": 0.0, "amplitude": 10 ** 400,
                        "phase_rad": 0.0, "az_offset_deg": 0.0,
                        "el_offset_deg": 0.0})
