@@ -43,6 +43,16 @@ STREAM_TRAINING = 2
 _STREAM_PIXEL_NOISE = 3
 
 
+def check_sample_rate(rate_ghz: float, error=ConfigError,
+                      where: str = "") -> None:
+    """Raise error, its message led by where, unless rate_ghz and its tap
+    spacing 1 / rate_ghz are both positive and finite (a subnormal rate's
+    spacing is not)."""
+    if not (0 < rate_ghz < math.inf and 1 / rate_ghz < math.inf):
+        raise error(f"{where}sample rate must be positive and finite, with a "
+                    f"finite tap spacing 1 / rate, got {rate_ghz}")
+
+
 def rng_stream(master_seed: int, tag: int, *index: int) -> np.random.Generator:
     """Independent generator for one purpose and index, e.g. (noise,
     realization).
@@ -103,9 +113,8 @@ class SimConfig(Record):
         super().__post_init__()
         if not (self.hpbw_az_deg > 0 and self.hpbw_el_deg > 0):
             raise ConfigError("beamwidths must be positive")
-        if not self.sample_rate_ghz > 0:
-            raise ConfigError(f"sample_rate_ghz must be positive, got "
-                              f"{self.sample_rate_ghz}")
+        check_sample_rate(self.sample_rate_ghz,
+                          where="SimConfig.sample_rate_ghz: ")
         if self.n_taps < 64:
             raise ConfigError("n_taps must be at least 64")
         if not (self.decay_ns > 0 and self.ray_gap_mean_ns > 0):
@@ -321,10 +330,7 @@ class CirTensor:
     realization: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.sample_rate_ghz)
-                and self.sample_rate_ghz > 0):
-            raise ConfigError(f"sample rate must be positive and finite, got "
-                              f"{self.sample_rate_ghz}")
+        check_sample_rate(self.sample_rate_ghz)
         if self.rays is None and (self.stored.shape != self.grid.shape
                                   + (len(self.signal_taps),)):
             raise DataFormatError(

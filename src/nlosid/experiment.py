@@ -15,7 +15,7 @@ byte-reproducible.
 """
 
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .chansim import (LOS, NLOS, STREAM_TRAINING, CirTensor, SimConfig,
-                      simulate_realization)
+                      check_sample_rate, simulate_realization)
 from .classifiers import (GevPair, TrainSchedule, ann_classify, ann_init,
                           ann_train, error_rates, mlr_classify, mlr_train)
 from .errors import (ConfigError, DataFormatError, DegenerateInputError,
@@ -173,18 +173,6 @@ def extract_realization(cir: CirTensor, truth, seg: SegParams,
     return rows, diag
 
 
-def extract_all(realizations, seg: SegParams, metric: MetricConfig):
-    """extract_realization over (index, tensor, truth | None) triples,
-    folded as _fold_extracted does."""
-    def extracted():
-        for index, cir, truth in realizations:
-            done = extract_realization(cir, truth, seg, metric)
-            del cir     # so the next tensor is not loaded beside this one
-            yield index, done
-
-    return _fold_extracted(extracted())
-
-
 def _fold_extracted(extracted):
     """(rows, log) of (index, (features, diagnostics)) pairs: rows pair
     realization indices with feature vectors; the log holds each
@@ -200,39 +188,33 @@ def _fold_extracted(extracted):
                   "los_missed": missed}
 
 
-@contextmanager
-def _split_over_cpus(n: int):
-    """Yield (k, split): k is the number of CPUs this process may run on,
-    at most n, or 1 with no affinity call or no fork start method.
-    split(work, items) is [work(x) for x in items], one share per process:
-    items[0::k] here and items[w::k] in worker w of a fork pool of k - 1,
-    held for the block.  Every share is awaited before any result is read;
-    a share stops at its first exception, and split raises that of the
-    lowest failing index, as on one CPU."""
+def _over_cpus(work, items) -> list:
+    """[work(x) for x in items], one share per process: items[0::k] here
+    and items[w::k] in worker w of a fork pool of k - 1, where k is the
+    number of CPUs this process may run on, at most len(items), or 1 with
+    no affinity call or no fork start method.  A share stops at its first
+    exception; every share is awaited before any result is read, and the
+    exception of the lowest failing index is raised, as on one CPU."""
     import multiprocessing    # loaded by the pooled commands alone
 
-    k = (min(len(os.sched_getaffinity(0)), n)
+    k = (min(len(os.sched_getaffinity(0)), len(items))
          if hasattr(os, "sched_getaffinity")
          and "fork" in multiprocessing.get_all_start_methods() else 1)
-
-    def split(work, items) -> list:
+    with (multiprocessing.get_context("fork").Pool(k - 1) if k > 1
+          else nullcontext()) as pool:
         shares = [pool.apply_async(_share, (work, items[w::k]))
-                  for w in range(1, min(k, len(items)))]
+                  for w in range(1, k)]
         try:
             done = [_share(work, items[0::k])]
         finally:    # the pool's exit would kill a worker mid-task
             for share in shares:
                 share.wait()
         done += [share.get() for share in shares]
-        failed = [(w + len(results) * k, exc)
-                  for w, (results, exc) in enumerate(done) if exc is not None]
-        if failed:
-            raise min(failed, key=lambda f: f[0])[1]
-        return [done[i % k][0][i // k] for i in range(len(items))]
-
-    with (multiprocessing.get_context("fork").Pool(k - 1) if k > 1
-          else nullcontext()) as pool:
-        yield k, split
+    failed = [(w + len(results) * k, exc)
+              for w, (results, exc) in enumerate(done) if exc is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return [done[i % k][0][i // k] for i in range(len(items))]
 
 
 def _share(work, items) -> tuple:
@@ -251,13 +233,16 @@ def _share(work, items) -> tuple:
 # staged commands
 
 
-def _write_realization(config: ExperimentConfig, out, entry) -> None:
-    """Draw one realization and write its tensor, power map and truth."""
-    clusters, _, cir = simulate_realization(config.sim, config.seed,
-                                            entry.index)
+def _write_realization(config: ExperimentConfig, out, i) -> Realization:
+    """Draw realization i, write its tensor, power map and truth, and
+    return its manifest entry."""
+    clusters, _, cir = simulate_realization(config.sim, config.seed, i)
+    entry = Realization(i, f"real_{i:04d}.json", f"pas_{i:04d}.json",
+                        f"truth_{i:04d}.json")
     save_cir_tensor(cir, out / entry.cir)
     save_pas_json(compute_pas(cir), out / entry.pas)
     save_truth(out / entry.truth, clusters)
+    return entry
 
 
 def cmd_simulate(config: ExperimentConfig, out_dir) -> Path:
@@ -266,20 +251,15 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> Path:
 
     The tensor written holds the pixels of the same render that
     run_experiment analyses, so staged and in-process runs see one draw.
-    Realizations go through _split_over_cpus in blocks of k, one per
-    process: this process writes the first of each block and the workers
-    the rest, so the error raised is that of the lowest failing index, as
-    on one CPU.
+    Realizations are written through _over_cpus, so the error raised is
+    that of the lowest failing index, as on one CPU, though the other
+    processes' shares run to their end first; the manifest is written
+    only when every realization was.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entries = [Realization(i, f"real_{i:04d}.json", f"pas_{i:04d}.json",
-                           f"truth_{i:04d}.json")
-               for i in range(config.n_realizations)]
-    write = partial(_write_realization, config, out)
-    with _split_over_cpus(len(entries)) as (k, split):
-        for first in range(0, len(entries), k):
-            split(write, entries[first:first + k])
+    entries = _over_cpus(partial(_write_realization, config, out),
+                         range(config.n_realizations))
     manifest_path = out / "simulation.json"
     save_document(manifest_path, SimulationManifest(
         tuple(entries), config.sim, config.seed, config.n_realizations))
@@ -297,12 +277,15 @@ def inputs_from_manifest(manifest_path) -> list:
 
 def cmd_extract(inputs: list, seg: SegParams, metric: MetricConfig,
                 out_csv=None):
-    """extract_all over the files of (index, cir_path, truth_path | None)
-    triples, writing the feature rows to out_csv when given."""
-    rows, log = extract_all(
-        ((index, load_cir_tensor(cir_path),
-          None if truth_path is None else load_truth(truth_path))
-         for index, cir_path, truth_path in inputs), seg, metric)
+    """extract_realization over the files of (index, cir_path, truth_path
+    | None) triples, one tensor loaded at a time, folded as
+    _fold_extracted does; the feature rows go to out_csv when given."""
+    rows, log = _fold_extracted(
+        (index, extract_realization(
+            load_cir_tensor(cir_path),
+            None if truth_path is None else load_truth(truth_path), seg,
+            metric))
+        for index, cir_path, truth_path in inputs)
     if out_csv is not None:
         save_features(out_csv, rows)
     return rows, log
@@ -356,6 +339,10 @@ def ingest_sweeps(sweeps: dict, grid: AngularGrid,
     step = float(np.mean(df))
     if np.max(np.abs(df - step)) > 1e-6 * step:
         raise DataFormatError("frequency axis is not uniformly spaced")
+    sample_rate = n * float((freqs[-1] - freqs[0]) / (n - 1))
+    check_sample_rate(sample_rate, DataFormatError,
+                      f"frequency axis {freqs[0]:g} to {freqs[-1]:g} GHz in "
+                      f"{n} points: ")
     data = np.empty(grid.shape + (n,), dtype=complex)
     for (i, j), (f, values) in lookup.items():
         if len(f) != n or len(values) != n \
@@ -367,7 +354,6 @@ def ingest_sweeps(sweeps: dict, grid: AngularGrid,
         data[i, j] = values
     if window == "hann":
         data *= np.hanning(n)
-    sample_rate = n * float((freqs[-1] - freqs[0]) / (n - 1))
     return CirTensor.dense(grid, sample_rate, np.fft.ifft(data, axis=-1))
 
 
@@ -450,7 +436,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> Report:
     out_dir, and return the Report written to report.json.
 
     A simulated campaign's realizations are drawn and extracted through
-    _split_over_cpus, each from its own keyed streams, and the fits run in
+    _over_cpus, each from its own keyed streams, and the fits run in
     this process, so the outputs are the same bytes on any CPU count."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -468,9 +454,8 @@ def _simulated_features(config: ExperimentConfig, i: int):
 
 def _run_simulated(config: ExperimentConfig, out: Path) -> Report:
     indices = range(config.n_realizations)
-    with _split_over_cpus(len(indices)) as (_, split):
-        extracted = split(partial(_simulated_features, config), indices)
-    rows, log = _fold_extracted(zip(indices, extracted))
+    rows, log = _fold_extracted(zip(indices, _over_cpus(
+        partial(_simulated_features, config), indices)))
     save_features(out / "features.csv", rows)
     train_rows = [fv for i, fv in rows if i < config.n_train]
     test_rows = [fv for i, fv in rows

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chansim import CirTensor, RayCluster, SimConfig
+from .chansim import CirTensor, RayCluster, SimConfig, check_sample_rate
 from .errors import DataFormatError, NlosIdError, Record
 from .metrics import METRIC_NAMES, FeatureVector
 from .pas import AngularGrid, PasMap
@@ -138,6 +138,8 @@ class TensorManifest(Record):
 
     def __post_init__(self):
         super().__post_init__()
+        check_sample_rate(self.sample_rate_ghz, DataFormatError,
+                          "TensorManifest.sample_rate_ghz: ")
         if self.dtype != "c64le":
             raise DataFormatError(f"unsupported dtype {self.dtype!r}")
         if Path(self.data_file).name != self.data_file \

@@ -1,11 +1,12 @@
 """Every stored document fuzzed through the command line.
 
 One property: take a tiny, valid set of the files nlosid reads (a config,
-a simulation with its tensors and truth files, a feature table, both model
-kinds and a report), change one place in one of them or delete or cut
-short a tensor's data file, and run the command that reads it through
-cli.main.  Whatever the change, the command exits 0, 2, 3 or 4 (3 for a
-data file), no exception escapes, and a non-zero exit prints an `error: `
+a simulation with its tensors and truth files, a feature table, a sweep
+file, both model kinds and a report), change one place in one of them or
+delete or cut short a tensor's data file or the sweep file, and run the
+command that reads it through cli.main.  Whatever the change, the command
+exits 0, 2, 3 or 4 (3 for a tensor's data file, 0 or 3 for the sweep
+file), no exception escapes, and a non-zero exit prints an `error: `
 line.
 
 tests/test_fuzz_documents.py runs a few derandomized examples of it.  For
@@ -36,6 +37,8 @@ REPLACEMENTS = [DELETE, None, "x", [1.0], {"a": 1}, True, 0, -0.0, 1e308,
                 -1e308, 2 ** 70, math.nan, math.inf, -math.inf]
 # a tensor's data file holds bytes, not values
 DATA_REPLACEMENTS = [DELETE, TRUNCATE]
+# a sweep file's numbers are read by the CSV parser, subnormals too
+SWEEP_REPLACEMENTS = REPLACEMENTS + [5e-324, TRUNCATE]
 
 _SIM = "sim/simulation.json"
 _MLR = "models/mlr_model.json"
@@ -44,13 +47,16 @@ FILES = {"config": "c.json", "tensor": "sim/real_0000.json",
          "tensor_data": "sim/real_0000.bin",
          "truth": "sim/truth_0000.json", "simulation": _SIM,
          "mlr_model": _MLR, "ann_model": "models/ann_model.json",
-         "features": "g.csv", "report": "rep/report.json"}
+         "features": "g.csv", "sweeps": "sweep.csv",
+         "report": "rep/report.json"}
+_CSV_KINDS = ("features", "sweeps")
+_INGEST_AXES = ["--az", "0:2:2", "--el", "0:2:2"]
 
 
 def build_fixture(root: Path) -> None:
     """Write one valid file of each kind under root: a 2-realization
-    simulation on a 9x5 grid, and models and a report trained on a
-    synthetic labelled table."""
+    simulation on a 9x5 grid, models and a report trained on a synthetic
+    labelled table, and 8-point sweeps of a 2x2 grid."""
     config = {"sim": small_sim(az_range_deg=(-20.0, 20.0),
                                el_range_deg=(-10.0, 10.0),
                                snr_db=40.0).to_dict(),
@@ -61,6 +67,11 @@ def build_fixture(root: Path) -> None:
     rows = [(None, fv) for _, fv in labelled_feature_rows(n_realizations=40)]
     save_features(root / "f.csv", rows)
     save_features(root / "g.csv", rows[:4])
+    (root / FILES["sweeps"]).write_text(
+        "az_deg,el_deg,freq_ghz,re,im\n" + "".join(
+            f"{az},{el},{60.0 + 0.25 * k},{math.cos(k + az)},"
+            f"{math.sin(k - el)}\n"
+            for az in (0, 2) for el in (0, 2) for k in range(8)))
     save_json(root / "m.json", {
         "mode": "measured", "features_csv": str(root / "f.csv"),
         "schedule": {"max_epochs": 50},
@@ -70,7 +81,9 @@ def build_fixture(root: Path) -> None:
                  ["--config", root / "c.json", "--out", root / "models",
                   "train", "--features", root / "f.csv"],
                  ["--config", root / "m.json", "--out", root / "rep",
-                  "experiment"]):
+                  "experiment"],
+                 ["--out", root / "ingested.json", "ingest",
+                  root / FILES["sweeps"], *_INGEST_AXES]):
         code, err = run([str(a) for a in argv])
         assert code == 0, err
 
@@ -94,6 +107,7 @@ def command(kind: str, path: tuple, root: Path) -> list:
         "mlr_model": out + classify + [str(root / _MLR)],
         "ann_model": out + classify + [str(root / FILES[kind])],
         "features": out + classify + [str(root / _MLR)],
+        "sweeps": out + ["ingest", str(root / FILES[kind]), *_INGEST_AXES],
         "report": ["report", str(root / FILES[kind])],
     }[kind]
 
@@ -104,7 +118,7 @@ def read(kind: str, file: Path):
     if kind == "tensor_data":
         return file.read_bytes()
     text = file.read_text()
-    if kind == "features":
+    if kind in _CSV_KINDS:
         return [line.split(",") for line in text.splitlines()]
     return json.loads(text)
 
@@ -114,9 +128,7 @@ def write(kind: str, file: Path, doc) -> None:
     the replacement's text."""
     if doc is DELETE:
         file.unlink()
-    elif kind == "tensor_data":
-        file.write_bytes(doc)
-    elif kind != "features":
+    elif kind not in _CSV_KINDS:
         file.write_text(json.dumps(doc))
     elif isinstance(doc, list):
         file.write_text("".join((",".join(row) if isinstance(row, list)
@@ -168,21 +180,26 @@ def fuzz_property(fixture: Path):
     def changed_documents_exit_cleanly(kind, data):
         path = data.draw(st.sampled_from(paths[kind]), label="path")
         replacement = data.draw(st.sampled_from(
-            DATA_REPLACEMENTS if kind == "tensor_data" else REPLACEMENTS),
+            {"tensor_data": DATA_REPLACEMENTS,
+             "sweeps": SWEEP_REPLACEMENTS}.get(kind, REPLACEMENTS)),
             label="replacement")
         if replacement is TRUNCATE:
-            size = len(docs[kind])
-            replacement = docs[kind][:data.draw(st.integers(0, size - 1),
-                                                label="length")]
+            whole = (fixture / FILES[kind]).read_bytes()
+            replacement = whole[:data.draw(st.integers(0, len(whole) - 1),
+                                           label="length")]
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp) / "docs"
             shutil.copytree(fixture, root)
-            doc = mutated(read(kind, root / FILES[kind]), path, replacement,
-                          kind == "features")
-            write(kind, root / FILES[kind], doc)
+            file = root / FILES[kind]
+            if isinstance(replacement, bytes):      # the file cut short
+                file.write_bytes(replacement)
+            else:
+                write(kind, file, mutated(read(kind, file), path, replacement,
+                                          kind in _CSV_KINDS))
             code, err = run(command(kind, path, root))
         assert code in (0, 2, 3, 4), err
         assert code == 3 or kind != "tensor_data", err
+        assert code in (0, 3) or kind != "sweeps", err
         if code:
             assert any(line.startswith("error: ")
                        for line in err.splitlines()), err

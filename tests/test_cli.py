@@ -445,6 +445,14 @@ _SWEEP_REPEATED_ROW = "\n".join(
 
 
 _INGEST = ["ingest", "x.csv", "--az", "0:2:2", "--el", "0:2:2"]
+
+
+def _sweep_band(start: float, step: float) -> str:
+    """8-point sweeps of the 2x2 grid of _INGEST at start + k step GHz."""
+    return "\n".join(["az_deg,el_deg,freq_ghz,re,im"]
+                     + [f"{az},{el},{start + k * step!r},1,0"
+                        for az in (0, 2) for el in (0, 2)
+                        for k in range(8)]) + "\n"
 _EXTRACT_MANIFEST = ["extract", "--manifest", "s.json"]
 _REPORT = ["report", "r.json"]
 # a minimal valid report: the default config, empty tables
@@ -690,6 +698,21 @@ MALFORMED_INPUTS = {
         {"x.csv": _SWEEP_REPEATED_ROW},
         ["ingest", "x.csv", "--az", "0:2:2", "--el", "0:2:2"], 3,
         "frequency axis must be strictly increasing"),
+    "ingest_band_of_subnormal_width": (
+        {"x.csv": _sweep_band(0.0, 5e-324)}, _INGEST, 3,
+        "frequency axis 0 to 3.45846e-323 GHz in 8 points: sample rate must "
+        "be positive and finite, with a finite tap spacing 1 / rate, got "
+        "4e-323"),
+    "ingest_band_rate_overflow": (
+        {"x.csv": _sweep_band(-1e308, 2.5e307)}, _INGEST, 3,
+        "frequency axis -1e+308 to 7.5e+307 GHz in 8 points: sample rate "
+        "must be positive and finite, with a finite tap spacing 1 / rate, "
+        "got inf"),
+    "tensor_rate_subnormal": (
+        {**_TENSOR_FILES, "t.json": {**_TENSOR, "sample_rate_ghz": 1e-320}},
+        _EXTRACT, 3, "t.json: TensorManifest.sample_rate_ghz: sample rate "
+        "must be positive and finite, with a finite tap spacing 1 / rate, "
+        "got 1e-320"),
     "ingest_azimuth_nan": (
         {"x.csv": _SWEEP_REPEATED_ROW.replace("\n0,0,60.0,", "\nnan,0,60.0,",
                                               1)},

@@ -22,7 +22,7 @@ from nlosid import (AngularGrid, AnnModel, CirTensor, ConfigError,
 from nlosid import chansim, experiment
 from nlosid.cli import main as cli_main
 from nlosid.experiment import (ERROR_TABLE_ROWS, BootstrapSpec, Report,
-                               _training_seed, extract_all)
+                               _training_seed)
 from nlosid.fileio import (SimulationManifest, TensorManifest, Truth,
                            load_cir_tensor, load_document, load_features,
                            load_json, save_cir_tensor, save_document,
@@ -149,25 +149,24 @@ def test_extract_realization_unlabelled_when_no_truth():
     assert all(fv.label is None for fv in rows)
 
 
-def test_extract_all_drops_each_tensor_before_the_next_loads(tmp_path):
-    """extract_all holds one tensor at a time: when the generator resumes
-    to load the next tensor, every tensor it yielded before is gone."""
+def test_extract_drops_each_tensor_before_the_next_loads(tmp_path,
+                                                        monkeypatch):
+    """cmd_extract holds one tensor at a time: when it loads the next
+    tensor, every tensor it loaded before is gone."""
     save_cir_tensor(simulate_realization(small_sim(snr_db=60.0), 7, 4)[2],
                     tmp_path / "t.json")
     refs, alive = [], []
 
-    def load_tracked():
-        cir = load_cir_tensor(tmp_path / "t.json")
+    def load_tracked(path):
+        alive.append(sum(ref() is not None for ref in refs))
+        cir = load_cir_tensor(path)
         refs.append(weakref.ref(cir))
         return cir
 
-    def loaded():
-        for index in range(3):
-            alive.append(sum(ref() is not None for ref in refs))
-            yield index, load_tracked(), None
-
-    _, log = extract_all(loaded(), SegParams(min_pixels=2,
-                                             marker_min_separation=1.0),
+    monkeypatch.setattr(experiment, "load_cir_tensor", load_tracked)
+    _, log = cmd_extract([(index, tmp_path / "t.json", None)
+                          for index in range(3)],
+                         SegParams(min_pixels=2, marker_min_separation=1.0),
                          MetricConfig())
     assert [d["index"] for d in log["realizations"]] == [0, 1, 2]
     assert alive == [0, 0, 0] and len(refs) == 3
@@ -381,6 +380,68 @@ def test_simulate_leaves_no_worker_running(snr_db, tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
     if code:
         assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failing_realization_exits_simulate_as_on_one_cpu(
+        tmp_path, monkeypatch, capsys):
+    """Realizations 2 and 3 of 6 are refused.  On 1, 2 and 3 CPUs simulate
+    exits 3 with realization 2's message, the lowest index, writes no
+    manifest and no temporary file, leaves no worker running, and every
+    realization it wrote has all four of its files."""
+    real = experiment.simulate_realization
+
+    def simulate(sim, seed, i):
+        if i in (2, 3):
+            raise DataFormatError(f"realization {i} refused")
+        return real(sim, seed, i)
+
+    monkeypatch.setattr(experiment, "simulate_realization", simulate)
+    config = tmp_path / "c.json"
+    save_json(config, tiny_config(n_realizations=6, n_train=3,
+                                  n_test=3).to_dict())
+    for n_cpus in (1, 2, 3):
+        mock_cpus(monkeypatch, n_cpus)
+        out = tmp_path / f"cpus{n_cpus}"
+        assert cli_main(["--config", str(config), "--out", str(out),
+                         "simulate"]) == 3
+        assert capsys.readouterr().err == "error: realization 2 refused\n"
+        assert multiprocessing.active_children() == []
+        names = sorted(p.name for p in out.iterdir())
+        written = sorted({Path(name).stem[-4:] for name in names})
+        assert {"0000", "0001"} <= set(written)
+        assert names == sorted(f"{stem}_{i}.{ext}" for i in written
+                               for stem, ext in (("pas", "json"),
+                                                 ("real", "bin"),
+                                                 ("real", "json"),
+                                                 ("truth", "json")))
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_simulate_builds_no_entry_ahead_of_writing(n_cpus, tmp_path,
+                                                   monkeypatch, capsys):
+    """Every tensor of a 10,000-realization campaign is refused (snr_db
+    -3000 overflows complex64).  simulate exits 3 having built at most one
+    manifest entry in this process, the one of the realization it failed
+    on, and leaves no file and no worker."""
+    built = []
+    real = experiment.Realization
+
+    def spy(*args):
+        built.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "Realization", spy)
+    config = tmp_path / "c.json"
+    save_json(config, tiny_config(sim=small_sim(snr_db=-3000.0),
+                                  n_realizations=10_000).to_dict())
+    out = tmp_path / "out"
+    mock_cpus(monkeypatch, n_cpus)
+    assert cli_main(["--config", str(config), "--out", str(out),
+                     "simulate"]) == 3
+    assert "complex64" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert list(out.iterdir()) == []
+    assert built in ([], [0])
 
 
 def test_experiment_writes_the_same_files_on_one_two_and_three_cpus(
