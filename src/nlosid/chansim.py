@@ -17,10 +17,12 @@ then.
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Annotated, Literal
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, Record, RenderError
+from .errors import (NON_NEGATIVE, POSITIVE, AtLeast, ConfigError,
+                     DataFormatError, Record, RenderError)
 from .pas import AngularGrid, wrap_angle_deg
 
 LOS = "LOS"
@@ -79,16 +81,11 @@ class Ray(Record):
 class RayCluster(Record):
     error = DataFormatError
 
-    kind: str                 # LOS or NLOS
+    kind: Literal[LOS, NLOS]
     center_az_deg: float
     center_el_deg: float
     base_delay_ns: float
     rays: tuple[Ray, ...]
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.kind not in (LOS, NLOS):
-            raise ConfigError(f"unknown cluster kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -98,29 +95,21 @@ class SimConfig(Record):
     az_range_deg: tuple[float, float] = (-180.0, 180.0)
     el_range_deg: tuple[float, float] = (-45.0, 90.0)
     step_deg: float = 5.0             # scan step, both axes
-    hpbw_az_deg: float = 5.0          # half-power beamwidth of the beam pair
-    hpbw_el_deg: float = 5.0
+    hpbw_az_deg: Annotated[float, POSITIVE] = 5.0   # the beam pair's
+    hpbw_el_deg: Annotated[float, POSITIVE] = 5.0   # half-power beamwidths
     sample_rate_ghz: float = 7.0
-    n_taps: int = 512
+    n_taps: Annotated[int, AtLeast(64)] = 512
     snr_db: float | None = 60.0       # per-tap SNR vs the strongest ray; None = noiseless
     n_nlos_mean: float = 4.0          # mean reflection-cluster count, 1 + Poisson(mean - 1)
-    decay_ns: float = 4.5             # intra-cluster amplitude decay constant
-    ray_gap_mean_ns: float = 2.0      # mean spacing between successive rays
-    angular_jitter_deg: float = 2.0   # per-ray scatter around the cluster centre
+    decay_ns: Annotated[float, POSITIVE] = 4.5   # amplitude decay in a cluster
+    ray_gap_mean_ns: Annotated[float, POSITIVE] = 2.0   # mean gap between rays
+    angular_jitter_deg: Annotated[float, NON_NEGATIVE] = 2.0  # per-ray scatter
     los_present: bool = True
 
     def __post_init__(self):
         super().__post_init__()
-        if not (self.hpbw_az_deg > 0 and self.hpbw_el_deg > 0):
-            raise ConfigError("beamwidths must be positive")
         check_sample_rate(self.sample_rate_ghz,
                           where="SimConfig.sample_rate_ghz: ")
-        if self.n_taps < 64:
-            raise ConfigError("n_taps must be at least 64")
-        if not (self.decay_ns > 0 and self.ray_gap_mean_ns > 0):
-            raise ConfigError("decay_ns and ray_gap_mean_ns must be positive")
-        if not self.angular_jitter_deg >= 0:
-            raise ConfigError("angular_jitter_deg must be non-negative")
         object.__setattr__(self, "angular_jitter_deg",
                            self.angular_jitter_deg + 0.0)   # numpy refuses -0.0
         if self.snr_db is not None:
@@ -228,7 +217,8 @@ def _draw_nlos_cluster(rng, config, base, last_bin_ns):
     for _ in range(_MAX_REDRAWS):
         n_rays = 2 + rng.poisson(_RAYS_MEAN_EXTRA)
         gaps = rng.exponential(config.ray_gap_mean_ns, n_rays - 1)
-        offsets = np.concatenate([[0.0], np.cumsum(gaps)])
+        with np.errstate(over="ignore"):      # inf lands past the record
+            offsets = np.concatenate([[0.0], np.cumsum(gaps)])
         offsets = offsets[offsets <= headroom]
         if len(offsets) >= 2:
             break

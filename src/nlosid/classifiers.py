@@ -14,12 +14,13 @@ Either way a tied score keeps the line-of-sight hypothesis.
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .chansim import LOS, NLOS
-from .errors import (ConfigError, DataFormatError, EvaluationError, Record,
-                     TrainingError)
+from .errors import (NON_NEGATIVE, POSITIVE, ConfigError, DataFormatError,
+                     EvaluationError, Record, TrainingError)
 from .gevstats import GevParams, gev_fit_mle, gev_pdf
 from .metrics import METRIC_NAMES
 
@@ -49,15 +50,8 @@ class Verdict:
 
 @dataclass(frozen=True)
 class TrainSchedule(Record):
-    max_epochs: int = 5000         # L-BFGS-B iteration cap
-    loss_tolerance: float = 1e-8   # stop once loss improves by less than this
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be positive")
-        if not self.loss_tolerance >= 0:
-            raise ConfigError("loss_tolerance must be non-negative")
+    max_epochs: Annotated[int, POSITIVE] = 5000   # L-BFGS-B iteration cap
+    loss_tolerance: Annotated[float, NON_NEGATIVE] = 1e-8   # L-BFGS-B ftol
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +193,7 @@ class AnnModel(Record):
     lw32: np.ndarray           # (2, 10) hidden-to-output
     b3: np.ndarray             # (2,)
     feature_means: np.ndarray  # (5,)
-    feature_scales: np.ndarray  # (5,)
+    feature_scales: Annotated[np.ndarray, POSITIVE]  # (5,)
     training: dict | None = None
 
     def __post_init__(self):
@@ -333,8 +327,9 @@ def ann_classify(model: AnnModel, features) -> list:
     features is a sequence of FeatureVectors, giving a list of Verdicts
     from one batched forward pass."""
     x = _table(features)
-    a3 = _forward_batch(model.weights(),
-                        (x - model.feature_means) / model.feature_scales)[2]
+    with np.errstate(over="ignore"):    # tanh saturates an overflowed sum
+        a3 = _forward_batch(model.weights(), (x - model.feature_means)
+                            / model.feature_scales)[2]
     return [Verdict(decision=LOS if p >= 0.5 else NLOS, score=float(p))
             for p in a3[:, 0]]
 

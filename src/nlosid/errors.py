@@ -50,23 +50,52 @@ class RenderError(ConfigError):
     """A channel cannot be rendered onto the configured sampling grid."""
 
 
+@dataclasses.dataclass(frozen=True)
+class AtLeast:
+    """A Record field's lower bound, declared as Annotated[T, AtLeast(lo)];
+    strict=True refuses lo itself."""
+
+    lo: float
+    strict: bool = False
+
+    def admits(self, value) -> bool:
+        return value > self.lo if self.strict else value >= self.lo
+
+    def __str__(self):
+        if self.lo == 0:
+            return "positive" if self.strict else "non-negative"
+        return f"{'above' if self.strict else 'at least'} {self.lo}"
+
+
+POSITIVE, NON_NEGATIVE = AtLeast(0, strict=True), AtLeast(0)
+
+
+class _OneOf(tuple):      # the values a Literal[...] field allows
+    admits = tuple.__contains__
+
+    def __str__(self):
+        return "one of " + ", ".join(map(repr, self))
+
+
 class Record:
-    """Field types and dict round trip of a frozen dataclass kept as JSON.
+    """Field types, bounds and dict round trip of a frozen JSON dataclass.
 
     A bool field takes bools, an int field integers, a float field finite
     real numbers (never bools), a tuple[float, float] field two of them and
     an np.ndarray field nested lists or an array of them (stored as float,
     float tuple and float64 array), a str field strings and a dict field
-    objects; an X | None field also takes None.  from_dict also parses
-    Record fields, tuples of them (JSON lists) and str-keyed dicts of them
-    (JSON objects).  Every value it or the class rejects raises the class's
-    error naming Class.field: ConfigError for config sections,
-    DataFormatError for data."""
+    objects; an X | None field also takes None.  Annotated[T, AtLeast(lo)]
+    bounds a field (each array element) below, Literal[...] lists its
+    values.  from_dict also parses Record fields, tuples of them (JSON
+    lists) and str-keyed dicts of them (JSON objects).  Every value it or
+    the class rejects raises the class's error naming Class.field:
+    ConfigError for config sections, DataFormatError for data."""
 
     error = ConfigError
 
     def __post_init__(self):
-        for name, kind, optional in _field_table(type(self))[0]:
+        scalars, _, bounded = _field_table(type(self))
+        for name, kind, optional in scalars:
             value = getattr(self, name)
             # the exact-type fast path; x - x is 0.0 for finite floats only
             if type(value) is kind and (kind is not float
@@ -75,6 +104,14 @@ class Record:
                 continue
             object.__setattr__(self, name,
                                self._checked(name, kind, value, optional))
+        for name, bound in bounded:
+            value = getattr(self, name)
+            cells = value.ravel().tolist() if isinstance(value, np.ndarray) \
+                else () if value is None else (value,)
+            for v in cells:
+                if not bound.admits(v):
+                    raise self.error(f"{type(self).__name__}.{name} must be "
+                                     f"{bound}, got {v!r}")
 
     def _checked(self, name, kind, value, optional):
         """value stored as kind, or the class's error naming the field."""
@@ -154,14 +191,22 @@ def _json_object(pairs) -> dict:
 
 @functools.cache
 def _field_table(cls) -> tuple:
-    """Checked fields as (name, _SCALARS key, optional), and Record-typed
-    ones as name -> (Record class R, the JSON container of a tuple[R, ...]
-    field (list) or a dict[str, R] field (dict) or None, optional)."""
-    scalars, nested = [], {}
+    """Checked fields as (name, _SCALARS key, optional), Record-typed ones
+    as name -> (Record class R, the JSON container of a tuple[R, ...] field
+    (list) or a dict[str, R] field (dict) or None, optional), and bounded
+    fields as (name, AtLeast or the Literal's values)."""
+    scalars, nested, bounded = [], {}, []
     for f in dataclasses.fields(cls):
         args = typing.get_args(f.type)
         optional = type(None) in args                 # X | None
         kind = args[0] if optional else f.type
+        origin = typing.get_origin(kind)
+        if origin is typing.Annotated:
+            kind, bound = typing.get_args(kind)
+            bounded.append((f.name, bound))
+        elif origin is typing.Literal:
+            bounded.append((f.name, _OneOf(typing.get_args(kind))))
+            kind = type(typing.get_args(kind)[0])
         kind = _ALIASES.get(kind, kind)
         many = {tuple: list, dict: dict}.get(typing.get_origin(kind))
         kind = typing.get_args(kind)[many is dict] if many else kind
@@ -169,4 +214,4 @@ def _field_table(cls) -> tuple:
             scalars.append((f.name, kind, optional))
         elif isinstance(kind, type) and issubclass(kind, Record):
             nested[f.name] = (kind, many, optional)
-    return tuple(scalars), nested
+    return tuple(scalars), nested, tuple(bounded)

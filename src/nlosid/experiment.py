@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from pathlib import Path
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -27,8 +28,9 @@ from .chansim import (LOS, NLOS, STREAM_TRAINING, CirTensor, SimConfig,
                       check_sample_rate, simulate_realization)
 from .classifiers import (GevPair, TrainSchedule, ann_classify, ann_init,
                           ann_train, error_rates, mlr_classify, mlr_train)
-from .errors import (ConfigError, DataFormatError, DegenerateInputError,
-                     EvaluationError, Record)
+from .errors import (NON_NEGATIVE, POSITIVE, AtLeast, ConfigError,
+                     DataFormatError, DegenerateInputError, EvaluationError,
+                     Record)
 from .fileio import (Realization, SimulationManifest, load_cir_tensor,
                      load_document, load_features, load_truth,
                      save_cir_tensor, save_csv, save_document, save_features,
@@ -46,41 +48,27 @@ _CURVE_BINS = 30
 
 @dataclass(frozen=True)
 class BootstrapSpec(Record):
-    n_train: int = 30
-    n_test: int = 20
-    repeats: int = 10
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.n_train < 1 or self.n_test < 1 or self.repeats < 1:
-            raise ConfigError("bootstrap sizes and repeats must be positive")
+    n_train: Annotated[int, POSITIVE] = 30
+    n_test: Annotated[int, POSITIVE] = 20
+    repeats: Annotated[int, POSITIVE] = 10
 
 
 @dataclass(frozen=True)
 class ExperimentConfig(Record):
-    mode: str = "simulate"                 # "simulate" or "measured"
+    mode: Literal["simulate", "measured"] = "simulate"
     sim: SimConfig = SimConfig()
-    seg: SegParams = SegParams(min_pixels=2, marker_min_separation=1.0)
+    seg: SegParams = SegParams()
     metric: MetricConfig = MetricConfig()
     schedule: TrainSchedule = TrainSchedule()
     bootstrap: BootstrapSpec = BootstrapSpec()
-    n_realizations: int = 250
-    n_train: int = 150                     # leading realizations used to train
-    n_test: int = 100                      # realizations scored after those
-    seed: int = 1                          # keys every random stream of a run
+    n_realizations: Annotated[int, AtLeast(2)] = 250  # a train and a test one
+    n_train: Annotated[int, POSITIVE] = 150   # leading realizations to train
+    n_test: Annotated[int, POSITIVE] = 100    # realizations scored after those
+    seed: Annotated[int, NON_NEGATIVE] = 1    # keys every random stream
     features_csv: str | None = None        # measured-mode input table
 
     def __post_init__(self):
         super().__post_init__()
-        if self.mode not in ("simulate", "measured"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.seed < 0:
-            raise ConfigError(
-                f"ExperimentConfig.seed must be non-negative, got {self.seed}")
-        if self.n_realizations < 1:
-            raise ConfigError("n_realizations must be positive")
-        if self.n_train < 1 or self.n_test < 1:
-            raise ConfigError("n_train and n_test must be positive")
         if self.n_train + self.n_test > self.n_realizations:
             raise ConfigError(
                 f"n_train + n_test = {self.n_train + self.n_test} exceeds "

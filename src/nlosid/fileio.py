@@ -19,6 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -133,15 +134,13 @@ class TensorManifest(Record):
     grid: AngularGrid
     sample_rate_ghz: float
     n_taps: int
-    dtype: str
+    dtype: Literal["c64le"]
     data_file: str
 
     def __post_init__(self):
         super().__post_init__()
         check_sample_rate(self.sample_rate_ghz, DataFormatError,
                           "TensorManifest.sample_rate_ghz: ")
-        if self.dtype != "c64le":
-            raise DataFormatError(f"unsupported dtype {self.dtype!r}")
         if Path(self.data_file).name != self.data_file \
                 or self.data_file in ("", ".."):
             raise DataFormatError(f"data_file must be a bare file name, "

@@ -20,10 +20,11 @@ penalty whenever a sample falls outside the candidate support.
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, FitError, Record
+from .errors import POSITIVE, ConfigError, DataFormatError, FitError, Record
 
 GUMBEL_SHAPE_EPS = 1e-9
 
@@ -38,12 +39,7 @@ class GevParams(Record):
 
     gamma: float     # shape
     mu: float        # location
-    sigma: float     # scale, > 0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.sigma > 0.0:
-            raise ConfigError(f"scale must be positive, got {self.sigma}")
+    sigma: Annotated[float, POSITIVE]     # scale
 
     def support(self) -> tuple[float, float]:
         """Open interval on which the density is positive."""
@@ -63,9 +59,9 @@ def _as_array(x):
 def gev_pdf(x, params: GevParams):
     """Density at x (scalar or array).  Zero outside the support."""
     arr, scalar = _as_array(x)
-    z = (np.atleast_1d(arr) - params.mu) / params.sigma
-    out = np.zeros(z.shape)
     with np.errstate(over="ignore", invalid="ignore"):
+        z = (np.atleast_1d(arr) - params.mu) / params.sigma
+        out = np.zeros(z.shape)
         if abs(params.gamma) < GUMBEL_SHAPE_EPS:
             out = np.exp(-np.exp(-z) - z) / params.sigma
         else:
@@ -81,8 +77,8 @@ def gev_cdf(x, params: GevParams):
     """Distribution function at x (scalar or array).  Saturates to 0 below
     a lower support edge and 1 above an upper one."""
     arr, scalar = _as_array(x)
-    z = (np.atleast_1d(arr) - params.mu) / params.sigma
     with np.errstate(over="ignore"):
+        z = (np.atleast_1d(arr) - params.mu) / params.sigma
         if abs(params.gamma) < GUMBEL_SHAPE_EPS:
             out = np.exp(-np.exp(-z))
         else:

@@ -15,6 +15,7 @@ four metrics read the impulse response of the cluster's peak pixel.
 """
 
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -62,12 +63,7 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class MetricConfig(Record):
-    r_p_mode: str = "kurtosis"     # "kurtosis" or "covariance"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.r_p_mode not in ("kurtosis", "covariance"):
-            raise ConfigError(f"unknown r_p_mode {self.r_p_mode!r}")
+    r_p_mode: Literal["kurtosis", "covariance"] = "kurtosis"
 
 
 def co_kurtosis(cluster: Cluster, pas: PasMap,

@@ -10,10 +10,11 @@ Conventions used throughout the package:
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, Record
+from .errors import POSITIVE, ConfigError, DataFormatError, Record
 
 # an azimuth span this wide closes the circle
 _FULL_TURN_DEG = 360.0 - 1e-9
@@ -38,18 +39,16 @@ class AngularGrid(Record):
 
     az_start_deg: float
     az_step_deg: float
-    n_az: int
+    n_az: Annotated[int, POSITIVE]
     el_start_deg: float
     el_step_deg: float
-    n_el: int
+    n_el: Annotated[int, POSITIVE]
 
     def __post_init__(self):
         super().__post_init__()
         if not (0.0 < self.az_step_deg <= 360.0
                 and 0.0 < self.el_step_deg <= 360.0):
             raise ConfigError("angular grid needs steps in (0, 360] degrees")
-        if self.n_az < 1 or self.n_el < 1:
-            raise ConfigError("grid needs at least one pixel per axis")
         span = (self.n_az - 1) * self.az_step_deg
         if span >= _FULL_TURN_DEG:
             raise ConfigError(

@@ -21,11 +21,12 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass, replace
+from typing import Annotated
 
 import numpy as np
 
 from .chansim import LOS, NLOS, RayCluster
-from .errors import ConfigError, Record
+from .errors import NON_NEGATIVE, POSITIVE, AtLeast, Record
 from .pas import AngularGrid, PasMap
 
 # empty pixels are pinned this far below the map peak before dB conversion
@@ -34,21 +35,10 @@ _ZERO_PIN_DB = 400.0
 
 @dataclass(frozen=True)
 class SegParams(Record):
-    foreground_threshold_db: float = 10.0  # margin above the noise floor
-    min_pixels: int = 4                    # smallest surviving cluster
-    marker_min_separation: float = 5.0     # pixels, between seed maxima
-    smoothing_radius: int = 1              # disc radius for open/close
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.foreground_threshold_db > 0:
-            raise ConfigError("foreground_threshold_db must be positive")
-        if self.min_pixels < 1:
-            raise ConfigError("min_pixels must be at least 1")
-        if not self.marker_min_separation >= 0:
-            raise ConfigError("marker_min_separation must be non-negative")
-        if self.smoothing_radius < 0:
-            raise ConfigError("smoothing_radius must be non-negative")
+    foreground_threshold_db: Annotated[float, POSITIVE] = 10.0  # dB over floor
+    min_pixels: Annotated[int, AtLeast(1)] = 2    # smallest surviving cluster
+    marker_min_separation: Annotated[float, NON_NEGATIVE] = 1.0   # pixels
+    smoothing_radius: Annotated[int, NON_NEGATIVE] = 1   # open/close disc
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ delete or cut short a tensor's data file or the sweep file, and run the
 command that reads it through cli.main.  Whatever the change, the command
 exits 0, 2, 3 or 4 (3 for a tensor's data file, 0 or 3 for the sweep
 file), no exception escapes, and a non-zero exit prints an `error: `
-line.
+line.  A numpy RuntimeWarning counts as a failure.
 
 tests/test_fuzz_documents.py runs a few derandomized examples of it.  For
 a long run, with N random examples:
@@ -22,6 +22,7 @@ import math
 import shutil
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -208,6 +209,7 @@ def fuzz_property(fixture: Path):
 
 
 if __name__ == "__main__":
+    warnings.simplefilter("error", RuntimeWarning)
     with tempfile.TemporaryDirectory() as tmp:
         build_fixture(Path(tmp))
         settings(max_examples=int(sys.argv[1]), deadline=None,

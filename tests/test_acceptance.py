@@ -208,7 +208,7 @@ def test_criterion_05_segmentation_recovers_planted_blobs():
     above the floor and 3x the marker separation apart: segmentation finds
     exactly K clusters with every blob peak in its own cluster."""
     rng = np.random.default_rng(5005)
-    params = SegParams()
+    params = SegParams(min_pixels=4, marker_min_separation=5.0)
     min_dist = 3.0 * params.marker_min_separation
     grid = flat_grid(60, 60, step=1.0)
     for trial in range(100):

@@ -65,7 +65,8 @@ def test_sim_config_validation():
         small_sim(az_range_deg=(10.0, 10.0))
     with pytest.raises(ConfigError):
         small_sim(n_nlos_mean=0.5)
-    with pytest.raises(ConfigError, match="beamwidths"):
+    with pytest.raises(ConfigError,
+                       match="SimConfig.hpbw_az_deg must be positive, got 0.0"):
         small_sim(hpbw_az_deg=0.0)
 
 
@@ -81,6 +82,14 @@ def test_short_record_rejected():
     cfg = small_sim(n_taps=64)
     with pytest.raises(ConfigError):
         generate_channel(cfg, 7)
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_ray_gaps_are_refused_without_a_warning():
+    """Ray offsets that overflow to inf fall past the record, so the
+    cluster cannot be placed; the overflow itself is not reported."""
+    with pytest.raises(ConfigError, match="could not place a reflection"):
+        generate_channel(small_sim(ray_gap_mean_ns=1e308), 7)
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,16 @@ def test_zero_network_outputs_half():
     assert v.decision == LOS and v.score == 0.5
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowed_network_sums_saturate_without_a_warning():
+    """An input weight of 1e308 overflows the first layer's sum; tanh
+    saturates it, so the score stays finite."""
+    iw = ann_init(0).iw.copy()
+    iw[3][4] = 1e308
+    v, = ann_classify(replace(ann_init(0), iw=iw), [make_fv()])
+    assert 0.0 < v.score < 1.0
+
+
 def test_softmax_rows_normalized(rng):
     z = rng.normal(0, 50, (1000, 2))
     s = softmax(z)

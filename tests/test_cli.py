@@ -556,10 +556,11 @@ MALFORMED_INPUTS = {
          "u.json": {"format": "truth", "clusters": [
              {"kind": "X", "center_az_deg": 0.0, "center_el_deg": 0.0,
               "base_delay_ns": 1.0, "rays": []}]}},
-        ["extract", "--manifest", "s.json"], 3, "unknown cluster kind"),
+        ["extract", "--manifest", "s.json"], 3,
+        "u.json: RayCluster.kind must be one of 'LOS', 'NLOS', got 'X'"),
     "tensor_no_azimuths": (
         {"t.json": {**_TENSOR, "grid": {**_TENSOR["grid"], "n_az": 0}}},
-        _EXTRACT, 3, "bad AngularGrid: grid needs at least one pixel"),
+        _EXTRACT, 3, "t.json: AngularGrid.n_az must be positive, got 0"),
     "tensor_negative_rate": (
         {**_TENSOR_FILES, "t.json": {**_TENSOR, "sample_rate_ghz": -1.0}},
         _EXTRACT, 3, "sample rate must be positive"),
@@ -614,7 +615,7 @@ MALFORMED_INPUTS = {
         _EXTRACT, 3, "under one turn"),
     "mlr_sigma_negative": (
         _mlr_files({"r_p": {"los": {**_GEV, "sigma": -1.0}, "nlos": _GEV}}),
-        _CLASSIFY, 3, "scale must be positive"),
+        _CLASSIFY, 3, "GevParams.sigma must be positive, got -1.0"),
     "mlr_metric_unknown": (
         _mlr_files({"x": {"los": _GEV, "nlos": _GEV}}), _CLASSIFY, 3,
         "unknown metrics in model"),
@@ -632,6 +633,9 @@ MALFORMED_INPUTS = {
         "m.json: AnnModel.b3 must be an array of real numbers, got 'nan'"),
     "ann_unknown_array": (_ann_files(lw99=[1]), _CLASSIFY, 3,
                           "m.json: unknown AnnModel fields: ['lw99']"),
+    "ann_feature_scale_zero": (
+        _ann_files(feature_scales=[1.0, 1.0, 0.0, 1.0, 1.0]), _CLASSIFY, 3,
+        "m.json: AnnModel.feature_scales must be positive, got 0.0"),
     "mlr_metric_missing": (
         _mlr_files({"r_p": {"los": _GEV, "nlos": _GEV}}), _CLASSIFY, 3,
         "m.json: model has no tables for"),
@@ -650,7 +654,7 @@ MALFORMED_INPUTS = {
         _EXTRACT, 3, "t.json: AngularGrid.n_az must be an integer"),
     "mlr_error_names_file": (
         _mlr_files({"r_p": {"los": {**_GEV, "sigma": -1.0}, "nlos": _GEV}}),
-        _CLASSIFY, 3, "m.json: bad GevParams: scale must be positive"),
+        _CLASSIFY, 3, "m.json: GevParams.sigma must be positive"),
     "sim_los_present_not_bool": (
         {"c.json": {"sim": {"los_present": "no"}}}, _EXPERIMENT, 2,
         "SimConfig.los_present must be a boolean"),

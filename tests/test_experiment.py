@@ -58,7 +58,9 @@ def tiny_run(tmp_path_factory):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError, match="unknown mode"):
+    with pytest.raises(ConfigError, match="ExperimentConfig.mode must be one "
+                                          "of 'simulate', 'measured', got "
+                                          "'live'"):
         ExperimentConfig(mode="live")
     with pytest.raises(ConfigError, match="exceeds"):
         ExperimentConfig(n_realizations=10, n_train=8, n_test=3)

@@ -94,7 +94,8 @@ def test_cir_tensor_manifest_diagnostics(tmp_path):
     doc = load_json(path)
     doc["dtype"] = "c128be"
     save_json(path, doc)
-    with pytest.raises(DataFormatError, match="unsupported dtype"):
+    with pytest.raises(DataFormatError, match="TensorManifest.dtype must be "
+                                              "one of 'c64le', got 'c128be'"):
         load_cir_tensor(path)
 
     save_cir_tensor(cir, path)

@@ -14,6 +14,7 @@ def fixture(tmp_path_factory):
     return root
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_changed_documents_exit_cleanly(fixture):
     settings(max_examples=100, deadline=None, derandomize=True,
              database=None)(fuzz_property(fixture))()

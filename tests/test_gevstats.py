@@ -26,7 +26,8 @@ def random_params(rng) -> GevParams:
 
 
 def test_params_validation_and_support():
-    with pytest.raises(ConfigError):
+    with pytest.raises(GevParams.error, match="GevParams.sigma must be "
+                                              "positive, got 0.0"):
         GevParams(gamma=0.1, mu=0.0, sigma=0.0)
     with pytest.raises(GevParams.error, match="GevParams.gamma must be "
                                               "finite, got nan"):
@@ -45,6 +46,17 @@ def test_gumbel_branch_at_location():
         assert gev_pdf(3.0, p) == pytest.approx(math.exp(-1.0) / 2.5,
                                                 rel=1e-12)
         assert gev_cdf(3.0, p) == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma", [0.0, 0.1, -0.1])
+def test_values_past_the_float_range_of_z_need_no_warning(gamma):
+    """(x - mu) / sigma overflows to inf; the density is 0 there and the
+    cdf saturates, without a RuntimeWarning."""
+    p = GevParams(gamma=gamma, mu=0.0, sigma=1e-3)
+    assert gev_pdf(np.array([1e308, -1e308]), p).tolist() == [0.0, 0.0]
+    assert gev_cdf(1e308, p) == 1.0
+    assert gev_cdf(-1e308, p) == 0.0
 
 
 def test_out_of_support_values():

@@ -334,7 +334,7 @@ def test_single_ray_beam_is_symmetric():
                      rays=(Ray(0.0, 1.0, 0.4, 0.0, 0.0),))
     cir = render_cir([ray], cfg, 0)
     pas = compute_pas(cir)
-    clusters = segment(pas, SegParams())
+    clusters = segment(pas, SegParams(min_pixels=4, marker_min_separation=5.0))
     assert len(clusters) == 1
     r_p = eigen_ratio(co_kurtosis(clusters[0], pas, mode="covariance"))
     assert r_p >= 0.95

@@ -123,7 +123,8 @@ def test_grid_validation():
     with pytest.raises(ConfigError):
         AngularGrid(az_start_deg=0, az_step_deg=0.0, n_az=4,
                     el_start_deg=0, el_step_deg=1.0, n_el=4)
-    with pytest.raises(ConfigError):
+    with pytest.raises(AngularGrid.error, match="AngularGrid.n_az must be "
+                                                "positive, got 0"):
         AngularGrid(az_start_deg=0, az_step_deg=1.0, n_az=0,
                     el_start_deg=0, el_step_deg=1.0, n_el=4)
 

@@ -4,6 +4,8 @@ dataclass."""
 import dataclasses
 import json
 import math
+import re
+import typing
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from nlosid import (LOS, NLOS, AngularGrid, AnnModel, ConfigError,
                     MetricConfig, MlrModel, Ray, RayCluster, SegParams,
                     SimConfig, TrainSchedule, ann_init)
 from nlosid.classifiers import ANN_ARRAYS
-from nlosid.errors import Record
+from nlosid.errors import AtLeast, Record, _field_table
 from nlosid.experiment import (ERROR_TABLE_ROWS, BootstrapSpec, ErrorRates,
                                FitPair, GevFit, Report)
 from nlosid.fileio import (Realization, SimulationManifest, TensorManifest,
@@ -96,7 +98,8 @@ RECORDS = {
                                     _RATES),
         diagnostics=_OBJECTS, curves=_OBJECTS),
     AnnModel: st.builds(AnnModel, **{
-        name: st.lists(_real(-10, 10), min_size=math.prod(shape),
+        name: st.lists(_real(1, 10) if name == "feature_scales"
+                       else _real(-10, 10), min_size=math.prod(shape),
                        max_size=math.prod(shape)).map(
             lambda cells, shape=shape: np.reshape(cells, shape))
         for name, shape in ANN_ARRAYS.items()},
@@ -134,14 +137,15 @@ def test_records_round_trip_through_json(record):
     if type(record).__dataclass_params__.eq:   # not AnnModel's arrays
         assert back == record
     for r in [record, *getattr(record, "rays", ())]:
-        for field in dataclasses.fields(r):
-            value = getattr(r, field.name)
-            if field.type in (bool, int, float, str):
-                assert type(value) is field.type
-            elif field.type == tuple[float, float]:
+        # the field types with any Annotated bound taken off
+        for name, kind in typing.get_type_hints(type(r)).items():
+            value = getattr(r, name)
+            if kind in (bool, int, float, str):
+                assert type(value) is kind
+            elif kind == tuple[float, float]:
                 assert type(value) is tuple and set(map(type, value)) \
                     == {float}
-            elif field.type is np.ndarray:
+            elif kind is np.ndarray:
                 assert value.dtype == np.float64
 
 
@@ -227,12 +231,14 @@ def test_optional_fields_take_null():
 def test_config_errors_inside_data_records_are_data_errors():
     """A manifest's SimConfig is data: its faults exit as format errors."""
     with pytest.raises(DataFormatError,
-                       match="bad SimulationManifest: n_taps must be at"):
+                       match="bad SimulationManifest: SimConfig.n_taps must "
+                             "be at least 64, got 8"):
         SimulationManifest.from_dict({"config": {"n_taps": 8}})
 
 
 def test_data_records_raise_data_format_errors():
-    with pytest.raises(DataFormatError, match="bad GevParams: scale"):
+    with pytest.raises(DataFormatError, match="GevParams.sigma must be "
+                                              "positive, got -1.0"):
         GevParams.from_dict({"gamma": 0.0, "mu": 0.0, "sigma": -1.0})
     with pytest.raises(DataFormatError, match="RayCluster must be an object"):
         RayCluster.from_dict([])
@@ -248,3 +254,59 @@ def test_data_records_raise_data_format_errors():
     with pytest.raises(DataFormatError, match="bad AngularGrid: .*missing"):
         AngularGrid.from_dict({"n_az": 2})
 
+
+def _declared_bounds():
+    """Every (class, field, scalar kind, bound) that a Record declares, from
+    the same field table the classes check against."""
+    for cls in RECORDS:
+        scalars, _, bounded = _field_table(cls)
+        kinds = {name: kind for name, kind, _ in scalars}
+        for name, bound in bounded:
+            yield pytest.param(cls, name, kinds[name], bound,
+                               id=f"{cls.__name__}.{name}")
+
+
+@pytest.mark.parametrize("cls, name, kind, bound", _declared_bounds())
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_declared_bounds_take_their_edge_and_refuse_one_step_past(
+        cls, name, kind, bound, data):
+    """A field declared Annotated[T, AtLeast(lo)] takes its boundary value,
+    and a Literal field each of its values; one step outside, or one such
+    element of an array, is refused by from_dict with the class's error
+    naming Class.field."""
+    doc = json.loads(json.dumps(data.draw(RECORDS[cls]).to_dict()))
+    if isinstance(bound, AtLeast):
+        if kind is int:
+            edge, past = (bound.lo + 1, bound.lo) if bound.strict \
+                else (bound.lo, bound.lo - 1)
+        else:
+            lo = float(bound.lo)
+            edge, past = (math.nextafter(lo, math.inf), lo) if bound.strict \
+                else (lo, math.nextafter(lo, -math.inf))
+    else:
+        edge = data.draw(st.sampled_from(bound))
+        past = data.draw(st.sampled_from(["".join(bound) + "?",
+                                          edge + "\x00"]))
+
+    def with_value(value):
+        if kind != "array":
+            return {**doc, name: value}
+        cells = np.array(doc[name])
+        cells.flat[data.draw(st.integers(0, cells.size - 1))] = value
+        return {**doc, name: cells.tolist()}
+
+    stored = getattr(cls.from_dict(with_value(edge)), name)
+    assert edge in (stored.ravel() if kind == "array" else [stored])
+    with pytest.raises(cls.error, match=re.escape(
+            f"{cls.__name__}.{name} must be {bound}, got {past!r}")):
+        cls.from_dict(with_value(past))
+
+
+def test_every_config_section_defaults_to_its_empty_section():
+    """Setting one field of a section leaves the others at the defaults
+    ExperimentConfig shows for it."""
+    for field in dataclasses.fields(ExperimentConfig):
+        if isinstance(field.default, Record):
+            assert type(field.default).from_dict({}) == field.default, \
+                field.name

@@ -83,10 +83,14 @@ def test_seg_params_validation_and_round_trip():
 # segment
 
 
+# the parameters the examples below were written for
+_SEG = SegParams(min_pixels=4, marker_min_separation=5.0)
+
+
 def test_single_blob_single_cluster():
     g = flat_grid(n_el=24, n_az=24)
     pas = blob_map(g, [(12, 8, 1000.0, 2.0)])
-    clusters = segment(pas, SegParams())
+    clusters = segment(pas, _SEG)
     assert len(clusters) == 1
     assert clusters[0].id == 1
     assert clusters[0].peak_pixel == (12, 8)
@@ -95,7 +99,7 @@ def test_single_blob_single_cluster():
 
 def test_two_blobs_match_flood_fill_oracle():
     g = flat_grid(n_el=40, n_az=40)
-    params = SegParams()  # marker separation 5; blobs are 26 apart
+    params = _SEG  # marker separation 5; blobs are 26 apart
     pas = blob_map(g, [(20, 7, 500.0, 1.8), (20, 33, 2000.0, 1.8)],
                    floor=1.0)
     clusters = segment(pas, replace(params, min_pixels=1))
@@ -122,33 +126,33 @@ def test_two_blobs_match_flood_fill_oracle():
 
 def test_flat_map_yields_nothing():
     g = flat_grid(n_el=10, n_az=10)
-    assert segment(PasMap(g, np.ones((10, 10))), SegParams()) == []
-    assert segment(PasMap(g, np.zeros((10, 10))), SegParams()) == []
+    assert segment(PasMap(g, np.ones((10, 10))), _SEG) == []
+    assert segment(PasMap(g, np.zeros((10, 10))), _SEG) == []
 
 
 def test_min_pixels_drops_specks():
     g = flat_grid(n_el=24, n_az=24)
     # a tight second blob survives smoothing but covers only a few pixels
     pas = blob_map(g, [(12, 6, 1000.0, 1.5), (12, 18, 300.0, 0.5)])
-    assert len(segment(pas, SegParams(min_pixels=6))) == 1
-    assert len(segment(pas, SegParams(min_pixels=1))) == 2
+    assert len(segment(pas, replace(_SEG, min_pixels=6))) == 1
+    assert len(segment(pas, replace(_SEG, min_pixels=1))) == 2
 
 
 def test_close_peaks_merge_under_marker_separation():
     g = flat_grid(n_el=40, n_az=40)
     pas = blob_map(g, [(20, 18, 800.0, 1.2), (20, 22, 700.0, 1.2)])
-    merged = segment(pas, SegParams(marker_min_separation=5.0))
+    merged = segment(pas, _SEG)
     assert len(merged) == 1
-    split = segment(pas, SegParams(marker_min_separation=1.0))
+    split = segment(pas, replace(_SEG, marker_min_separation=1.0))
     assert len(split) == 2
 
 
 def test_segmentation_scale_invariant():
     g = flat_grid(n_el=40, n_az=40)
     pas = blob_map(g, [(20, 7, 500.0, 1.8), (20, 33, 2000.0, 1.8)])
-    base = segment(pas, SegParams())
+    base = segment(pas, _SEG)
     for c_scale in (1e-3, 1e3):
-        scaled = segment(PasMap(g, pas.power * c_scale), SegParams())
+        scaled = segment(PasMap(g, pas.power * c_scale), _SEG)
         assert [(c.id, c.pixels, c.peak_pixel) for c in scaled] \
             == [(c.id, c.pixels, c.peak_pixel) for c in base]
 
@@ -156,8 +160,8 @@ def test_segmentation_scale_invariant():
 def test_segmentation_deterministic():
     g = flat_grid(n_el=40, n_az=40)
     pas = blob_map(g, [(10, 10, 900.0, 1.5), (30, 30, 400.0, 1.5)])
-    a = segment(pas, SegParams())
-    b = segment(pas, SegParams())
+    a = segment(pas, _SEG)
+    b = segment(pas, _SEG)
     assert [(c.id, c.pixels, c.total_power) for c in a] \
         == [(c.id, c.pixels, c.total_power) for c in b]
     assert [c.id for c in a] == list(range(1, len(a) + 1))
@@ -169,13 +173,13 @@ def test_blob_straddling_azimuth_seam_stays_whole():
     g = flat_grid(n_el=10, n_az=72, step=5.0, az_start=-180.0, el_start=-20.0)
     assert g.wraps_azimuth
     seam = blob_map(g, [(5, 0, 1000.0, 1.5)])
-    clusters = segment(seam, SegParams())
+    clusters = segment(seam, _SEG)
     assert len(clusters) == 1
     cols = {j for _, j in clusters[0].pixels}
     assert 0 in cols and 71 in cols
     # same blob away from the seam covers the same number of pixels
     middle = blob_map(g, [(5, 36, 1000.0, 1.5)])
-    middle_cluster, = segment(middle, SegParams())
+    middle_cluster, = segment(middle, _SEG)
     assert len(middle_cluster.pixels) == len(clusters[0].pixels)
 
 
