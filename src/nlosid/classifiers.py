@@ -327,9 +327,11 @@ def ann_classify(model: AnnModel, features) -> list:
     features is a sequence of FeatureVectors, giving a list of Verdicts
     from one batched forward pass."""
     x = _table(features)
-    with np.errstate(over="ignore"):    # tanh saturates an overflowed sum
+    with np.errstate(all="ignore"):   # tanh saturates inf; NaN is refused
         a3 = _forward_batch(model.weights(), (x - model.feature_means)
                             / model.feature_scales)[2]
+    if not np.isfinite(a3).all():
+        raise EvaluationError("network output is not finite")
     return [Verdict(decision=LOS if p >= 0.5 else NLOS, score=float(p))
             for p in a3[:, 0]]
 

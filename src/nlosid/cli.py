@@ -118,21 +118,20 @@ def _run_train(args) -> int:
 def _run_classify(args) -> int:
     model = load_document(args.model, MlrModel, AnnModel)
     rows = load_features(args.features)
-    if isinstance(model, MlrModel):
-        subset = args.metrics.split(",") if args.metrics else None
-        try:
-            verdicts = mlr_classify(model, [fv for _, fv in rows],
-                                    metrics=subset)
-        except DataFormatError as exc:
-            raise DataFormatError(f"{args.model}: {exc}") from exc
-    elif args.metrics:
+    if args.metrics and isinstance(model, AnnModel):
         raise ConfigError("--metrics only applies to the ratio test")
-    else:
-        verdicts = ann_classify(model, [fv for _, fv in rows])
+    features = [fv for _, fv in rows]
+    try:
+        if isinstance(model, AnnModel):
+            verdicts = ann_classify(model, features)
+        else:
+            subset = args.metrics.split(",") if args.metrics else None
+            verdicts = mlr_classify(model, features, metrics=subset)
+    except (DataFormatError, NumericalError) as exc:
+        raise type(exc)(f"{args.model}: {exc}") from exc
     out = _out_path(args, "verdicts.csv")
     save_verdicts(out, [(r, v, fv.label) for (r, fv), v in zip(rows, verdicts)])
-    labelled = [(v, fv.label) for (_, fv), v in zip(rows, verdicts)
-                if fv.label is not None]
+    labelled = [(v, f.label) for f, v in zip(features, verdicts) if f.label]
     msg = f"wrote {len(verdicts)} verdicts to {out}"
     classes = {t for _, t in labelled}
     if {LOS, NLOS} <= classes:

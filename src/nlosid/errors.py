@@ -53,7 +53,7 @@ class RenderError(ConfigError):
 @dataclasses.dataclass(frozen=True)
 class AtLeast:
     """A Record field's lower bound, declared as Annotated[T, AtLeast(lo)];
-    strict=True refuses lo itself."""
+    strict=True refuses lo itself, and is used only as POSITIVE (lo 0)."""
 
     lo: float
     strict: bool = False
@@ -62,9 +62,8 @@ class AtLeast:
         return value > self.lo if self.strict else value >= self.lo
 
     def __str__(self):
-        if self.lo == 0:
-            return "positive" if self.strict else "non-negative"
-        return f"{'above' if self.strict else 'at least'} {self.lo}"
+        return "positive" if self.strict else \
+            "non-negative" if self.lo == 0 else f"at least {self.lo}"
 
 
 POSITIVE, NON_NEGATIVE = AtLeast(0, strict=True), AtLeast(0)

@@ -24,6 +24,7 @@ from .pas import PasMap
 from .segmentation import Cluster
 
 METRIC_NAMES = ("r_p", "k_t", "k_f", "tau_mean_ns", "tau_rms_ns")
+R_P_MODES = ("kurtosis", "covariance")     # what co_kurtosis fills
 
 # spread below this fraction of a squared pixel step counts as collapsed
 _SPREAD_REL_TOL = 1e-12
@@ -63,7 +64,7 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class MetricConfig(Record):
-    r_p_mode: Literal["kurtosis", "covariance"] = "kurtosis"
+    r_p_mode: Literal[R_P_MODES] = "kurtosis"
 
 
 def co_kurtosis(cluster: Cluster, pas: PasMap,
@@ -75,7 +76,7 @@ def co_kurtosis(cluster: Cluster, pas: PasMap,
     "covariance" returns the plain weighted covariance in the same
     container.  Both are invariant to scaling the power map.
     """
-    if mode not in ("kurtosis", "covariance"):
+    if mode not in R_P_MODES:
         raise ConfigError(f"unknown co-kurtosis mode {mode!r}")
     pix = sorted(cluster.pixels)
     if len(pix) < 3:

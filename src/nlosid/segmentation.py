@@ -26,7 +26,7 @@ from typing import Annotated
 import numpy as np
 
 from .chansim import LOS, NLOS, RayCluster
-from .errors import NON_NEGATIVE, POSITIVE, AtLeast, Record
+from .errors import NON_NEGATIVE, POSITIVE, Record
 from .pas import AngularGrid, PasMap
 
 # empty pixels are pinned this far below the map peak before dB conversion
@@ -36,7 +36,7 @@ _ZERO_PIN_DB = 400.0
 @dataclass(frozen=True)
 class SegParams(Record):
     foreground_threshold_db: Annotated[float, POSITIVE] = 10.0  # dB over floor
-    min_pixels: Annotated[int, AtLeast(1)] = 2    # smallest surviving cluster
+    min_pixels: Annotated[int, POSITIVE] = 2    # smallest surviving cluster
     marker_min_separation: Annotated[float, NON_NEGATIVE] = 1.0   # pixels
     smoothing_radius: Annotated[int, NON_NEGATIVE] = 1   # open/close disc
 

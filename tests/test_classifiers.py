@@ -229,6 +229,20 @@ def test_overflowed_network_sums_saturate_without_a_warning():
     assert 0.0 < v.score < 1.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_network_output_is_refused():
+    """Scales of 1e-308 standardize k_t and tau_rms_ns to inf, and an input
+    row weighting them 1 and -1 sums inf - inf, a NaN that tanh and softmax
+    pass on: no verdict is given."""
+    model = ann_init(0)
+    iw = model.iw.copy()
+    iw[3][1], iw[3][4] = 1.0, -1.0
+    scales = np.array([1.0, 1e-308, 1.0, 1.0, 1e-308])
+    with pytest.raises(EvaluationError, match="network output is not finite"):
+        ann_classify(replace(model, iw=iw, feature_scales=scales),
+                     [make_fv()])
+
+
 def test_softmax_rows_normalized(rng):
     z = rng.normal(0, 50, (1000, 2))
     s = softmax(z)

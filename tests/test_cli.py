@@ -636,6 +636,12 @@ MALFORMED_INPUTS = {
     "ann_feature_scale_zero": (
         _ann_files(feature_scales=[1.0, 1.0, 0.0, 1.0, 1.0]), _CLASSIFY, 3,
         "m.json: AnnModel.feature_scales must be positive, got 0.0"),
+    "ann_output_not_finite": (
+        # the features 2 and 5 standardized to inf, weighted 1 and -1
+        _ann_files(iw=[[0.0, 1.0, 0.0, 0.0, -1.0]] * 10,
+                   feature_scales=[1.0, 1e-308, 1.0, 1.0, 1e-308]),
+        _CLASSIFY, 4,
+        "m.json: network output is not finite"),
     "mlr_metric_missing": (
         _mlr_files({"r_p": {"los": _GEV, "nlos": _GEV}}), _CLASSIFY, 3,
         "m.json: model has no tables for"),

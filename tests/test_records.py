@@ -137,9 +137,12 @@ def test_records_round_trip_through_json(record):
     if type(record).__dataclass_params__.eq:   # not AnnModel's arrays
         assert back == record
     for r in [record, *getattr(record, "rays", ())]:
-        # the field types with any Annotated bound taken off
+        # the field types with any Annotated bound taken off, and a
+        # Literal's choices read as the type of its values
         for name, kind in typing.get_type_hints(type(r)).items():
             value = getattr(r, name)
+            if typing.get_origin(kind) is typing.Literal:
+                kind = type(typing.get_args(kind)[0])
             if kind in (bool, int, float, str):
                 assert type(value) is kind
             elif kind == tuple[float, float]:
