@@ -12,7 +12,7 @@ from .chansim import (LOS, NLOS, CirTensor, Ray, RayCluster, SimConfig,
                       beam_amplitude, generate_channel, render_cir,
                       rng_stream, simulate_realization)
 from .classifiers import (AnnModel, GevPair, MlrModel, TrainSchedule,
-                          Verdict, ann_classify, ann_init, ann_train,
+                          Verdicts, ann_classify, ann_init, ann_train,
                           error_rates, mlr_classify, mlr_train, softmax)
 from .errors import (ConfigError, DataFormatError, DegenerateInputError,
                      EvaluationError, FitError, NlosIdError, NumericalError,

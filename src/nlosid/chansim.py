@@ -304,7 +304,7 @@ class CirTensor:
     (Muller 1959).  along = |s| + a and across, that squared norm, are
     stored (None when noiseless); a read draws v from the pixel's own
     (seed, realization) sub-stream and returns along mu + sqrt(across) v.
-    pixels(), pixel(), signal and data share one signal routine and no
+    pixels(), signal and data share one signal routine and no
     generator state, so they agree bit for bit in any order of access.
     """
 
@@ -429,10 +429,6 @@ class CirTensor:
             az_idx = np.arange(self.grid.n_az)[az_idx]
             self._fill(el_idx, az_idx, self._signal_at(el_idx, az_idx), out)
         return out
-
-    def pixel(self, el_idx: int, az_idx: int) -> np.ndarray:
-        """The (n_taps,) complex taps of one beam direction."""
-        return self.pixels([el_idx], [az_idx])[0]
 
     @cached_property
     def data(self) -> np.ndarray:

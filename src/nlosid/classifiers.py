@@ -1,6 +1,6 @@
 """LOS/NLOS decision rules over the five cluster metrics.
 
-Two classifiers share the Verdict container:
+Two classifiers return the same Verdicts arrays:
 
   * a maximum-likelihood-ratio test that sums, over any subset of the
     metrics, the log ratio of fitted LOS to NLOS densities; LOS wins at a
@@ -41,11 +41,13 @@ ANN_ARRAYS = {
 }
 
 
-@dataclass(frozen=True)
-class Verdict:
-    decision: str              # LOS or NLOS
-    score: float               # log-likelihood ratio, or LOS output probability
-    support_violation: bool = False
+@dataclass(frozen=True, eq=False)
+class Verdicts:
+    """One classification of n feature rows, as (n,) arrays in row order."""
+
+    decision: np.ndarray           # LOS or NLOS
+    score: np.ndarray              # log-likelihood ratio, or LOS probability
+    support_violation: np.ndarray  # always False for the network
 
 
 @dataclass(frozen=True)
@@ -89,31 +91,38 @@ class MlrModel(Record):
         return pair.los if label == LOS else pair.nlos
 
 
-def _split_by_label(features: list) -> tuple[list, list]:
-    los = [f for f in features if f.label == LOS]
-    nlos = [f for f in features if f.label == NLOS]
-    stray = len(features) - len(los) - len(nlos)
+def _table(features) -> np.ndarray:
+    """(n, 5) metric array of a sequence of feature vectors."""
+    return np.array([f.values() for f in features]).reshape(-1, N_INPUT)
+
+
+def labelled_table(features) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 5) metric table of a labelled feature list and its (n,) LOS
+    mask, both in row order; a row labelled neither LOS nor NLOS is
+    refused."""
+    labels = [f.label for f in features]
+    stray = len(labels) - labels.count(LOS) - labels.count(NLOS)
     if stray:
         raise TrainingError(f"{stray} feature vectors carry no usable label")
-    return los, nlos
+    return _table(features), np.array(labels) == LOS
 
 
 def mlr_train(features: list) -> MlrModel:
     """Fit per-class GEV distributions to every metric of a labelled
     feature set."""
-    los, nlos = _split_by_label(features)
-    for label, group in ((LOS, los), (NLOS, nlos)):
-        if len(group) < 20:
+    x, is_los = labelled_table(features)
+    classes = ((LOS, is_los), (NLOS, ~is_los))
+    for label, rows in classes:
+        if rows.sum() < 20:
             raise TrainingError(
-                f"class {label} has {len(group)} samples; need at least 20 "
+                f"class {label} has {rows.sum()} samples; need at least 20 "
                 f"to fit its distributions")
     tables = {}
-    for name in METRIC_NAMES:
+    for j, name in enumerate(METRIC_NAMES):
         pair = []
-        for label, group in ((LOS, los), (NLOS, nlos)):
-            values = np.array([f.metric(name) for f in group])
+        for label, rows in classes:
             try:
-                pair.append(gev_fit_mle(values))
+                pair.append(gev_fit_mle(x[rows, j]))
             except Exception as exc:
                 raise TrainingError(
                     f"fitting metric {name}, class {label}: {exc}") from exc
@@ -134,16 +143,11 @@ def _validated_subset(metrics) -> tuple:
     return tuple(n for n in METRIC_NAMES if n in subset)
 
 
-def _table(features) -> np.ndarray:
-    """(n, 5) metric array of a sequence of feature vectors."""
-    return np.array([f.values() for f in features]).reshape(-1, N_INPUT)
-
-
-def mlr_classify(model: MlrModel, features, metrics=None) -> list:
+def mlr_classify(model: MlrModel, features, metrics=None) -> Verdicts:
     """Sum of per-metric log density ratios; LOS wins at a non-negative sum.
 
-    features is a sequence of FeatureVectors, giving a list of Verdicts
-    scored as whole columns: one density evaluation per metric and class.
+    features is a sequence of FeatureVectors, scored as whole columns: one
+    density evaluation per metric and class.
 
     A metric value outside one class's support contributes the floored log
     density for that side and raises the support_violation flag.  A value
@@ -169,9 +173,7 @@ def mlr_classify(model: MlrModel, features, metrics=None) -> list:
             score += (np.where(los_zero, LOG_DENSITY_FLOOR, np.log(f_los))
                       - np.where(nlos_zero, LOG_DENSITY_FLOOR, np.log(f_nlos)))
     score[unlike_both] = -math.inf
-    return [Verdict(decision=LOS if s >= 0.0 else NLOS, score=float(s),
-                    support_violation=bool(v))
-            for s, v in zip(score, violation)]
+    return Verdicts(np.where(score >= 0.0, LOS, NLOS), score, violation)
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +288,14 @@ def ann_train(model: AnnModel, features: list,
     field holds the iteration count, whether a tolerance was met, the
     optimizer's stop message and that loss.
     """
-    los, nlos = _split_by_label(features)
-    if len(los) < 2 or len(nlos) < 2:
+    raw, is_los = labelled_table(features)
+    n_los = int(is_los.sum())
+    if n_los < 2 or len(is_los) - n_los < 2:
         raise TrainingError(
-            f"need at least 2 samples per class, got {len(los)} LOS "
-            f"and {len(nlos)} NLOS")
-    x, means, scales = _standardize(_table(features))
-    y = np.array([[1.0, 0.0] if f.label == LOS else [0.0, 1.0]
-                  for f in features])
+            f"need at least 2 samples per class, got {n_los} LOS "
+            f"and {len(is_los) - n_los} NLOS")
+    x, means, scales = _standardize(raw)
+    y = np.column_stack((is_los, ~is_los)).astype(float)
 
     # the optimizer works on one flat vector of every weight
     shapes = [w.shape for w in model.weights()]
@@ -320,41 +322,37 @@ def ann_train(model: AnnModel, features: list,
                     feature_scales=scales, training=training)
 
 
-def ann_classify(model: AnnModel, features) -> list:
+def ann_classify(model: AnnModel, features) -> Verdicts:
     """LOS exactly when the LOS output probability is at least 0.5, so a
     tied output keeps the line-of-sight hypothesis.
 
-    features is a sequence of FeatureVectors, giving a list of Verdicts
-    from one batched forward pass."""
+    features is a sequence of FeatureVectors, scored in one batched forward
+    pass."""
     x = _table(features)
     with np.errstate(all="ignore"):   # tanh saturates inf; NaN is refused
         a3 = _forward_batch(model.weights(), (x - model.feature_means)
                             / model.feature_scales)[2]
     if not np.isfinite(a3).all():
         raise EvaluationError("network output is not finite")
-    return [Verdict(decision=LOS if p >= 0.5 else NLOS, score=float(p))
-            for p in a3[:, 0]]
+    return Verdicts(np.where(a3[:, 0] >= 0.5, LOS, NLOS), a3[:, 0],
+                    np.zeros(len(x), dtype=bool))
 
 
-def error_rates(decisions: list, truths: list) -> tuple[float, float]:
-    """(type I, type II) rates of a decision sequence against ground truth.
+def error_rates(decisions, truths) -> tuple[float, float]:
+    """(type I, type II) rates of decided labels against true labels.
 
     Type I is the fraction of true-LOS cases decided NLOS; type II the
-    fraction of true-NLOS cases decided LOS.  Accepts Verdicts or plain
-    label strings.
+    fraction of true-NLOS cases decided LOS.
     """
+    decisions, truths = np.asarray(decisions), np.asarray(truths)
     if len(decisions) != len(truths):
         raise EvaluationError(
             f"{len(decisions)} decisions against {len(truths)} truths")
-    names = [d.decision if isinstance(d, Verdict) else d for d in decisions]
-    n_los = sum(1 for t in truths if t == LOS)
-    n_nlos = sum(1 for t in truths if t == NLOS)
+    los, nlos = truths == LOS, truths == NLOS
+    n_los, n_nlos = int(los.sum()), int(nlos.sum())
     if n_los == 0 or n_nlos == 0:
         raise EvaluationError(
             "both classes must appear in the evaluation set; got "
             f"{n_los} LOS and {n_nlos} NLOS")
-    type_i = sum(1 for d, t in zip(names, truths)
-                 if t == LOS and d == NLOS) / n_los
-    type_ii = sum(1 for d, t in zip(names, truths)
-                  if t == NLOS and d == LOS) / n_nlos
-    return type_i, type_ii
+    return (int((los & (decisions == NLOS)).sum()) / n_los,
+            int((nlos & (decisions == LOS)).sum()) / n_nlos)

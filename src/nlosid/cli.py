@@ -118,25 +118,26 @@ def _run_train(args) -> int:
 def _run_classify(args) -> int:
     model = load_document(args.model, MlrModel, AnnModel)
     rows = load_features(args.features)
-    if args.metrics and isinstance(model, AnnModel):
+    if args.metrics is not None and isinstance(model, AnnModel):
         raise ConfigError("--metrics only applies to the ratio test")
     features = [fv for _, fv in rows]
     try:
         if isinstance(model, AnnModel):
             verdicts = ann_classify(model, features)
-        else:
-            subset = args.metrics.split(",") if args.metrics else None
+        else:       # an empty --metrics is an empty subset, refused
+            subset = args.metrics and args.metrics.split(",")
             verdicts = mlr_classify(model, features, metrics=subset)
     except (DataFormatError, NumericalError) as exc:
         raise type(exc)(f"{args.model}: {exc}") from exc
     out = _out_path(args, "verdicts.csv")
-    save_verdicts(out, [(r, v, fv.label) for (r, fv), v in zip(rows, verdicts)])
-    labelled = [(v, f.label) for f, v in zip(features, verdicts) if f.label]
-    msg = f"wrote {len(verdicts)} verdicts to {out}"
-    classes = {t for _, t in labelled}
+    truths = [fv.label for fv in features]
+    save_verdicts(out, [r for r, _ in rows], verdicts, truths)
+    labelled = [i for i, t in enumerate(truths) if t]
+    msg = f"wrote {len(features)} verdicts to {out}"
+    classes = {truths[i] for i in labelled}
     if {LOS, NLOS} <= classes:
-        t1, t2 = error_rates([v for v, _ in labelled],
-                             [t for _, t in labelled])
+        t1, t2 = error_rates(verdicts.decision[labelled],
+                             [truths[i] for i in labelled])
         msg += f"; type I {t1:.3f}, type II {t2:.3f}"
     elif labelled:
         msg += (f"; error rates need both classes, and the labels hold "

@@ -27,7 +27,8 @@ import numpy as np
 from .chansim import (LOS, NLOS, STREAM_TRAINING, CirTensor, SimConfig,
                       check_sample_rate, simulate_realization)
 from .classifiers import (GevPair, TrainSchedule, ann_classify, ann_init,
-                          ann_train, error_rates, mlr_classify, mlr_train)
+                          ann_train, error_rates, labelled_table,
+                          mlr_classify, mlr_train)
 from .errors import (NON_NEGATIVE, POSITIVE, AtLeast, ConfigError,
                      DataFormatError, DegenerateInputError, EvaluationError,
                      Record)
@@ -180,14 +181,16 @@ def _over_cpus(work, items) -> list:
     """[work(x) for x in items], one share per process: items[0::k] here
     and items[w::k] in worker w of a fork pool of k - 1, where k is the
     number of CPUs this process may run on, at most len(items), or 1 with
-    no affinity call or no fork start method.  A share stops at its first
+    no affinity call, no fork start method, or in a daemonic process such
+    as a pool worker, which may start none.  A share stops at its first
     exception; every share is awaited before any result is read, and the
     exception of the lowest failing index is raised, as on one CPU."""
     import multiprocessing    # loaded by the pooled commands alone
 
     k = (min(len(os.sched_getaffinity(0)), len(items))
          if hasattr(os, "sched_getaffinity")
-         and "fork" in multiprocessing.get_all_start_methods() else 1)
+         and "fork" in multiprocessing.get_all_start_methods()
+         and not multiprocessing.current_process().daemon else 1)
     with (multiprocessing.get_context("fork").Pool(k - 1) if k > 1
           else nullcontext()) as pool:
         shares = [pool.apply_async(_share, (work, items[w::k]))
@@ -353,16 +356,15 @@ def fit_gev_table(train_rows: list):
     """Fit the ratio-test model and tabulate its per-metric, per-class
     parameters with cdf fit quality.  Returns (model, {metric: FitPair})."""
     model = mlr_train(train_rows)
+    x, is_los = labelled_table(train_rows)
 
-    def fit(name, label):
-        values = np.array([f.metric(name) for f in train_rows
-                           if f.label == label])
-        params = model.params(name, label)
+    def fit(j, label, rows):
+        params = model.params(METRIC_NAMES[j], label)
         return GevFit(params.gamma, params.mu, params.sigma,
-                      cdf_rmse(values, params))
+                      cdf_rmse(x[rows, j], params))
 
-    return model, {name: FitPair(fit(name, LOS), fit(name, NLOS))
-                   for name in METRIC_NAMES}
+    return model, {name: FitPair(fit(j, LOS, is_los), fit(j, NLOS, ~is_los))
+                   for j, name in enumerate(METRIC_NAMES)}
 
 
 def train_models(rows: list, config: ExperimentConfig, repeat: int = 0):
@@ -380,8 +382,8 @@ def _evaluate(mlr_model, ann_model, test_rows: list) -> dict:
                 for name in METRIC_NAMES}
     verdicts["joint_mlr"] = mlr_classify(mlr_model, test_rows)
     verdicts["ann"] = ann_classify(ann_model, test_rows)
-    return {row: ErrorRates(*error_rates(decided, truths))
-            for row, decided in verdicts.items()}
+    return {row: ErrorRates(*error_rates(v.decision, truths))
+            for row, v in verdicts.items()}
 
 
 def _write_curves(out_dir: Path, train_rows: list, mlr_model) -> list:
@@ -389,11 +391,11 @@ def _write_curves(out_dir: Path, train_rows: list, mlr_model) -> list:
     histogram and staircase."""
     curve_dir = out_dir / "curves"
     curve_dir.mkdir(parents=True, exist_ok=True)
+    x_train, is_los = labelled_table(train_rows)
     names = []
-    for metric in METRIC_NAMES:
-        for label, key in ((LOS, "los"), (NLOS, "nlos")):
-            values = np.sort(np.array([f.metric(metric) for f in train_rows
-                                       if f.label == label]))
+    for j, metric in enumerate(METRIC_NAMES):
+        for label, rows in ((LOS, is_los), (NLOS, ~is_los)):
+            values = np.sort(x_train[rows, j])
             params = mlr_model.params(metric, label)
             lo, hi = values[0], values[-1]
             span = hi - lo if hi > lo else max(abs(hi), 1.0)
@@ -405,7 +407,7 @@ def _write_curves(out_dir: Path, train_rows: list, mlr_model) -> list:
             emp_pdf = np.where((x >= edges[0]) & (x <= edges[-1]),
                                hist[bin_idx], 0.0)
             emp_cdf = np.searchsorted(values, x, side="right") / len(values)
-            name = f"{metric}_{key}.csv"
+            name = f"{metric}_{label.lower()}.csv"
             save_csv(curve_dir / name, ["x", "fitted_pdf", "fitted_cdf",
                                         "empirical_pdf", "empirical_cdf"],
                      np.column_stack((x, gev_pdf(x, params),

@@ -313,10 +313,12 @@ class SimulationManifest(Record):
 # verdicts
 
 
-def save_verdicts(path, rows) -> None:
-    """rows: iterable of (realization | None, Verdict, truth | None)."""
+def save_verdicts(path, realizations, verdicts, truths) -> None:
+    """One row per entry of the columns: realization | None, the Verdicts
+    of one classification, and truth | None."""
     save_csv(path, ["realization", "decision", "score", "support_violation",
                     "truth"],
-             [["" if r is None else int(r), verdict.decision,
-               float(verdict.score), int(verdict.support_violation),
-               truth or ""] for r, verdict, truth in rows])
+             zip(["" if r is None else int(r) for r in realizations],
+                 verdicts.decision.tolist(), verdicts.score.tolist(),
+                 verdicts.support_violation.astype(int).tolist(),
+                 [t or "" for t in truths], strict=True))

@@ -187,8 +187,8 @@ def test_criterion_04_scale_invariance_of_features_and_decisions():
     clusters, _, cir = simulate_realization(sim, 7, 40)
     base_rows, _ = extract_realization(cir, clusters, seg, metric)
     assert len(base_rows) >= 2
-    base_mlr = [mlr_classify(mlr_model, [fv])[0].decision for fv in base_rows]
-    base_ann = [ann_classify(ann_model, [fv])[0].decision for fv in base_rows]
+    base_mlr = [mlr_classify(mlr_model, [fv]).decision[0] for fv in base_rows]
+    base_ann = [ann_classify(ann_model, [fv]).decision[0] for fv in base_rows]
 
     for c in (1e-3, 1.0, 1e3):
         scaled = CirTensor.dense(cir.grid, cir.sample_rate_ghz, cir.data * c)
@@ -197,9 +197,9 @@ def test_criterion_04_scale_invariance_of_features_and_decisions():
         for fv, ref in zip(rows, base_rows):
             np.testing.assert_allclose(fv.values(), ref.values(), rtol=1e-9,
                                        atol=0.0)
-        assert [mlr_classify(mlr_model, [fv])[0].decision for fv in rows] \
+        assert [mlr_classify(mlr_model, [fv]).decision[0] for fv in rows] \
             == base_mlr
-        assert [ann_classify(ann_model, [fv])[0].decision for fv in rows] \
+        assert [ann_classify(ann_model, [fv]).decision[0] for fv in rows] \
             == base_ann
 
 
@@ -284,8 +284,8 @@ def test_criterion_06_network_gradients_and_training(monkeypatch):
         assert loss <= prev, f"loss rose at iteration {iteration}"
         prev = loss
     assert model.training["loss"] <= min(losses)
-    verdicts = [ann_classify(model, [f])[0] for f in feats]
-    wrong = sum(1 for v, f in zip(verdicts, feats) if v.decision != f.label)
+    decisions = [ann_classify(model, [f]).decision[0] for f in feats]
+    wrong = sum(1 for d, f in zip(decisions, feats) if d != f.label)
     assert wrong == 0, f"{wrong} of {len(feats)} training points missed"
 
 
@@ -297,7 +297,7 @@ def test_criterion_07_ratio_test_worked_example():
     nlos = GevParams(gamma=-0.6214, mu=0.5588, sigma=0.2789)
     model = MlrModel({"r_p": GevPair(los, nlos)})
     fv = make_fv(r_p=0.95)
-    verdict = mlr_classify(model, [fv], metrics=["r_p"])[0]
+    verdict = mlr_classify(model, [fv], metrics=["r_p"])
 
     def direct_density(x, g, m, s):
         z = (x - m) / s
@@ -306,9 +306,9 @@ def test_criterion_07_ratio_test_worked_example():
 
     direct = math.log(direct_density(0.95, los.gamma, los.mu, los.sigma)
                       / direct_density(0.95, nlos.gamma, nlos.mu, nlos.sigma))
-    assert abs(verdict.score - 1.69) <= 0.05, f"score {verdict.score}"
-    assert verdict.score == pytest.approx(direct, rel=1e-9)
-    assert verdict.decision == "LOS"
+    assert abs(verdict.score[0] - 1.69) <= 0.05, f"score {verdict.score[0]}"
+    assert verdict.score[0] == pytest.approx(direct, rel=1e-9)
+    assert verdict.decision[0] == "LOS"
 
 
 def test_criterion_08_reference_campaign_statistics(reference_run):

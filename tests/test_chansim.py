@@ -298,7 +298,7 @@ def test_dense_tensor_reads_back_its_array(values):
     cir = CirTensor.dense(grid, 2.0, values)
     assert cir.data is values and cir.n_taps == n_taps
     for i, j in np.ndindex(grid.shape):
-        assert cir.pixel(i, j).tobytes() == values[i, j].tobytes()
+        assert cir.pixels([i], [j])[0].tobytes() == values[i, j].tobytes()
     with np.errstate(over="ignore"):      # huge taps square to inf
         assert cir.tap_energy().tobytes() == \
             np.sum(np.abs(values) ** 2, axis=-1).tobytes()
@@ -310,8 +310,9 @@ def test_noiseless_render_equals_dense_tensor_of_its_data():
     cir = render_cir(clusters, cfg, 5, 2)
     dense = CirTensor.dense(cir.grid, cir.sample_rate_ghz, cir.data)
     assert dense.n_taps == cir.n_taps and dense.data is cir.data
-    for p in np.ndindex(cir.grid.shape):
-        assert dense.pixel(*p).tobytes() == cir.pixel(*p).tobytes()
+    for i, j in np.ndindex(cir.grid.shape):
+        assert dense.pixels([i], [j])[0].tobytes() \
+            == cir.pixels([i], [j])[0].tobytes()
     # the sums run over different tap sets, so they agree to rounding
     np.testing.assert_allclose(dense.tap_energy(), cir.tap_energy(),
                                rtol=1e-12, atol=0.0)
@@ -329,13 +330,15 @@ def test_pixels_match_dense_view_in_any_order():
     pixels = [divmod(int(k), grid.n_az) for k in order]
 
     before = render_cir(clusters, cfg, 5, 3)
-    early = {p: before.pixel(*p).tobytes() for p in pixels[:40]}
+    early = {p: before.pixels(*zip(p))[0].tobytes()
+             for p in pixels[:40]}
     dense = before.data
     after = render_cir(clusters, cfg, 5, 3)
-    late = {p: after.pixel(*p).tobytes() for p in reversed(pixels)}
+    late = {p: after.pixels(*zip(p))[0].tobytes()
+            for p in reversed(pixels)}
     assert dense.tobytes() == after.data.tobytes()
     for p in pixels:
-        assert before.pixel(*p).tobytes() == dense[p].tobytes()
+        assert before.pixels(*zip(p))[0].tobytes() == dense[p].tobytes()
         assert late[p] == dense[p].tobytes()
         if p in early:
             assert early[p] == dense[p].tobytes()
@@ -360,14 +363,14 @@ def tensor_of(kind: str, realization: int) -> CirTensor:
        repeat=st.integers(0, 9))
 def test_batched_read_equals_pixel_and_data(kind, realization, picks, repeat):
     """pixels() in any order, with a direction repeated, reads the same bits
-    as pixel() and as data, whichever is read first."""
+    as one-direction reads and as data, whichever is read first."""
     picks = picks + [picks[repeat % len(picks)]]
     el, az = (list(axis) for axis in zip(*picks))
     first = tensor_of(kind, realization)
     batch = first.pixels(el, az)
     assert batch.shape == (len(picks), first.n_taps)
     assert batch.dtype == complex
-    singles = [first.pixel(*p) for p in picks]
+    singles = [first.pixels(*zip(p))[0] for p in picks]
     dense = tensor_of(kind, realization).data
     for row, single, p in zip(batch, singles, picks):
         assert row.tobytes() == single.tobytes() == dense[p].tobytes()
@@ -378,14 +381,15 @@ def test_batched_read_indices():
     cir = tensor_of("noisy", 1)
     n_el, n_az = cir.grid.shape
     assert cir.pixels([-1, 0], [-2, 3]).tobytes() == \
-        np.stack([cir.pixel(n_el - 1, n_az - 2), cir.pixel(0, 3)]).tobytes()
+        np.stack([cir.pixels([n_el - 1], [n_az - 2])[0],
+                  cir.pixels([0], [3])[0]]).tobytes()
     assert cir.pixels([], []).shape == (0, cir.n_taps)
     with pytest.raises(IndexError):
         cir.pixels([0, 1], [0])
     with pytest.raises(IndexError):
         cir.pixels([n_el], [0])
     with pytest.raises(IndexError):
-        cir.pixel(0, n_az)
+        cir.pixels([0], [n_az])
 
 
 def test_lazy_pas_matches_dense_pas():
@@ -588,7 +592,7 @@ def test_subnormal_signal_pixels_keep_their_energy():
     np.testing.assert_allclose(np.sum(np.abs(dense) ** 2, axis=2),
                                cir.tap_energy(), rtol=1e-12, atol=0.0)
     for i, j in np.ndindex(cfg.grid().shape):
-        assert cir.pixel(i, j).tobytes() == dense[i, j].tobytes()
+        assert cir.pixels([i], [j])[0].tobytes() == dense[i, j].tobytes()
 
 
 def test_lazy_and_eager_noise_give_one_distribution():
@@ -634,11 +638,11 @@ def test_lazy_render_properties(n_az, n_el, n_taps, snr_db, seed, realization,
     cir = render_cir(clusters, cfg, seed, realization)
     grid = cfg.grid()
     picks = [(i % grid.n_el, j % grid.n_az) for i, j in picks]
-    early = [cir.pixel(*p) for p in picks]
+    early = [cir.pixels(*zip(p))[0] for p in picks]
     dense = cir.data
     for p, taps in zip(picks, early):
         assert taps.tobytes() == dense[p].tobytes()
-        assert cir.pixel(*p).tobytes() == dense[p].tobytes()
+        assert cir.pixels(*zip(p))[0].tobytes() == dense[p].tobytes()
     np.testing.assert_allclose(cir.tap_energy(),
                                np.sum(np.abs(dense) ** 2, axis=2),
                                rtol=1e-12, atol=0.0)

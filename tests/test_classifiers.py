@@ -40,10 +40,10 @@ def zero_model(b3=(0.0, 0.0)) -> AnnModel:
 
 
 def test_identical_hypotheses_score_zero_resolves_los():
-    v = mlr_classify(same_params_model(), [make_fv()])[0]
-    assert v.score == 0.0
-    assert v.decision == LOS
-    assert not v.support_violation
+    v = mlr_classify(same_params_model(), [make_fv()])
+    assert v.score[0] == 0.0
+    assert v.decision[0] == LOS
+    assert not v.support_violation[0]
 
 
 def test_joint_score_is_sum_of_singletons():
@@ -59,21 +59,20 @@ def test_joint_score_is_sum_of_singletons():
             "tau_rms_ns": GevParams(0.0483, 5.590, 1.195)}
     model = MlrModel({n: GevPair(los[n], nlos[n]) for n in METRIC_NAMES})
     fv = make_fv(r_p=0.8, k_t=250.0, k_f=2.5, tau_mean_ns=3.0, tau_rms_ns=5.0)
-    joint = mlr_classify(model, [fv])[0]
-    parts = [mlr_classify(model, [fv], metrics=[n])[0].score
+    joint = mlr_classify(model, [fv])
+    parts = [mlr_classify(model, [fv], metrics=[n]).score[0]
              for n in METRIC_NAMES]
-    assert joint.score == sum(parts)
+    assert joint.score[0] == sum(parts)
 
 
 def test_score_monotone_in_likelihood_ratio():
     model = MlrModel({"r_p": GevPair(GevParams(-0.5, 0.9, 0.05),
                                      GevParams(-0.5, 0.5, 0.2))})
-    scores = [mlr_classify(model, [make_fv(r_p=x)], metrics=["r_p"])[0].score
-              for x in (0.5, 0.7, 0.85, 0.92)]
+    rows = [make_fv(r_p=x) for x in (0.5, 0.7, 0.85, 0.92)]
+    scores = mlr_classify(model, rows, metrics=["r_p"]).score.tolist()
     assert scores == sorted(scores)
-    assert [v.decision for v in mlr_classify(
-        model, [make_fv(r_p=0.92), make_fv(r_p=0.45)], metrics=["r_p"])] \
-        == [LOS, NLOS]
+    assert mlr_classify(model, [make_fv(r_p=0.92), make_fv(r_p=0.45)],
+                        metrics=["r_p"]).decision.tolist() == [LOS, NLOS]
 
 
 def test_one_sided_support_violation_uses_floor():
@@ -84,20 +83,20 @@ def test_one_sided_support_violation_uses_floor():
     assert gev_pdf(x, model.params("r_p", LOS)) == 0.0
     f_nlos = gev_pdf(x, model.params("r_p", NLOS))
     assert f_nlos > 0.0
-    v = mlr_classify(model, [make_fv(r_p=x)], metrics=["r_p"])[0]
-    assert v.support_violation
-    assert v.score == pytest.approx(LOG_DENSITY_FLOOR - math.log(f_nlos))
-    assert v.decision == NLOS
+    v = mlr_classify(model, [make_fv(r_p=x)], metrics=["r_p"])
+    assert v.support_violation[0]
+    assert v.score[0] == pytest.approx(LOG_DENSITY_FLOOR - math.log(f_nlos))
+    assert v.decision[0] == NLOS
 
 
 def test_point_outside_both_supports_is_nlos():
     pair = GevPair(GevParams(-1.0, 0.9, 0.05), GevParams(-1.0, 0.5, 0.1))
     gumbel = GevParams(0.0, 300.0, 50.0)
     model = MlrModel({"r_p": pair, "k_t": GevPair(gumbel, gumbel)})
-    v = mlr_classify(model, [make_fv(r_p=5.0)], metrics=["r_p", "k_t"])[0]
-    assert v.decision == NLOS
-    assert v.score == -math.inf
-    assert v.support_violation
+    v = mlr_classify(model, [make_fv(r_p=5.0)], metrics=["r_p", "k_t"])
+    assert v.decision[0] == NLOS
+    assert v.score[0] == -math.inf
+    assert v.support_violation[0]
 
 
 def test_metric_subset_validation():
@@ -116,9 +115,9 @@ def test_metric_subset_validation():
 def test_subset_order_does_not_change_score():
     model = same_params_model()
     fv = make_fv()
-    a = mlr_classify(model, [fv], metrics=["k_f", "r_p"])[0]
-    b = mlr_classify(model, [fv], metrics=["r_p", "k_f"])[0]
-    assert a.score == b.score
+    a = mlr_classify(model, [fv], metrics=["k_f", "r_p"])
+    b = mlr_classify(model, [fv], metrics=["r_p", "k_f"])
+    assert a.score[0] == b.score[0]
 
 
 def test_mlr_train_class_floor():
@@ -134,9 +133,8 @@ def test_mlr_train_class_floor():
 def test_mlr_train_separates_engineered_classes():
     feats = separable_features(n_per_class=60)
     model = mlr_train(feats)
-    verdicts = [mlr_classify(model, [f], metrics=["r_p"])[0] for f in feats]
-    wrong = sum(1 for v, f in zip(verdicts, feats) if v.decision != f.label)
-    assert wrong == 0
+    verdicts = mlr_classify(model, feats, metrics=["r_p"])
+    assert verdicts.decision.tolist() == [f.label for f in feats]
 
 
 _gev = st.builds(GevParams,
@@ -164,18 +162,20 @@ def test_ratio_test_table_matches_rows(pairs, subset, all_tied, values):
     rows = [make_fv(*v) for v in values]
     names = [n for n in METRIC_NAMES if subset is None or n in subset]
     table = mlr_classify(model, rows, metrics=subset)
-    assert len(table) == len(rows)
-    for fv, verdict in zip(rows, table):
+    assert table.decision.shape == table.score.shape \
+        == table.support_violation.shape == (len(rows),)
+    for i, fv in enumerate(rows):
         score, violation = oracles.ratio_score_oracle(model, fv, names,
                                                       LOG_DENSITY_FLOOR)
-        row = mlr_classify(model, [fv], metrics=subset)[0]
-        assert verdict.decision == row.decision \
+        row = mlr_classify(model, [fv], metrics=subset)
+        assert table.decision[i] == row.decision[0] \
             == (LOS if score >= 0.0 else NLOS)
-        assert verdict.support_violation == row.support_violation == violation
+        assert table.support_violation[i] == row.support_violation[0] \
+            == violation
         if math.isinf(score):
-            assert verdict.score == score
+            assert table.score[i] == score
         else:
-            assert verdict.score == pytest.approx(score, rel=1e-12, abs=0.0)
+            assert table.score[i] == pytest.approx(score, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=40, deadline=None, phases=_PHASES)
@@ -187,13 +187,14 @@ def test_network_table_matches_rows(seed, zero, values):
     model = zero_model() if zero else ann_init(seed)
     rows = [make_fv(*v) for v in values]
     table = ann_classify(model, rows)
-    assert len(table) == len(rows)
-    for fv, verdict in zip(rows, table):
+    assert table.decision.shape == table.score.shape \
+        == table.support_violation.shape == (len(rows),)
+    assert not table.support_violation.any()
+    for i, fv in enumerate(rows):
         score = oracles.network_score_oracle(model, fv)
-        assert verdict.decision == ann_classify(model, [fv])[0].decision
-        assert verdict.decision == (LOS if score >= 0.5 else NLOS)
-        assert not verdict.support_violation
-        assert verdict.score == pytest.approx(score, rel=1e-12, abs=0.0)
+        assert table.decision[i] == ann_classify(model, [fv]).decision[0]
+        assert table.decision[i] == (LOS if score >= 0.5 else NLOS)
+        assert table.score[i] == pytest.approx(score, rel=1e-12, abs=0.0)
 
 
 def test_model_validation():
@@ -215,8 +216,8 @@ def test_zero_network_outputs_half():
     assert np.array_equal(a3, [[0.5, 0.5]])
     assert np.all(a1 == 0.0) and np.all(a2 == 0.0)
     # a tie keeps the line-of-sight hypothesis
-    v = ann_classify(zero_model(), [make_fv()])[0]
-    assert v.decision == LOS and v.score == 0.5
+    v = ann_classify(zero_model(), [make_fv()])
+    assert v.decision[0] == LOS and v.score[0] == 0.5
 
 
 @pytest.mark.filterwarnings("error")
@@ -225,8 +226,8 @@ def test_overflowed_network_sums_saturate_without_a_warning():
     saturates it, so the score stays finite."""
     iw = ann_init(0).iw.copy()
     iw[3][4] = 1e308
-    v, = ann_classify(replace(ann_init(0), iw=iw), [make_fv()])
-    assert 0.0 < v.score < 1.0
+    score, = ann_classify(replace(ann_init(0), iw=iw), [make_fv()]).score
+    assert 0.0 < score < 1.0
 
 
 @pytest.mark.filterwarnings("error")
@@ -254,13 +255,13 @@ def test_softmax_rows_normalized(rng):
 
 def test_output_bias_pins_probabilities():
     model = zero_model(b3=(math.log(0.9), math.log(0.1)))
-    v = ann_classify(model, [make_fv()])[0]
-    assert v.score == pytest.approx(0.9, abs=1e-12)
-    assert v.decision == LOS
+    v = ann_classify(model, [make_fv()])
+    assert v.score[0] == pytest.approx(0.9, abs=1e-12)
+    assert v.decision[0] == LOS
     flipped = zero_model(b3=(math.log(0.1), math.log(0.9)))
-    v = ann_classify(flipped, [make_fv()])[0]
-    assert v.score == pytest.approx(0.1, abs=1e-12)
-    assert v.decision == NLOS
+    v = ann_classify(flipped, [make_fv()])
+    assert v.score[0] == pytest.approx(0.1, abs=1e-12)
+    assert v.decision[0] == NLOS
 
 
 def test_model_shape_validation():
@@ -316,8 +317,8 @@ def test_training_reaches_perfect_accuracy_on_separable_data():
     feats = separable_features(n_per_class=40)
     model = ann_train(ann_init(0), feats,
                       TrainSchedule(max_epochs=2000))
-    verdicts = [ann_classify(model, [f])[0] for f in feats]
-    assert all(v.decision == f.label for v, f in zip(verdicts, feats))
+    verdicts = ann_classify(model, feats)
+    assert verdicts.decision.tolist() == [f.label for f in feats]
 
 
 def test_training_loss_never_increases_on_best_weights():
@@ -359,9 +360,8 @@ def test_consistent_feature_rescaling_keeps_decisions():
               for f in feats]
     base = ann_train(ann_init(1), feats, TrainSchedule(max_epochs=400))
     moved = ann_train(ann_init(1), scaled, TrainSchedule(max_epochs=400))
-    for f, g in zip(feats, scaled):
-        assert ann_classify(base, [f])[0].score == pytest.approx(
-            ann_classify(moved, [g])[0].score, abs=1e-9)
+    assert ann_classify(base, feats).score == pytest.approx(
+        ann_classify(moved, scaled).score, abs=1e-9)
 
 
 def test_non_finite_training_loss_raises():
@@ -407,12 +407,26 @@ def test_error_rates_reference_points():
     assert error_rates(decisions, truths) == (0.1, 0.3)
 
 
-def test_error_rates_accept_verdicts():
-    from nlosid import Verdict
-    truths = [LOS, LOS, NLOS, NLOS]
-    verdicts = [Verdict(LOS, 1.0), Verdict(NLOS, -1.0),
-                Verdict(NLOS, -2.0), Verdict(LOS, 0.5)]
-    assert error_rates(verdicts, truths) == (0.5, 0.5)
+_label = st.sampled_from([LOS, NLOS])
+
+
+@settings(max_examples=100, deadline=None, phases=_PHASES)
+@given(pairs=st.lists(st.tuples(_label, _label), max_size=40),
+       extra=st.lists(_label, min_size=1, max_size=3))
+def test_error_rates_equal_a_per_row_count(pairs, extra):
+    decisions = np.array([d for d, _ in pairs], dtype=str)
+    truths = np.array([t for _, t in pairs], dtype=str)
+    n_los = sum(1 for _, t in pairs if t == LOS)
+    n_nlos = len(pairs) - n_los
+    if n_los and n_nlos:
+        assert error_rates(decisions, truths) == (
+            sum(1 for d, t in pairs if t == LOS and d == NLOS) / n_los,
+            sum(1 for d, t in pairs if t == NLOS and d == LOS) / n_nlos)
+    else:
+        with pytest.raises(EvaluationError, match="both classes"):
+            error_rates(decisions, truths)
+    with pytest.raises(EvaluationError, match="decisions against"):
+        error_rates(np.append(decisions, extra), truths)
 
 
 def test_error_rates_validation():

@@ -645,6 +645,13 @@ MALFORMED_INPUTS = {
     "mlr_metric_missing": (
         _mlr_files({"r_p": {"los": _GEV, "nlos": _GEV}}), _CLASSIFY, 3,
         "m.json: model has no tables for"),
+    "mlr_metrics_empty": (
+        _mlr_files({name: {"los": _GEV, "nlos": _GEV}
+                    for name in METRIC_NAMES}),
+        _CLASSIFY + ["--metrics", ""], 2, "error: metric subset is empty"),
+    "ann_metrics_empty": (
+        _ann_files(), _CLASSIFY + ["--metrics", ""], 2,
+        "error: --metrics only applies to the ratio test"),
     "truth_field_names_file": (
         {**_TENSOR_FILES,
          "s.json": {"format": "simulation", "realizations": [

@@ -6,6 +6,7 @@ import os
 import shutil
 import weakref
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from nlosid import (AngularGrid, AnnModel, CirTensor, ConfigError,
 from nlosid import chansim, experiment
 from nlosid.cli import main as cli_main
 from nlosid.experiment import (ERROR_TABLE_ROWS, BootstrapSpec, Report,
-                               _training_seed)
+                               _over_cpus, _training_seed)
 from nlosid.fileio import (SimulationManifest, TensorManifest, Truth,
                            load_cir_tensor, load_document, load_features,
                            load_json, save_cir_tensor, save_document,
@@ -128,7 +129,7 @@ def test_extract_realization_rows_equal_the_per_cluster_path():
                                              pas.grid)
         want = []
         for c in found:
-            peak = cir.pixel(*c.peak_pixel)
+            peak = cir.pixels(*zip(c.peak_pixel))[0]
             try:
                 values = (eigen_ratio(co_kurtosis(c, pas,
                                                   config.metric.r_p_mode)),
@@ -382,6 +383,17 @@ def test_simulate_leaves_no_worker_running(snr_db, tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
     if code:
         assert list(tmp_path.iterdir()) == []
+
+
+def test_a_split_inside_a_pool_worker_runs_serially(monkeypatch):
+    """A pool worker is daemonic and may start no pool of its own, so an
+    _over_cpus nested in another runs its share in the worker itself and
+    gives the serial result."""
+    mock_cpus(monkeypatch, 2)
+    shares = [[-1, -2, -3], [-4, -5], [-6], []]
+    assert _over_cpus(partial(_over_cpus, abs), shares) \
+        == [[abs(x) for x in share] for share in shares]
+    assert multiprocessing.active_children() == []
 
 
 def test_a_failing_realization_exits_simulate_as_on_one_cpu(

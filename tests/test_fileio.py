@@ -6,6 +6,7 @@ import shutil
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from nlosid import (AngularGrid, AnnModel, CirTensor, DataFormatError,
                     ExperimentConfig, GevPair, GevParams, MlrModel, PasMap,
                     SimConfig, ann_init, ann_train, compute_pas,
-                    inputs_from_manifest, Verdict, mlr_classify,
+                    inputs_from_manifest, Verdicts, mlr_classify,
                     simulate_realization)
 from nlosid.experiment import _write_curves
 from nlosid.fileio import (load_cir_tensor, load_document, load_features,
@@ -359,9 +360,10 @@ def test_mlr_model_round_trip_preserves_decisions(tmp_path):
     back = _load_model(path)
     assert back.tables == model.tables
     fv = make_fv(r_p=0.95, k_t=290.0)
-    a = mlr_classify(model, [fv], metrics=["r_p", "k_t"])[0]
-    b = mlr_classify(back, [fv], metrics=["r_p", "k_t"])[0]
-    assert a == b
+    a = mlr_classify(model, [fv], metrics=["r_p", "k_t"])
+    b = mlr_classify(back, [fv], metrics=["r_p", "k_t"])
+    for column in ("decision", "score", "support_violation"):
+        assert np.array_equal(getattr(a, column), getattr(b, column))
 
     doc = load_json(path)
     doc["format"] = "gev_table"
@@ -409,12 +411,10 @@ def test_bad_network_arrays_are_data_format_errors(changes, fragment):
 
 
 def test_save_verdicts_layout(tmp_path):
-    from nlosid import Verdict
     path = tmp_path / "verdicts.csv"
-    save_verdicts(path, [
-        (0, Verdict("LOS", 1.25), "LOS"),
-        (None, Verdict("NLOS", -float("inf"), support_violation=True), None),
-    ])
+    save_verdicts(path, [0, None], Verdicts(
+        np.array(["LOS", "NLOS"]), np.array([1.25, -np.inf]),
+        np.array([False, True])), ["LOS", None])
     lines = path.read_text().splitlines()
     assert lines[0] == "realization,decision,score,support_violation,truth"
     assert lines[1] == "0,LOS,1.25,0,LOS"
@@ -593,16 +593,23 @@ def test_save_features_writes_the_old_bytes(rows, tmp_path_factory):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(st.tuples(
-    st.one_of(st.none(), st.integers(0, 10 ** 6)),
-    st.builds(Verdict, st.sampled_from(["LOS", "NLOS"]), _FLOATS,
-              st.booleans()),
-    st.sampled_from([None, "LOS", "NLOS"])), max_size=6))
-def test_save_verdicts_writes_the_old_bytes(rows, tmp_path_factory):
+@given(columns=st.integers(0, 6).flatmap(lambda n: st.tuples(*(
+    st.lists(element, min_size=n, max_size=n) for element in (
+        st.one_of(st.none(), st.integers(0, 10 ** 6)),
+        st.sampled_from(["LOS", "NLOS"]), _FLOATS, st.booleans(),
+        st.sampled_from([None, "LOS", "NLOS"]))))))
+def test_save_verdicts_writes_the_old_bytes(columns, tmp_path_factory):
+    """The columns, written at once, give the bytes of the per-row
+    writer."""
+    realizations, decision, score, violation, truths = columns
     d = tmp_path_factory.getbasetemp() / "writer_oracle"
     d.mkdir(exist_ok=True)
-    save_verdicts(d / "new.csv", rows)
-    oracles.save_verdicts_oracle(d / "old.csv", rows)
+    save_verdicts(d / "new.csv", realizations, Verdicts(
+        np.array(decision, dtype=str), np.array(score, dtype=float),
+        np.array(violation, dtype=bool)), truths)
+    oracles.save_verdicts_oracle(d / "old.csv", [
+        (r, SimpleNamespace(decision=dec, score=s, support_violation=v), t)
+        for r, dec, s, v, t in zip(*columns)])
     assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
 
 

@@ -290,7 +290,8 @@ def two_tap_fixture():
 
 
 def features_of(cluster, cir, pas, config):
-    return cluster_features(cluster, pas, cir.pixel(*cluster.peak_pixel),
+    return cluster_features(cluster, pas,
+                            cir.pixels(*zip(cluster.peak_pixel))[0],
                             cir.sample_rate_ghz, config)
 
 

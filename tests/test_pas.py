@@ -139,7 +139,7 @@ def test_cir_tensor_validation(rng):
     t = CirTensor.dense(g, 2.0, good)
     assert t.n_taps == 16
     assert t.tap_spacing_ns == 0.5
-    assert np.array_equal(t.pixel(1, 2), good[1, 2])
+    assert np.array_equal(t.pixels([1], [2])[0], good[1, 2])
     for wrong in (good[:1], good[..., 0], good[..., None]):
         with pytest.raises(DataFormatError, match="does not match grid"):
             CirTensor.dense(g, 2.0, wrong)
@@ -213,7 +213,7 @@ def one_pixel_sweep(freqs, values, window="none"):
     grid = flat_grid(n_el=1, n_az=1)
     sweeps = grid_sweeps(grid, freqs, np.asarray(values)[None, None])
     cir = ingest_sweeps(sweeps, grid, window=window)
-    return cir.pixel(0, 0), cir.sample_rate_ghz
+    return cir.pixels([0], [0])[0], cir.sample_rate_ghz
 
 
 def test_cfr_two_tap_interference_pattern():
