@@ -63,15 +63,7 @@ def _run_simulate(args) -> int:
 
 def _run_ingest(args) -> int:
     grid = _grid_from_axes(args.az, args.el)
-    sweeps = {}
-    for path in args.sweeps:
-        for key, payload in load_sweep_csv(path).items():
-            if key in sweeps:
-                raise DataFormatError(
-                    f"direction (az={key[0]:g}, el={key[1]:g}) appears in "
-                    f"more than one sweep file")
-            sweeps[key] = payload
-    cir = ingest_sweeps(sweeps, grid, window=args.window)
+    cir = ingest_sweeps(load_sweep_csv(*args.sweeps), grid, args.window)
     out = _out_path(args, "tensor.json")
     save_cir_tensor(cir, out)
     print(f"wrote {grid.n_el}x{grid.n_az}x{cir.n_taps} tensor to {out}")

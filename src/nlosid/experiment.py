@@ -282,51 +282,56 @@ def cmd_extract(inputs: list, seg: SegParams, metric: MetricConfig,
     return rows, log
 
 
-def ingest_sweeps(sweeps: dict, grid: AngularGrid,
+def ingest_sweeps(table, grid: AngularGrid,
                   window: str = "hann") -> CirTensor:
     """Assemble measured frequency sweeps into an impulse-response tensor.
 
-    sweeps maps (az_deg, el_deg) to (freqs_ghz, complex values).  Every
-    grid direction must be present and all directions must share one
-    frequency axis, uniform with at least 8 points, and no two sweeps may
-    name one direction (such as azimuths -180 and 180 on a full-circle
-    grid).  Each direction's taps are the inverse DFT of its values, after
-    a symmetric Hann taper across the band (the usual choice for measured
-    sweeps) unless window is "none", which inverts np.fft.fft exactly.  The
-    sample rate is the point count times the frequency step.
+    table has a row (az_deg, el_deg, freq_ghz, re, im) per swept point, in
+    any order, as load_sweep_csv reads it.  Every row names a grid
+    direction, and every grid direction is swept once at each point of one
+    uniform axis of at least 8 points (azimuths -180 and 180 on a
+    full-circle grid are one).  Taps are the inverse DFT of the values,
+    Hann-tapered unless window is "none", which inverts np.fft.fft exactly.
     """
-    owners = {}               # pixel -> the sweep key that names it
-    for az, el in sweeps:
-        pixel = grid.nearest_pixel(el, az)
-        pel, paz = grid.angles_of(*pixel)
-        if abs(pel - el) > 1e-6 or abs(wrap_angle_deg(paz - az)) > 1e-6:
-            raise DataFormatError(
-                f"sweep direction (az={az}, el={el}) is not a grid point")
-        if pixel in owners:
-            raise DataFormatError(
-                "sweep directions (az={:g}, el={:g}) and (az={:g}, el={:g}) "
-                "are one grid direction".format(*owners[pixel], az, el))
-        owners[pixel] = (az, el)
-    lookup = {pixel: sweeps[key] for pixel, key in owners.items()}
-    n_missing = grid.n_el * grid.n_az - len(lookup)
-    if n_missing:     # found lazily, as a grid can be too large to list
-        missing = ((i, j) for i in range(grid.n_el) for j in range(grid.n_az)
-                   if (i, j) not in lookup)
-        shown = ", ".join("(az={1:g}, el={0:g})".format(*grid.angles_of(*p))
-                          for p in islice(missing, 8))
-        more = f" and {n_missing - 8} more" if n_missing > 8 else ""
-        raise DataFormatError(f"sweeps missing grid directions: {shown}{more}")
-
     if window not in ("hann", "none"):
         raise ConfigError(
             f"unknown window {window!r}, expected 'hann' or 'none'")
-    freqs = np.asarray(lookup[(0, 0)][0], dtype=float)
-    if freqs.ndim != 1 or len(freqs) < 8:
+    table = np.asarray(table, dtype=float).reshape(-1, 5)
+    az, el, freq = table[:, 0], table[:, 1], table[:, 2]
+    with np.errstate(over="ignore", invalid="ignore"):  # nan: off the grid
+        i, j = grid.nearest_pixel(el, az)
+        pel, paz = grid.angles_of(i, j)
+        on_grid = (np.abs(pel - el) <= 1e-6) \
+            & (np.abs(wrap_angle_deg(paz - az)) <= 1e-6)
+        pixel = i * grid.n_az + j   # exact unless the grid outnumbers rows
+    if not on_grid.all():
+        raise DataFormatError("sweep direction (az={}, el={}) is not a grid "
+                              "point".format(*table[np.argmin(on_grid), :2]))
+    order = np.lexsort((freq, pixel))
+    pixel, freq = pixel[order], freq[order]
+    n_pixels = grid.n_el * grid.n_az
+    twice = (np.diff(freq) == 0) & (np.diff(pixel) == 0)
+    if twice.any() and n_pixels <= len(table):
+        a, b = table[order[np.argmax(twice):][:2]]
+        raise DataFormatError("sweep rows (az={:g}, el={:g}) and (az={:g}, "
+                              "el={:g}) are one grid direction at {:g} GHz"
+                              .format(a[0], a[1], b[0], b[1], a[2]))
+    starts = np.flatnonzero(np.diff(pixel)) + 1
+    if n_pixels > len(table) or len(starts) + 1 < n_pixels:
+        swept = set(zip(i.tolist(), j.tolist()))
+        missing = ((a, b) for a in range(grid.n_el)  # lazy, for huge grids
+                   for b in range(grid.n_az) if (a, b) not in swept)
+        shown = ", ".join("(az={1:g}, el={0:g})".format(*grid.angles_of(*p))
+                          for p in islice(missing, 8))
+        more = n_pixels - len(swept) - 8
+        raise DataFormatError(f"sweeps missing grid directions: {shown}"
+                              + (f" and {more} more" if more > 0 else ""))
+    counts = np.diff(starts, prepend=0, append=len(table))
+    n = int(counts[0])
+    freqs = freq[:n]          # the first direction's axis, which all share
+    if n < 8:
         raise DataFormatError("a frequency sweep needs at least 8 points")
-    n = len(freqs)
     df = np.diff(freqs)
-    if np.any(df <= 0):
-        raise DataFormatError("frequency axis must be strictly increasing")
     step = float(np.mean(df))
     if np.max(np.abs(df - step)) > 1e-6 * step:
         raise DataFormatError("frequency axis is not uniformly spaced")
@@ -334,15 +339,17 @@ def ingest_sweeps(sweeps: dict, grid: AngularGrid,
     check_sample_rate(sample_rate, DataFormatError,
                       f"frequency axis {freqs[0]:g} to {freqs[-1]:g} GHz in "
                       f"{n} points: ")
-    data = np.empty(grid.shape + (n,), dtype=complex)
-    for (i, j), (f, values) in lookup.items():
-        if len(f) != n or len(values) != n \
-                or np.max(np.abs(f - freqs)) > 1e-9 * max(freqs[-1], 1.0):
-            el, az = grid.angles_of(i, j)
-            raise DataFormatError(
-                f"direction (az={az:g}, el={el:g}) has a different "
-                f"frequency axis from the rest")
-        data[i, j] = values
+    differs = counts != n
+    if not differs.any():
+        differs = np.max(np.abs(freq.reshape(-1, n) - freqs), axis=1) \
+            > 1e-9 * max(freqs[-1], 1.0)
+    if differs.any():
+        el0, az0 = grid.angles_of(*divmod(int(np.argmax(differs)), grid.n_az))
+        raise DataFormatError(f"direction (az={az0:g}, el={el0:g}) has a "
+                              f"different frequency axis from the rest")
+    data = np.empty(grid.shape + (n,), dtype=complex)  # .real keeps a -0.0
+    data.real, data.imag = (table[order, k].reshape(data.shape)
+                            for k in (3, 4))
     if window == "hann":
         data *= np.hanning(n)
     return CirTensor.dense(grid, sample_rate, np.fft.ifft(data, axis=-1))

@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
@@ -215,24 +216,19 @@ def _floats(fields) -> list:
     return row
 
 
-def load_sweep_csv(path) -> dict:
-    """Parse a sweep file into {(az_deg, el_deg): (freqs_ghz, complex values)}
-    with each direction's rows sorted by frequency."""
-    header, lines = _read_csv(path)
-    if header != _SWEEP_HEADER:
-        raise DataFormatError(
-            f"{path}: header must be {','.join(_SWEEP_HEADER)}, "
-            f"got {','.join(header)!r}")
-    per_direction: dict = {}
-    for az, el, freq, re, im in _records(path, lines, 5, _floats):
-        per_direction.setdefault((az, el), []).append((freq, re, im))
-    out = {}
-    for key in sorted(per_direction):
-        rows = sorted(per_direction[key])
-        freqs = np.array([r[0] for r in rows])
-        values = np.array([complex(r[1], r[2]) for r in rows])
-        out[key] = (freqs, values)
-    return out
+def load_sweep_csv(*paths) -> np.ndarray:
+    """Read sweep files into one (n, 5) float table, az_deg, el_deg,
+    freq_ghz, re and im, in file and line order, for ingest_sweeps."""
+    table = array("d")
+    for path in paths:
+        header, lines = _read_csv(path)
+        if header != _SWEEP_HEADER:
+            raise DataFormatError(
+                f"{path}: header must be {','.join(_SWEEP_HEADER)}, "
+                f"got {','.join(header)!r}")
+        for row in _records(path, lines, 5, _floats):
+            table.extend(row)
+    return np.frombuffer(table).reshape(-1, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +236,17 @@ def load_sweep_csv(path) -> dict:
 
 
 def save_features(path, rows) -> None:
-    """rows: iterable of (realization | None, FeatureVector).  The
-    realization column is written when any row carries one."""
+    """rows: iterable of (realization | None, FeatureVector), all with a
+    realization, which is then written, or all without."""
     rows = list(rows)
-    with_realization = any(r is not None for r, _ in rows)
+    bare = [k for k, (r, _) in enumerate(rows) if r is None]
+    with_realization = len(bare) < len(rows)
+    if with_realization and bare:
+        raise DataFormatError(f"{path}: rows[{bare[0]}] has no realization, "
+                              f"but other rows have one")
     save_csv(path, (["realization"] if with_realization else [])
              + _FEATURE_HEADER,
-             [([0 if r is None else int(r)] if with_realization else [])
+             [([int(r)] if with_realization else [])
               + fv.values().tolist() + [fv.label or ""] for r, fv in rows])
 
 

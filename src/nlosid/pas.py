@@ -108,18 +108,18 @@ class AngularGrid(Record):
         return (self.el_start_deg + self.el_step_deg * el_idx,
                 self.az_start_deg + self.az_step_deg * az_idx)
 
-    def nearest_pixel(self, el_deg: float, az_deg: float) -> tuple[int, int]:
-        """Closest (el_idx, az_idx) to a direction; azimuth distance is
-        computed on the circle when the grid wraps."""
-        i = int(round((el_deg - self.el_start_deg) / self.el_step_deg))
-        i = min(max(i, 0), self.n_el - 1)
+    def nearest_pixel(self, el_deg, az_deg):
+        """Closest (el_idx, az_idx) to a direction as ints, or to arrays of
+        them as whole floats; azimuth is on the circle if the grid wraps."""
+        i = np.clip(np.rint((el_deg - self.el_start_deg) / self.el_step_deg),
+                    0.0, float(self.n_el - 1))
         if self.wraps_azimuth:
-            j = int(round(((az_deg - self.az_start_deg) % 360.0)
-                          / self.az_step_deg)) % self.n_az
+            j = np.rint(((az_deg - self.az_start_deg) % 360.0)
+                        / self.az_step_deg) % self.n_az
         else:
-            j = int(round((az_deg - self.az_start_deg) / self.az_step_deg))
-            j = min(max(j, 0), self.n_az - 1)
-        return (i, j)
+            j = np.clip(np.rint((az_deg - self.az_start_deg)
+                                / self.az_step_deg), 0.0, float(self.n_az - 1))
+        return (i, j) if np.ndim(i) else (int(i), int(j))
 
     def azimuth_offsets(self, az_idx, ref_az_idx: int) -> np.ndarray:
         """Azimuths of the given columns.  On a full-circle grid they are

@@ -44,14 +44,16 @@ def flat_grid(n_el: int = 20, n_az: int = 20, step: float = 1.0,
                        el_start_deg=el_start, el_step_deg=step, n_el=n_el)
 
 
-def grid_sweeps(grid: AngularGrid, freqs, values) -> dict:
-    """ingest_sweeps input naming every direction of grid, pixel (i, j)
-    swept at freqs with values[i, j]."""
-    sweeps = {}
-    for i, j in np.ndindex(grid.shape):
-        el, az = grid.angles_of(i, j)
-        sweeps[(az, el)] = (freqs, values[i, j])
-    return sweeps
+def grid_sweeps(grid: AngularGrid, freqs, values) -> np.ndarray:
+    """ingest_sweeps table naming every direction of grid in raster order,
+    pixel (i, j) swept at freqs with values[i, j]."""
+    n = len(freqs)
+    el, az = np.meshgrid(grid.elevations_deg, grid.azimuths_deg,
+                         indexing="ij")
+    values = np.asarray(values).reshape(grid.shape + (n,)).ravel()
+    return np.column_stack([np.repeat(az, n), np.repeat(el, n),
+                            np.tile(freqs, el.size), values.real,
+                            values.imag])
 
 
 def blob_map(grid: AngularGrid, blobs, floor: float = 1.0) -> PasMap:

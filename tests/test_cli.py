@@ -265,7 +265,8 @@ def test_ingest_rejects_duplicate_directions(tmp_path, rng, capsys):
     code = main(["ingest", str(a), str(a),
                  "--az", "0:6:2", "--el", "0:4:2"])
     assert code == 3
-    assert "more than one sweep file" in capsys.readouterr().err
+    assert "sweep rows (az=0, el=0) and (az=0, el=0) are one grid " \
+        "direction at 0 GHz" in capsys.readouterr().err
 
 
 def test_ingest_refuses_taps_beyond_complex64(tmp_path, capsys):
@@ -714,7 +715,8 @@ MALFORMED_INPUTS = {
     "ingest_frequency_repeated": (
         {"x.csv": _SWEEP_REPEATED_ROW},
         ["ingest", "x.csv", "--az", "0:2:2", "--el", "0:2:2"], 3,
-        "frequency axis must be strictly increasing"),
+        "sweep rows (az=0, el=0) and (az=0, el=0) are one grid direction at "
+        "60 GHz"),
     "ingest_band_of_subnormal_width": (
         {"x.csv": _sweep_band(0.0, 5e-324)}, _INGEST, 3,
         "frequency axis 0 to 3.45846e-323 GHz in 8 points: sample rate must "

@@ -576,42 +576,39 @@ def test_ingest_checks_the_frequency_axis(rng):
     bumpy = f.copy()
     bumpy[7] += 0.03
     for freqs, fragment in ((f[:7], "at least 8 points"),
-                            (f[::-1], "strictly increasing"),
                             (bumpy, "not uniformly spaced")):
         with pytest.raises(DataFormatError, match=fragment):
             ingest_sweeps(grid_sweeps(grid, freqs, values[..., :len(freqs)]),
                           grid)
-    # one direction whose values, or axis, is shorter than the rest's
-    for short in ((f, values[1, 2, :15]), (f[:15], values[1, 2, :15])):
-        sweeps = grid_sweeps(grid, f, values)
-        sweeps[(4.0, 2.0)] = short
-        with pytest.raises(DataFormatError,
-                           match=r"\(az=4, el=2\) has a different"):
-            ingest_sweeps(sweeps, grid)
+    # rows in any order give the same tensor
+    table = grid_sweeps(grid, f, values)
+    back = ingest_sweeps(table[::-1], grid)
+    assert np.array_equal(back.pixels([1], [2]), cir.pixels([1], [2]))
+    # one direction swept at a point fewer than the rest
+    short = table[~((table[:, 0] == 4.0) & (table[:, 1] == 2.0)
+                    & (table[:, 2] == f[-1]))]
+    with pytest.raises(DataFormatError,
+                       match=r"\(az=4, el=2\) has a different"):
+        ingest_sweeps(short, grid)
 
 
 def test_ingest_rejects_bad_geometry(rng):
     grid = flat_grid(2, 2, step=2.0)
     freqs = np.arange(16) / 8.0
     vals = rng.normal(size=16) + 0j
-    full = {}
-    for i in range(2):
-        for j in range(2):
-            el, az = grid.angles_of(i, j)
-            full[(az, el)] = (freqs, vals)
-
-    off = dict(full)
-    off[(1.3, 0.0)] = off.pop((2.0, 0.0))
+    full = grid_sweeps(grid, freqs, np.broadcast_to(vals, (2, 2, 16)))
+    # rows 16..31 sweep (az=2, el=0)
+    off = full.copy()
+    off[16:32, 0] = 1.3
     with pytest.raises(DataFormatError, match="not a grid point"):
         ingest_sweeps(off, grid)
 
-    missing = dict(full)
-    del missing[(2.0, 0.0)]
+    missing = np.delete(full, np.s_[16:32], axis=0)
     with pytest.raises(DataFormatError, match="missing grid directions"):
         ingest_sweeps(missing, grid)
 
-    skewed = dict(full)
-    skewed[(2.0, 0.0)] = (freqs + 0.01, vals)
+    skewed = full.copy()
+    skewed[16:32, 2] += 0.01
     with pytest.raises(DataFormatError, match="different\n?.*frequency axis|frequency axis"):
         ingest_sweeps(skewed, grid)
 
@@ -619,14 +616,14 @@ def test_ingest_rejects_bad_geometry(rng):
 def test_ingest_on_a_full_circle_grid():
     grid = AngularGrid.from_ranges((-180.0, 180.0), (0.0, 5.0), 5.0, 5.0)
     freqs = np.arange(16) / 8.0
-    sweeps = {}
+    sweeps = []
     for i, j in np.ndindex(grid.shape):
         el, az = grid.angles_of(i, j)
-        sweeps[(az, el)] = (freqs, np.full(16, 1.0 + i + j, dtype=complex))
+        sweeps += [(az, el, f, 1.0 + i + j, 0.0) for f in freqs]
     cir = ingest_sweeps(sweeps, grid)
     assert cir.data.shape[:2] == (2, 72)
     # the 180 degree sweep is the -180 column again, and is refused
-    sweeps[(180.0, 5.0)] = (freqs, np.ones(16, dtype=complex))
+    sweeps += [(180.0, 5.0, f, 1.0, 0.0) for f in freqs]
     with pytest.raises(DataFormatError,
                        match=r"\(az=-180, el=5\) and \(az=180, el=5\)"):
         ingest_sweeps(sweeps, grid)
@@ -635,7 +632,7 @@ def test_ingest_on_a_full_circle_grid():
 def test_ingest_lists_a_sample_of_missing_directions():
     grid = flat_grid(4, 6, step=2.0)
     el0, az0 = grid.angles_of(0, 0)
-    sweeps = {(az0, el0): (np.arange(16) / 8.0, np.ones(16, dtype=complex))}
+    sweeps = [(az0, el0, f, 1.0, 0.0) for f in np.arange(16) / 8.0]
     with pytest.raises(DataFormatError, match="and 15 more"):
         ingest_sweeps(sweeps, grid)
 

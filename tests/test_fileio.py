@@ -15,8 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 from nlosid import (AngularGrid, AnnModel, CirTensor, DataFormatError,
                     ExperimentConfig, GevPair, GevParams, MlrModel, PasMap,
                     SimConfig, ann_init, ann_train, compute_pas,
-                    inputs_from_manifest, Verdicts, mlr_classify,
-                    simulate_realization)
+                    ingest_sweeps, inputs_from_manifest, Verdicts,
+                    mlr_classify, simulate_realization)
 from nlosid.experiment import _write_curves
 from nlosid.fileio import (load_cir_tensor, load_document, load_features,
                            load_json, load_sweep_csv, load_truth,
@@ -249,18 +249,28 @@ def test_pas_json_round_trip_is_exact(tmp_path):
 
 
 def test_sweep_csv_groups_and_sorts(tmp_path):
-    path = tmp_path / "sweep.csv"
-    path.write_text(
-        "az_deg,el_deg,freq_ghz,re,im\n"
-        "10.0,0.0,60.2,1.0,-1.0\n"
-        "10.0,0.0,60.0,0.5,0.25\n"
-        "-5.0,2.0,60.0,0.0,1.0\n"
-        "10.0,0.0,60.1,2.0,0.0\n")
-    sweeps = load_sweep_csv(path)
-    assert set(sweeps) == {(10.0, 0.0), (-5.0, 2.0)}
-    freqs, values = sweeps[(10.0, 0.0)]
-    assert np.array_equal(freqs, [60.0, 60.1, 60.2])
-    assert np.array_equal(values, [0.5 + 0.25j, 2.0 + 0.0j, 1.0 - 1.0j])
+    """Sweep files read as one table in file and line order, which
+    ingest_sweeps groups by direction and sorts by frequency, whichever
+    file holds a direction's rows; the taps are the old reader's bits, a
+    -0.0 real part included."""
+    grid = flat_grid(1, 2, step=2.0)
+    # (az=0, el=0) is swept at -0.0 + 0j, which inverts to signed zeros
+    rows = [(az, 0.0, 60.0 + 0.25 * k, (k - 3.0) * az or -0.0,
+             (1.0 - k) * az + 0.0)
+            for k in range(8) for az in (2.0, 0.0)][::-1]
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path, part in zip(paths, (rows[:5], rows[5:])):
+        path.write_text("az_deg,el_deg,freq_ghz,re,im\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in part))
+    table = load_sweep_csv(*paths)
+    assert table.shape == (16, 5)
+    assert table.tobytes() == np.array(rows).tobytes()
+    cir = ingest_sweeps(table, grid, window="none")
+    for j, az in enumerate((0.0, 2.0)):
+        values = np.array([complex(*row[3:]) for row in rows[::-1]
+                           if row[0] == az])
+        assert cir.pixels([0], [j])[0].tobytes() \
+            == np.fft.ifft(values).tobytes()
 
 
 def test_sweep_csv_diagnostics(tmp_path):
@@ -306,6 +316,15 @@ def test_features_round_trip_without_realizations(tmp_path):
     back = load_features(path)
     assert back[0][0] is None
     assert back[0][1].label is None
+
+
+def test_features_with_and_without_realizations_are_refused(tmp_path):
+    """A row without a realization among rows with one would read back as
+    realization 0; the mix is refused and nothing is written."""
+    fv = make_fv(r_p=0.5, label="LOS")
+    with pytest.raises(DataFormatError, match=r"rows\[0\] has no realization"):
+        save_features(tmp_path / "f.csv", [(None, fv), (7, fv)])
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_features_diagnostics(tmp_path):
@@ -549,12 +568,20 @@ def test_sweep_tables_load_as_the_old_reader_did(table, tmp_path_factory):
                        bad, kind)
         return
     got, want = load_sweep_csv(path), oracles.load_sweep_csv_oracle(path)
-    # key order, and the sign of a zero angle, as well as the values
-    assert [tuple(map(repr, k)) for k in got] \
+    assert got.dtype == np.float64 and got.shape[1:] == (5,)
+    # grouped as the old reader grouped them: key order, and the sign of a
+    # zero angle, as well as each direction's sorted rows
+    grouped = {}
+    for az, el, *point in got.tolist():
+        grouped.setdefault((az, el), []).append(point)
+    keys = sorted(grouped)
+    assert [tuple(map(repr, k)) for k in keys] \
         == [tuple(map(repr, k)) for k in want]
-    for (f0, v0), (f1, v1) in zip(got.values(), want.values()):
-        assert f0.dtype == f1.dtype and f0.tobytes() == f1.tobytes()
-        assert v0.dtype == v1.dtype and v0.tobytes() == v1.tobytes()
+    for key, (f1, v1) in zip(keys, want.values()):
+        f0, re0, im0 = np.array(sorted(grouped[key])).T
+        assert f0.tobytes() == f1.tobytes()
+        assert re0.tobytes() == v1.real.tobytes()
+        assert im0.tobytes() == v1.imag.tobytes()
 
 
 @pytest.mark.parametrize("end, label", [("\n", "LOS"), ("\r\n", "LOS"),
@@ -585,8 +612,17 @@ _FEATURE_VECTORS = st.builds(
                                          st.booleans()), _FEATURE_VECTORS),
                      max_size=6))
 def test_save_features_writes_the_old_bytes(rows, tmp_path_factory):
+    """Rows all with or all without a realization give the old writer's
+    bytes; a mix, which it wrote with realization 0, is refused naming the
+    first row without one."""
     d = tmp_path_factory.getbasetemp() / "writer_oracle"
     d.mkdir(exist_ok=True)
+    bare = [k for k, (r, _) in enumerate(rows) if r is None]
+    if 0 < len(bare) < len(rows):
+        with pytest.raises(DataFormatError,
+                           match=rf"rows\[{bare[0]}\] has no realization"):
+            save_features(d / "new.csv", rows)
+        return
     save_features(d / "new.csv", rows)
     oracles.save_features_oracle(d / "old.csv", rows)
     assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
