@@ -52,8 +52,11 @@ class Verdicts:
 
 @dataclass(frozen=True)
 class TrainSchedule(Record):
-    max_epochs: Annotated[int, POSITIVE] = 5000   # L-BFGS-B iteration cap
-    loss_tolerance: Annotated[float, NON_NEGATIVE] = 1e-8   # L-BFGS-B ftol
+    # L-BFGS iteration cap
+    max_epochs: Annotated[int, POSITIVE] = 5000
+    # stop once an iteration lowers the loss by at most this times
+    # max(|loss before|, |loss after|, 1)
+    loss_tolerance: Annotated[float, NON_NEGATIVE] = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +271,88 @@ def _unflatten(flat: np.ndarray, shapes) -> tuple:
                  for v, shape in zip(np.split(flat, cuts), shapes))
 
 
+_LBFGS_MEMORY = 10          # correction pairs kept
+_GRADIENT_TOLERANCE = 1e-5  # stop once the gradient's max-norm is this low
+_WOLFE_C1, _WOLFE_C2 = 1e-4, 0.9
+_MAX_LINE_EVALS = 20
+
+
+def _wolfe_search(fun, x, f0, g0, d, step):
+    """(step, value, gradient) at a step along the descent direction d that
+    meets the strong Wolfe conditions with c1 1e-4 and c2 0.9 (Nocedal &
+    Wright, Algorithms 3.5 and 3.6: quadrupling the step until a Wolfe
+    step is bracketed, then bisecting the bracket), or None when
+    _MAX_LINE_EVALS evaluations find none.  lo is the sufficient-decrease
+    step of lowest value seen, lo_f that value; hi, once set, brackets a
+    Wolfe step with lo."""
+    slope0 = float(g0 @ d)
+    lo, lo_f, hi = 0.0, f0, None
+    for _ in range(_MAX_LINE_EVALS):
+        f, g = fun(x + step * d)
+        slope = float(g @ d)
+        if f > f0 + _WOLFE_C1 * step * slope0 or f >= lo_f:
+            hi = step
+        else:
+            if abs(slope) <= -_WOLFE_C2 * slope0:
+                return step, f, g
+            if slope * ((step if hi is None else hi) - lo) >= 0.0:
+                hi = lo
+            lo, lo_f = step, f
+        step = 4.0 * step if hi is None else 0.5 * (lo + hi)
+    return None
+
+
+def _lbfgs(fun, theta: np.ndarray, max_iter: int, ftol: float,
+           callback=None):
+    """Limited-memory BFGS (Nocedal & Wright, Algorithm 7.4, two-loop
+    recursion) on fun(theta) -> (value, gradient), keeping
+    _LBFGS_MEMORY correction pairs.
+
+    Stops once an iteration lowers the value by at most ftol times
+    max(|before|, |after|, 1), or the gradient's max-norm is at most
+    _GRADIENT_TOLERANCE (also checked at the start), or after max_iter
+    iterations, or, unconverged, when the line search finds no step.
+    callback(theta, value) sees each accepted iterate.
+    Returns (theta, iterations, converged, stop message).
+    """
+    f, g = fun(theta)
+    pairs = []                  # (s, y, 1 / y.s), oldest first
+    iterations = 0
+    while True:
+        if np.max(np.abs(g)) <= _GRADIENT_TOLERANCE:
+            return (theta, iterations, True,
+                    f"gradient max-norm <= {_GRADIENT_TOLERANCE:g}")
+        if iterations == max_iter:
+            return theta, iterations, False, "iteration cap reached"
+        q, alphas = g.copy(), []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ q))
+            q -= alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            q *= (s @ y) / (y @ y)
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - rho * (y @ q)) * s
+        found = _wolfe_search(
+            fun, theta, f, g, -q,
+            1.0 if pairs else min(1.0, 1.0 / float(np.linalg.norm(g))))
+        if found is None:
+            return (theta, iterations, False,
+                    "line search found no strong Wolfe step")
+        step, f_new, g_new = found
+        # the strong Wolfe curvature condition gives s.y >= 0.1 step |g.q|
+        s, y = -step * q, g_new - g
+        pairs = pairs[1 - _LBFGS_MEMORY:] + [(s, y, 1.0 / (s @ y))]
+        theta, g = theta - step * q, g_new
+        f, f_old = f_new, f
+        iterations += 1
+        if callback is not None:
+            callback(theta, f)
+        if f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
+            return (theta, iterations, True,
+                    "relative loss reduction <= loss_tolerance")
+
+
 def _standardize(values: np.ndarray):
     means = values.mean(axis=0)
     scales = values.std(axis=0)
@@ -277,15 +362,17 @@ def _standardize(values: np.ndarray):
 
 def ann_train(model: AnnModel, features: list,
               schedule: TrainSchedule = TrainSchedule()) -> AnnModel:
-    """L-BFGS-B on the mean squared error of the softmax outputs against
+    """L-BFGS on the mean squared error of the softmax outputs against
     one-hot targets (LOS -> [1, 0]).
 
     Features are standardized to zero mean and unit deviation computed from
     this training set; the statistics are stored on the returned model.
-    max_epochs caps the optimizer's iterations and loss_tolerance is its
-    ftol.  The lowest-loss weights seen are returned, so the final training
-    loss never exceeds the initial one.  The returned model's training
-    field holds the iteration count, whether a tolerance was met, the
+    Training stops after max_epochs iterations, once an iteration lowers
+    the loss by at most loss_tolerance times max(|loss before|, |loss
+    after|, 1), or once the gradient's max-norm is at most 1e-5.  The
+    lowest-loss weights seen are returned, so the final training loss
+    never exceeds the initial one.  The returned model's training field
+    holds the iteration count, whether a tolerance was met, the
     optimizer's stop message and that loss.
     """
     raw, is_los = labelled_table(features)
@@ -309,15 +396,11 @@ def ann_train(model: AnnModel, features: list,
             best.update(loss=loss, theta=theta.copy())
         return loss, _flatten(grads)
 
-    from scipy.optimize import minimize     # imported at first fit
-
-    result = minimize(loss_and_grad, _flatten(model.weights()), jac=True,
-                      method="L-BFGS-B",
-                      options={"maxiter": schedule.max_epochs,
-                               "ftol": schedule.loss_tolerance})
-    training = {"iterations": int(result.nit),
-                "converged": bool(result.success),
-                "stop": str(result.message), "loss": best["loss"]}
+    _, iterations, converged, stop = _lbfgs(
+        loss_and_grad, _flatten(model.weights()), schedule.max_epochs,
+        schedule.loss_tolerance)
+    training = {"iterations": iterations, "converged": converged,
+                "stop": stop, "loss": best["loss"]}
     return AnnModel(*_unflatten(best["theta"], shapes), feature_means=means,
                     feature_scales=scales, training=training)
 

@@ -15,7 +15,9 @@ corresponding tail value.
 
 Fitting is maximum likelihood: a Nelder-Mead search over (gamma, log sigma,
 mu) started from a probability-weighted-moment estimate, with an infinite
-penalty whenever a sample falls outside the candidate support.
+penalty whenever a sample falls outside the candidate support.  The search
+is a numpy port of scipy.optimize's non-adaptive Nelder-Mead, step for
+step, so fitting needs numpy alone.
 """
 
 import math
@@ -124,16 +126,61 @@ def _pwm_init(x_sorted: np.ndarray) -> tuple[float, float, float]:
     if abs(k) < 1e-6:
         sigma = l2 / math.log(2.0)
         return 0.0, sigma, l1 - _EULER * sigma
-    from scipy.special import gamma as gamma_fn    # imported at first fit
-
-    k = max(k, -0.99)                        # keep gamma_fn(1 + k) defined
-    g1k = gamma_fn(1.0 + k)
+    k = max(k, -0.99)                        # keep gamma(1 + k) defined
+    g1k = math.gamma(1.0 + k)
     sigma = l2 * k / ((1.0 - 2.0 ** (-k)) * g1k)
     if not (sigma > 0.0 and math.isfinite(sigma)):
         sigma = l2 / math.log(2.0)
         return 0.0, sigma, l1 - _EULER * sigma
     mu = l1 - sigma * (1.0 - g1k) / k
     return -k, sigma, mu
+
+
+def _nelder_mead(objective, x0: np.ndarray) -> np.ndarray:
+    """Minimizer of objective by scipy.optimize.minimize's Nelder-Mead as
+    gev_fit_mle calls it: the same start simplex, coefficients (reflect 1,
+    expand 2, contract 0.5, shrink 0.5), argsort reorder and stop rule
+    (xatol 1e-8, fatol _FIT_TOL, _MAX_FIT_ITER iterations counting the
+    start), with the same arithmetic, so it returns scipy's x bit for bit.
+    """
+    n = len(x0)
+    sim = np.repeat(x0[None, :], n + 1, axis=0)
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([objective(v) for v in sim])
+    order = np.argsort(fsim)
+    sim, fsim = sim[order], fsim[order]
+    for _ in range(1, _MAX_FIT_ITER):
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-8
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= _FIT_TOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = objective(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = objective(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:       # contract outside
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = objective(xc)
+                accept = fxc <= fxr
+            else:                    # contract inside
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = objective(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:                    # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = objective(sim[j])
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0]
 
 
 def gev_fit_mle(samples) -> GevParams:
@@ -166,14 +213,10 @@ def gev_fit_mle(samples) -> GevParams:
     def objective(v):
         return _neg_log_likelihood(v[0], math.exp(v[1]), v[2], x)
 
-    from scipy.optimize import minimize     # imported at first fit
-
-    res = minimize(objective, x0=np.array([gamma0, math.log(sigma0), mu0]),
-                   method="Nelder-Mead",
-                   options={"maxiter": _MAX_FIT_ITER, "fatol": _FIT_TOL,
-                            "xatol": 1e-8})
-    fitted = GevParams(gamma=float(res.x[0]), mu=float(res.x[2]),
-                       sigma=float(math.exp(res.x[1])))
+    best = _nelder_mead(objective,
+                        np.array([gamma0, math.log(sigma0), mu0]))
+    fitted = GevParams(gamma=float(best[0]), mu=float(best[2]),
+                       sigma=float(math.exp(best[1])))
     final_nll = _neg_log_likelihood(fitted.gamma, fitted.sigma, fitted.mu, x)
     if not math.isfinite(final_nll) or final_nll > init_nll:
         # never hand back anything worse than the moment estimate

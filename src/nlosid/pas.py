@@ -8,6 +8,7 @@ Conventions used throughout the package:
   * array axes are ordered (elevation, azimuth, tap)
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Annotated
@@ -62,7 +63,8 @@ class AngularGrid(Record):
         """Grid whose axes run from start to stop inclusive; each
         (start, stop) range must span a whole number of steps.  An azimuth
         range of exactly 360 degrees is half-open, since its stop is its
-        start again."""
+        start again.  A range whose step count is not a finite number, as
+        a subnormal step makes it, is refused."""
         counts = []
         for axis, (lo, hi), step in (("azimuth", az_range_deg, az_step_deg),
                                      ("elevation", el_range_deg, el_step_deg)):
@@ -70,7 +72,12 @@ class AngularGrid(Record):
                 raise ConfigError(
                     f"{axis} range ({lo}, {hi}) needs start < stop and a "
                     f"step in (0, 360] degrees")
-            n = int(round((hi - lo) / step)) + 1
+            steps = (hi - lo) / step
+            if not math.isfinite(steps):
+                raise ConfigError(
+                    f"{axis} range ({lo}, {hi}) spans {steps} steps of "
+                    f"{step} degrees; the count must be finite")
+            n = int(round(steps)) + 1
             if abs(lo + (n - 1) * step - hi) > 1e-9 * step:
                 raise ConfigError(
                     f"{axis} range ({lo}, {hi}) is not a whole number of "

@@ -19,7 +19,9 @@ fileio streams elevation rows and keeps complex64; the files and every read
 of the loaded tensor must agree with them bit for bit.  The CSV oracles are
 the table readers and writers as they were before fileio gained its one row
 loop and one writer: the loaders must return what they return, and the
-writers must write their bytes.
+writers must write their bytes.  nelder_mead_oracle is scipy's
+Nelder-Mead with the options gev_fit_mle once passed it; the numpy port
+must return its x bit for bit.
 """
 
 import csv
@@ -30,12 +32,13 @@ from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
+from scipy.optimize import minimize
 
 from nlosid.chansim import LOS, NLOS, _STREAM_NOISE, CirTensor, rng_stream
 from nlosid.errors import DataFormatError
 from nlosid.experiment import _CURVE_BINS, _CURVE_POINTS
 from nlosid.fileio import TensorManifest, _read_text, load_document
-from nlosid.gevstats import gev_cdf, gev_pdf
+from nlosid.gevstats import _FIT_TOL, _MAX_FIT_ITER, gev_cdf, gev_pdf
 from nlosid.metrics import METRIC_NAMES, FeatureVector
 from nlosid.pas import wrap_angle_deg
 
@@ -48,6 +51,13 @@ def kurtosis_oracle(values) -> float:
     m2 = math.fsum((v - mean) ** 2 for v in vals) / n
     m4 = math.fsum((v - mean) ** 4 for v in vals) / n
     return m4 / (m2 * m2)
+
+
+def nelder_mead_oracle(objective, x0):
+    """scipy's OptimizeResult for the search gevstats._nelder_mead ports."""
+    return minimize(objective, x0=x0, method="Nelder-Mead",
+                    options={"maxiter": _MAX_FIT_ITER, "fatol": _FIT_TOL,
+                             "xatol": 1e-8})
 
 
 def delay_moments_oracle(magnitudes, delays_ns):

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 from scipy import integrate
 
 from nlosid import (CirTensor, ExperimentConfig, GevPair, GevParams,
@@ -21,6 +20,7 @@ from nlosid import (CirTensor, ExperimentConfig, GevPair, GevParams,
                     gev_cdf, gev_fit_mle, gev_pdf, cdf_rmse, mlr_classify,
                     mlr_train, run_experiment, segment, simulate_realization,
                     time_kurtosis)
+from nlosid import classifiers
 from nlosid.classifiers import _loss_and_grads
 from nlosid.experiment import extract_realization
 from nlosid.fileio import load_features, load_json
@@ -260,17 +260,16 @@ def test_criterion_06_network_gradients_and_training(monkeypatch):
                             / max(abs(analytic), abs(numeric), 1e-6))
         assert worst < 1e-5, f"gradient mismatch {worst:.3e}"
 
-    # record the loss at every iteration of the optimizer ann_train runs;
-    # scipy passes the full state only to a parameter of this name
+    # record the loss at every iterate the optimizer ann_train runs accepts
     losses = []
-    optimizer = scipy.optimize.minimize
+    optimizer = classifiers._lbfgs
 
     def recording(*args, **kwargs):
-        def callback(intermediate_result):
-            losses.append(intermediate_result.fun)
+        def callback(theta, loss):
+            losses.append(loss)
         return optimizer(*args, callback=callback, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+    monkeypatch.setattr(classifiers, "_lbfgs", recording)
     feats = separable_features(n_per_class=40)
     raw = np.array([f.values() for f in feats])
     x = (raw - raw.mean(axis=0)) / raw.std(axis=0)
@@ -356,7 +355,7 @@ def test_reference_report_bytes_are_pinned(reference_run):
     a change that moves these bytes edits the digest and says why."""
     out = reference_run[2]
     assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() \
-        == "17d07f860e94e8b34625b4cd5c947ccd72b15e0ed903f0b95d4bf9d7ac412744"
+        == "c43d5b6b39377e9dec365b3a7f47d60fbf97ed7dee9c6984b7cc466edb7740c4"
 
 
 def test_criterion_10_measured_protocol_averages_disjoint_splits(tmp_path):

@@ -12,8 +12,9 @@ from nlosid import (LOS, NLOS, AnnModel, ConfigError, DataFormatError,
                     TrainSchedule,
                     TrainingError, ann_classify, ann_init, ann_train,
                     error_rates, gev_pdf, mlr_classify, mlr_train, softmax)
-from nlosid.classifiers import (LOG_DENSITY_FLOOR, _loss_and_grads,
-                                _forward_batch)
+from nlosid.classifiers import (LOG_DENSITY_FLOOR, _GRADIENT_TOLERANCE,
+                                _WOLFE_C1, _WOLFE_C2, _forward_batch, _lbfgs,
+                                _loss_and_grads, _wolfe_search)
 from nlosid.metrics import METRIC_NAMES
 
 import oracles
@@ -348,6 +349,90 @@ def test_training_is_deterministic():
     b = ann_train(ann_init(9), feats, TrainSchedule(max_epochs=120))
     for wa, wb in zip(a.weights(), b.weights()):
         assert np.array_equal(wa, wb)
+
+
+@settings(max_examples=60, deadline=None, phases=_PHASES)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 40))
+def test_lbfgs_minimizes_strictly_convex_quadratics(seed, dim):
+    """On 0.5 (x - c)' A (x - c) with A's eigenvalues in [0.1, 10] and a
+    start at distance 1 to 10 from c: with no loss tolerance the search ends
+    at a gradient max-norm within the tolerance, no accepted loss is above
+    the one before, and a cap of one iteration stops after one, unconverged.
+    """
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    a = (q * rng.uniform(0.1, 10.0, dim)) @ q.T
+    center = rng.normal(size=dim)
+    offset = rng.normal(size=dim)
+    start = center + rng.uniform(1.0, 10.0) * offset / np.linalg.norm(offset)
+
+    def quadratic(theta):
+        r = theta - center
+        return 0.5 * float(r @ a @ r), a @ r
+
+    losses = [quadratic(start)[0]]
+    theta, iterations, converged, stop = _lbfgs(
+        quadratic, start, 1000, 0.0, lambda t, loss: losses.append(loss))
+    assert converged, stop
+    assert np.max(np.abs(quadratic(theta)[1])) <= _GRADIENT_TOLERANCE
+    assert iterations == len(losses) - 1
+    assert all(after <= before for before, after in zip(losses, losses[1:]))
+    theta, iterations, converged, stop = _lbfgs(quadratic, start, 1, 0.0)
+    assert (iterations, converged, stop) == (1, False, "iteration cap reached")
+
+
+@settings(max_examples=100, deadline=None, phases=_PHASES)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 20),
+       convex=st.booleans(), step=st.floats(1e-3, 1e2))
+def test_wolfe_search_meets_both_strong_wolfe_conditions(seed, dim, convex,
+                                                         step):
+    """Along a scaled steepest-descent direction of a quadratic or of the
+    non-convex sum of log(1 + r^2), from any first trial step in
+    [1e-3, 1e2], the search returns a step of sufficient decrease whose
+    slope is at most c2 times the first in size, with the value and
+    gradient there."""
+    rng = np.random.default_rng(seed)
+    center = 3.0 * rng.normal(size=dim)
+
+    def fun(theta):
+        r = theta - center
+        if convex:
+            return 1.25 * float(r @ r), 2.5 * r
+        return float(np.sum(np.log1p(r * r))), 2.0 * r / (1.0 + r * r)
+
+    x = 3.0 * rng.normal(size=dim)
+    f0, g0 = fun(x)
+    d = -rng.uniform(0.1, 10.0) * g0
+    found = _wolfe_search(fun, x, f0, g0, d, step)
+    assert found is not None
+    step, f, g = found
+    slope0 = float(g0 @ d)
+    assert f <= f0 + _WOLFE_C1 * step * slope0
+    assert abs(g @ d) <= -_WOLFE_C2 * slope0
+    value, gradient = fun(x + step * d)
+    assert f == value and np.array_equal(g, gradient)
+
+
+def test_lbfgs_stops_unconverged_when_no_step_meets_the_wolfe_conditions():
+    """A gradient that points uphill leaves no step of sufficient decrease
+    along -gradient: the search keeps its start and says why it stopped."""
+    start = np.array([1.0, -2.0])
+    theta, iterations, converged, stop = _lbfgs(
+        lambda t: (float(t @ t), -2.0 * t), start, 100, 1e-8)
+    assert np.array_equal(theta, start)
+    assert (iterations, converged, stop) == (
+        0, False, "line search found no strong Wolfe step")
+
+
+def test_training_record_says_how_training_stopped():
+    feats = separable_features(n_per_class=20)
+    capped = ann_train(ann_init(3), feats, TrainSchedule(max_epochs=1))
+    assert capped.training["iterations"] == 1
+    assert capped.training["converged"] is False
+    done = ann_train(ann_init(3), feats, TrainSchedule(max_epochs=2000))
+    assert done.training["converged"] is True
+    assert 1 < done.training["iterations"] < 2000
+    assert done.training["loss"] < capped.training["loss"]
 
 
 def test_consistent_feature_rescaling_keeps_decisions():

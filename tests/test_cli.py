@@ -1,5 +1,6 @@
 """Command-line entry points and exit-code contract."""
 
+import importlib.util
 import json
 import math
 import subprocess
@@ -296,7 +297,8 @@ def test_ingest_validates_axes(tmp_path, rng, capsys):
 
 
 # ---------------------------------------------------------------------------
-# cold start: only fitting loads scipy, and only simulate multiprocessing
+# cold start: no command loads scipy, and only simulate and experiment
+# load multiprocessing
 
 
 # A fresh process that puts a finder in front of every import of one
@@ -337,22 +339,29 @@ def run_guarded(mode: str, commands, guarded: str = "scipy") -> dict:
 
 
 def test_fitted_models_run_without_scipy(tmp_path, rng):
-    """Importing nlosid, simulate, extract, ingest and classify with either
-    model kind need numpy alone: a process that refuses scipy runs them.
-    Of these, only simulate needs multiprocessing: a process that refuses
-    it imports nlosid and runs the others, and report."""
+    """Importing nlosid and every command but report need numpy alone: a
+    process that refuses scipy fits, trains, simulates, extracts, ingests,
+    classifies with either model kind and runs an experiment.  Of these,
+    only simulate and experiment need multiprocessing: a process that
+    refuses it imports nlosid and runs extract, ingest, classify and
+    report."""
     config = {"mode": "simulate", "sim": small_sim(snr_db=60.0).to_dict(),
               "seg": {"min_pixels": 2, "marker_min_separation": 1.0},
               "n_realizations": 6, "n_train": 3, "n_test": 3, "seed": 11}
     cfg = tmp_path / "config.json"
     save_json(cfg, config)
+    campaign = tmp_path / "campaign.json"
+    save_json(campaign, {**config, "schedule": {"max_epochs": 50},
+                         "n_realizations": 35, "n_train": 30, "n_test": 5})
     train_csv = tmp_path / "train.csv"
     save_features(train_csv, labelled_feature_rows(n_realizations=40))
     models = tmp_path / "models"
-    assert main(["--out", str(models), "train",
-                 "--features", str(train_csv)]) == 0
     sim, features = tmp_path / "sim", tmp_path / "features.csv"
     a, b, _ = write_sweep_files(tmp_path, rng)
+    fitting = [
+        ["--out", tmp_path / "gev_table.json", "fit", "--features", train_csv],
+        ["--out", models, "train", "--features", train_csv],
+        ["--config", campaign, "--out", tmp_path / "run", "experiment"]]
     simulate = ["--config", cfg, "--out", sim, "simulate"]
     others = [
         ["--config", cfg, "--out", features, "extract",
@@ -362,9 +371,11 @@ def test_fitted_models_run_without_scipy(tmp_path, rng):
         *(["--out", tmp_path / f"{kind}.csv", "classify",
            "--features", features, "--model", models / f"{kind}_model.json"]
           for kind in ("mlr", "ann"))]
-    result = run_guarded("refuse", [simulate, *others])
-    assert result == {"imported": [], "codes": [0] * 5, "seen": []}
+    result = run_guarded("refuse", [*fitting, simulate, *others])
+    assert result == {"imported": [], "codes": [0] * 8, "seen": []}
     assert len(load_features(features)) >= 6
+    assert load_json(tmp_path / "run" / "report.json")["diagnostics"][
+        "network_training"]["iterations"] >= 1
     report = tmp_path / "report.json"
     save_json(report, _REPORT_DOC)
     result = run_guarded("refuse", [*others, ["report", report]],
@@ -398,15 +409,21 @@ def test_experiment_imports_multiprocessing(tmp_path):
     assert "multiprocessing" in result["seen"]
 
 
-def test_train_imports_the_optimizer(tmp_path):
-    """The scipy guard above is not vacuous: it sees train load
-    scipy.optimize, and only once train has started fitting."""
-    train_csv = tmp_path / "train.csv"
-    save_features(train_csv, labelled_feature_rows(n_realizations=40))
-    result = run_guarded("record", [["--out", tmp_path / "models", "train",
-                                     "--features", train_csv]])
-    assert result["imported"] == [] and result["codes"] == [0]
-    assert "scipy.optimize" in result["seen"]
+def test_the_scipy_guard_refuses_scipy():
+    """The scipy guard above is not vacuous: scipy is installed here, and
+    the child that refuses it fails an explicit import of scipy.optimize
+    after running its commands."""
+    assert importlib.util.find_spec("scipy.optimize") is not None
+    src = Path(nlosid.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", _GUARDED_CLI + "import scipy.optimize\n",
+         str(src), "refuse", "[]", "scipy"], capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == 1
+    assert json.loads(done.stdout) == {"imported": [], "codes": [],
+                                       "seen": []}
+    assert done.stderr.rstrip().endswith(
+        "ModuleNotFoundError: scipy refused"), done.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +621,16 @@ MALFORMED_INPUTS = {
     "ingest_axis_infinite": (
         {}, ["ingest", "x.csv", "--az", "0:inf:2", "--el", "0:4:2"], 2,
         "--az values must be finite"),
+    "ingest_az_step_count_overflows": (
+        {}, ["ingest", "x.csv", "--az", "0:2:1e-320", "--el", "0:4:2"], 2,
+        "azimuth range (0.0, 2.0) spans inf steps of 1e-320 degrees; the "
+        "count must be finite"),
+    "ingest_el_step_count_overflows": (
+        {}, ["ingest", "x.csv", "--az", "0:2:2", "--el=0:1:1e-320"], 2,
+        "elevation range (0.0, 1.0) spans inf steps of 1e-320 degrees"),
+    "ingest_el_span_over_step_overflows": (
+        {}, ["ingest", "x.csv", "--az", "0:2:2", "--el=0:1e300:1e-300"], 2,
+        "elevation range (0.0, 1e+300) spans inf steps"),
     "sim_azimuth_past_one_turn": (
         {"c.json": {"sim": {"az_range_deg": [-180, 185]}}},
         ["--config", "c.json", "simulate"], 2, "under one turn"),

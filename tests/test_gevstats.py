@@ -1,17 +1,20 @@
 """Extreme-value distribution evaluation, fitting, and split plumbing."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 from scipy import stats
 
 from nlosid import (ConfigError, FitError, GevParams, bootstrap_split,
                     cdf_rmse, gev_cdf, gev_fit_mle, gev_pdf)
+from nlosid import gevstats
 from nlosid.gevstats import _neg_log_likelihood, _pwm_init
 
+import oracles
 from conftest import gev_inverse_sample
 
 
@@ -211,6 +214,47 @@ def test_fit_location_scale_equivariance():
 def test_fit_is_deterministic():
     x = gev_inverse_sample(-0.1, 0.0, 1.0, 300, seed=8)
     assert gev_fit_mle(x) == gev_fit_mle(list(x))
+
+
+# a LOS k_t-like sample: 250 draws with shape -1.8 whose upper endpoint
+# sits at the 512-tap kurtosis ceiling, 510.002; its fit runs to the cap
+_KT_LIKE = {"gamma": -1.8, "mu": 510.002 + 4.0 / -1.8, "sigma": 4.0,
+            "n": 250, "seed": 1}
+
+
+def _searches(sample) -> list:
+    """(port's x, scipy's result) of each Nelder-Mead search that fitting
+    sample runs."""
+    searches = []
+    port = gevstats._nelder_mead
+
+    def both(objective, x0):
+        x = port(objective, x0)
+        searches.append((x, oracles.nelder_mead_oracle(objective, x0)))
+        return x
+
+    with mock.patch.object(gevstats, "_nelder_mead", both):
+        gev_fit_mle(sample)
+    return searches
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.one_of(st.floats(-2.5, -0.01), st.just(0.0),
+                      st.floats(0.01, 0.9)), mu=st.floats(-20.0, 20.0),
+       sigma=st.floats(0.2, 15.0), n=st.integers(20, 300),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(**_KT_LIKE)
+def test_nelder_mead_returns_scipys_minimizer_bit_for_bit(gamma, mu, sigma,
+                                                          n, seed):
+    (x, result), = _searches(gev_inverse_sample(gamma, mu, sigma, n, seed))
+    assert x.tobytes() == result.x.tobytes(), (x, result.x)
+
+
+def test_kurtosis_like_sample_runs_the_search_to_its_cap():
+    """The pinned example above is the capped case: scipy stops it at
+    _MAX_FIT_ITER iterations, not at a tolerance."""
+    (_, result), = _searches(gev_inverse_sample(**_KT_LIKE))
+    assert result.nit == gevstats._MAX_FIT_ITER and not result.success
 
 
 def test_fit_input_validation():

@@ -95,6 +95,19 @@ def test_azimuth_axis_spans_less_than_one_turn():
                                "n_az": 73})
 
 
+def test_a_step_count_that_is_not_finite_is_refused():
+    """The count (stop - start) / step overflows under a subnormal step or
+    an infinite stop, and is nan under a nan start; each is a ConfigError
+    naming the axis, not an OverflowError or ValueError from int()."""
+    for az, el, step, axis in (((0.0, 2.0), (0.0, 4.0), 1e-320, "azimuth"),
+                               ((0.0, 2.0), (0.0, math.inf), 2.0,
+                                "elevation"),
+                               ((math.nan, 2.0), (0.0, 4.0), 2.0, "azimuth")):
+        with pytest.raises(ConfigError, match=f"^{axis} range .* the count "
+                                              f"must be finite$"):
+            AngularGrid.from_ranges(az, el, step, step)
+
+
 def test_nearest_pixel_clamps_on_partial_grids():
     g = flat_grid(n_el=5, n_az=7, step=2.0, az_start=0.0, el_start=0.0)
     assert g.nearest_pixel(4.0, 6.0) == (2, 3)
